@@ -41,9 +41,6 @@ from .optics import (
 )
 from .oracle import (
     DenseSystem,
-    build_dense_phi,
-    dense_ridge_solve,
-    dense_tikhonov_solve,
     unvec_cube,
     unvec_image,
     vec_cube,
@@ -110,11 +107,8 @@ __all__ = [
     "apply_forward_frequency",
     "band_wavelengths",
     "block_inverse_3x3",
-    "build_dense_phi",
     "build_frequency_operator",
     "default_gamma_schedule",
-    "dense_ridge_solve",
-    "dense_tikhonov_solve",
     "embed_kernel",
     "evaluate",
     "fidelity_solve",

@@ -414,11 +414,12 @@ def _cmd_reconstruct(config: dict) -> int:
     if config["trace"]:
         trace_path = config["out"] + ".trace.csv"
         with open(trace_path, "w", encoding="utf-8") as fh:
-            fh.write("stage,fidelity,delta,gamma\n")
+            fh.write("stage,fidelity,delta,gamma,primal_residual\n")
             for rec in result.trace:
                 fh.write(
-                    "%d,%.17g,%.17g,%.17g\n"
-                    % (rec.stage, rec.data_fidelity, rec.delta, rec.gamma)
+                    "%d,%.17g,%.17g,%.17g,%.17g\n"
+                    % (rec.stage, rec.data_fidelity, rec.delta, rec.gamma,
+                       rec.primal_residual)
                 )
         outputs.append(trace_path)
     if config["export_pgm"]:

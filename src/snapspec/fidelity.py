@@ -11,12 +11,17 @@ systems.  Rather than inverting N x N per frequency, the solution is
 rearranged through the push-through identity so only the 3 x 3 Hermitian
 matrix  A_f = I + (1/gamma) H_f H_f^*  needs inverting:
 
-    U_f = T_f + (1/gamma) H_f^* [ V_f - A_f^{-1} ((1/gamma) H_f H_f^* V_f + H_f T_f) ]
+    U_f = T_f + (1/gamma) H_f^* A_f^{-1} (V_f - H_f T_f)
 
-with V the coded-image spectrum and T_f the anchor spectrum.  The 3 x 3
+with V the coded-image spectrum and T_f the anchor spectrum.  The Gram
+H_f H_f^* does not depend on gamma and is cached on the operator.  The 3 x 3
 inverses are computed by a two-level Schur-complement recursion that only
 ever divides by scalars bounded below by 1, one set of scalars per
 frequency bin.
+
+Images and cubes are real, so all spectra here are Hermitian and are kept
+as ``rfft2`` half spectra of shape (..., H, W // 2 + 1); every inverse
+transform passes the full extent ``s=(H, W)`` so odd widths round-trip.
 
 ``fidelity_solve_naive`` solves the untransformed per-frequency N x N
 systems directly and exists to cross-validate the rearrangement;
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError, SingularPivotError
-from .optics import FrequencyOperator, apply_adjoint, apply_forward_frequency
+from .optics import FrequencyOperator, apply_adjoint, apply_forward_frequency, back_project
 
 _PIVOT_FLOOR = 1e-300
 
@@ -40,8 +45,9 @@ _PIVOT_FLOOR = 1e-300
 class FidelityProblem:
     """One measurement-consistency subproblem instance.
 
-    ``coded_spectrum`` is the per-channel forward DFT of the coded image,
-    shape (3, H, W) complex.  ``gamma`` is the positive anchor weight.
+    ``coded_spectrum`` is the per-channel half-spectrum forward DFT
+    (``rfft2``) of the coded image, shape (3, H, W // 2 + 1) complex.
+    ``gamma`` is the positive anchor weight.
     """
 
     op: FrequencyOperator
@@ -51,7 +57,7 @@ class FidelityProblem:
     def __post_init__(self):
         if not self.gamma > 0:
             raise ParameterError("gamma must be positive, got %r" % self.gamma)
-        expected = (3, self.op.height, self.op.width)
+        expected = (3, self.op.height, self.op.width // 2 + 1)
         if self.coded_spectrum.shape != expected:
             raise DimensionError(
                 "coded_spectrum shape %r, expected %r" % (self.coded_spectrum.shape, expected)
@@ -64,10 +70,11 @@ class FidelityProblem:
             raise DimensionError(
                 "coded image shape %r does not match operator" % (coded.shape,)
             )
-        return cls(op=op, coded_spectrum=np.fft.fft2(coded.transpose(2, 0, 1)), gamma=gamma)
+        return cls(op=op, coded_spectrum=np.fft.rfft2(coded.transpose(2, 0, 1)), gamma=gamma)
 
     def coded_image(self) -> np.ndarray:
-        return np.fft.ifft2(self.coded_spectrum).real.transpose(1, 2, 0)
+        shape = (self.op.height, self.op.width)
+        return np.fft.irfft2(self.coded_spectrum, s=shape).transpose(1, 2, 0)
 
     def with_gamma(self, gamma: float) -> "FidelityProblem":
         return FidelityProblem(op=self.op, coded_spectrum=self.coded_spectrum, gamma=gamma)
@@ -138,30 +145,26 @@ def _anchor_spectrum(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarray:
     expected = (prob.op.height, prob.op.width, prob.op.n_bands)
     if anchor.shape != expected:
         raise DimensionError("anchor shape %r, expected %r" % (anchor.shape, expected))
-    return np.fft.fft2(anchor.transpose(2, 0, 1))
+    return np.fft.rfft2(anchor.transpose(2, 0, 1))
 
 
 def fidelity_solve(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarray:
     """Exact minimizer of the anchored subproblem via 3 x 3 block inversion.
 
-    Cost per call: one FFT per band and channel plus pointwise 3 x 3
-    algebra over frequency bins.  The gradient of the subproblem objective
-    vanishes at the output up to floating-point roundoff.
+    Cost per call: one real FFT and one inverse real FFT per band plus
+    pointwise 3 x 3 algebra over the stored half-spectrum bins.  The
+    gradient of the subproblem objective vanishes at the output up to
+    floating-point roundoff.
     """
-    transfer = prob.op.transfer
+    op = prob.op
     g = 1.0 / prob.gamma
     anchor_spec = _anchor_spectrum(prob, anchor)
-    coded_spec = prob.coded_spectrum
 
-    gram = g * np.einsum("aihw,bihw->hwab", transfer, np.conj(transfer))
-    a = gram + np.eye(3)
-    a_inv = block_inverse_3x3(a)
-
-    mixed = np.einsum("hwab,bhw->ahw", gram, coded_spec)
-    mixed += np.einsum("cihw,ihw->chw", transfer, anchor_spec)
-    resid = coded_spec - np.einsum("hwab,bhw->ahw", a_inv, mixed)
-    u = anchor_spec + g * np.einsum("cihw,chw->ihw", np.conj(transfer), resid)
-    return np.fft.ifft2(u).real.transpose(1, 2, 0)
+    a_inv = block_inverse_3x3(g * op.gram + np.eye(3))
+    resid = prob.coded_spectrum - np.einsum("cihw,ihw->chw", op.transfer, anchor_spec)
+    weighted = np.einsum("hwab,bhw->ahw", a_inv, resid)
+    u = anchor_spec + g * back_project(op, weighted)
+    return np.fft.irfft2(u, s=(op.height, op.width)).transpose(1, 2, 0)
 
 
 def fidelity_solve_naive(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarray:
@@ -179,7 +182,8 @@ def fidelity_solve_naive(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarra
     rhs = np.einsum("cihw,chw->hwi", np.conj(transfer), prob.coded_spectrum)
     rhs += prob.gamma * anchor_spec.transpose(1, 2, 0)
     u = np.linalg.solve(normal, rhs[..., None])[..., 0]
-    return np.fft.ifft2(u.transpose(2, 0, 1)).real.transpose(1, 2, 0)
+    shape = (prob.op.height, prob.op.width)
+    return np.fft.irfft2(u.transpose(2, 0, 1), s=shape).transpose(1, 2, 0)
 
 
 def subproblem_objective(prob: FidelityProblem, x: np.ndarray, anchor: np.ndarray) -> float:
@@ -228,5 +232,4 @@ def gdm_fidelity_step(
 
 def lipschitz_bound(op: FrequencyOperator) -> float:
     """Largest per-frequency eigenvalue of H_f H_f^*; equals ||A||^2."""
-    gram = np.einsum("aihw,bihw->hwab", op.transfer, np.conj(op.transfer))
-    return float(np.linalg.eigvalsh(gram)[..., -1].max())
+    return float(np.linalg.eigvalsh(op.gram)[..., -1].max())

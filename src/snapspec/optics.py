@@ -9,7 +9,9 @@ band with its wavelength-dependent PSF and weighting by the sensor response:
 Per color channel and band this is one 2-D convolution with the "unified"
 kernel ``response[c, i] * p_i``.  Under circular boundary conditions the
 whole operator diagonalizes per spatial frequency into a 3 x bands complex
-matrix, which is what the reconstruction solver exploits.
+matrix, which is what the reconstruction solver exploits.  Kernels and cubes
+are real, so every spectrum is Hermitian and the frequency-domain code keeps
+only the non-negative half of the last axis (``rfft2``).
 """
 
 from __future__ import annotations
@@ -77,15 +79,32 @@ class OpticalSystem:
 class FrequencyOperator:
     """Per-frequency 3 x bands transfer matrices of an optical system.
 
-    ``transfer[c, i, u, v]`` is the 2-D DFT (unnormalized forward transform)
-    of the unified kernel for channel c and band i, zero-embedded into the
-    image grid with the kernel center at index (0, 0).  The DC entry of a
-    unit-sum kernel therefore equals ``response[c, i]``.
+    ``transfer[c, i, u, v]`` is the 2-D real-input DFT (``rfft2``,
+    unnormalized forward transform) of the unified kernel for channel c and
+    band i, zero-embedded into the image grid with the kernel center at
+    index (0, 0).  The kernels are real, so the spectrum is Hermitian and
+    only its non-negative half along the last axis is stored: the shape is
+    (3, bands, height, width // 2 + 1).  The DC entry ``transfer[..., 0, 0]``
+    of a unit-sum kernel still equals ``response[c, i]``.
+
+    ``gram[u, v]`` is the gain-independent 3 x 3 Hermitian matrix
+    H_f H_f^* of each stored bin, shape (height, width // 2 + 1, 3, 3),
+    derived once at construction.
     """
 
     transfer: np.ndarray
     height: int
     width: int
+    gram: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        expected = (self.height, self.width // 2 + 1)
+        if self.transfer.shape[2:] != expected:
+            raise DimensionError(
+                "transfer shape %r, expected (3, bands) + %r" % (self.transfer.shape, expected)
+            )
+        gram = np.einsum("aihw,bihw->hwab", self.transfer, np.conj(self.transfer))
+        object.__setattr__(self, "gram", gram)
 
     @property
     def n_bands(self) -> int:
@@ -106,8 +125,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gaussian_sigma < 0:
-            raise ValidationError("gaussian_sigma must be >= 0")
+        if not (np.isfinite(self.gaussian_sigma) and self.gaussian_sigma >= 0):
+            raise ValidationError(
+                "gaussian_sigma must be finite and >= 0, got %r" % self.gaussian_sigma
+            )
         if self.poisson_bits != 0 and not 8 <= self.poisson_bits <= 16:
             raise ValidationError("poisson_bits must be 0 or in [8, 16]")
 
@@ -164,7 +185,7 @@ def build_frequency_operator(system: OpticalSystem, height: int, width: int) -> 
             "kernel size %d exceeds image extent (%d, %d)"
             % (system.kernel_size, height, width)
         )
-    transfer = np.fft.fft2(embed_kernel(system.unified, height, width))
+    transfer = np.fft.rfft2(embed_kernel(system.unified, height, width))
     return FrequencyOperator(transfer=transfer, height=height, width=width)
 
 
@@ -194,9 +215,9 @@ def apply_forward_frequency(op: FrequencyOperator, cube: np.ndarray) -> np.ndarr
     Equals :func:`forward_encode` with circular boundary up to FFT roundoff.
     """
     cube = _check_cube(op, cube)
-    spectra = np.fft.fft2(cube.transpose(2, 0, 1))
+    spectra = np.fft.rfft2(cube.transpose(2, 0, 1))
     coded = np.einsum("cihw,ihw->chw", op.transfer, spectra)
-    return np.fft.ifft2(coded).real.transpose(1, 2, 0)
+    return np.fft.irfft2(coded, s=(op.height, op.width)).transpose(1, 2, 0)
 
 
 def apply_adjoint(op: FrequencyOperator, image: np.ndarray) -> np.ndarray:
@@ -206,9 +227,18 @@ def apply_adjoint(op: FrequencyOperator, image: np.ndarray) -> np.ndarray:
     matrix, so the inner-product identity <A x, y> == <x, A^T y> holds.
     """
     image = _check_image(op, image)
-    spectra = np.fft.fft2(image.transpose(2, 0, 1))
-    bands = np.einsum("cihw,chw->ihw", np.conj(op.transfer), spectra)
-    return np.fft.ifft2(bands).real.transpose(1, 2, 0)
+    spectra = np.fft.rfft2(image.transpose(2, 0, 1))
+    bands = back_project(op, spectra)
+    return np.fft.irfft2(bands, s=(op.height, op.width)).transpose(1, 2, 0)
+
+
+def back_project(op: FrequencyOperator, spectra: np.ndarray) -> np.ndarray:
+    """Per-bin H_f^* y_f for channel spectra ``spectra`` of shape (3, H, W//2+1).
+
+    Computed as conj(H^T conj(y)), which conjugates the small operand
+    instead of copying the transfer.
+    """
+    return np.conj(np.einsum("cihw,chw->ihw", op.transfer, np.conj(spectra)))
 
 
 def add_noise(image: np.ndarray, model: NoiseModel) -> np.ndarray:

@@ -132,17 +132,3 @@ class DenseSystem:
         if np.shape(image) != expected:
             raise DimensionError("image shape %r, expected %r" % (np.shape(image), expected))
 
-
-def build_dense_phi(system: OpticalSystem, height: int, width: int) -> DenseSystem:
-    """Materialize the forward operator of ``system`` on an H x W grid."""
-    return DenseSystem.from_system(system, height, width)
-
-
-def dense_ridge_solve(
-    dense: DenseSystem, coded: np.ndarray, anchor: np.ndarray, gamma: float
-) -> np.ndarray:
-    return dense.ridge_solve(coded, anchor, gamma)
-
-
-def dense_tikhonov_solve(dense: DenseSystem, coded: np.ndarray, weight: float) -> np.ndarray:
-    return dense.tikhonov_solve(coded, weight)

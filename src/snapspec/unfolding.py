@@ -82,6 +82,9 @@ class StageSchedule:
         gamma = _as_stage_array(self.gamma, n, "gamma")
         zeta = _as_stage_array(self.zeta, n, "zeta")
         sigma_tilde = _as_stage_array(self.sigma_tilde, n, "sigma_tilde")
+        for name, arr in (("gamma", gamma), ("zeta", zeta), ("sigma_tilde", sigma_tilde)):
+            if not np.all(np.isfinite(arr)):
+                raise ParameterError("%s entries must be finite" % name)
         if not np.all(gamma > 0):
             raise ParameterError("all gamma entries must be positive")
         if np.any(zeta < 0):
@@ -105,8 +108,8 @@ class StageSchedule:
         gamma = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
         if not np.all(gamma > 0):
             raise ParameterError("all gamma entries must be positive")
-        if prior_weight < 0:
-            raise ParameterError("prior_weight must be >= 0")
+        if not (np.isfinite(prior_weight) and prior_weight >= 0):
+            raise ParameterError("prior_weight must be finite and >= 0, got %r" % prior_weight)
         if zeta < 0:
             raise ParameterError("zeta must be >= 0")
         return cls(
@@ -167,8 +170,8 @@ class GaussianDenoiser(Denoiser):
     name = "gaussian"
 
     def __init__(self, spatial_std: float = 1.0):
-        if not spatial_std > 0:
-            raise ParameterError("spatial_std must be positive, got %r" % spatial_std)
+        if not (np.isfinite(spatial_std) and spatial_std > 0):
+            raise ParameterError("spatial_std must be finite and positive, got %r" % spatial_std)
         self.spatial_std = float(spatial_std)
 
     def denoise(self, cube: np.ndarray, noise_level: float) -> np.ndarray:
@@ -181,8 +184,8 @@ class TotalVariationDenoiser(Denoiser):
     name = "tv"
 
     def __init__(self, weight: float = 0.01, iters: int = 30):
-        if weight < 0:
-            raise ParameterError("tv weight must be >= 0, got %r" % weight)
+        if not (np.isfinite(weight) and weight >= 0):
+            raise ParameterError("tv weight must be finite and >= 0, got %r" % weight)
         if iters < 1:
             raise ParameterError("tv iters must be >= 1, got %r" % iters)
         self.weight = float(weight)
@@ -229,8 +232,8 @@ def tv_denoise(cube: np.ndarray, weight: float, iters: int) -> np.ndarray:
         return tv_denoise(cube[:, :, None], weight, iters)[:, :, 0]
     if cube.ndim != 3:
         raise DimensionError("expected (H, W, bands) cube, got shape %r" % (cube.shape,))
-    if weight < 0:
-        raise ParameterError("weight must be >= 0, got %r" % weight)
+    if not (np.isfinite(weight) and weight >= 0):
+        raise ParameterError("weight must be finite and >= 0, got %r" % weight)
     if iters < 1:
         raise ParameterError("iters must be >= 1, got %r" % iters)
     if weight == 0:

@@ -141,15 +141,17 @@ def test_reconstruct_trace_csv(tmp_path):
     ])
     assert code == 0
     lines = (tmp_path / "recon.htns.trace.csv").read_text().strip().splitlines()
-    assert lines[0] == "stage,fidelity,delta,gamma"
+    assert lines[0] == "stage,fidelity,delta,gamma,primal_residual"
     assert len(lines) == 5
     first = lines[1].split(",")
     assert first[0] == "1"
     assert first[2] == "nan"  # stage 1 has no predecessor
+    assert first[4] == "nan"  # nor a fidelity solve
     for line in lines[2:]:
         parts = line.split(",")
         assert float(parts[1]) >= 0
         assert float(parts[3]) > 0
+        assert float(parts[4]) >= 0
 
 
 def test_full_pipeline_with_evaluate(tmp_path, capsys):
@@ -281,6 +283,33 @@ def test_validation_error_exit_2(tmp_path):
         "--out", str(tmp_path / "r.htns"), "--stages", "0",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("simulate", ["--noise", "gaussian=nan"]),
+        ("reconstruct", ["--zeta", "nan"]),
+        ("reconstruct", ["--prior-weight", "nan"]),
+        ("reconstruct", ["--denoiser", "tv:lambda=nan"]),
+        ("reconstruct", ["--denoiser", "gaussian:std=inf"]),
+    ],
+    ids=["noise-sigma", "zeta", "sigma-tilde", "tv-weight", "gaussian-std"],
+)
+def test_non_finite_parameter_exit_2(tmp_path, capsys, command, flags):
+    psf, resp = _write_random_system(tmp_path)
+    cube_path, _ = _write_cube(tmp_path)
+    inputs = ["--cube", cube_path] if command == "simulate" else [
+        "--coded", _simulate_noiseless(tmp_path, psf, resp, cube_path)
+    ]
+    out = tmp_path / "out.htns"
+    capsys.readouterr()
+    code = main([
+        command, *inputs, "--psf", psf, "--response", resp, "--out", str(out), *flags,
+    ])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_corrupt_tensor_exit_2(tmp_path):

@@ -6,6 +6,8 @@ import pytest
 from snapspec import (
     FidelityProblem,
     OpticalSystem,
+    apply_adjoint,
+    apply_forward_frequency,
     block_inverse_3x3,
     build_frequency_operator,
     fidelity_solve,
@@ -129,6 +131,28 @@ def test_matches_dense_ridge_oracle():
     ref = dense.ridge_solve(coded, anchor, 0.5)
     rel = np.linalg.norm(fast - ref) / np.linalg.norm(ref)
     assert rel < 1e-8
+
+
+@pytest.mark.parametrize("height, width", [(7, 9), (9, 7)])
+def test_odd_extents_match_dense_oracle(height, width):
+    # half spectra of odd widths only round-trip when every inverse
+    # transform is given the full extent
+    rng = np.random.default_rng(height * 10 + width)
+    system = _random_system(rng, 4, 5)
+    dense = DenseSystem.from_system(system, height, width)
+    op = build_frequency_operator(system, height, width)
+    cube = rng.standard_normal((height, width, 4))
+    image = rng.standard_normal((height, width, 3))
+    assert np.max(np.abs(apply_forward_frequency(op, cube) - dense.forward(cube))) < 1e-12
+    assert np.max(np.abs(apply_adjoint(op, image) - dense.adjoint(image))) < 1e-12
+    for gamma in (1e-3, 1.0, 1e3):
+        anchor = rng.standard_normal((height, width, 4))
+        prob = FidelityProblem.from_coded_image(op, image, gamma)
+        assert np.max(np.abs(prob.coded_image() - image)) < 1e-12
+        ref = dense.ridge_solve(image, anchor, gamma)
+        for solve in (fidelity_solve, fidelity_solve_naive):
+            rel = np.linalg.norm(solve(prob, anchor) - ref) / np.linalg.norm(ref)
+            assert rel < 1e-10
 
 
 def test_matches_naive_frequency_solver():

@@ -111,8 +111,12 @@ def test_transfer_dc_equals_response():
     rng = np.random.default_rng(3)
     system = _random_system(rng, 6, 3)
     op = build_frequency_operator(system, 8, 8)
-    assert op.transfer.shape == (3, 6, 8, 8)
+    # Hermitian spectrum: only the first W // 2 + 1 columns are stored
+    assert op.transfer.shape == (3, 6, 8, 5)
     assert np.max(np.abs(op.transfer[:, :, 0, 0] - system.response)) < 1e-12
+    full = np.fft.fft2(embed_kernel(system.unified, 8, 8))
+    with pytest.raises(DimensionError):
+        FrequencyOperator(transfer=full, height=8, width=8)
 
 
 def test_delta_psf_gives_flat_transfer():
@@ -132,17 +136,23 @@ def test_shifted_delta_gives_phase_ramp():
     op = build_frequency_operator(system, n, n)
     fy, fx = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     expected = np.exp(-2j * np.pi * (fy + fx) / n)
-    assert np.max(np.abs(op.transfer[0, 0] - expected)) < 1e-12
+    assert np.max(np.abs(op.transfer[0, 0] - expected[:, : n // 2 + 1])) < 1e-12
 
 
 def test_transfer_matches_direct_dft():
     rng = np.random.default_rng(17)
     system = _random_system(rng, 3, 3)
     op = build_frequency_operator(system, 5, 4)
+    half = 4 // 2 + 1
     for c in range(3):
         for i in range(3):
             embedded = embed_kernel(system.response[c, i] * system.psfs[i], 5, 4)
-            assert np.max(np.abs(op.transfer[c, i] - direct_dft2(embedded))) < 1e-12
+            assert np.max(np.abs(op.transfer[c, i] - direct_dft2(embedded)[:, :half])) < 1e-12
+    # the cached Gram is H_f H_f^* per stored bin, and Hermitian
+    gram = np.einsum("aihw,bihw->hwab", op.transfer, np.conj(op.transfer))
+    assert op.gram.shape == (5, half, 3, 3)
+    assert np.max(np.abs(op.gram - gram)) < 1e-12
+    assert np.max(np.abs(op.gram - np.conj(np.swapaxes(op.gram, -1, -2)))) < 1e-12
 
 
 @pytest.mark.parametrize("size", [4, 8, 16])

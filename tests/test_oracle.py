@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from snapspec import (
-    OpticalSystem,
-    build_dense_phi,
-    dense_ridge_solve,
-    dense_tikhonov_solve,
-    forward_encode,
-)
+from snapspec import OpticalSystem, forward_encode
 from snapspec.errors import DimensionError, ParameterError
 from snapspec.oracle import (
     MAX_DENSE_UNKNOWNS,
@@ -65,7 +59,7 @@ def test_identity_system_gives_block_identity():
 def test_phi_matches_forward_encode():
     rng = np.random.default_rng(7)
     system = _random_system(rng, 4, 3)
-    dense = build_dense_phi(system, 5, 6)
+    dense = DenseSystem.from_system(system, 5, 6)
     cube = rng.standard_normal((5, 6, 4))
     via_matrix = dense.forward(cube)
     via_conv = forward_encode(cube, system)
@@ -77,7 +71,7 @@ def test_phi_kernel_wider_than_grid_still_matches():
     # encoder refuses k > H so the nested-loop reference arbitrates here
     rng = np.random.default_rng(9)
     system = _random_system(rng, 2, 5)
-    dense = build_dense_phi(system, 3, 3)
+    dense = DenseSystem.from_system(system, 3, 3)
     cube = rng.standard_normal((3, 3, 2))
     ref = direct_circular_encode(cube, system.psfs, system.response)
     assert np.max(np.abs(dense.forward(cube) - ref)) < 1e-12
@@ -87,7 +81,7 @@ def test_column_sums_equal_response():
     # each column of a circulant block sums to the kernel sum = response entry
     rng = np.random.default_rng(11)
     system = _random_system(rng, 3, 3)
-    dense = build_dense_phi(system, 4, 4)
+    dense = DenseSystem.from_system(system, 4, 4)
     n = 16
     for ch in range(3):
         for band in range(3):
@@ -98,7 +92,7 @@ def test_column_sums_equal_response():
 def test_adjoint_is_transpose():
     rng = np.random.default_rng(13)
     system = _random_system(rng, 3, 3)
-    dense = build_dense_phi(system, 4, 4)
+    dense = DenseSystem.from_system(system, 4, 4)
     cube = rng.standard_normal((4, 4, 3))
     image = rng.standard_normal((4, 4, 3))
     lhs = np.sum(dense.forward(cube) * image)
@@ -109,20 +103,20 @@ def test_adjoint_is_transpose():
 def test_ridge_huge_gamma_returns_anchor():
     rng = np.random.default_rng(17)
     system = _random_system(rng, 3, 3)
-    dense = build_dense_phi(system, 4, 4)
+    dense = DenseSystem.from_system(system, 4, 4)
     coded = rng.standard_normal((4, 4, 3))
     anchor = rng.standard_normal((4, 4, 3))
-    out = dense_ridge_solve(dense, coded, anchor, 1e12)
+    out = dense.ridge_solve(coded, anchor, 1e12)
     assert np.max(np.abs(out - anchor)) < 1e-6
 
 
 def test_ridge_identity_optics_formula():
-    dense = build_dense_phi(_identity_system(3), 4, 4)
+    dense = DenseSystem.from_system(_identity_system(3), 4, 4)
     rng = np.random.default_rng(19)
     coded = rng.standard_normal((4, 4, 3))
     anchor = rng.standard_normal((4, 4, 3))
     gamma = 0.8
-    out = dense_ridge_solve(dense, coded, anchor, gamma)
+    out = dense.ridge_solve(coded, anchor, gamma)
     expected = (coded + gamma * anchor) / (1.0 + gamma)
     assert np.max(np.abs(out - expected)) < 1e-12
 
@@ -130,30 +124,30 @@ def test_ridge_identity_optics_formula():
 def test_ridge_satisfies_normal_equations():
     rng = np.random.default_rng(23)
     system = _random_system(rng, 4, 3)
-    dense = build_dense_phi(system, 5, 5)
+    dense = DenseSystem.from_system(system, 5, 5)
     coded = rng.standard_normal((5, 5, 3))
     anchor = rng.standard_normal((5, 5, 4))
     gamma = 0.5
-    x = vec_cube(dense_ridge_solve(dense, coded, anchor, gamma))
+    x = vec_cube(dense.ridge_solve(coded, anchor, gamma))
     lhs = (dense.phi.T @ dense.phi + gamma * np.eye(dense.phi.shape[1])) @ x
     rhs = dense.phi.T @ vec_image(coded) + gamma * vec_cube(anchor)
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-10
 
 
 def test_ridge_rejects_nonpositive_gamma():
-    dense = build_dense_phi(_identity_system(2), 2, 2)
+    dense = DenseSystem.from_system(_identity_system(2), 2, 2)
     zeros2 = np.zeros((2, 2, 2))
     zeros3 = np.zeros((2, 2, 3))
     with pytest.raises(ParameterError):
-        dense_ridge_solve(dense, zeros3, zeros2, 0.0)
+        dense.ridge_solve(zeros3, zeros2, 0.0)
 
 
 def test_tikhonov_identity_optics_zero_weight():
     # identity optics, 3 bands: zero-weight solve reproduces the coded image
-    dense = build_dense_phi(_identity_system(3), 3, 3)
+    dense = DenseSystem.from_system(_identity_system(3), 3, 3)
     rng = np.random.default_rng(29)
     coded = rng.standard_normal((3, 3, 3))
-    out = dense_tikhonov_solve(dense, coded, 0.0)
+    out = dense.tikhonov_solve(coded, 0.0)
     assert np.max(np.abs(out - coded)) < 1e-10
 
 
@@ -161,10 +155,10 @@ def test_tikhonov_zero_weight_min_norm():
     # underdetermined system: among consistent solutions lstsq picks min norm
     rng = np.random.default_rng(31)
     system = _random_system(rng, 5, 3)
-    dense = build_dense_phi(system, 4, 4)
+    dense = DenseSystem.from_system(system, 4, 4)
     cube = rng.standard_normal((4, 4, 5))
     coded = dense.forward(cube)
-    out = dense_tikhonov_solve(dense, coded, 0.0)
+    out = dense.tikhonov_solve(coded, 0.0)
     # consistent: reproduces the data
     assert np.max(np.abs(dense.forward(out) - coded)) < 1e-8
     # minimal norm among solutions
@@ -174,27 +168,27 @@ def test_tikhonov_zero_weight_min_norm():
 def test_tikhonov_large_weight_shrinks_to_zero():
     rng = np.random.default_rng(37)
     system = _random_system(rng, 3, 3)
-    dense = build_dense_phi(system, 4, 4)
+    dense = DenseSystem.from_system(system, 4, 4)
     coded = rng.standard_normal((4, 4, 3))
-    out = dense_tikhonov_solve(dense, coded, 1e12)
+    out = dense.tikhonov_solve(coded, 1e12)
     assert np.max(np.abs(out)) < 1e-6
 
 
 def test_tikhonov_rejects_negative_weight():
-    dense = build_dense_phi(_identity_system(2), 2, 2)
+    dense = DenseSystem.from_system(_identity_system(2), 2, 2)
     with pytest.raises(ParameterError):
-        dense_tikhonov_solve(dense, np.zeros((2, 2, 3)), -0.1)
+        dense.tikhonov_solve(np.zeros((2, 2, 3)), -0.1)
 
 
 def test_size_guard():
     system = _random_system(np.random.default_rng(41), 8, 3)
     # 24 * 24 * 8 = 4608 > 4096
     with pytest.raises(ParameterError, match=str(MAX_DENSE_UNKNOWNS)):
-        build_dense_phi(system, 24, 24)
+        DenseSystem.from_system(system, 24, 24)
 
 
 def test_shape_guards():
-    dense = build_dense_phi(_identity_system(2), 2, 2)
+    dense = DenseSystem.from_system(_identity_system(2), 2, 2)
     with pytest.raises(DimensionError):
         dense.forward(np.zeros((2, 2, 3)))
     with pytest.raises(DimensionError):
