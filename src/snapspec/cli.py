@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -341,7 +342,7 @@ _SIMULATE_KEYS = [
     Key("response", _conv_str, "", "spectral response CSV", required=True),
     Key("out", _conv_str, "", "output coded image (.htns)", required=True),
     Key("boundary", _conv_choice("circular", "valid-crop"), "circular",
-        "convolution boundary handling"),
+        "convolution boundary handling; reconstruct inverts only circular"),
     Key("noise", _conv_str, "default",
         "'none', 'default' (gaussian=7e-5,poisson_bits=14), or explicit spec"),
     Key("seed", _conv_int, 0, "noise RNG seed"),
@@ -390,8 +391,31 @@ _RECONSTRUCT_KEYS = [
 ] + _COMMON_KEYS
 
 
+def _check_circular_coded(coded_path: str) -> None:
+    """Refuse a coded image whose simulate manifest records a non-circular
+    boundary: the solver inverts the circular model only."""
+    manifest_path = coded_path + ".manifest.json"
+    if not os.path.exists(manifest_path):
+        return
+    with open(manifest_path, encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError("%s: not a JSON manifest (%s)" % (manifest_path, exc)) from None
+    try:
+        boundary = manifest["config"]["boundary"]
+    except (KeyError, TypeError):
+        return  # not a simulate manifest: nothing recorded to check
+    if boundary != "circular":
+        raise ValidationError(
+            "%s was simulated with boundary %r; reconstruct supports only circular"
+            % (coded_path, boundary)
+        )
+
+
 def _cmd_reconstruct(config: dict) -> int:
     coded = _load_cube(config["coded"])
+    _check_circular_coded(config["coded"])
     if coded.shape[2] != 3:
         raise ValidationError("coded image must have 3 channels, got %d" % coded.shape[2])
     system = _load_system(config["psf"], config["response"])

@@ -1,17 +1,19 @@
-"""Optical system model: PSF stacks, spectral response, and the coded-image
-forward operator in both spatial and frequency form.
+"""Optical system model: PSF stacks, spectral response, the coded-image
+forward operator and sensor noise.
 
 A scene cube I (H, W, bands) is encoded into an RGB image by convolving each
 band with its wavelength-dependent PSF and weighting by the sensor response:
 
     J[x, y, c] = sum_i (I[:, :, i] * p_i)[x, y] * response[c, i]
 
-Per color channel and band this is one 2-D convolution with the "unified"
-kernel ``response[c, i] * p_i``.  Under circular boundary conditions the
-whole operator diagonalizes per spatial frequency into a 3 x bands complex
-matrix, which is what the reconstruction solver exploits.  Kernels and cubes
-are real, so every spectrum is Hermitian and the frequency-domain code keeps
-only the non-negative half of the last axis (``rfft2``).
+Under circular boundary conditions this operator diagonalizes per spatial
+frequency into a 3 x bands complex matrix H_f[c, i] = response[c, i] P_i(f),
+where P_i is the DFT of band i's PSF.  There is one implementation of that
+model: :func:`forward_encode` (which simulates a frame) and
+:func:`build_frequency_operator` (which the reconstruction solver uses) both
+derive from the same per-band PSF spectra.  Kernels and cubes are real, so
+every spectrum is Hermitian and the code keeps only the non-negative half of
+the last axis (``rfft2``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage, signal
 
 from .errors import DimensionError, ValidationError
 
@@ -143,12 +144,23 @@ def embed_kernel(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
     return np.roll(emb, (-(k // 2), -(k // 2)), axis=(-2, -1))
 
 
+def _psf_spectra(system: OpticalSystem, height: int, width: int) -> np.ndarray:
+    """Half-spectrum DFTs P_i of the per-band PSFs on an (height, width) grid.
+
+    Shape (bands, height, width // 2 + 1); each kernel is zero-embedded with
+    its center at index (0, 0), as in :func:`embed_kernel`.
+    """
+    return np.fft.rfft2(embed_kernel(system.psfs, height, width))
+
+
 def forward_encode(cube: np.ndarray, system: OpticalSystem, boundary: str = "circular") -> np.ndarray:
     """Encode a spectral cube (H, W, bands) into a coded RGB image.
 
-    ``boundary="circular"`` wraps indices and keeps the (H, W) extent.
+    ``boundary="circular"`` wraps indices and keeps the (H, W) extent; it is
+    computed per frequency as J_f = response (P_f * I_f), the same model as
+    :func:`apply_forward_frequency`, without building the 3 x bands transfer.
     ``boundary="valid-crop"`` keeps only pixels whose kernel support never
-    leaves the grid, shrinking each spatial extent by k - 1; it equals the
+    leaves the grid, shrinking each spatial extent by k - 1; it is the
     circular output with (k - 1) / 2 pixels cropped per edge.  No noise is
     added here.
     """
@@ -159,33 +171,23 @@ def forward_encode(cube: np.ndarray, system: OpticalSystem, boundary: str = "cir
         )
     height, width = cube.shape[:2]
     k = system.kernel_size
-    if boundary == "circular":
-        if k > height or k > width:
-            raise DimensionError("kernel size %d exceeds image extent" % k)
-        out = np.zeros((height, width, 3))
-        for c in range(3):
-            for i in range(system.n_bands):
-                out[:, :, c] += ndimage.convolve(cube[:, :, i], system.unified[c, i], mode="wrap")
-        return out
+    if boundary not in ("circular", "valid-crop"):
+        raise ValueError("boundary must be 'circular' or 'valid-crop', got %r" % boundary)
+    if boundary == "valid-crop" and (height <= k or width <= k):
+        raise DimensionError("valid-crop needs image extent > kernel size %d" % k)
+    spectra = _psf_spectra(system, height, width)
+    spectra *= np.fft.rfft2(cube.transpose(2, 0, 1))
+    coded = np.einsum("ci,ihw->chw", system.response, spectra)
+    out = np.fft.irfft2(coded, s=(height, width)).transpose(1, 2, 0)
     if boundary == "valid-crop":
-        if height <= k or width <= k:
-            raise DimensionError("valid-crop needs image extent > kernel size %d" % k)
-        out = np.zeros((height - k + 1, width - k + 1, 3))
-        for c in range(3):
-            for i in range(system.n_bands):
-                out[:, :, c] += signal.convolve2d(cube[:, :, i], system.unified[c, i], mode="valid")
-        return out
-    raise ValueError("boundary must be 'circular' or 'valid-crop', got %r" % boundary)
+        m = k // 2
+        out = out[m:height - m, m:width - m]
+    return out
 
 
 def build_frequency_operator(system: OpticalSystem, height: int, width: int) -> FrequencyOperator:
-    """DFT the unified kernels into per-frequency 3 x bands transfer matrices."""
-    if system.kernel_size > height or system.kernel_size > width:
-        raise DimensionError(
-            "kernel size %d exceeds image extent (%d, %d)"
-            % (system.kernel_size, height, width)
-        )
-    transfer = np.fft.rfft2(embed_kernel(system.unified, height, width))
+    """Per-frequency 3 x bands transfer matrices ``response[c, i] * P_i``."""
+    transfer = system.response[:, :, None, None] * _psf_spectra(system, height, width)[None]
     return FrequencyOperator(transfer=transfer, height=height, width=width)
 
 
@@ -212,7 +214,9 @@ def _check_image(op: FrequencyOperator, image: np.ndarray) -> np.ndarray:
 def apply_forward_frequency(op: FrequencyOperator, cube: np.ndarray) -> np.ndarray:
     """Apply the forward operator via per-frequency matrix products.
 
-    Equals :func:`forward_encode` with circular boundary up to FFT roundoff.
+    Applies the stored transfer ``H_f``; it equals :func:`forward_encode`
+    with circular boundary up to roundoff, since both derive from the same
+    PSF spectra.
     """
     cube = _check_cube(op, cube)
     spectra = np.fft.rfft2(cube.transpose(2, 0, 1))

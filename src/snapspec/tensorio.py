@@ -18,6 +18,7 @@ coded images as (H, W, 3).
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from pathlib import Path
 
@@ -36,11 +37,15 @@ def save_tensor(array: np.ndarray, path: str | Path) -> None:
     """Write ``array`` to ``path`` as an HTNS file.
 
     float32 is stored as f32; everything else is coerced to f64.  The
-    round trip through :func:`load_tensor` is bit-exact.
+    round trip through :func:`load_tensor` is bit-exact.  Raises
+    :class:`ValidationError` on a non-finite value, which the loader would
+    reject, before the file is opened.
     """
     arr = np.ascontiguousarray(array)
     if arr.dtype not in _CODE_BY_KIND:
         arr = np.ascontiguousarray(arr, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("non-finite value in payload")
     code = _CODE_BY_KIND[arr.dtype]
     header = MAGIC + struct.pack("<HBB", VERSION, code, arr.ndim)
     header += struct.pack("<%dQ" % arr.ndim, *arr.shape)
@@ -74,14 +79,18 @@ def load_tensor(path: str | Path) -> np.ndarray:
     if any(d == 0 for d in dims):
         raise FormatError("non-positive extent in dims %r" % (dims,))
     dtype = _DTYPE_BY_CODE[code]
-    count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
+    # Python ints: a u64 product must not wrap to a plausible count
+    count = math.prod(dims)
     expected = dims_end + count * dtype.itemsize
     if len(blob) < expected:
         raise FormatError("unexpected end of payload")
     if len(blob) > expected:
         raise FormatError("trailing bytes after payload")
     data = np.frombuffer(blob, dtype=dtype, count=count, offset=dims_end)
-    arr = data.reshape(dims).copy()
+    try:
+        arr = data.reshape(dims).copy()
+    except ValueError:
+        raise FormatError("rank %d exceeds what numpy supports" % ndim) from None
     if not np.all(np.isfinite(arr)):
         raise ValidationError("non-finite value in payload")
     return arr

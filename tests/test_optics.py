@@ -1,4 +1,4 @@
-"""Forward-model tests: spatial encoder, frequency operator, noise."""
+"""Forward-model tests: encoder, frequency operator, noise."""
 
 import numpy as np
 import pytest
@@ -78,11 +78,23 @@ def test_valid_crop_equals_circular_interior():
     rng = np.random.default_rng(21)
     system = _random_system(rng, 4, 5)
     cube = rng.uniform(size=(12, 12, 4))
-    circ = forward_encode(cube, system, boundary="circular")
+    circ = direct_circular_encode(cube, system.psfs, system.response)
     valid = forward_encode(cube, system, boundary="valid-crop")
     m = 2  # (kernel_size - 1) // 2
     assert valid.shape == (8, 8, 3)
     assert np.max(np.abs(valid - circ[m:-m, m:-m, :])) < 1e-12
+
+
+def test_forward_non_square_odd_width():
+    # odd width: the half spectrum alone does not determine W, so the
+    # inverse transform must be told the extent
+    rng = np.random.default_rng(79)
+    system = _random_system(rng, 4, 3)
+    cube = rng.standard_normal((7, 9, 4))
+    coded = forward_encode(cube, system)
+    slow = direct_circular_encode(cube, system.psfs, system.response)
+    assert coded.shape == (7, 9, 3)
+    assert np.max(np.abs(coded - slow)) < 1e-12
 
 
 def test_unknown_boundary_rejected():
@@ -157,13 +169,16 @@ def test_transfer_matches_direct_dft():
 
 @pytest.mark.parametrize("size", [4, 8, 16])
 def test_frequency_forward_matches_spatial(size):
+    # both production paths share the PSF spectra, so each is checked
+    # against the nested-loop spatial reference rather than the other
     rng = np.random.default_rng(size)
     system = _random_system(rng, 5, 3)
     cube = rng.standard_normal((size, size, 5))
-    spatial = forward_encode(cube, system)
+    spatial = direct_circular_encode(cube, system.psfs, system.response)
     op = build_frequency_operator(system, size, size)
     freq = apply_forward_frequency(op, cube)
     assert np.max(np.abs(freq - spatial)) < 1e-10
+    assert np.max(np.abs(forward_encode(cube, system) - spatial)) < 1e-10
 
 
 @pytest.mark.parametrize("size", [4, 8, 16])

@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snapspec import load_response_csv, load_tensor, save_response_csv, save_tensor
@@ -133,6 +133,54 @@ def test_nan_payload_rejected(tmp_path):
     path.write_bytes(header + arr.astype("<f8").tobytes())
     with pytest.raises(ValidationError, match="non-finite"):
         load_tensor(path)
+
+
+def test_overflowing_extents_rejected(tmp_path):
+    # 2**32 * 2**32 wraps to 0 in int64; the element count must not
+    path = tmp_path / "o.htns"
+    path.write_bytes(b"HTNS" + struct.pack("<HBB", 1, 2, 2) + struct.pack("<2Q", 2**32, 2**32))
+    with pytest.raises(FormatError, match="unexpected end of payload"):
+        load_tensor(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_non_finite_rejected_without_file(tmp_path, bad):
+    path = tmp_path / "n.htns"
+    arr = np.ones((2, 3))
+    arr[1, 2] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        save_tensor(arr, path)
+    assert not path.exists()
+
+
+def _htns_blob(ndim, dims, code, payload):
+    return (
+        b"HTNS" + struct.pack("<HBB", 1, code, ndim)
+        + struct.pack("<%dQ" % len(dims), *dims) + payload
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ndim=st.integers(0, 255),
+    dims=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1)), max_size=70),
+    code=st.integers(0, 255),
+    payload=st.binary(max_size=96),
+)
+@example(ndim=2, dims=[2**32, 2**32], code=2, payload=b"")
+@example(ndim=65, dims=[1] * 65, code=2, payload=struct.pack("<d", 1.0))
+@example(ndim=1, dims=[2], code=1, payload=struct.pack("<2f", 1.0, float("inf")))
+def test_arbitrary_header_fails_closed(ndim, dims, code, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.htns")
+        with open(path, "wb") as fh:
+            fh.write(_htns_blob(ndim, dims, code, payload))
+        try:
+            arr = load_tensor(path)
+        except (FormatError, ValidationError):
+            return
+    assert arr.ndim == ndim
+    assert np.all(np.isfinite(arr))
 
 
 # response CSV
