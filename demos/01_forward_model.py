@@ -16,7 +16,6 @@ from scipy import ndimage, signal
 from snapspec import (
     NoiseModel,
     add_noise,
-    apply_forward_frequency,
     build_frequency_operator,
     forward_encode,
 )
@@ -37,23 +36,26 @@ print("rgb response:     %s  (non-negative weights)" % (system.response.shape,))
 coded = forward_encode(cube, system, boundary="circular")
 print("coded image:      %s" % (coded.shape,))
 
-# the same frame by direct spatial convolution, one band and channel at a time
+# the same frame by direct spatial convolution, one band and channel at a
+# time, each with its response-weighted kernel
 direct = np.zeros_like(coded)
 for c in range(3):
     for i in range(system.n_bands):
-        direct[:, :, c] += ndimage.convolve(cube[:, :, i], system.unified[c, i], mode="wrap")
+        kernel = system.response[c, i] * system.psfs[i]
+        direct[:, :, c] += ndimage.convolve(cube[:, :, i], kernel, mode="wrap")
 gap = np.max(np.abs(coded - direct))
 print("encoder vs direct convolution gap: %.2e  (FFT roundoff only)" % gap)
 
-# the reconstruction solver's operator stores those 3 x 8 matrices per bin
+# the encoder applies the reconstruction solver's operator, which holds
+# those 3 x 8 matrices as two factors: the 3 x 8 response and one OTF (the
+# PSF's spectrum) per band
 op = build_frequency_operator(system, 64, 64)
-op_gap = np.max(np.abs(apply_forward_frequency(op, cube) - coded))
-print("solver operator vs encoder gap:    %.2e" % op_gap)
 
-# the DC bin of each transfer matrix is exactly the response weight,
-# because unit-sum kernels pass constants through unchanged
-dc_gap = np.max(np.abs(op.transfer[:, :, 0, 0] - system.response))
-print("DC bins vs response matrix:        %.2e" % dc_gap)
+# the DC bin of each OTF is exactly 1, because unit-sum kernels pass
+# constants through unchanged, so at DC each matrix is the response itself
+dc_gap = np.max(np.abs(op.transfer[:, 0, 0] - 1.0))
+print("OTF DC bins vs 1:                  %.2e" % dc_gap)
+print("operator response is the sensor's: %s" % np.array_equal(op.response, system.response))
 
 # cropping the wrap-affected margin gives the boundary-free encoding, the
 # same as convolving only where the kernel support stays inside the grid
@@ -62,7 +64,8 @@ margin = (system.kernel_size - 1) // 2
 free = np.zeros_like(valid)
 for c in range(3):
     for i in range(system.n_bands):
-        free[:, :, c] += signal.convolve2d(cube[:, :, i], system.unified[c, i], mode="valid")
+        kernel = system.response[c, i] * system.psfs[i]
+        free[:, :, c] += signal.convolve2d(cube[:, :, i], kernel, mode="valid")
 crop_gap = np.max(np.abs(valid - free))
 print("valid-crop vs boundary-free conv:  %.2e  (crop %d px)" % (crop_gap, margin))
 

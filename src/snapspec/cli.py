@@ -121,12 +121,6 @@ class Key:
         return "--" + self.name.replace("_", "-")
 
 
-_COMMON_KEYS = [
-    Key("threads", _conv_int, 0,
-        "worker thread cap (0 = auto); results are identical for any value"),
-]
-
-
 def _add_config_flags(sub: argparse.ArgumentParser, keys: list[Key]) -> None:
     sub.add_argument("--config", default=None, metavar="FILE",
                      help="flat key=value config file; flags override it")
@@ -347,7 +341,7 @@ _SIMULATE_KEYS = [
         "'none', 'default' (gaussian=7e-5,poisson_bits=14), or explicit spec"),
     Key("seed", _conv_int, 0, "noise RNG seed"),
     Key("export_pgm", _conv_str, "", "optional 8-bit grayscale preview path"),
-] + _COMMON_KEYS
+]
 
 
 def _cmd_simulate(config: dict) -> int:
@@ -388,7 +382,7 @@ _RECONSTRUCT_KEYS = [
     Key("gdm_iters", _conv_int, 10, "inner gradient steps when method=gdm"),
     Key("trace", _conv_bool, False, "also write per-stage trace CSV next to the output"),
     Key("export_pgm", _conv_str, "", "optional band-mean preview path"),
-] + _COMMON_KEYS
+]
 
 
 def _check_circular_coded(coded_path: str) -> None:
@@ -469,7 +463,7 @@ _EVALUATE_KEYS = [
     Key("crop", _conv_int, 20, "pixels cropped per edge before measuring"),
     Key("out_json", _conv_str, "", "optional path for the JSON report line"),
     Key("rmse_csv", _conv_str, "", "optional per-pixel RMSE map CSV (cropped region)"),
-] + _COMMON_KEYS
+]
 
 
 def _cmd_evaluate(config: dict) -> int:
@@ -511,7 +505,7 @@ _BENCH_KEYS = [
     Key("matched_tol", _conv_float, 1e-6,
         "relative objective gap defining 'matched accuracy' for the GDM row"),
     Key("matched_cap", _conv_int, 20000, "iteration cap for the matched-GDM row"),
-] + _COMMON_KEYS
+]
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -620,7 +614,7 @@ def _cmd_bench(config: dict) -> int:
 _ORACLE_KEYS = [
     Key("seed", _conv_int, 0, "trial RNG seed"),
     Key("trials", _conv_int, 20, "number of random instances (0 = vacuous pass)"),
-] + _COMMON_KEYS
+]
 
 
 def _random_instance(rng: np.random.Generator, size: int, bands: int, kernel: int):
@@ -651,7 +645,8 @@ def _cmd_oracle_check(config: dict, inject_conjugate_bug: bool) -> int:
         if inject_conjugate_bug:
             # deliberate fault: conjugated transfer, for sensitivity demos
             op = FrequencyOperator(
-                transfer=np.conj(op.transfer), height=op.height, width=op.width
+                response=op.response, transfer=np.conj(op.transfer),
+                height=op.height, width=op.width,
             )
         dense = DenseSystem.from_system(system, size, size)
 

@@ -5,19 +5,20 @@ The subproblem anchored at a cube ``T`` with penalty weight ``gamma`` is
     minimize_X  1/2 ||A X - J||^2  +  gamma/2 ||X - T||^2,
 
 where A is the coded-image forward operator.  Under circular boundary
-conditions A diagonalizes per spatial frequency into a 3 x N complex matrix
-H_f (N = band count), so the normal equations split into independent N x N
-systems.  Rather than inverting N x N per frequency, the solution is
-rearranged through the push-through identity so only the 3 x 3 Hermitian
-matrix  A_f = I + (1/gamma) H_f H_f^*  needs inverting:
+conditions A diagonalizes per spatial frequency into H_f = R diag(P_f), R
+the real 3 x N sensor response and P_f the N band OTFs, so the normal
+equations split into independent N x N systems.  Rather than inverting
+N x N per frequency, the solution is rearranged through the push-through
+identity so only the 3 x 3 matrix  A_f = I + (1/gamma) H_f H_f^*  needs
+inverting:
 
     U_f = T_f + (1/gamma) H_f^* A_f^{-1} (V_f - H_f T_f)
 
 with V the coded-image spectrum and T_f the anchor spectrum.  The Gram
-H_f H_f^* does not depend on gamma and is cached on the operator.  The 3 x 3
-inverses are computed by a two-level Schur-complement recursion that only
-ever divides by scalars bounded below by 1, one set of scalars per
-frequency bin.
+H_f H_f^* = R diag(|P_f|^2) R^T is real, does not depend on gamma and is
+cached on the operator.  The real 3 x 3 inverses are computed by a
+two-level Schur-complement recursion that only ever divides by scalars
+bounded below by 1, one set of scalars per frequency bin.
 
 Images and cubes are real, so all spectra here are Hermitian and are kept
 as ``rfft2`` half spectra of shape (..., H, W // 2 + 1); every inverse
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError, SingularPivotError
-from .optics import FrequencyOperator, apply_adjoint, apply_forward_frequency, back_project
+from .optics import FrequencyOperator, apply_adjoint, apply_forward_frequency
+from .optics import back_project, forward_project
 
 _PIVOT_FLOOR = 1e-300
 
@@ -84,11 +86,11 @@ def block_inverse_3x3(a: np.ndarray) -> np.ndarray:
     """Invert Hermitian 3 x 3 matrices of the form identity-plus-PSD.
 
     ``a`` has shape (..., 3, 3); leading axes are typically frequency bins.
-    The recursion eliminates entry (0, 0) first via the inner Schur
-    complement, inverts the top-left 2 x 2 block, then forms the outer
-    Schur complement against entry (2, 2).  All divisions are by scalars
-    that are >= 1 for identity-plus-PSD input; a guard trips if any pivot
-    underflows regardless.
+    Real symmetric input gives a real inverse.  The recursion eliminates
+    entry (0, 0) first via the inner Schur complement, inverts the top-left
+    2 x 2 block, then forms the outer Schur complement against entry (2, 2).
+    All divisions are by scalars that are >= 1 for identity-plus-PSD input;
+    a guard trips if any pivot underflows regardless.
     """
     a = np.asarray(a)
     if a.shape[-2:] != (3, 3):
@@ -127,7 +129,7 @@ def block_inverse_3x3(a: np.ndarray) -> np.ndarray:
         raise SingularPivotError("outer Schur pivot underflow")
     d = 1.0 / d_den
 
-    out = np.empty(a.shape, dtype=np.result_type(a.dtype, np.complex128))
+    out = np.empty(a.shape, dtype=np.result_type(a.dtype, np.float64))
     out[..., 0, 0] = b00 + t0 * d * s0
     out[..., 0, 1] = b01 + t0 * d * s1
     out[..., 0, 2] = -t0 * d
@@ -161,7 +163,7 @@ def fidelity_solve(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarray:
     anchor_spec = _anchor_spectrum(prob, anchor)
 
     a_inv = block_inverse_3x3(g * op.gram + np.eye(3))
-    resid = prob.coded_spectrum - np.einsum("cihw,ihw->chw", op.transfer, anchor_spec)
+    resid = prob.coded_spectrum - forward_project(op, anchor_spec)
     weighted = np.einsum("hwab,bhw->ahw", a_inv, resid)
     u = anchor_spec + g * back_project(op, weighted)
     return np.fft.irfft2(u, s=(op.height, op.width)).transpose(1, 2, 0)
@@ -173,7 +175,7 @@ def fidelity_solve_naive(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarra
     Memory scales with bands^2 per frequency; intended for test scales to
     validate the 3 x 3 rearrangement, not for production use.
     """
-    transfer = prob.op.transfer
+    transfer = prob.op.response[:, :, None, None] * prob.op.transfer[None]
     n_bands = prob.op.n_bands
     anchor_spec = _anchor_spectrum(prob, anchor)
 

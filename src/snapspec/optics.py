@@ -8,12 +8,12 @@ band with its wavelength-dependent PSF and weighting by the sensor response:
 
 Under circular boundary conditions this operator diagonalizes per spatial
 frequency into a 3 x bands complex matrix H_f[c, i] = response[c, i] P_i(f),
-where P_i is the DFT of band i's PSF.  There is one implementation of that
-model: :func:`forward_encode` (which simulates a frame) and
-:func:`build_frequency_operator` (which the reconstruction solver uses) both
-derive from the same per-band PSF spectra.  Kernels and cubes are real, so
-every spectrum is Hermitian and the code keeps only the non-negative half of
-the last axis (``rfft2``).
+where P_i, the DFT of band i's PSF, is its OTF (optical transfer function).
+:class:`FrequencyOperator` stores just these two factors, and
+:func:`forward_encode` (which simulates a frame) applies the operator that
+the reconstruction solver uses, so the model has one implementation.
+Kernels and cubes are real, so every spectrum is Hermitian and the code
+keeps only the non-negative half of the last axis (``rfft2``).
 """
 
 from __future__ import annotations
@@ -36,13 +36,11 @@ class OpticalSystem:
     """Normalized per-band PSFs plus the sensor's spectral response.
 
     ``psfs`` has shape (bands, k, k) with k odd and each kernel summing to 1.
-    ``response`` has shape (3, bands) with non-negative entries.  The unified
-    kernels ``response[c, i] * psfs[i]`` are derived once at construction.
+    ``response`` has shape (3, bands) with non-negative entries.
     """
 
     psfs: np.ndarray
     response: np.ndarray
-    unified: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         psfs = np.ascontiguousarray(self.psfs, dtype=np.float64)
@@ -65,7 +63,6 @@ class OpticalSystem:
             )
         object.__setattr__(self, "psfs", psfs)
         object.__setattr__(self, "response", response)
-        object.__setattr__(self, "unified", response[:, :, None, None] * psfs[None, :, :, :])
 
     @property
     def n_bands(self) -> int:
@@ -78,38 +75,46 @@ class OpticalSystem:
 
 @dataclass(frozen=True)
 class FrequencyOperator:
-    """Per-frequency 3 x bands transfer matrices of an optical system.
+    """The coded-image forward operator as its two per-frequency factors.
 
-    ``transfer[c, i, u, v]`` is the 2-D real-input DFT (``rfft2``,
-    unnormalized forward transform) of the unified kernel for channel c and
-    band i, zero-embedded into the image grid with the kernel center at
-    index (0, 0).  The kernels are real, so the spectrum is Hermitian and
-    only its non-negative half along the last axis is stored: the shape is
-    (3, bands, height, width // 2 + 1).  The DC entry ``transfer[..., 0, 0]``
-    of a unit-sum kernel still equals ``response[c, i]``.
+    ``transfer[i, u, v]`` is the 2-D real-input DFT (``rfft2``, unnormalized
+    forward transform) of band i's PSF, zero-embedded into the image grid
+    with the kernel center at index (0, 0): the band's OTF.  The kernels are
+    real, so the spectrum is Hermitian and only its non-negative half along
+    the last axis is stored: the shape is (bands, height, width // 2 + 1).
+    A unit-sum kernel has ``transfer[i, 0, 0] == 1``.
+    ``response`` is the sensor's (3, bands) real spectral response; omitted,
+    it is all ones (a monochrome sensor summing the bands in each channel).
 
-    ``gram[u, v]`` is the gain-independent 3 x 3 Hermitian matrix
-    H_f H_f^* of each stored bin, shape (height, width // 2 + 1, 3, 3),
-    derived once at construction.
+    The 3 x bands transfer matrix of bin f is
+    ``H_f[c, i] = response[c, i] * transfer[i, f]``; it is never stored.
+    ``gram[u, v]`` is its gain-independent Gram H_f H_f^*, which is real and
+    symmetric, ``sum_i response[a, i] response[b, i] |transfer[i, u, v]|^2``,
+    shape (height, width // 2 + 1, 3, 3), derived once at construction.
     """
 
     transfer: np.ndarray
     height: int
     width: int
+    response: np.ndarray | None = None
     gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.response is None:
+            object.__setattr__(self, "response", np.ones((3, self.n_bands)))
         expected = (self.height, self.width // 2 + 1)
-        if self.transfer.shape[2:] != expected:
+        if self.response.shape != (3, self.n_bands) or self.transfer.shape[1:] != expected:
             raise DimensionError(
-                "transfer shape %r, expected (3, bands) + %r" % (self.transfer.shape, expected)
+                "response shape %r and transfer shape %r, expected (3, bands) and (bands,) + %r"
+                % (self.response.shape, self.transfer.shape, expected)
             )
-        gram = np.einsum("aihw,bihw->hwab", self.transfer, np.conj(self.transfer))
+        power = self.transfer.real**2 + self.transfer.imag**2
+        gram = np.einsum("ai,bi,ihw->hwab", self.response, self.response, power, optimize=True)
         object.__setattr__(self, "gram", gram)
 
     @property
     def n_bands(self) -> int:
-        return self.transfer.shape[1]
+        return self.transfer.shape[0]
 
 
 @dataclass(frozen=True)
@@ -144,25 +149,15 @@ def embed_kernel(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
     return np.roll(emb, (-(k // 2), -(k // 2)), axis=(-2, -1))
 
 
-def _psf_spectra(system: OpticalSystem, height: int, width: int) -> np.ndarray:
-    """Half-spectrum DFTs P_i of the per-band PSFs on an (height, width) grid.
-
-    Shape (bands, height, width // 2 + 1); each kernel is zero-embedded with
-    its center at index (0, 0), as in :func:`embed_kernel`.
-    """
-    return np.fft.rfft2(embed_kernel(system.psfs, height, width))
-
-
 def forward_encode(cube: np.ndarray, system: OpticalSystem, boundary: str = "circular") -> np.ndarray:
     """Encode a spectral cube (H, W, bands) into a coded RGB image.
 
     ``boundary="circular"`` wraps indices and keeps the (H, W) extent; it is
-    computed per frequency as J_f = response (P_f * I_f), the same model as
-    :func:`apply_forward_frequency`, without building the 3 x bands transfer.
-    ``boundary="valid-crop"`` keeps only pixels whose kernel support never
-    leaves the grid, shrinking each spatial extent by k - 1; it is the
-    circular output with (k - 1) / 2 pixels cropped per edge.  No noise is
-    added here.
+    :func:`apply_forward_frequency` with the operator of ``system`` on the
+    cube's grid.  ``boundary="valid-crop"`` keeps only pixels whose kernel
+    support never leaves the grid, shrinking each spatial extent by k - 1;
+    it is the circular output with (k - 1) / 2 pixels cropped per edge.  No
+    noise is added here.
     """
     cube = np.asarray(cube, dtype=np.float64)
     if cube.ndim != 3 or cube.shape[2] != system.n_bands:
@@ -175,10 +170,7 @@ def forward_encode(cube: np.ndarray, system: OpticalSystem, boundary: str = "cir
         raise ValueError("boundary must be 'circular' or 'valid-crop', got %r" % boundary)
     if boundary == "valid-crop" and (height <= k or width <= k):
         raise DimensionError("valid-crop needs image extent > kernel size %d" % k)
-    spectra = _psf_spectra(system, height, width)
-    spectra *= np.fft.rfft2(cube.transpose(2, 0, 1))
-    coded = np.einsum("ci,ihw->chw", system.response, spectra)
-    out = np.fft.irfft2(coded, s=(height, width)).transpose(1, 2, 0)
+    out = apply_forward_frequency(build_frequency_operator(system, height, width), cube)
     if boundary == "valid-crop":
         m = k // 2
         out = out[m:height - m, m:width - m]
@@ -186,9 +178,11 @@ def forward_encode(cube: np.ndarray, system: OpticalSystem, boundary: str = "cir
 
 
 def build_frequency_operator(system: OpticalSystem, height: int, width: int) -> FrequencyOperator:
-    """Per-frequency 3 x bands transfer matrices ``response[c, i] * P_i``."""
-    transfer = system.response[:, :, None, None] * _psf_spectra(system, height, width)[None]
-    return FrequencyOperator(transfer=transfer, height=height, width=width)
+    """The system's response and per-band OTFs on an (height, width) grid."""
+    transfer = np.fft.rfft2(embed_kernel(system.psfs, height, width))
+    return FrequencyOperator(
+        response=system.response, transfer=transfer, height=height, width=width
+    )
 
 
 def _check_cube(op: FrequencyOperator, cube: np.ndarray) -> np.ndarray:
@@ -212,15 +206,9 @@ def _check_image(op: FrequencyOperator, image: np.ndarray) -> np.ndarray:
 
 
 def apply_forward_frequency(op: FrequencyOperator, cube: np.ndarray) -> np.ndarray:
-    """Apply the forward operator via per-frequency matrix products.
-
-    Applies the stored transfer ``H_f``; it equals :func:`forward_encode`
-    with circular boundary up to roundoff, since both derive from the same
-    PSF spectra.
-    """
+    """Apply the forward operator: per bin, J_f = response (P_f * X_f)."""
     cube = _check_cube(op, cube)
-    spectra = np.fft.rfft2(cube.transpose(2, 0, 1))
-    coded = np.einsum("cihw,ihw->chw", op.transfer, spectra)
+    coded = forward_project(op, np.fft.rfft2(cube.transpose(2, 0, 1)))
     return np.fft.irfft2(coded, s=(op.height, op.width)).transpose(1, 2, 0)
 
 
@@ -236,13 +224,16 @@ def apply_adjoint(op: FrequencyOperator, image: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(bands, s=(op.height, op.width)).transpose(1, 2, 0)
 
 
-def back_project(op: FrequencyOperator, spectra: np.ndarray) -> np.ndarray:
-    """Per-bin H_f^* y_f for channel spectra ``spectra`` of shape (3, H, W//2+1).
+def forward_project(op: FrequencyOperator, spectra: np.ndarray) -> np.ndarray:
+    """Per-bin H_f x_f = response (P_f * x_f) for band spectra of shape
+    (bands, H, W//2+1); returns channel spectra of shape (3, H, W//2+1)."""
+    return np.tensordot(op.response, op.transfer * spectra, axes=1)
 
-    Computed as conj(H^T conj(y)), which conjugates the small operand
-    instead of copying the transfer.
-    """
-    return np.conj(np.einsum("cihw,chw->ihw", op.transfer, np.conj(spectra)))
+
+def back_project(op: FrequencyOperator, spectra: np.ndarray) -> np.ndarray:
+    """Per-bin H_f^* y_f = conj(P_f) * (response^T y_f) for channel spectra
+    of shape (3, H, W//2+1); returns band spectra of shape (bands, H, W//2+1)."""
+    return np.conj(op.transfer) * np.tensordot(op.response.T, spectra, axes=1)
 
 
 def add_noise(image: np.ndarray, model: NoiseModel) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 Materializes the forward operator as an explicit (3n) x (n N) matrix of
 stacked 2-D circulant blocks, n the pixel count and N the band count, built
-from direct index arithmetic on the unified kernels with no FFTs anywhere.
-Subproblem solutions then come from Cholesky factorizations of the dense
-normal equations.  Everything here is O(n^2 N^2) memory and worse in time,
-which is the point: it shares no code path with the production solver, so
-agreement between the two is evidence rather than tautology.
+from direct index arithmetic on the response-weighted kernels
+response[c, i] * psf[i], with no FFTs anywhere.  Subproblem solutions then
+come from Cholesky factorizations of the dense normal equations.
+Everything here is O(n^2 N^2) memory and worse in time, which is the point:
+it shares no code path with the production solver, so agreement between
+the two is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class DenseSystem:
         phi = np.zeros((3 * n, n_bands * n))
         for ch in range(3):
             for band in range(n_bands):
-                block = _circulant_block(system.unified[ch, band], height, width)
+                kernel = system.response[ch, band] * system.psfs[band]
+                block = _circulant_block(kernel, height, width)
                 phi[ch * n : (ch + 1) * n, band * n : (band + 1) * n] = block
         return cls(phi=phi, height=height, width=width, n_bands=n_bands)
 

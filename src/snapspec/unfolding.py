@@ -164,14 +164,21 @@ class IdentityDenoiser(Denoiser):
         return cube
 
 
+# largest Gaussian denoiser std in pixels: scipy builds a kernel of radius
+# 4 * std, which this caps at about 8e4 taps
+MAX_GAUSSIAN_STD = 1e4
+
+
 class GaussianDenoiser(Denoiser):
-    """Per-band spatial Gaussian smoothing with a fixed std in pixels."""
+    """Per-band spatial Gaussian smoothing with a fixed std in pixels,
+    in (0, MAX_GAUSSIAN_STD]."""
 
     name = "gaussian"
 
     def __init__(self, spatial_std: float = 1.0):
-        if not (np.isfinite(spatial_std) and spatial_std > 0):
-            raise ParameterError("spatial_std must be finite and positive, got %r" % spatial_std)
+        if not 0 < spatial_std <= MAX_GAUSSIAN_STD:
+            raise ParameterError("spatial_std must be finite and in (0, %g] px, got %r"
+                                 % (MAX_GAUSSIAN_STD, spatial_std))
         self.spatial_std = float(spatial_std)
 
     def denoise(self, cube: np.ndarray, noise_level: float) -> np.ndarray:
@@ -275,6 +282,8 @@ class RandInitializer(Initializer):
     name = "rand"
 
     def __init__(self, seed: int = 0):
+        if seed < 0:
+            raise ParameterError("rand seed must be >= 0, got %r" % seed)
         self.seed = int(seed)
 
     def initialize(self, coded: np.ndarray, op: FrequencyOperator) -> np.ndarray:

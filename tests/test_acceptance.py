@@ -331,13 +331,13 @@ def test_criterion_10_byte_identical_reruns(tmp_path, capsys):
             "simulate", "--cube", str(tmp_path / "cube.htns"),
             "--psf", str(tmp_path / "psf.htns"),
             "--response", str(tmp_path / "resp.csv"),
-            "--out", coded, "--seed", "7", "--threads", "4",
+            "--out", coded, "--seed", "7",
         ]) == 0
         assert cli_main([
             "reconstruct", "--coded", coded,
             "--psf", str(tmp_path / "psf.htns"),
             "--response", str(tmp_path / "resp.csv"),
-            "--out", recon, "--stages", "5", "--trace", "--threads", "4",
+            "--out", recon, "--stages", "5", "--trace",
         ]) == 0
         return (
             (tmp_path / ("coded_%s.htns" % tag)).read_bytes(),
@@ -350,7 +350,7 @@ def test_criterion_10_byte_identical_reruns(tmp_path, capsys):
     passed = first == second
     _report(
         capsys, 10, passed,
-        "simulate+reconstruct rerun with --threads 4: coded, cube, and trace bytes %s"
+        "simulate+reconstruct rerun: coded, cube, and trace bytes %s"
         % ("identical" if passed else "DIFFER"),
     )
 

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from snapspec import load_tensor, save_response_csv, save_tensor
 from snapspec.cli import main
@@ -60,17 +62,6 @@ def test_simulate_byte_deterministic(tmp_path):
     assert main(["simulate", *base, "--out", out_a]) == 0
     assert main(["simulate", *base, "--out", out_b]) == 0
     assert (tmp_path / "a.htns").read_bytes() == (tmp_path / "b.htns").read_bytes()
-
-
-def test_threads_flag_does_not_change_bytes(tmp_path):
-    psf, resp = _write_random_system(tmp_path)
-    cube_path, _ = _write_cube(tmp_path)
-    out_a = str(tmp_path / "t1.htns")
-    out_b = str(tmp_path / "t8.htns")
-    base = ["--cube", cube_path, "--psf", psf, "--response", resp]
-    assert main(["simulate", *base, "--out", out_a, "--threads", "1"]) == 0
-    assert main(["simulate", *base, "--out", out_b, "--threads", "8"]) == 0
-    assert (tmp_path / "t1.htns").read_bytes() == (tmp_path / "t8.htns").read_bytes()
 
 
 def test_manifest_contents_and_determinism(tmp_path):
@@ -320,17 +311,20 @@ def test_validation_error_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, flags",
+    "command, flags, message",
     [
-        ("simulate", ["--noise", "gaussian=nan"]),
-        ("reconstruct", ["--zeta", "nan"]),
-        ("reconstruct", ["--prior-weight", "nan"]),
-        ("reconstruct", ["--denoiser", "tv:lambda=nan"]),
-        ("reconstruct", ["--denoiser", "gaussian:std=inf"]),
+        ("simulate", ["--noise", "gaussian=nan"], "finite"),
+        ("reconstruct", ["--zeta", "nan"], "finite"),
+        ("reconstruct", ["--prior-weight", "nan"], "finite"),
+        ("reconstruct", ["--denoiser", "tv:lambda=nan"], "finite"),
+        ("reconstruct", ["--denoiser", "gaussian:std=inf"], "finite"),
+        ("reconstruct", ["--init", "rand:seed=-1"], "must be"),
+        ("reconstruct", ["--denoiser", "gaussian:std=1e308"], "must be"),
     ],
-    ids=["noise-sigma", "zeta", "sigma-tilde", "tv-weight", "gaussian-std"],
+    ids=["noise-sigma", "zeta", "sigma-tilde", "tv-weight", "gaussian-std",
+         "rand-seed-negative", "gaussian-std-huge"],
 )
-def test_non_finite_parameter_exit_2(tmp_path, capsys, command, flags):
+def test_non_finite_parameter_exit_2(tmp_path, capsys, command, flags, message):
     psf, resp = _write_random_system(tmp_path)
     cube_path, _ = _write_cube(tmp_path)
     inputs = ["--cube", cube_path] if command == "simulate" else [
@@ -342,8 +336,86 @@ def test_non_finite_parameter_exit_2(tmp_path, capsys, command, flags):
         command, *inputs, "--psf", psf, "--response", resp, "--out", str(out), *flags,
     ])
     assert code == 2
-    assert "finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# spec-string fuzz: whatever the strings, the CLI ends in a documented exit
+# code (0 ok, 1 usage, 2 validation, 3 i/o), never in a traceback
+
+_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "1e308", "-1e308", "1e-320", "abc", "0x10", " 1"]),
+)
+
+
+def _params(keys):
+    pair = st.tuples(st.sampled_from(keys), _VALUES).map("=".join)
+    return st.lists(pair, max_size=3).map(",".join)
+
+
+def _named(names, keys):
+    """'name' or 'name:k=v,...' with a known name, or arbitrary text."""
+    structured = st.tuples(st.sampled_from(names), _params(keys)).map(
+        lambda t: t[0] + (":" + t[1] if t[1] else "")
+    )
+    # listed twice so that two draws in three get past the name check
+    return st.one_of(structured, structured, st.text(max_size=16))
+
+
+_NOISE_SPECS = st.one_of(
+    st.sampled_from(["none", "default"]),
+    _params(["gaussian", "poisson_bits", "other"]),
+    st.text(max_size=16),
+)
+_DENOISER_SPECS = _named(["identity", "gaussian", "tv", "quadratic"],
+                         ["std", "lambda", "iters", "other"])
+_INIT_SPECS = _named(["zero", "rand", "mean", "adjoint"], ["seed", "other"])
+_SCHEDULE_SPECS = st.one_of(
+    st.tuples(
+        st.sampled_from(["geometric", "constant"]),
+        st.lists(_VALUES, min_size=1, max_size=3).map(",".join),
+    ).map(":".join),
+    st.text(max_size=16),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    psf, resp = _write_random_system(tmp)
+    cube_path, _ = _write_cube(tmp, shape=(8, 8, 4))
+    return tmp, psf, resp, cube_path, _simulate_noiseless(tmp, psf, resp, cube_path)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        return exc.code
+
+
+@settings(max_examples=40, deadline=None)
+@given(noise=_NOISE_SPECS, denoiser=_DENOISER_SPECS, init=_INIT_SPECS,
+       schedule=_SCHEDULE_SPECS)
+@example(noise="none", denoiser="gaussian:std=1e308", init="mean",
+         schedule="geometric:0.01,4")
+@example(noise="none", denoiser="identity", init="rand:seed=-1",
+         schedule="geometric:0.01,4")
+def test_spec_strings_end_in_documented_exit_code(fuzz_dir, noise, denoiser, init, schedule):
+    tmp, psf, resp, cube_path, coded = fuzz_dir
+    system = ["--psf", psf, "--response", resp]
+    runs = [["simulate", "--cube", cube_path, *system, "--out", str(tmp / "sim.htns"),
+             "--noise=" + noise]]
+    # one reconstruct per spec, the others at their defaults, so that a
+    # malformed spec does not hide what another one would do
+    for flag, spec in (("--denoiser", denoiser), ("--init", init),
+                       ("--gamma-schedule", schedule)):
+        runs.append(["reconstruct", "--coded", coded, *system,
+                     "--out", str(tmp / "rec.htns"), "--stages", "2", flag + "=" + spec])
+    for argv in runs:
+        assert _exit_code(argv) in (0, 1, 2, 3), argv[-1]
 
 
 def test_corrupt_tensor_exit_2(tmp_path):

@@ -61,6 +61,7 @@ def test_block_inverse_diagonal():
     a[0] = np.diag([1.0, 2.0, 4.0])
     a[1] = np.diag([1.5, 3.0, 6.0])
     inv = block_inverse_3x3(a)
+    assert inv.dtype == np.float64  # real input stays real
     assert np.allclose(inv[0], np.diag([1.0, 0.5, 0.25]), atol=1e-15)
     assert np.allclose(inv[1], np.diag([1 / 1.5, 1 / 3.0, 1 / 6.0]), atol=1e-15)
 

@@ -36,6 +36,11 @@ def _identity_system(n_bands):
     return OpticalSystem(psfs=psfs, response=response)
 
 
+def _channel_transfer(op):
+    """The per-bin 3 x bands matrices H_f[c, i] = response[c, i] * P_i(f)."""
+    return op.response[:, :, None, None] * op.transfer[None]
+
+
 def test_forward_matches_nested_loop_reference():
     rng = np.random.default_rng(11)
     system = _random_system(rng, 5, 3)
@@ -123,19 +128,30 @@ def test_transfer_dc_equals_response():
     rng = np.random.default_rng(3)
     system = _random_system(rng, 6, 3)
     op = build_frequency_operator(system, 8, 8)
-    # Hermitian spectrum: only the first W // 2 + 1 columns are stored
-    assert op.transfer.shape == (3, 6, 8, 5)
-    assert np.max(np.abs(op.transfer[:, :, 0, 0] - system.response)) < 1e-12
-    full = np.fft.fft2(embed_kernel(system.unified, 8, 8))
+    # per-band OTFs of a Hermitian spectrum: only W // 2 + 1 columns are stored
+    assert op.transfer.shape == (6, 8, 5)
+    assert np.max(np.abs(_channel_transfer(op)[:, :, 0, 0] - system.response)) < 1e-12
+    full = np.fft.fft2(embed_kernel(system.psfs, 8, 8))
     with pytest.raises(DimensionError):
-        FrequencyOperator(transfer=full, height=8, width=8)
+        FrequencyOperator(response=system.response, transfer=full, height=8, width=8)
+
+
+def test_operator_without_response_sums_bands():
+    rng = np.random.default_rng(4)
+    system = _random_system(rng, 4, 3)
+    otfs = build_frequency_operator(system, 6, 7).transfer
+    op = FrequencyOperator(transfer=otfs, height=6, width=7)
+    assert op.response.shape == (3, 4) and np.all(op.response == 1.0)
+    cube = rng.standard_normal((6, 7, 4))
+    slow = direct_circular_encode(cube, system.psfs, np.ones((3, 4)))
+    assert np.max(np.abs(apply_forward_frequency(op, cube) - slow)) < 1e-12
 
 
 def test_delta_psf_gives_flat_transfer():
     system = _identity_system(4)
     op = build_frequency_operator(system, 7, 5)
     for c in range(3):
-        assert np.allclose(op.transfer[c, c], 1.0, atol=1e-14)
+        assert np.allclose(_channel_transfer(op)[c, c], 1.0, atol=1e-14)
 
 
 def test_shifted_delta_gives_phase_ramp():
@@ -148,7 +164,7 @@ def test_shifted_delta_gives_phase_ramp():
     op = build_frequency_operator(system, n, n)
     fy, fx = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     expected = np.exp(-2j * np.pi * (fy + fx) / n)
-    assert np.max(np.abs(op.transfer[0, 0] - expected[:, : n // 2 + 1])) < 1e-12
+    assert np.max(np.abs(_channel_transfer(op)[0, 0] - expected[:, : n // 2 + 1])) < 1e-12
 
 
 def test_transfer_matches_direct_dft():
@@ -156,15 +172,17 @@ def test_transfer_matches_direct_dft():
     system = _random_system(rng, 3, 3)
     op = build_frequency_operator(system, 5, 4)
     half = 4 // 2 + 1
+    transfer = _channel_transfer(op)
     for c in range(3):
         for i in range(3):
             embedded = embed_kernel(system.response[c, i] * system.psfs[i], 5, 4)
-            assert np.max(np.abs(op.transfer[c, i] - direct_dft2(embedded)[:, :half])) < 1e-12
-    # the cached Gram is H_f H_f^* per stored bin, and Hermitian
-    gram = np.einsum("aihw,bihw->hwab", op.transfer, np.conj(op.transfer))
+            assert np.max(np.abs(transfer[c, i] - direct_dft2(embedded)[:, :half])) < 1e-12
+    # the cached Gram is H_f H_f^* per stored bin, real and symmetric
+    gram = np.einsum("aihw,bihw->hwab", transfer, np.conj(transfer))
     assert op.gram.shape == (5, half, 3, 3)
+    assert op.gram.dtype == np.float64
     assert np.max(np.abs(op.gram - gram)) < 1e-12
-    assert np.max(np.abs(op.gram - np.conj(np.swapaxes(op.gram, -1, -2)))) < 1e-12
+    assert np.max(np.abs(op.gram - np.swapaxes(op.gram, -1, -2))) < 1e-12
 
 
 @pytest.mark.parametrize("size", [4, 8, 16])
