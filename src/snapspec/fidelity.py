@@ -32,6 +32,7 @@ form replaces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,8 @@ class FidelityProblem:
     def __post_init__(self):
         if not self.gamma > 0:
             raise ParameterError("gamma must be positive, got %r" % self.gamma)
+        if not math.isfinite(1.0 / float(self.gamma)):
+            raise ParameterError("gamma must have a finite reciprocal, got %r" % self.gamma)
         expected = (3, self.op.height, self.op.width // 2 + 1)
         if self.coded_spectrum.shape != expected:
             raise DimensionError(

@@ -63,6 +63,15 @@ def _as_stage_array(values, n_stages: int, name: str) -> np.ndarray:
     return arr
 
 
+def _check_gammas(gamma: np.ndarray) -> None:
+    if not np.all(gamma > 0):
+        raise ParameterError("all gamma entries must be positive")
+    # the fidelity solve divides by gamma, so a subnormal gamma overflows it
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(1.0 / gamma)):
+            raise ParameterError("gamma entries must have a finite reciprocal, got %r" % gamma)
+
+
 @dataclass(frozen=True)
 class StageSchedule:
     """Per-stage knobs: anchor weights, multiplier rates, denoiser noise levels.
@@ -85,8 +94,7 @@ class StageSchedule:
         for name, arr in (("gamma", gamma), ("zeta", zeta), ("sigma_tilde", sigma_tilde)):
             if not np.all(np.isfinite(arr)):
                 raise ParameterError("%s entries must be finite" % name)
-        if not np.all(gamma > 0):
-            raise ParameterError("all gamma entries must be positive")
+        _check_gammas(gamma)
         if np.any(zeta < 0):
             raise ParameterError("zeta entries must be >= 0")
         if np.any(sigma_tilde < 0):
@@ -106,8 +114,7 @@ class StageSchedule:
         ``sigma_tilde`` is derived as sqrt(prior_weight / gamma) per stage.
         """
         gamma = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
-        if not np.all(gamma > 0):
-            raise ParameterError("all gamma entries must be positive")
+        _check_gammas(gamma)
         if not (np.isfinite(prior_weight) and prior_weight >= 0):
             raise ParameterError("prior_weight must be finite and >= 0, got %r" % prior_weight)
         if zeta < 0:
@@ -216,14 +223,37 @@ class QuadraticDenoiser(Denoiser):
         return cube / (1.0 + noise_level**2)
 
 
-def _tv_adjoint_grad(qh: np.ndarray, qv: np.ndarray) -> np.ndarray:
-    # adjoint of the forward-difference gradient with Neumann boundary
-    out = np.zeros_like(qh)
-    out[:, 0] = -qh[:, 0]
-    out[:, 1:] = qh[:, :-1] - qh[:, 1:]
-    out[0, :] -= qv[0, :]
-    out[1:, :] += qv[:-1, :] - qv[1:, :]
-    return out
+# elements per strip array in tv_denoise: 2^15 float64 values (256 KiB) keep
+# a strip's cube, duals and scratch rows resident in a per-core L2 cache;
+# 8 rows of a 512 x 512 x 8 cube
+_TV_STRIP_ELEMENTS = 1 << 15
+
+
+def _tv_primal_rows(cube, qh, qv, r0, r1, diff, out):
+    """out = cube - D^T q on rows r0..r1-1, with diff as scratch.
+
+    D^T is the adjoint of the forward-difference gradient with Neumann
+    boundary; it reads qh on rows r0..r1-1 and qv on rows r0-1..r1-1.  Each
+    element sees the operations of the whole-array form in the same order,
+    so the rows match it bit for bit.
+    """
+    np.negative(qh[r0:r1, 0], out=diff[:, 0])
+    np.subtract(qh[r0:r1, :-1], qh[r0:r1, 1:], out=diff[:, 1:])
+    first = 0
+    if r0 == 0:
+        np.subtract(diff[0], qv[0], out=diff[0])
+        first = 1
+    np.subtract(qv[r0 + first - 1 : r1 - 1], qv[r0 + first : r1], out=out[first:])
+    np.add(diff[first:], out[first:], out=diff[first:])
+    np.subtract(cube[r0:r1], diff, out=out)
+
+
+def _tv_dual_step(q, z_hi, z_lo, tau, weight, diff):
+    """q = clip(q + tau * (z_hi - z_lo), -weight, weight) in place."""
+    np.subtract(z_hi, z_lo, out=diff)
+    np.multiply(diff, tau, out=diff)
+    np.add(q, diff, out=q)
+    np.clip(q, -weight, weight, out=q)
 
 
 def tv_denoise(cube: np.ndarray, weight: float, iters: int) -> np.ndarray:
@@ -233,8 +263,14 @@ def tv_denoise(cube: np.ndarray, weight: float, iters: int) -> np.ndarray:
     with the safe step 1/8 (the gradient operator's squared norm bound in
     2-D).  Forward differences use a Neumann boundary, so constants pass
     through unchanged; ``weight == 0`` returns the input exactly.
+
+    Each iteration sweeps the cube in strips of whole rows sized to stay in
+    cache, updating the duals in place.  The vertical dual of a strip's last
+    row waits for the next strip, whose primal rows still need its old
+    value, so every strip reads only the previous iteration's duals: the
+    iterates are bit for bit those of a whole-array sweep.
     """
-    cube = np.asarray(cube, dtype=np.float64)
+    cube = np.ascontiguousarray(cube, dtype=np.float64)
     if cube.ndim == 2:
         return tv_denoise(cube[:, :, None], weight, iters)[:, :, 0]
     if cube.ndim != 3:
@@ -247,13 +283,31 @@ def tv_denoise(cube: np.ndarray, weight: float, iters: int) -> np.ndarray:
         return cube.copy()
 
     tau = 0.125
+    height, width, bands = cube.shape
+    rows = max(1, min(height, _TV_STRIP_ELEMENTS // (width * bands)))
+    strips = [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]
     qh = np.zeros_like(cube)
     qv = np.zeros_like(cube)
+    diff = np.empty((rows, width, bands))
+    # z rows r0-1..r1-1 of the current strip; row 0 carries the previous
+    # strip's last row for the vertical difference across the seam
+    z = np.empty((rows + 1, width, bands))
     for _ in range(iters):
-        z = cube - _tv_adjoint_grad(qh, qv)
-        qh[:, :-1] = np.clip(qh[:, :-1] + tau * (z[:, 1:] - z[:, :-1]), -weight, weight)
-        qv[:-1, :] = np.clip(qv[:-1, :] + tau * (z[1:, :] - z[:-1, :]), -weight, weight)
-    return cube - _tv_adjoint_grad(qh, qv)
+        for r0, r1 in strips:
+            n = r1 - r0
+            zs = z[1 : n + 1]
+            _tv_primal_rows(cube, qh, qv, r0, r1, diff[:n], zs)
+            _tv_dual_step(qh[r0:r1, :-1], zs[:, 1:], zs[:, :-1], tau, weight, diff[:n, :-1])
+            # vertical duals on rows r0-1..r1-2 (from row 0 on the first
+            # strip); row r1-1 waits for the next strip's z
+            first = 1 if r0 == 0 else 0
+            _tv_dual_step(qv[r0 - 1 + first : r1 - 1], z[first + 1 : n + 1], z[first:n], tau,
+                          weight, diff[: n - first])
+            z[0] = z[n]
+    out = np.empty_like(cube)
+    for r0, r1 in strips:
+        _tv_primal_rows(cube, qh, qv, r0, r1, diff[: r1 - r0], out[r0:r1])
+    return out
 
 
 # ---------------------------------------------------------------------------

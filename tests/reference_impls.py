@@ -104,6 +104,37 @@ def tv_prox_1d(signal: np.ndarray, lam: float, levels: int = 6, grid: int = 81) 
     return solution
 
 
+def _tv_adjoint_grad(qh: np.ndarray, qv: np.ndarray) -> np.ndarray:
+    # adjoint of the forward-difference gradient with Neumann boundary
+    out = np.zeros_like(qh)
+    out[:, 0] = -qh[:, 0]
+    out[:, 1:] = qh[:, :-1] - qh[:, 1:]
+    out[0, :] -= qv[0, :]
+    out[1:, :] += qv[:-1, :] - qv[1:, :]
+    return out
+
+
+def tv_dual_reference(cube: np.ndarray, weight: float, iters: int) -> np.ndarray:
+    """Whole-array projected-gradient dual for the anisotropic TV prox.
+
+    Each iteration forms the full primal ``cube - D^T q`` and then updates
+    both duals from it, with step 1/8, allocating fresh arrays throughout.
+    The arithmetic per element is the library's, so a strip sweep of the
+    same iteration must match it bit for bit.
+    """
+    cube = np.asarray(cube, dtype=np.float64)
+    if cube.ndim == 2:
+        return tv_dual_reference(cube[:, :, None], weight, iters)[:, :, 0]
+    tau = 0.125
+    qh = np.zeros_like(cube)
+    qv = np.zeros_like(cube)
+    for _ in range(iters):
+        z = cube - _tv_adjoint_grad(qh, qv)
+        qh[:, :-1] = np.clip(qh[:, :-1] + tau * (z[:, 1:] - z[:, :-1]), -weight, weight)
+        qv[:-1, :] = np.clip(qv[:-1, :] + tau * (z[1:, :] - z[:-1, :]), -weight, weight)
+    return cube - _tv_adjoint_grad(qh, qv)
+
+
 def psnr_direct(x: np.ndarray, ref: np.ndarray, peak: float = 1.0) -> float:
     """PSNR recomputed straight from its definition (no cap handling)."""
     mse = np.mean((np.asarray(x, float) - np.asarray(ref, float)) ** 2)

@@ -320,9 +320,10 @@ def test_validation_error_exit_2(tmp_path):
         ("reconstruct", ["--denoiser", "gaussian:std=inf"], "finite"),
         ("reconstruct", ["--init", "rand:seed=-1"], "must be"),
         ("reconstruct", ["--denoiser", "gaussian:std=1e308"], "must be"),
+        ("reconstruct", ["--gamma-schedule", "constant:1e-320"], "gamma"),
     ],
     ids=["noise-sigma", "zeta", "sigma-tilde", "tv-weight", "gaussian-std",
-         "rand-seed-negative", "gaussian-std-huge"],
+         "rand-seed-negative", "gaussian-std-huge", "gamma-subnormal"],
 )
 def test_non_finite_parameter_exit_2(tmp_path, capsys, command, flags, message):
     psf, resp = _write_random_system(tmp_path)

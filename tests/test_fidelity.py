@@ -270,6 +270,9 @@ def test_problem_rejects_nonpositive_gamma():
         FidelityProblem.from_coded_image(op, coded, 0.0)
     with pytest.raises(ParameterError):
         FidelityProblem.from_coded_image(op, coded, -1.0)
+    # positive but subnormal: 1/gamma overflows to inf in the solve
+    with pytest.raises(ParameterError, match="gamma"):
+        FidelityProblem.from_coded_image(op, coded, 1e-320)
 
 
 def test_problem_rejects_bad_shapes():

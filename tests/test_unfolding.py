@@ -28,9 +28,10 @@ from snapspec import (
 from snapspec.errors import DimensionError, ParameterError
 from snapspec.oracle import DenseSystem
 from snapspec.synth import smooth_cube, synthetic_system
+from snapspec import unfolding
 from snapspec.unfolding import DENOISERS, INITIALIZERS
 
-from reference_impls import tv_prox_1d
+from reference_impls import tv_dual_reference, tv_prox_1d
 
 
 def _random_system(rng, n_bands, kernel_size):
@@ -89,6 +90,12 @@ def test_schedule_validation():
         StageSchedule.from_gammas([1.0], prior_weight=-0.1)
     with pytest.raises(ParameterError):
         StageSchedule.from_gammas([1.0], zeta=-1.0)
+    # positive but subnormal: 1/gamma overflows to inf in the fidelity solve
+    subnormal = np.array([1.0, 1e-320])
+    with pytest.raises(ParameterError, match="gamma"):
+        StageSchedule(gamma=subnormal, zeta=np.zeros(2), sigma_tilde=np.zeros(2))
+    with pytest.raises(ParameterError, match="gamma"):
+        StageSchedule.from_gammas(subnormal, prior_weight=0.1)
 
 
 def test_constant_schedule():
@@ -163,6 +170,30 @@ def test_tv_bands_processed_independently():
     for b in range(3):
         single = tv_denoise(cube[:, :, b : b + 1], 0.1, 300)
         assert np.array_equal(joint[:, :, b], single[:, :, 0])
+
+
+@pytest.mark.parametrize("shape", [(1, 16, 1), (16, 1, 2), (7, 9, 3), (33, 17, 2), (12, 10)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("weight", [0.01, 0.3])
+@pytest.mark.parametrize("rows", [1, 2, 3, None])
+def test_tv_strips_match_reference(monkeypatch, shape, weight, rows):
+    # the strip sweep must give the whole-array iterates bit for bit,
+    # whatever the strip height; None keeps the default (one strip here)
+    if rows is not None:
+        width_bands = shape[1] * (shape[2] if len(shape) == 3 else 1)
+        monkeypatch.setattr(unfolding, "_TV_STRIP_ELEMENTS", rows * width_bands)
+    cube = np.random.default_rng(sum(shape)).standard_normal(shape)
+    got = tv_denoise(cube, weight, 25)
+    assert np.array_equal(got, tv_dual_reference(cube, weight, 25))
+
+
+def test_tv_non_contiguous_input():
+    cube = np.random.default_rng(5).standard_normal((9, 14, 3))
+    view = cube.transpose(1, 0, 2)
+    assert not view.flags.c_contiguous
+    out = tv_denoise(view, 0.1, 20)
+    assert np.array_equal(out, tv_denoise(np.ascontiguousarray(view), 0.1, 20))
+    assert np.array_equal(out, tv_dual_reference(view, 0.1, 20))
 
 
 def test_tv_validation():
