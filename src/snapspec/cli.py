@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -23,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import SnapspecError, ValidationError
+from .errors import SnapspecError, UnknownNameError, ValidationError
 from .fidelity import (
     FidelityProblem,
     fidelity_solve,
@@ -78,10 +79,14 @@ def _conv_int(text: str) -> int:
 
 
 def _conv_float(text: str) -> float:
+    """A finite number: no key or spec value accepts inf or nan."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValidationError("expected a number, got %r" % text)
+    if not math.isfinite(value):
+        raise ValidationError("expected a finite number, got %r" % text)
+    return value
 
 
 def _conv_str(text: str) -> str:
@@ -107,18 +112,47 @@ def _conv_choice(*choices):
 
 
 class Key:
-    """One config entry: name, converter, default, help text."""
+    """One config entry: name, converter, default, help text, and for a
+    numeric key its domain [lo, hi], or (lo, hi] with ``lo_open``; hi=None
+    is unbounded."""
 
-    def __init__(self, name, conv, default, help_text, required=False):
+    def __init__(self, name, conv, default, help_text, required=False,
+                 lo=None, hi=None, lo_open=False):
         self.name = name
         self.conv = conv
         self.default = default
         self.help = help_text
         self.required = required
+        self.lo = lo
+        self.hi = hi
+        self.lo_open = lo_open
 
     @property
     def flag(self) -> str:
         return "--" + self.name.replace("_", "-")
+
+    @property
+    def domain(self) -> str:
+        """The domain in interval notation, '' for a key without one."""
+        if self.lo is None:
+            return ""
+        hi = "inf)" if self.hi is None else "%s]" % self.hi
+        return "%s%s, %s" % ("(" if self.lo_open else "[", self.lo, hi)
+
+    def admits(self, value) -> bool:
+        if self.lo is not None and (value <= self.lo if self.lo_open else value < self.lo):
+            return False
+        return self.hi is None or value <= self.hi
+
+    def parse(self, text: str):
+        """Convert ``text`` and check it against the domain; errors name the flag."""
+        try:
+            value = self.conv(text)
+        except ValidationError as exc:
+            raise ValidationError("%s: %s" % (self.flag, exc)) from None
+        if not self.admits(value):
+            raise ValidationError("%s: must be in %s, got %r" % (self.flag, self.domain, value))
+        return value
 
 
 def _add_config_flags(sub: argparse.ArgumentParser, keys: list[Key]) -> None:
@@ -131,23 +165,28 @@ def _add_config_flags(sub: argparse.ArgumentParser, keys: list[Key]) -> None:
             sub.add_argument(key.flag, dest=key.name, default=None,
                              action="store_const", const=True, help=key.help)
         else:
+            help_text = key.help + ("; range " + key.domain if key.domain else "")
             sub.add_argument(key.flag, dest=key.name, default=None,
-                             metavar=key.name.upper(), help=key.help)
+                             metavar=key.name.upper(), help=help_text)
 
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(
-                    "%s:%d: expected key=value, got %r" % (path, lineno, line)
-                )
-            name, _, value = line.partition("=")
-            values[name.strip()] = value.strip()
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError("%s: not UTF-8 text (%s)" % (path, exc)) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(
+                "%s:%d: expected key=value, got %r" % (path, lineno, line)
+            )
+        name, _, value = line.partition("=")
+        values[name.strip()] = value.strip()
     return values
 
 
@@ -160,14 +199,19 @@ def _resolve_config(args: argparse.Namespace, keys: list[Key],
         for name in file_values:
             if name not in known:
                 raise ValidationError("unknown config key %r in %s" % (name, args.config))
+    # every flag and file value is converted and checked against its key's
+    # domain here, before --dump-config prints and before any command runs
     resolved = {}
     for key in keys:
         flag_value = getattr(args, key.name)
         if flag_value is not None:
             resolved[key.name] = flag_value if isinstance(flag_value, bool) \
-                else key.conv(flag_value)
+                else key.parse(flag_value)
         elif key.name in file_values:
-            resolved[key.name] = key.conv(file_values[key.name])
+            try:
+                resolved[key.name] = key.parse(file_values[key.name])
+            except ValidationError as exc:
+                raise ValidationError("%s: %s" % (args.config, exc)) from None
         else:
             resolved[key.name] = key.default
     if args.dump_config:
@@ -251,10 +295,11 @@ def parse_noise_spec(spec: str, seed: int) -> NoiseModel:
 
 
 def parse_denoiser_spec(spec: str):
-    """'identity', 'gaussian[:std=S]', 'tv[:lambda=L,iters=N]', 'quadratic'."""
+    """'identity', 'gaussian[:std=S]', 'tv[:lambda=L,iters=N]', 'quadratic';
+    an unknown name raises UnknownNameError listing the valid ones."""
     name, _, rest = spec.partition(":")
     if name not in DENOISERS:
-        raise ValidationError(
+        raise UnknownNameError(
             "unknown denoiser %r; valid: %s" % (name, ", ".join(sorted(DENOISERS)))
         )
     pairs = _parse_kv_args(rest, "denoiser spec")
@@ -275,10 +320,11 @@ def parse_denoiser_spec(spec: str):
 
 
 def parse_init_spec(spec: str):
-    """'zero', 'mean', 'adjoint', or 'rand[:seed=N]'."""
+    """'zero', 'mean', 'adjoint', or 'rand[:seed=N]'; an unknown name raises
+    UnknownNameError listing the valid ones."""
     name, _, rest = spec.partition(":")
     if name not in INITIALIZERS:
-        raise ValidationError(
+        raise UnknownNameError(
             "unknown initializer %r; valid: %s" % (name, ", ".join(sorted(INITIALIZERS)))
         )
     pairs = _parse_kv_args(rest, "initializer spec")
@@ -339,15 +385,15 @@ _SIMULATE_KEYS = [
         "convolution boundary handling; reconstruct inverts only circular"),
     Key("noise", _conv_str, "default",
         "'none', 'default' (gaussian=7e-5,poisson_bits=14), or explicit spec"),
-    Key("seed", _conv_int, 0, "noise RNG seed"),
+    Key("seed", _conv_int, 0, "noise RNG seed", lo=0),
     Key("export_pgm", _conv_str, "", "optional 8-bit grayscale preview path"),
 ]
 
 
 def _cmd_simulate(config: dict) -> int:
+    noise = parse_noise_spec(config["noise"], config["seed"])
     cube = _load_cube(config["cube"])
     system = _load_system(config["psf"], config["response"])
-    noise = parse_noise_spec(config["noise"], config["seed"])
     coded = forward_encode(cube, system, boundary=config["boundary"])
     coded = add_noise(coded, noise)
     save_tensor(coded, config["out"])
@@ -368,7 +414,8 @@ _RECONSTRUCT_KEYS = [
     Key("psf", _conv_str, "", "PSF stack tensor (.htns)", required=True),
     Key("response", _conv_str, "", "spectral response CSV", required=True),
     Key("out", _conv_str, "", "output reconstructed cube (.htns)", required=True),
-    Key("stages", _conv_int, 7, "stage count K (K=1 returns the initialization)"),
+    Key("stages", _conv_int, 7, "stage count K (K=1 returns the initialization)",
+        lo=1, hi=1000),
     Key("method", _conv_choice("admm", "hqs", "gdm"), "admm",
         "admm, hqs (no multipliers), or gdm (gradient-descent fidelity baseline)"),
     Key("gamma_schedule", _conv_str, "geometric:0.01,4",
@@ -377,9 +424,10 @@ _RECONSTRUCT_KEYS = [
         "identity | gaussian[:std=S] | tv[:lambda=L,iters=N] | quadratic"),
     Key("init", _conv_str, "mean", "zero | rand[:seed=N] | mean | adjoint"),
     Key("prior_weight", _conv_float, 0.0,
-        "prior weight sigma; denoiser noise level is sqrt(sigma/gamma)"),
-    Key("zeta", _conv_float, 1.0, "multiplier update rate (ignored by hqs)"),
-    Key("gdm_iters", _conv_int, 10, "inner gradient steps when method=gdm"),
+        "prior weight sigma; denoiser noise level is sqrt(sigma/gamma)", lo=0.0),
+    Key("zeta", _conv_float, 1.0, "multiplier update rate (ignored by hqs)", lo=0.0),
+    Key("gdm_iters", _conv_int, 10, "inner gradient steps when method=gdm",
+        lo=0, hi=10_000),
     Key("trace", _conv_bool, False, "also write per-stage trace CSV next to the output"),
     Key("export_pgm", _conv_str, "", "optional band-mean preview path"),
 ]
@@ -408,18 +456,17 @@ def _check_circular_coded(coded_path: str) -> None:
 
 
 def _cmd_reconstruct(config: dict) -> int:
-    coded = _load_cube(config["coded"])
-    _check_circular_coded(config["coded"])
-    if coded.shape[2] != 3:
-        raise ValidationError("coded image must have 3 channels, got %d" % coded.shape[2])
-    system = _load_system(config["psf"], config["response"])
-    if config["stages"] < 1:
-        raise ValidationError("stages must be >= 1, got %d" % config["stages"])
+    # spec strings first, so that a usage error comes before an I/O error
     schedule = parse_schedule_spec(
         config["gamma_schedule"], config["stages"], config["prior_weight"], config["zeta"]
     )
     denoiser = parse_denoiser_spec(config["denoiser"])
     initializer = parse_init_spec(config["init"])
+    coded = _load_cube(config["coded"])
+    _check_circular_coded(config["coded"])
+    if coded.shape[2] != 3:
+        raise ValidationError("coded image must have 3 channels, got %d" % coded.shape[2])
+    system = _load_system(config["psf"], config["response"])
     op = build_frequency_operator(system, coded.shape[0], coded.shape[1])
     mode = "hqs" if config["method"] == "hqs" else "admm"
     solver = "gdm" if config["method"] == "gdm" else "exact"
@@ -460,7 +507,7 @@ def _cmd_reconstruct(config: dict) -> int:
 _EVALUATE_KEYS = [
     Key("recon", _conv_str, "", "reconstructed cube (.htns)", required=True),
     Key("gt", _conv_str, "", "ground-truth cube (.htns)", required=True),
-    Key("crop", _conv_int, 20, "pixels cropped per edge before measuring"),
+    Key("crop", _conv_int, 20, "pixels cropped per edge before measuring", lo=0),
     Key("out_json", _conv_str, "", "optional path for the JSON report line"),
     Key("rmse_csv", _conv_str, "", "optional per-pixel RMSE map CSV (cropped region)"),
 ]
@@ -498,13 +545,16 @@ def _cmd_evaluate(config: dict) -> int:
 _BENCH_KEYS = [
     Key("sizes", _conv_str, "8,64,512", "comma list of square image extents"),
     Key("bands", _conv_str, "8", "comma list of band counts"),
-    Key("gamma", _conv_float, 0.5, "anchor weight used in timed solves"),
-    Key("repeats", _conv_int, 3, "median-of-N repeats per timing"),
-    Key("seed", _conv_int, 0, "instance RNG seed"),
+    Key("gamma", _conv_float, 0.5, "anchor weight used in timed solves",
+        lo=0.0, lo_open=True),
+    Key("repeats", _conv_int, 3, "median-of-N repeats per timing", lo=1, hi=1000),
+    Key("seed", _conv_int, 0, "instance RNG seed", lo=0),
     Key("out", _conv_str, "", "optional CSV path (default: stdout)"),
     Key("matched_tol", _conv_float, 1e-6,
-        "relative objective gap defining 'matched accuracy' for the GDM row"),
-    Key("matched_cap", _conv_int, 20000, "iteration cap for the matched-GDM row"),
+        "relative objective gap defining 'matched accuracy' for the GDM row",
+        lo=0.0, lo_open=True),
+    Key("matched_cap", _conv_int, 20000, "iteration cap for the matched-GDM row",
+        lo=1, hi=1_000_000),
 ]
 
 
@@ -520,7 +570,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 def _median_time(fn, repeats: int) -> float:
     times = []
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
@@ -531,8 +581,6 @@ def _cmd_bench(config: dict) -> int:
     sizes = _parse_int_list(config["sizes"], "sizes")
     bands_list = _parse_int_list(config["bands"], "bands")
     gamma = config["gamma"]
-    if not gamma > 0:
-        raise ValidationError("gamma must be positive")
     rng = np.random.default_rng(config["seed"])
     rows = []
     failures = []
@@ -612,8 +660,9 @@ def _cmd_bench(config: dict) -> int:
 
 
 _ORACLE_KEYS = [
-    Key("seed", _conv_int, 0, "trial RNG seed"),
-    Key("trials", _conv_int, 20, "number of random instances (0 = vacuous pass)"),
+    Key("seed", _conv_int, 0, "trial RNG seed", lo=0),
+    Key("trials", _conv_int, 20, "number of random instances (0 = vacuous pass)",
+        lo=0, hi=10_000),
 ]
 
 
@@ -628,8 +677,6 @@ def _random_instance(rng: np.random.Generator, size: int, bands: int, kernel: in
 
 def _cmd_oracle_check(config: dict, inject_conjugate_bug: bool) -> int:
     trials = config["trials"]
-    if trials < 0:
-        raise ValidationError("trials must be >= 0")
     if trials == 0:
         print("oracle-check: WARNING 0 trials requested; vacuous PASS")
         return EXIT_OK
@@ -743,22 +790,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("a command is required")
     try:
         config = _resolve_config(args, args.keys, parser)
-        if args.command == "reconstruct":
-            # unknown strategy names are usage errors, listing what is valid
-            name = config["denoiser"].partition(":")[0]
-            if name not in DENOISERS:
-                parser.error(
-                    "unknown denoiser %r; valid: %s" % (name, ", ".join(sorted(DENOISERS)))
-                )
-            name = config["init"].partition(":")[0]
-            if name not in INITIALIZERS:
-                parser.error(
-                    "unknown initializer %r; valid: %s"
-                    % (name, ", ".join(sorted(INITIALIZERS)))
-                )
         if args.command == "oracle-check":
             return _cmd_oracle_check(config, args.inject_conjugate_bug)
         return args.run(config)
+    except UnknownNameError as exc:
+        parser.error(str(exc))
     except SnapspecError as exc:
         print("snapspec %s: error: %s" % (args.command, exc), file=sys.stderr)
         return EXIT_VALIDATION

@@ -13,6 +13,10 @@ class ValidationError(SnapspecError):
     """Input data violates a documented invariant (NaN, negative response, ...)."""
 
 
+class UnknownNameError(ValidationError):
+    """A strategy name (denoiser, initializer) is not a registered one."""
+
+
 class DimensionError(SnapspecError):
     """Array shapes are inconsistent with each other or with an operator."""
 

@@ -192,16 +192,22 @@ class GaussianDenoiser(Denoiser):
         return ndimage.gaussian_filter(cube, sigma=(self.spatial_std, self.spatial_std, 0.0))
 
 
+# largest TV dual iteration count: far above the 30-60 iterations the prior
+# uses, while a mistyped count cannot sweep the cube for hours
+MAX_TV_ITERS = 10_000
+
+
 class TotalVariationDenoiser(Denoiser):
-    """Anisotropic total-variation proximal smoothing, band by band."""
+    """Anisotropic total-variation proximal smoothing, band by band, with
+    ``iters`` in [1, MAX_TV_ITERS]."""
 
     name = "tv"
 
     def __init__(self, weight: float = 0.01, iters: int = 30):
         if not (np.isfinite(weight) and weight >= 0):
             raise ParameterError("tv weight must be finite and >= 0, got %r" % weight)
-        if iters < 1:
-            raise ParameterError("tv iters must be >= 1, got %r" % iters)
+        if not 1 <= iters <= MAX_TV_ITERS:
+            raise ParameterError("tv iters must be in [1, %d], got %r" % (MAX_TV_ITERS, iters))
         self.weight = float(weight)
         self.iters = int(iters)
 

@@ -1,5 +1,7 @@
 """End-to-end command-line tests: pipelines, exit codes, manifests, determinism."""
 
+import contextlib
+import io
 import json
 import struct
 
@@ -9,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snapspec import load_tensor, save_response_csv, save_tensor
-from snapspec.cli import main
+from snapspec.cli import build_parser, main
+
+COMMANDS = ("simulate", "reconstruct", "evaluate", "bench", "oracle-check")
 
 
 def _write_random_system(tmp_path, n_bands=4, kernel=3, seed=0):
@@ -287,6 +291,21 @@ def test_reconstruct_unreadable_manifest_exit_2(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, code", [
+    ("wavelet", 1),
+    ("tv:lambda=0.01,iters=100000000000000000000", 2),
+])
+def test_spec_checked_before_files_are_read(tmp_path, capsys, spec, code):
+    missing = str(tmp_path / "missing.htns")
+    assert _exit_code([
+        "reconstruct", "--coded", missing, "--psf", missing, "--response", missing,
+        "--out", str(tmp_path / "r.htns"), "--denoiser", spec,
+    ]) == code
+    err = capsys.readouterr().err
+    assert "missing" not in err
+    assert ("valid: gaussian, identity, quadratic, tv" if code == 1 else "iters") in err
+
+
 def test_usage_error_unknown_initializer(tmp_path):
     psf, resp = _write_random_system(tmp_path)
     cube_path, _ = _write_cube(tmp_path)
@@ -308,6 +327,69 @@ def test_validation_error_exit_2(tmp_path):
         "--out", str(tmp_path / "r.htns"), "--stages", "0",
     ])
     assert code == 2
+
+
+# every key value is checked against its declared domain when the config
+# resolves: before --dump-config prints, so nothing is allocated or run
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed=-1"],
+    ["bench", "--seed=-1"],
+    ["oracle-check", "--seed=-1"],
+    ["bench", "--gamma=inf"],
+    ["bench", "--matched-tol=nan"],
+    ["bench", "--matched-tol=-1"],
+    ["bench", "--matched-cap=-1"],
+    ["bench", "--repeats=-5"],
+    ["reconstruct", "--gdm-iters=-1"],
+    ["reconstruct", "--stages=1000000000"],
+    ["oracle-check", "--trials=1000000000"],
+    ["evaluate", "--crop=-1"],
+], ids=" ".join)
+def test_out_of_domain_key_exit_2_naming_flag(capsys, argv):
+    assert _exit_code([*argv, "--dump-config"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[1].partition("=")[0] + ":" in captured.err
+
+
+def test_out_of_domain_config_file_value_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("stages=1000000000\n")
+    assert _exit_code(["reconstruct", "--config", str(cfg), "--dump-config"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(cfg) in captured.err
+    assert "--stages: must be in [1, 1000]" in captured.err
+
+
+# text inputs that are not UTF-8, or that the CSV reader refuses, are
+# validation errors naming the file
+
+
+def test_undecodable_config_file_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"stages=\xff3\n")
+    assert _exit_code(["reconstruct", "--config", str(cfg), "--dump-config"]) == 2
+    assert str(cfg) + ": not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [
+    (b"450,\xff,0,0", "not UTF-8"),
+    (b"450," + b"1" * 200_000 + b",0,0", "field larger than field limit"),
+], ids=["undecodable", "huge-field"])
+def test_unreadable_response_csv_exit_2(tmp_path, capsys, row, message):
+    psf, _ = _write_random_system(tmp_path, n_bands=1)
+    cube_path, _ = _write_cube(tmp_path, shape=(8, 8, 1))
+    resp = tmp_path / "bad.csv"
+    resp.write_bytes(b"wavelength,r,g,b\n" + row + b"\n")
+    code = main([
+        "simulate", "--cube", cube_path, "--psf", psf, "--response", str(resp),
+        "--out", str(tmp_path / "o.htns"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(resp) in err and message in err
 
 
 @pytest.mark.parametrize(
@@ -347,7 +429,7 @@ def test_non_finite_parameter_exit_2(tmp_path, capsys, command, flags, message):
 _VALUES = st.one_of(
     st.integers(-3, 40).map(str),
     st.floats().map(repr),
-    st.sampled_from(["", "1e308", "-1e308", "1e-320", "abc", "0x10", " 1"]),
+    st.sampled_from(["", "1e308", "-1e308", "1e-320", "abc", "0x10", " 1", "1000000000"]),
 )
 
 
@@ -417,6 +499,36 @@ def test_spec_strings_end_in_documented_exit_code(fuzz_dir, noise, denoiser, ini
                      "--out", str(tmp / "rec.htns"), "--stages", "2", flag + "=" + spec])
     for argv in runs:
         assert _exit_code(argv) in (0, 1, 2, 3), argv[-1]
+
+
+def _numeric_keys(command):
+    keys = build_parser().parse_args([command]).keys
+    return [key for key in keys if type(key.default) in (int, float)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(COMMANDS), data=st.data())
+def test_numeric_keys_resolve_inside_domain_or_exit_2(command, data):
+    keys = _numeric_keys(command)
+    chosen = data.draw(st.lists(st.sampled_from(keys), unique_by=lambda key: key.name))
+    argv = [command, *("%s=%s" % (key.flag, data.draw(_VALUES)) for key in chosen),
+            "--dump-config"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = _exit_code(argv)
+    assert code in (0, 2), argv
+    if code == 0:
+        dumped = dict(line.split("=", 1) for line in out.getvalue().splitlines())
+        for key in keys:
+            assert key.admits(type(key.default)(dumped[key.name])), (key.name, argv)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_key_defaults_inside_their_domains(command):
+    for key in build_parser().parse_args([command]).keys:
+        if type(key.default) in (int, float):
+            assert key.domain, key.name  # every numeric key declares one
+        assert key.admits(key.default), key.name
 
 
 def test_corrupt_tensor_exit_2(tmp_path):

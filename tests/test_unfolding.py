@@ -29,7 +29,7 @@ from snapspec.errors import DimensionError, ParameterError
 from snapspec.oracle import DenseSystem
 from snapspec.synth import smooth_cube, synthetic_system
 from snapspec import unfolding
-from snapspec.unfolding import DENOISERS, INITIALIZERS
+from snapspec.unfolding import DENOISERS, INITIALIZERS, MAX_TV_ITERS
 
 from reference_impls import tv_dual_reference, tv_prox_1d
 
@@ -207,6 +207,9 @@ def test_tv_validation():
         TotalVariationDenoiser(weight=-1.0)
     with pytest.raises(ParameterError):
         TotalVariationDenoiser(iters=0)
+    with pytest.raises(ParameterError):
+        TotalVariationDenoiser(iters=MAX_TV_ITERS + 1)
+    assert TotalVariationDenoiser(iters=MAX_TV_ITERS).iters == MAX_TV_ITERS
 
 
 def test_registries_cover_all_names():
