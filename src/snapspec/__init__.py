@@ -11,6 +11,7 @@ scales.
 from .errors import (
     DegenerateMetricError,
     DimensionError,
+    DivergenceError,
     FormatError,
     ParameterError,
     SingularPivotError,
@@ -81,6 +82,7 @@ __all__ = [
     "DenseSystem",
     "DegenerateMetricError",
     "DimensionError",
+    "DivergenceError",
     "FidelityProblem",
     "FormatError",
     "FrequencyOperator",

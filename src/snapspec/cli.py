@@ -24,7 +24,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import SnapspecError, UnknownNameError, ValidationError
+from .errors import (
+    DivergenceError,
+    ParameterError,
+    SnapspecError,
+    UnknownNameError,
+    ValidationError,
+)
 from .fidelity import (
     FidelityProblem,
     fidelity_solve,
@@ -114,10 +120,11 @@ def _conv_choice(*choices):
 class Key:
     """One config entry: name, converter, default, help text, and for a
     numeric key its domain [lo, hi], or (lo, hi] with ``lo_open``; hi=None
-    is unbounded."""
+    is unbounded.  A ``listed`` key's value is a comma list, and each entry
+    is converted and checked against the domain."""
 
     def __init__(self, name, conv, default, help_text, required=False,
-                 lo=None, hi=None, lo_open=False):
+                 lo=None, hi=None, lo_open=False, listed=False):
         self.name = name
         self.conv = conv
         self.default = default
@@ -126,6 +133,7 @@ class Key:
         self.lo = lo
         self.hi = hi
         self.lo_open = lo_open
+        self.listed = listed
 
     @property
     def flag(self) -> str:
@@ -140,17 +148,35 @@ class Key:
         return "%s%s, %s" % ("(" if self.lo_open else "[", self.lo, hi)
 
     def admits(self, value) -> bool:
+        if not self.listed:
+            return self._in_domain(value)
+        try:
+            self.parse(value)
+        except ValidationError:
+            return False
+        return True
+
+    def _in_domain(self, value) -> bool:
         if self.lo is not None and (value <= self.lo if self.lo_open else value < self.lo):
             return False
         return self.hi is None or value <= self.hi
 
     def parse(self, text: str):
-        """Convert ``text`` and check it against the domain; errors name the flag."""
+        """Convert ``text`` and check it against the domain; errors name the
+        flag.  A listed key returns its entries rejoined, empty ones dropped."""
+        if not self.listed:
+            return self._parse_entry(text)
+        entries = [self._parse_entry(part) for part in text.split(",") if part.strip()]
+        if not entries:
+            raise ValidationError("%s: empty list" % self.flag)
+        return ",".join(map(str, entries))
+
+    def _parse_entry(self, text: str):
         try:
             value = self.conv(text)
         except ValidationError as exc:
             raise ValidationError("%s: %s" % (self.flag, exc)) from None
-        if not self.admits(value):
+        if not self._in_domain(value):
             raise ValidationError("%s: must be in %s, got %r" % (self.flag, self.domain, value))
         return value
 
@@ -457,9 +483,13 @@ def _check_circular_coded(coded_path: str) -> None:
 
 def _cmd_reconstruct(config: dict) -> int:
     # spec strings first, so that a usage error comes before an I/O error
-    schedule = parse_schedule_spec(
-        config["gamma_schedule"], config["stages"], config["prior_weight"], config["zeta"]
-    )
+    try:
+        schedule = parse_schedule_spec(
+            config["gamma_schedule"], config["stages"], config["prior_weight"], config["zeta"]
+        )
+    except ParameterError as exc:
+        raise ParameterError("--gamma-schedule %s with --stages %d: %s"
+                             % (config["gamma_schedule"], config["stages"], exc)) from None
     denoiser = parse_denoiser_spec(config["denoiser"])
     initializer = parse_init_spec(config["init"])
     coded = _load_cube(config["coded"])
@@ -470,10 +500,13 @@ def _cmd_reconstruct(config: dict) -> int:
     op = build_frequency_operator(system, coded.shape[0], coded.shape[1])
     mode = "hqs" if config["method"] == "hqs" else "admm"
     solver = "gdm" if config["method"] == "gdm" else "exact"
-    result = run_reconstruct(
-        coded, op, schedule, denoiser, initializer,
-        mode=mode, trace=config["trace"], solver=solver, gdm_iters=config["gdm_iters"],
-    )
+    try:
+        result = run_reconstruct(
+            coded, op, schedule, denoiser, initializer,
+            mode=mode, trace=config["trace"], solver=solver, gdm_iters=config["gdm_iters"],
+        )
+    except DivergenceError as exc:
+        raise DivergenceError("--zeta %g: %s" % (config["zeta"], exc)) from None
     save_tensor(result.cube, config["out"])
     outputs = [config["out"]]
     if config["trace"]:
@@ -543,8 +576,9 @@ def _cmd_evaluate(config: dict) -> int:
 
 
 _BENCH_KEYS = [
-    Key("sizes", _conv_str, "8,64,512", "comma list of square image extents"),
-    Key("bands", _conv_str, "8", "comma list of band counts"),
+    Key("sizes", _conv_int, "8,64,512", "comma list of square image extents",
+        lo=3, hi=1024, listed=True),
+    Key("bands", _conv_int, "8", "comma list of band counts", lo=1, hi=64, listed=True),
     Key("gamma", _conv_float, 0.5, "anchor weight used in timed solves",
         lo=0.0, lo_open=True),
     Key("repeats", _conv_int, 3, "median-of-N repeats per timing", lo=1, hi=1000),
@@ -558,16 +592,6 @@ _BENCH_KEYS = [
 ]
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValidationError("%s: expected comma-separated integers, got %r" % (what, text))
-    if not values:
-        raise ValidationError("%s: empty list" % what)
-    return values
-
-
 def _median_time(fn, repeats: int) -> float:
     times = []
     for _ in range(repeats):
@@ -578,8 +602,8 @@ def _median_time(fn, repeats: int) -> float:
 
 
 def _cmd_bench(config: dict) -> int:
-    sizes = _parse_int_list(config["sizes"], "sizes")
-    bands_list = _parse_int_list(config["bands"], "bands")
+    sizes = [int(size) for size in config["sizes"].split(",")]
+    bands_list = [int(bands) for bands in config["bands"].split(",")]
     gamma = config["gamma"]
     rng = np.random.default_rng(config["seed"])
     rows = []

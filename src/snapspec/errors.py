@@ -25,6 +25,10 @@ class ParameterError(SnapspecError):
     """A numeric parameter is outside its admissible range."""
 
 
+class DivergenceError(ParameterError):
+    """An iteration left the finite range: a rate or weight is too large for it."""
+
+
 class SingularPivotError(SnapspecError):
     """A pivot in the block inversion fell below the representable floor."""
 

@@ -15,10 +15,13 @@ inverting:
     U_f = T_f + (1/gamma) H_f^* A_f^{-1} (V_f - H_f T_f)
 
 with V the coded-image spectrum and T_f the anchor spectrum.  The Gram
-H_f H_f^* = R diag(|P_f|^2) R^T is real, does not depend on gamma and is
-cached on the operator.  The real 3 x 3 inverses are computed by a
-two-level Schur-complement recursion that only ever divides by scalars
-bounded below by 1, one set of scalars per frequency bin.
+H_f H_f^* = R diag(|P_f|^2) R^T is real symmetric, does not depend on gamma
+and is cached on the operator as its 6 distinct entries, one plane each.
+The solve walks the bins in cache-sized strips of rows.  Per strip it
+inverts A_f on those planes by a two-level Schur-complement recursion that
+only ever divides by scalars bounded below by 1, applies H_f, the inverse
+and H_f^*, and adds the update into the anchor spectrum in place, so only
+the two FFTs touch whole arrays.
 
 Images and cubes are real, so all spectra here are Hermitian and are kept
 as ``rfft2`` half spectra of shape (..., H, W // 2 + 1); every inverse
@@ -42,6 +45,13 @@ from .optics import FrequencyOperator, apply_adjoint, apply_forward_frequency
 from .optics import back_project, forward_project
 
 _PIVOT_FLOOR = 1e-300
+
+# plane of entry (a, b) of a symmetric 3 x 3 in the layout of op.gram
+_PLANES = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
+
+# complex elements per band strip in fidelity_solve: 2^15 (512 KiB) keeps a
+# strip's working set in a per-core L2 cache; 15 rows of a 512 x 512 x 8 solve
+_SOLVE_STRIP_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -86,63 +96,37 @@ class FidelityProblem:
 
 
 def block_inverse_3x3(a: np.ndarray) -> np.ndarray:
-    """Invert Hermitian 3 x 3 matrices of the form identity-plus-PSD.
+    """Invert real symmetric 3 x 3 matrices of the form identity-plus-PSD.
 
-    ``a`` has shape (..., 3, 3); leading axes are typically frequency bins.
-    Real symmetric input gives a real inverse.  The recursion eliminates
-    entry (0, 0) first via the inner Schur complement, inverts the top-left
-    2 x 2 block, then forms the outer Schur complement against entry (2, 2).
-    All divisions are by scalars that are >= 1 for identity-plus-PSD input;
-    a guard trips if any pivot underflows regardless.
+    ``a`` has shape (6, ...), the planes of entries (0, 0), (0, 1), (0, 2),
+    (1, 1), (1, 2), (2, 2) as in ``FrequencyOperator.gram``; the inverse
+    comes back in the same layout.  The recursion eliminates entry (0, 0)
+    first via the inner Schur complement, inverts the top-left 2 x 2 block,
+    then forms the outer Schur complement against entry (2, 2).  All
+    divisions are by scalars that are >= 1 for identity-plus-PSD input; a
+    guard trips if any pivot underflows regardless.
     """
-    a = np.asarray(a)
-    if a.shape[-2:] != (3, 3):
-        raise DimensionError("expected trailing 3x3 blocks, got %r" % (a.shape,))
-    a00 = a[..., 0, 0]
-    a01 = a[..., 0, 1]
-    a02 = a[..., 0, 2]
-    a10 = a[..., 1, 0]
-    a11 = a[..., 1, 1]
-    a12 = a[..., 1, 2]
-    a20 = a[..., 2, 0]
-    a21 = a[..., 2, 1]
-    a22 = a[..., 2, 2]
-
-    if np.any(np.abs(a00) < _PIVOT_FLOOR):
-        raise SingularPivotError("leading pivot underflow")
-    inv00 = 1.0 / a00
-
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim < 1 or a.shape[0] != 6:
+        raise DimensionError("expected 6 leading symmetric planes, got %r" % (a.shape,))
+    a00, a01, a02, a11, a12, a22 = a
+    inv00 = _pivot_reciprocal(a00, "leading")
     # inner Schur complement eliminating the (0, 0) entry
-    c_den = a11 - a10 * inv00 * a01
-    if np.any(np.abs(c_den) < _PIVOT_FLOOR):
-        raise SingularPivotError("inner Schur pivot underflow")
-    c = 1.0 / c_den
-    b00 = inv00 + inv00 * a01 * c * a10 * inv00
+    c = _pivot_reciprocal(a11 - a01 * inv00 * a01, "inner Schur")
     b01 = -inv00 * a01 * c
-    b10 = -c * a10 * inv00
-    b11 = c
-
-    # outer Schur complement of the 2x2 block against the (2, 2) entry
+    b00 = inv00 - b01 * a01 * inv00
+    # outer Schur complement of the 2x2 block [b00 b01; b01 c] against (2, 2)
     t0 = b00 * a02 + b01 * a12
-    t1 = b10 * a02 + b11 * a12
-    s0 = a20 * b00 + a21 * b10
-    s1 = a20 * b01 + a21 * b11
-    d_den = a22 - (a20 * t0 + a21 * t1)
-    if np.any(np.abs(d_den) < _PIVOT_FLOOR):
-        raise SingularPivotError("outer Schur pivot underflow")
-    d = 1.0 / d_den
+    t1 = b01 * a02 + c * a12
+    d = _pivot_reciprocal(a22 - (a02 * t0 + a12 * t1), "outer Schur")
+    return np.stack([b00 + t0 * d * t0, b01 + t0 * d * t1, -t0 * d,
+                     c + t1 * d * t1, -t1 * d, d])
 
-    out = np.empty(a.shape, dtype=np.result_type(a.dtype, np.float64))
-    out[..., 0, 0] = b00 + t0 * d * s0
-    out[..., 0, 1] = b01 + t0 * d * s1
-    out[..., 0, 2] = -t0 * d
-    out[..., 1, 0] = b10 + t1 * d * s0
-    out[..., 1, 1] = b11 + t1 * d * s1
-    out[..., 1, 2] = -t1 * d
-    out[..., 2, 0] = -d * s0
-    out[..., 2, 1] = -d * s1
-    out[..., 2, 2] = d
-    return out
+
+def _pivot_reciprocal(pivot: np.ndarray, name: str) -> np.ndarray:
+    if np.any(np.abs(pivot) < _PIVOT_FLOOR):
+        raise SingularPivotError("%s pivot underflow" % name)
+    return 1.0 / pivot
 
 
 def _anchor_spectrum(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarray:
@@ -157,19 +141,31 @@ def fidelity_solve(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarray:
     """Exact minimizer of the anchored subproblem via 3 x 3 block inversion.
 
     Cost per call: one real FFT and one inverse real FFT per band plus
-    pointwise 3 x 3 algebra over the stored half-spectrum bins.  The
-    gradient of the subproblem objective vanishes at the output up to
-    floating-point roundoff.
+    pointwise 3 x 3 algebra over the stored half-spectrum bins.  An
+    (H, W, bands) view of a band-major array is transformed without a
+    transposing copy.  The gradient of the subproblem objective vanishes at
+    the output up to floating-point roundoff.
     """
     op = prob.op
     g = 1.0 / prob.gamma
-    anchor_spec = _anchor_spectrum(prob, anchor)
-
-    a_inv = block_inverse_3x3(g * op.gram + np.eye(3))
-    resid = prob.coded_spectrum - forward_project(op, anchor_spec)
-    weighted = np.einsum("hwab,bhw->ahw", a_inv, resid)
-    u = anchor_spec + g * back_project(op, weighted)
-    return np.fft.irfft2(u, s=(op.height, op.width)).transpose(1, 2, 0)
+    spec = _anchor_spectrum(prob, anchor)
+    half = spec.shape[2]
+    rows = max(1, min(op.height, _SOLVE_STRIP_ELEMENTS // (op.n_bands * half)))
+    for r0 in range(0, op.height, rows):
+        strip = slice(r0, r0 + rows)
+        a = op.gram[:, strip] * g
+        a[[0, 3, 5]] += 1.0  # the diagonal planes
+        a_inv = block_inverse_3x3(a)
+        a_inv *= g  # the update's 1/gamma, on 6 real planes
+        resid = forward_project(op, spec[:, strip], strip)
+        np.subtract(prob.coded_spectrum[:, strip], resid, out=resid)
+        weighted = np.empty_like(resid)
+        for channel, (p0, p1, p2) in zip(weighted, _PLANES):
+            np.multiply(a_inv[p0], resid[0], out=channel)
+            channel += a_inv[p1] * resid[1]
+            channel += a_inv[p2] * resid[2]
+        spec[:, strip] += back_project(op, weighted, strip)
+    return np.fft.irfft2(spec, s=(op.height, op.width)).transpose(1, 2, 0)
 
 
 def fidelity_solve_naive(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarray:
@@ -237,4 +233,5 @@ def gdm_fidelity_step(
 
 def lipschitz_bound(op: FrequencyOperator) -> float:
     """Largest per-frequency eigenvalue of H_f H_f^*; equals ||A||^2."""
-    return float(np.linalg.eigvalsh(op.gram)[..., -1].max())
+    gram = np.moveaxis(op.gram[np.array(_PLANES)], (0, 1), (-2, -1))
+    return float(np.linalg.eigvalsh(gram)[..., -1].max())

@@ -88,9 +88,12 @@ class FrequencyOperator:
 
     The 3 x bands transfer matrix of bin f is
     ``H_f[c, i] = response[c, i] * transfer[i, f]``; it is never stored.
-    ``gram[u, v]`` is its gain-independent Gram H_f H_f^*, which is real and
-    symmetric, ``sum_i response[a, i] response[b, i] |transfer[i, u, v]|^2``,
-    shape (height, width // 2 + 1, 3, 3), derived once at construction.
+    Its gain-independent Gram H_f H_f^* is real and symmetric, with entries
+    ``sum_i response[a, i] response[b, i] |transfer[i, u, v]|^2``.  ``gram``
+    stores its 6 distinct entries as planes, derived once at construction:
+    shape (6, height, width // 2 + 1), plane p holding entry (a, b) for the
+    upper-triangle pairs (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)
+    (the order of ``np.triu_indices(3)``).
     """
 
     transfer: np.ndarray
@@ -109,7 +112,8 @@ class FrequencyOperator:
                 % (self.response.shape, self.transfer.shape, expected)
             )
         power = self.transfer.real**2 + self.transfer.imag**2
-        gram = np.einsum("ai,bi,ihw->hwab", self.response, self.response, power, optimize=True)
+        rows, cols = np.triu_indices(3)
+        gram = np.tensordot(self.response[rows] * self.response[cols], power, axes=1)
         object.__setattr__(self, "gram", gram)
 
     @property
@@ -224,16 +228,31 @@ def apply_adjoint(op: FrequencyOperator, image: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(bands, s=(op.height, op.width)).transpose(1, 2, 0)
 
 
-def forward_project(op: FrequencyOperator, spectra: np.ndarray) -> np.ndarray:
+def _mix(weights: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """Real (m, k) ``weights`` applied across the leading axis of complex
+    ``spectra`` (k, ...), as one real matrix product over the interleaved
+    real and imaginary parts; returns complex (m, ...)."""
+    spectra = np.ascontiguousarray(spectra)
+    flat = spectra.view(np.float64).reshape(spectra.shape[0], -1)
+    return (weights @ flat).view(np.complex128).reshape((len(weights),) + spectra.shape[1:])
+
+
+def forward_project(op: FrequencyOperator, spectra: np.ndarray, rows=slice(None)) -> np.ndarray:
     """Per-bin H_f x_f = response (P_f * x_f) for band spectra of shape
-    (bands, H, W//2+1); returns channel spectra of shape (3, H, W//2+1)."""
-    return np.tensordot(op.response, op.transfer * spectra, axes=1)
+    (bands, n, W//2+1) on the bin rows ``rows`` (all H by default); returns
+    channel spectra of shape (3, n, W//2+1)."""
+    return _mix(op.response, op.transfer[:, rows] * spectra)
 
 
-def back_project(op: FrequencyOperator, spectra: np.ndarray) -> np.ndarray:
+def back_project(op: FrequencyOperator, spectra: np.ndarray, rows=slice(None)) -> np.ndarray:
     """Per-bin H_f^* y_f = conj(P_f) * (response^T y_f) for channel spectra
-    of shape (3, H, W//2+1); returns band spectra of shape (bands, H, W//2+1)."""
-    return np.conj(op.transfer) * np.tensordot(op.response.T, spectra, axes=1)
+    of shape (3, n, W//2+1) on the bin rows ``rows`` (all H by default);
+    returns band spectra of shape (bands, n, W//2+1)."""
+    bands = _mix(op.response.T, spectra)
+    # conj(P) y == conj(P conj(y)): conjugating in place spares a conj(P) copy
+    np.conjugate(bands, out=bands)
+    bands *= op.transfer[:, rows]
+    return np.conjugate(bands, out=bands)
 
 
 def add_noise(image: np.ndarray, model: NoiseModel) -> np.ndarray:

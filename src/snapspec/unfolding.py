@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, DivergenceError, ParameterError
 from .fidelity import (
     FidelityProblem,
     fidelity_solve,
@@ -53,7 +53,14 @@ def default_gamma_schedule(n_stages: int, gamma0: float = 0.01, ratio: float = 4
             "schedule ratio must exceed 1 (flat or decaying penalty ramps "
             "destabilize late stages), got %r" % ratio
         )
-    return gamma0 * ratio ** np.arange(n_stages, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        gamma = gamma0 * ratio ** np.arange(n_stages, dtype=np.float64)
+    if not np.isfinite(gamma[-1]):
+        raise ParameterError(
+            "the ramp gamma0 * ratio**k = %g * %g**k overflows before its last stage %d; "
+            "use fewer stages or a smaller gamma0 or ratio" % (gamma0, ratio, n_stages)
+        )
+    return gamma
 
 
 def _as_stage_array(values, n_stages: int, name: str) -> np.ndarray:
@@ -415,7 +422,9 @@ def reconstruct(
     measurement-consistency step uses the exact frequency-domain solver by
     default; ``solver="gdm"`` swaps in ``gdm_iters`` warm-started gradient
     steps instead, as a baseline.  With ``trace=True`` the result carries
-    one StageTrace per stage.
+    one StageTrace per stage.  A stage whose arithmetic overflows or turns
+    invalid (for example under a huge zeta) raises DivergenceError naming
+    that stage.
     """
     if mode not in ("admm", "hqs"):
         raise ParameterError("mode must be 'admm' or 'hqs', got %r" % mode)
@@ -436,6 +445,9 @@ def reconstruct(
             % (z.shape, (op.height, op.width, op.n_bands))
         )
     beta = np.zeros_like(z)
+    # z - beta goes into a band-major buffer, so the solve transforms each
+    # band without a transposing copy
+    anchor = np.empty((op.n_bands, op.height, op.width)).transpose(1, 2, 0)
 
     problem = FidelityProblem.from_coded_image(op, coded, gamma=schedule.gamma[0])
     lipschitz = lipschitz_bound(op) if solver == "gdm" else 0.0
@@ -449,29 +461,37 @@ def reconstruct(
     if trace:
         records.append(StageTrace(1, fidelity_of(z), float("nan"), float("nan"), float("nan")))
 
-    for k in range(schedule.n_stages - 1):
-        gamma = schedule.gamma[k]
-        prob_k = problem.with_gamma(gamma)
-        anchor = z - beta
-        if solver == "exact":
-            i_next = fidelity_solve(prob_k, anchor)
-        else:
-            i_next = gdm_fidelity_step(
-                prob_k, anchor, z, step=1.0 / (lipschitz + gamma), iters=gdm_iters
-            )
-        z_next = denoiser.denoise(i_next + beta, schedule.sigma_tilde[k])
-        beta = beta + zeta[k] * (i_next - z_next)
-        if trace:
-            records.append(
-                StageTrace(
-                    k + 2,
-                    fidelity_of(z_next),
-                    float(np.linalg.norm(z_next - z)),
-                    float(gamma),
-                    float(np.linalg.norm(i_next - z_next)),
-                )
-            )
-        z = z_next
+    # raising on the first overflow or NaN names the stage at no extra pass
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(schedule.n_stages - 1):
+                gamma = schedule.gamma[k]
+                prob_k = problem.with_gamma(gamma)
+                np.subtract(z, beta, out=anchor)
+                if solver == "exact":
+                    i_next = fidelity_solve(prob_k, anchor)
+                else:
+                    i_next = gdm_fidelity_step(
+                        prob_k, anchor, z, step=1.0 / (lipschitz + gamma), iters=gdm_iters
+                    )
+                z_next = denoiser.denoise(i_next + beta, schedule.sigma_tilde[k])
+                beta += zeta[k] * (i_next - z_next)
+                if trace:
+                    records.append(
+                        StageTrace(
+                            k + 2,
+                            fidelity_of(z_next),
+                            float(np.linalg.norm(z_next - z)),
+                            float(gamma),
+                            float(np.linalg.norm(i_next - z_next)),
+                        )
+                    )
+                z = z_next
+    except FloatingPointError as exc:
+        raise DivergenceError(
+            "stage %d of %d diverged (%s) at zeta %g, gamma %g"
+            % (k + 2, schedule.n_stages, exc, zeta[k], schedule.gamma[k])
+        ) from None
 
     return ReconstructionResult(cube=z, trace=records)
 

@@ -345,6 +345,11 @@ def test_validation_error_exit_2(tmp_path):
     ["reconstruct", "--stages=1000000000"],
     ["oracle-check", "--trials=1000000000"],
     ["evaluate", "--crop=-1"],
+    ["bench", "--sizes=100000"],
+    ["bench", "--sizes=2"],
+    ["bench", "--sizes=8,100000"],
+    ["bench", "--sizes=,"],
+    ["bench", "--bands=0"],
 ], ids=" ".join)
 def test_out_of_domain_key_exit_2_naming_flag(capsys, argv):
     assert _exit_code([*argv, "--dump-config"]) == 2
@@ -421,6 +426,38 @@ def test_non_finite_parameter_exit_2(tmp_path, capsys, command, flags, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_diverging_zeta_exit_2_naming_flag_and_stage(tmp_path, capsys, recwarn):
+    psf, resp = _write_random_system(tmp_path)
+    cube_path, _ = _write_cube(tmp_path, shape=(8, 8, 4))
+    coded = _simulate_noiseless(tmp_path, psf, resp, cube_path)
+    out = tmp_path / "out.htns"
+    capsys.readouterr()
+    code = main([
+        "reconstruct", "--coded", coded, "--psf", psf, "--response", resp,
+        "--out", str(out), "--zeta", "1e300", "--stages", "20",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--zeta 1e+300: stage " in err and "diverged" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stages", [600, 1000])
+def test_overflowing_default_schedule_exit_2_naming_flags(tmp_path, capsys, recwarn, stages):
+    # the default geometric:0.01,4 ramp leaves the float range near stage 510
+    psf, resp = _write_random_system(tmp_path)
+    code = main([
+        "reconstruct", "--coded", str(tmp_path / "unread.htns"), "--psf", psf,
+        "--response", resp, "--out", str(tmp_path / "out.htns"), "--stages", str(stages),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--gamma-schedule geometric:0.01,4 with --stages %d:" % stages in err
+    assert "overflows" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 # spec-string fuzz: whatever the strings, the CLI ends in a documented exit
@@ -502,8 +539,13 @@ def test_spec_strings_end_in_documented_exit_code(fuzz_dir, noise, denoiser, ini
 
 
 def _numeric_keys(command):
+    """Numeric keys and the numeric comma-list keys."""
     keys = build_parser().parse_args([command]).keys
-    return [key for key in keys if type(key.default) in (int, float)]
+    return [key for key in keys if type(key.default) in (int, float) or key.listed]
+
+
+def _key_values(key):
+    return st.lists(_VALUES, min_size=1, max_size=3).map(",".join) if key.listed else _VALUES
 
 
 @settings(max_examples=100, deadline=None)
@@ -511,7 +553,7 @@ def _numeric_keys(command):
 def test_numeric_keys_resolve_inside_domain_or_exit_2(command, data):
     keys = _numeric_keys(command)
     chosen = data.draw(st.lists(st.sampled_from(keys), unique_by=lambda key: key.name))
-    argv = [command, *("%s=%s" % (key.flag, data.draw(_VALUES)) for key in chosen),
+    argv = [command, *("%s=%s" % (key.flag, data.draw(_key_values(key))) for key in chosen),
             "--dump-config"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import snapspec.fidelity as fidelity
 from snapspec import (
     FidelityProblem,
     OpticalSystem,
@@ -47,30 +48,48 @@ def _problem(rng, size=8, n_bands=5, kernel=3, gamma=0.5):
     return system, op, FidelityProblem.from_coded_image(op, coded, gamma)
 
 
-# block inverse
+# block inverse: symmetric 3 x 3 matrices travel as 6 planes, the entries
+# (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)
+
+_UPPER = np.triu_indices(3)
+
+
+def _planes(a):
+    """(..., 3, 3) symmetric matrices as (6, ...) planes."""
+    return np.moveaxis(a[..., _UPPER[0], _UPPER[1]], -1, 0)
+
+
+def _matrices(planes):
+    """(6, ...) planes back to full (..., 3, 3) symmetric matrices."""
+    out = np.empty(planes.shape[1:] + (3, 3))
+    for p, (r, c) in enumerate(zip(*_UPPER)):
+        out[..., r, c] = out[..., c, r] = planes[p]
+    return out
 
 
 def test_block_inverse_identity():
-    eye = np.broadcast_to(np.eye(3), (4, 7, 3, 3))
+    eye = _planes(np.broadcast_to(np.eye(3), (4, 7, 3, 3)))
     inv = block_inverse_3x3(eye)
-    assert np.max(np.abs(inv - np.eye(3))) < 1e-15
+    assert inv.shape == (6, 4, 7)
+    assert np.max(np.abs(_matrices(inv) - np.eye(3))) < 1e-15
 
 
 def test_block_inverse_diagonal():
     a = np.zeros((2, 3, 3))
     a[0] = np.diag([1.0, 2.0, 4.0])
     a[1] = np.diag([1.5, 3.0, 6.0])
-    inv = block_inverse_3x3(a)
+    inv = block_inverse_3x3(_planes(a))
     assert inv.dtype == np.float64  # real input stays real
+    inv = _matrices(inv)
     assert np.allclose(inv[0], np.diag([1.0, 0.5, 0.25]), atol=1e-15)
     assert np.allclose(inv[1], np.diag([1 / 1.5, 1 / 3.0, 1 / 6.0]), atol=1e-15)
 
 
 def test_block_inverse_matches_adjugate():
     rng = np.random.default_rng(2)
-    h = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
-    a = np.eye(3) + h @ h.conj().T
-    inv = block_inverse_3x3(a)
+    h = rng.standard_normal((3, 6))
+    a = np.eye(3) + h @ h.T
+    inv = _matrices(block_inverse_3x3(_planes(a)))
     ref = adjugate_inverse_3x3(a)
     assert np.max(np.abs(inv - ref)) < 1e-13
 
@@ -78,16 +97,16 @@ def test_block_inverse_matches_adjugate():
 def test_block_inverse_batch_residuals():
     # identity-plus-PSD draws: residual of A @ inv(A) against I stays tiny
     rng = np.random.default_rng(5)
-    h = rng.standard_normal((10000, 3, 4)) + 1j * rng.standard_normal((10000, 3, 4))
-    a = np.eye(3) + h @ np.conj(np.swapaxes(h, -1, -2))
-    inv = block_inverse_3x3(a)
+    h = rng.standard_normal((10000, 3, 4))
+    a = np.eye(3) + h @ np.swapaxes(h, -1, -2)
+    inv = _matrices(block_inverse_3x3(_planes(a)))
     resid = a @ inv - np.eye(3)
     assert np.max(np.abs(resid)) < 1e-12
 
 
 def test_block_inverse_singular_guard():
     with pytest.raises(SingularPivotError):
-        block_inverse_3x3(np.zeros((2, 3, 3)))
+        block_inverse_3x3(np.zeros((6, 2)))
 
 
 def test_block_inverse_shape_guard():
@@ -154,6 +173,35 @@ def test_odd_extents_match_dense_oracle(height, width):
         for solve in (fidelity_solve, fidelity_solve_naive):
             rel = np.linalg.norm(solve(prob, anchor) - ref) / np.linalg.norm(ref)
             assert rel < 1e-10
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("height, width", [(7, 9), (9, 7)])
+def test_strip_walk_matches_dense_oracle(monkeypatch, rows, height, width):
+    # strips of 1, 2 or 3 bin rows; 7 and 9 rows leave a ragged last strip
+    rng = np.random.default_rng(rows * 100 + height * 10 + width)
+    system = _random_system(rng, 4, 5)
+    dense = DenseSystem.from_system(system, height, width)
+    op = build_frequency_operator(system, height, width)
+    monkeypatch.setattr(fidelity, "_SOLVE_STRIP_ELEMENTS", rows * 4 * (width // 2 + 1))
+    image = rng.standard_normal((height, width, 3))
+    for gamma in (1e-3, 1.0, 1e3):
+        anchor = rng.standard_normal((height, width, 4))
+        prob = FidelityProblem.from_coded_image(op, image, gamma)
+        out = fidelity_solve(prob, anchor)
+        for ref in (dense.ridge_solve(image, anchor, gamma), fidelity_solve_naive(prob, anchor)):
+            assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-10
+
+
+def test_solve_leaves_inputs_and_operator_unchanged():
+    # the strip walk works in place on its own anchor spectrum only
+    rng = np.random.default_rng(67)
+    _, op, prob = _problem(rng, size=8, n_bands=5)
+    anchor = rng.standard_normal((8, 8, 5))
+    before = [a.copy() for a in (anchor, prob.coded_spectrum, op.gram, op.transfer)]
+    fidelity_solve(prob, anchor)
+    after = (anchor, prob.coded_spectrum, op.gram, op.transfer)
+    assert all(np.array_equal(b, a) for b, a in zip(before, after))
 
 
 def test_matches_naive_frequency_solver():

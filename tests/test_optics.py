@@ -177,12 +177,14 @@ def test_transfer_matches_direct_dft():
         for i in range(3):
             embedded = embed_kernel(system.response[c, i] * system.psfs[i], 5, 4)
             assert np.max(np.abs(transfer[c, i] - direct_dft2(embedded)[:, :half])) < 1e-12
-    # the cached Gram is H_f H_f^* per stored bin, real and symmetric
-    gram = np.einsum("aihw,bihw->hwab", transfer, np.conj(transfer))
-    assert op.gram.shape == (5, half, 3, 3)
+    # the cached Gram is H_f H_f^* per stored bin, real and symmetric, kept
+    # as the planes of its entries (0,0), (0,1), (0,2), (1,1), (1,2), (2,2)
+    gram = np.einsum("aihw,bihw->abhw", transfer, np.conj(transfer))
+    assert op.gram.shape == (6, 5, half)
     assert op.gram.dtype == np.float64
-    assert np.max(np.abs(op.gram - gram)) < 1e-12
-    assert np.max(np.abs(op.gram - np.swapaxes(op.gram, -1, -2))) < 1e-12
+    assert np.max(np.abs(gram - np.swapaxes(gram, 0, 1))) < 1e-12
+    upper = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    assert np.max(np.abs(op.gram - np.array([gram[a, b] for a, b in upper]))) < 1e-12
 
 
 @pytest.mark.parametrize("size", [4, 8, 16])
