@@ -21,11 +21,8 @@ The solve walks the bins in cache-sized strips of rows.  Per strip it
 inverts A_f on those planes by a two-level Schur-complement recursion that
 only ever divides by scalars bounded below by 1, applies H_f, the inverse
 and H_f^*, and adds the update into the anchor spectrum in place, so only
-the two FFTs touch whole arrays.
-
-Images and cubes are real, so all spectra here are Hermitian and are kept
-as ``rfft2`` half spectra of shape (..., H, W // 2 + 1); every inverse
-transform passes the full extent ``s=(H, W)`` so odd widths round-trip.
+the two FFTs touch whole arrays.  Spectra are the half spectra of
+:func:`optics.to_spectrum`, which also checks every input's grid shape.
 
 ``fidelity_solve_naive`` solves the untransformed per-frequency N x N
 systems directly and exists to cross-validate the rearrangement;
@@ -42,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, SingularPivotError
 from .optics import FrequencyOperator, apply_adjoint, apply_forward_frequency
-from .optics import back_project, forward_project
+from .optics import back_project, forward_project, from_spectrum, to_spectrum
 
 _PIVOT_FLOOR = 1e-300
 
@@ -58,8 +55,8 @@ _SOLVE_STRIP_ELEMENTS = 1 << 15
 class FidelityProblem:
     """One measurement-consistency subproblem instance.
 
-    ``coded_spectrum`` is the per-channel half-spectrum forward DFT
-    (``rfft2``) of the coded image, shape (3, H, W // 2 + 1) complex.
+    ``coded_spectrum`` is the coded image's :func:`optics.to_spectrum`,
+    shape (3, H, W // 2 + 1) complex.
     ``gamma`` is the positive anchor weight.
     """
 
@@ -80,16 +77,10 @@ class FidelityProblem:
 
     @classmethod
     def from_coded_image(cls, op: FrequencyOperator, coded: np.ndarray, gamma: float):
-        coded = np.asarray(coded, dtype=np.float64)
-        if coded.shape != (op.height, op.width, 3):
-            raise DimensionError(
-                "coded image shape %r does not match operator" % (coded.shape,)
-            )
-        return cls(op=op, coded_spectrum=np.fft.rfft2(coded.transpose(2, 0, 1)), gamma=gamma)
+        return cls(op=op, coded_spectrum=to_spectrum(op, coded, 3), gamma=gamma)
 
     def coded_image(self) -> np.ndarray:
-        shape = (self.op.height, self.op.width)
-        return np.fft.irfft2(self.coded_spectrum, s=shape).transpose(1, 2, 0)
+        return from_spectrum(self.op, self.coded_spectrum)
 
     def with_gamma(self, gamma: float) -> "FidelityProblem":
         return FidelityProblem(op=self.op, coded_spectrum=self.coded_spectrum, gamma=gamma)
@@ -129,26 +120,18 @@ def _pivot_reciprocal(pivot: np.ndarray, name: str) -> np.ndarray:
     return 1.0 / pivot
 
 
-def _anchor_spectrum(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarray:
-    anchor = np.asarray(anchor, dtype=np.float64)
-    expected = (prob.op.height, prob.op.width, prob.op.n_bands)
-    if anchor.shape != expected:
-        raise DimensionError("anchor shape %r, expected %r" % (anchor.shape, expected))
-    return np.fft.rfft2(anchor.transpose(2, 0, 1))
-
-
 def fidelity_solve(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarray:
     """Exact minimizer of the anchored subproblem via 3 x 3 block inversion.
 
     Cost per call: one real FFT and one inverse real FFT per band plus
-    pointwise 3 x 3 algebra over the stored half-spectrum bins.  An
-    (H, W, bands) view of a band-major array is transformed without a
+    pointwise 3 x 3 algebra over the stored half-spectrum bins.  An anchor
+    in an :func:`optics.empty_cube` buffer is transformed without a
     transposing copy.  The gradient of the subproblem objective vanishes at
     the output up to floating-point roundoff.
     """
     op = prob.op
     g = 1.0 / prob.gamma
-    spec = _anchor_spectrum(prob, anchor)
+    spec = to_spectrum(op, anchor, op.n_bands)
     half = spec.shape[2]
     rows = max(1, min(op.height, _SOLVE_STRIP_ELEMENTS // (op.n_bands * half)))
     for r0 in range(0, op.height, rows):
@@ -165,7 +148,7 @@ def fidelity_solve(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarray:
             channel += a_inv[p1] * resid[1]
             channel += a_inv[p2] * resid[2]
         spec[:, strip] += back_project(op, weighted, strip)
-    return np.fft.irfft2(spec, s=(op.height, op.width)).transpose(1, 2, 0)
+    return from_spectrum(op, spec)
 
 
 def fidelity_solve_naive(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarray:
@@ -176,15 +159,14 @@ def fidelity_solve_naive(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarra
     """
     transfer = prob.op.response[:, :, None, None] * prob.op.transfer[None]
     n_bands = prob.op.n_bands
-    anchor_spec = _anchor_spectrum(prob, anchor)
+    anchor_spec = to_spectrum(prob.op, anchor, n_bands)
 
     normal = np.einsum("cihw,cjhw->hwij", np.conj(transfer), transfer)
     normal += prob.gamma * np.eye(n_bands)
     rhs = np.einsum("cihw,chw->hwi", np.conj(transfer), prob.coded_spectrum)
     rhs += prob.gamma * anchor_spec.transpose(1, 2, 0)
     u = np.linalg.solve(normal, rhs[..., None])[..., 0]
-    shape = (prob.op.height, prob.op.width)
-    return np.fft.irfft2(u.transpose(2, 0, 1), s=shape).transpose(1, 2, 0)
+    return from_spectrum(prob.op, u.transpose(2, 0, 1))
 
 
 def subproblem_objective(prob: FidelityProblem, x: np.ndarray, anchor: np.ndarray) -> float:

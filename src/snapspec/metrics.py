@@ -143,13 +143,15 @@ def evaluate(recon: np.ndarray, gt: np.ndarray, crop: int = DEFAULT_CROP) -> Met
     """Crop ``crop`` pixels from every edge of both cubes, then measure.
 
     The default border of 20 pixels discards boundary-condition artifacts.
+    What is left must span the SSIM window in both spatial extents.
     """
     recon, gt = _check_pair(recon, gt)
     if crop < 0:
         raise ParameterError("crop must be >= 0, got %r" % crop)
-    if 2 * crop >= min(recon.shape[0], recon.shape[1]):
+    if min(recon.shape[0], recon.shape[1]) - 2 * crop < SSIM_WINDOW:
         raise ParameterError(
-            "crop %d leaves no pixels on extent %r" % (crop, recon.shape[:2])
+            "crop %d on extent %r leaves less than the %d-pixel SSIM window"
+            % (crop, recon.shape[:2], SSIM_WINDOW)
         )
     if crop:
         recon = recon[crop:-crop, crop:-crop]

@@ -12,8 +12,14 @@ where P_i, the DFT of band i's PSF, is its OTF (optical transfer function).
 :class:`FrequencyOperator` stores just these two factors, and
 :func:`forward_encode` (which simulates a frame) applies the operator that
 the reconstruction solver uses, so the model has one implementation.
-Kernels and cubes are real, so every spectrum is Hermitian and the code
-keeps only the non-negative half of the last axis (``rfft2``).
+
+Kernels, cubes and images are real, so every spectrum is Hermitian and only
+the non-negative half of the last axis is kept (``rfft2``).  This module
+owns that layout: :func:`to_spectrum` maps an (H, W, depth) array to its
+band-major (depth, H, W // 2 + 1) half spectra, checking the grid shape on
+the way, and :func:`from_spectrum` maps back, passing the full extent
+``s=(H, W)`` so odd widths round-trip.  Every transform in the package goes
+through these two helpers.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .errors import DimensionError, ValidationError
 
@@ -183,37 +190,46 @@ def forward_encode(cube: np.ndarray, system: OpticalSystem, boundary: str = "cir
 
 def build_frequency_operator(system: OpticalSystem, height: int, width: int) -> FrequencyOperator:
     """The system's response and per-band OTFs on an (height, width) grid."""
-    transfer = np.fft.rfft2(embed_kernel(system.psfs, height, width))
+    transfer = scipy.fft.rfft2(embed_kernel(system.psfs, height, width))
     return FrequencyOperator(
         response=system.response, transfer=transfer, height=height, width=width
     )
 
 
-def _check_cube(op: FrequencyOperator, cube: np.ndarray) -> np.ndarray:
-    cube = np.asarray(cube, dtype=np.float64)
-    if cube.shape != (op.height, op.width, op.n_bands):
-        raise DimensionError(
-            "cube shape %r does not match operator %r"
-            % (cube.shape, (op.height, op.width, op.n_bands))
-        )
-    return cube
+def to_spectrum(op: FrequencyOperator, x: np.ndarray, depth: int) -> np.ndarray:
+    """Half spectra (depth, H, W // 2 + 1) of an (H, W, depth) array on the
+    operator's grid: the ``rfft2`` of each band or channel.
+
+    Raises DimensionError unless ``x`` has shape (op.height, op.width, depth).
+    The transform reads the depth axis as its batch axis, so an (H, W, depth)
+    view of band-major memory (see :func:`empty_cube`) is transformed without
+    a copy, to the same bits as a C-contiguous array.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    expected = (op.height, op.width, depth)
+    if x.shape != expected:
+        raise DimensionError("array shape %r does not match operator grid %r"
+                             % (x.shape, expected))
+    return scipy.fft.rfft2(x.transpose(2, 0, 1))
 
 
-def _check_image(op: FrequencyOperator, image: np.ndarray) -> np.ndarray:
-    image = np.asarray(image, dtype=np.float64)
-    if image.shape != (op.height, op.width, 3):
-        raise DimensionError(
-            "image shape %r does not match operator %r"
-            % (image.shape, (op.height, op.width, 3))
-        )
-    return image
+def from_spectrum(op: FrequencyOperator, spectra: np.ndarray) -> np.ndarray:
+    """The (H, W, depth) view of the real arrays whose half spectra are
+    ``spectra`` (depth, H, W // 2 + 1): the inverse of :func:`to_spectrum`."""
+    # numpy's irfft2, not scipy's: scipy's is no faster and differs in the
+    # last bit on small odd grids, which would move every output
+    return np.fft.irfft2(spectra, s=(op.height, op.width)).transpose(1, 2, 0)
+
+
+def empty_cube(op: FrequencyOperator) -> np.ndarray:
+    """An uninitialized (H, W, bands) cube that is a view of band-major
+    memory, the layout :func:`to_spectrum` transforms without a copy."""
+    return np.empty((op.n_bands, op.height, op.width)).transpose(1, 2, 0)
 
 
 def apply_forward_frequency(op: FrequencyOperator, cube: np.ndarray) -> np.ndarray:
     """Apply the forward operator: per bin, J_f = response (P_f * X_f)."""
-    cube = _check_cube(op, cube)
-    coded = forward_project(op, np.fft.rfft2(cube.transpose(2, 0, 1)))
-    return np.fft.irfft2(coded, s=(op.height, op.width)).transpose(1, 2, 0)
+    return from_spectrum(op, forward_project(op, to_spectrum(op, cube, op.n_bands)))
 
 
 def apply_adjoint(op: FrequencyOperator, image: np.ndarray) -> np.ndarray:
@@ -222,10 +238,7 @@ def apply_adjoint(op: FrequencyOperator, image: np.ndarray) -> np.ndarray:
     Per frequency this multiplies by the conjugate transpose (bands x 3)
     matrix, so the inner-product identity <A x, y> == <x, A^T y> holds.
     """
-    image = _check_image(op, image)
-    spectra = np.fft.rfft2(image.transpose(2, 0, 1))
-    bands = back_project(op, spectra)
-    return np.fft.irfft2(bands, s=(op.height, op.width)).transpose(1, 2, 0)
+    return from_spectrum(op, back_project(op, to_spectrum(op, image, 3)))
 
 
 def _mix(weights: np.ndarray, spectra: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from .fidelity import (
     gdm_fidelity_step,
     lipschitz_bound,
 )
-from .optics import FrequencyOperator, apply_adjoint, apply_forward_frequency
+from .optics import FrequencyOperator, apply_adjoint, apply_forward_frequency, empty_cube
 
 
 def default_gamma_schedule(n_stages: int, gamma0: float = 0.01, ratio: float = 4.0) -> np.ndarray:
@@ -430,12 +430,9 @@ def reconstruct(
         raise ParameterError("mode must be 'admm' or 'hqs', got %r" % mode)
     if solver not in ("exact", "gdm"):
         raise ParameterError("solver must be 'exact' or 'gdm', got %r" % solver)
+    # the problem checks the coded image's shape before any initializer reads it
+    problem = FidelityProblem.from_coded_image(op, coded, gamma=schedule.gamma[0])
     coded = np.asarray(coded, dtype=np.float64)
-    if coded.shape != (op.height, op.width, 3):
-        raise DimensionError(
-            "coded image shape %r does not match operator %r"
-            % (coded.shape, (op.height, op.width, 3))
-        )
     zeta = np.zeros_like(schedule.zeta) if mode == "hqs" else schedule.zeta
 
     z = np.asarray(initializer.initialize(coded, op), dtype=np.float64)
@@ -445,11 +442,7 @@ def reconstruct(
             % (z.shape, (op.height, op.width, op.n_bands))
         )
     beta = np.zeros_like(z)
-    # z - beta goes into a band-major buffer, so the solve transforms each
-    # band without a transposing copy
-    anchor = np.empty((op.n_bands, op.height, op.width)).transpose(1, 2, 0)
-
-    problem = FidelityProblem.from_coded_image(op, coded, gamma=schedule.gamma[0])
+    anchor = empty_cube(op)  # holds z - beta; the solve transforms it without a copy
     lipschitz = lipschitz_bound(op) if solver == "gdm" else 0.0
 
     records: list[StageTrace] = []

@@ -189,6 +189,14 @@ def test_evaluate_rmse_csv(tmp_path):
     assert np.allclose(grid, 0.1, atol=1e-6)
 
 
+def test_evaluate_crop_below_ssim_window_exit_2_naming_crop(tmp_path, capsys):
+    # 16 - 2 * 3 = 10 pixels are left, short of the 11-pixel SSIM window
+    cube_path, _ = _write_cube(tmp_path, shape=(16, 16, 3))
+    assert main(["evaluate", "--recon", cube_path, "--gt", cube_path, "--crop", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "crop 3" in err and "(16, 16)" in err and "11-pixel SSIM window" in err
+
+
 def test_export_pgm(tmp_path):
     psf, resp = _write_identity_system(tmp_path)
     cube_path, _ = _write_cube(tmp_path, shape=(8, 8, 3))

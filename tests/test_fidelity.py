@@ -6,7 +6,10 @@ import pytest
 import snapspec.fidelity as fidelity
 from snapspec import (
     FidelityProblem,
+    IdentityDenoiser,
+    MeanInitializer,
     OpticalSystem,
+    StageSchedule,
     apply_adjoint,
     apply_forward_frequency,
     block_inverse_3x3,
@@ -16,10 +19,12 @@ from snapspec import (
     forward_encode,
     gdm_fidelity_step,
     lipschitz_bound,
+    reconstruct,
     subproblem_gradient,
     subproblem_objective,
 )
 from snapspec.errors import DimensionError, ParameterError, SingularPivotError
+from snapspec.optics import empty_cube
 from snapspec.oracle import DenseSystem
 
 from reference_impls import adjugate_inverse_3x3
@@ -323,15 +328,45 @@ def test_problem_rejects_nonpositive_gamma():
         FidelityProblem.from_coded_image(op, coded, 1e-320)
 
 
-def test_problem_rejects_bad_shapes():
+# entry point -> call on a bad input; the ones in _IMAGE_INPUT take a coded
+# image (depth 3), the rest a cube (depth = bands)
+_IMAGE_INPUT = ("apply_adjoint", "from_coded_image", "reconstruct")
+_SHAPE_CHECKED = {
+    "apply_adjoint": lambda op, prob, x: apply_adjoint(op, x),
+    "from_coded_image": lambda op, prob, x: FidelityProblem.from_coded_image(op, x, 1.0),
+    "reconstruct": lambda op, prob, x: reconstruct(
+        x, op, StageSchedule.constant(2, 1.0), IdentityDenoiser(), MeanInitializer()),
+    "apply_forward_frequency": lambda op, prob, x: apply_forward_frequency(op, x),
+    "fidelity_solve": lambda op, prob, x: fidelity_solve(prob, x),
+    "fidelity_solve_naive": lambda op, prob, x: fidelity_solve_naive(prob, x),
+}
+
+
+@pytest.mark.parametrize("wrong", ["height", "width", "depth"])
+@pytest.mark.parametrize("entry", list(_SHAPE_CHECKED))
+def test_problem_rejects_bad_shapes(entry, wrong):
     rng = np.random.default_rng(59)
-    system = _random_system(rng, 3, 3)
-    op = build_frequency_operator(system, 4, 4)
+    op = build_frequency_operator(_random_system(rng, 4, 3), 4, 5)
+    prob = FidelityProblem.from_coded_image(op, np.zeros((4, 5, 3)), 1.0)
+    depth = 3 if entry in _IMAGE_INPUT else op.n_bands
+    shape = [op.height, op.width, depth]
+    shape[["height", "width", "depth"].index(wrong)] += 1
     with pytest.raises(DimensionError):
-        FidelityProblem.from_coded_image(op, np.zeros((4, 4, 4)), 1.0)
-    prob = FidelityProblem.from_coded_image(op, np.zeros((4, 4, 3)), 1.0)
-    with pytest.raises(DimensionError):
-        fidelity_solve(prob, np.zeros((4, 4, 5)))
+        _SHAPE_CHECKED[entry](op, prob, np.zeros(shape))
+
+
+def test_band_major_input_matches_contiguous():
+    # the stage loop hands the solve an empty_cube buffer; that layout must
+    # not move a bit of the output
+    rng = np.random.default_rng(71)
+    op = build_frequency_operator(_random_system(rng, 4, 5), 7, 9)
+    prob = FidelityProblem.from_coded_image(op, rng.standard_normal((7, 9, 3)), 0.5)
+    band_major = empty_cube(op)
+    band_major[...] = rng.standard_normal((7, 9, 4))
+    contiguous = np.ascontiguousarray(band_major)
+    assert not band_major.flags.c_contiguous
+    for apply in (apply_forward_frequency, lambda op, x: fidelity_solve(prob, x)):
+        assert np.array_equal(apply(op, band_major), apply(op, contiguous))
 
 
 def test_coded_image_round_trip():
