@@ -41,9 +41,7 @@ schedule = StageSchedule.geometric(7, gamma0=0.01, ratio=4.0)
 denoiser = TotalVariationDenoiser(weight=0.01, iters=60)
 print("penalty schedule:", np.array2string(schedule.gamma, precision=3))
 
-result = reconstruct(
-    coded, op, schedule, denoiser, ZeroInitializer(), mode="admm", trace=True
-)
+result = reconstruct(coded, op, schedule, denoiser, ZeroInitializer(), trace=True)
 
 print("\nstage   data-fit     movement   consensus-gap")
 for rec in result.trace:

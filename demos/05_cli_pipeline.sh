@@ -53,6 +53,5 @@ cat "$DIR/recon.htns.manifest.json"
 # 6. self-audit: production solvers vs the dense reference implementation
 snapspec oracle-check --trials 10
 
-# exit code 4 and FAIL lines if a solver ever drifts from the reference;
-# try it yourself with the hidden --inject-conjugate-bug flag
+# exit code 4 and FAIL lines if a solver ever drifts from the reference
 echo "pipeline complete; artifacts in $DIR"

@@ -146,6 +146,8 @@ def evaluate(recon: np.ndarray, gt: np.ndarray, crop: int = DEFAULT_CROP) -> Met
     What is left must span the SSIM window in both spatial extents.
     """
     recon, gt = _check_pair(recon, gt)
+    if recon.ndim != 3:
+        raise DimensionError("expected (H, W, bands) cubes, got shape %r" % (recon.shape,))
     if crop < 0:
         raise ParameterError("crop must be >= 0, got %r" % crop)
     if min(recon.shape[0], recon.shape[1]) - 2 * crop < SSIM_WINDOW:

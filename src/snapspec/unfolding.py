@@ -1,4 +1,4 @@
-"""Unrolled ADMM/HQS reconstruction with pluggable priors and initializers.
+"""Unrolled ADMM reconstruction with pluggable priors and initializers.
 
 Splitting the regularized inverse problem
 
@@ -9,13 +9,13 @@ measurement-consistency solve for I, a denoiser standing in for the prior
 proximal step on Z, and a scaled multiplier update.  The stage count is
 fixed up front and every per-stage knob (gamma, zeta, sigma_tilde) lives in
 a StageSchedule, so a run is fully described by (schedule, denoiser,
-initializer, mode).
+initializer).
 
 Stage numbering: Z(1) is the initializer output; stages 2..K each apply one
 solve / denoise / multiplier triple.  A schedule with K = 1 therefore
-returns the initialization untouched.  HQS mode is ADMM with the multiplier
-update rate forced to zero, sharing the exact same code path so the
-degeneration is bit-for-bit.
+returns the initialization untouched.  HQS is not a separate mode: it is a
+schedule whose multiplier rates zeta are all zero, run through the same
+loop.
 """
 
 from __future__ import annotations
@@ -83,9 +83,9 @@ def _check_gammas(gamma: np.ndarray) -> None:
 class StageSchedule:
     """Per-stage knobs: anchor weights, multiplier rates, denoiser noise levels.
 
-    All three arrays have one entry per stage; a K-stage run consumes the
-    first K - 1 entries (the final stage is the returned Z, which gets no
-    solve of its own).  ``sigma_tilde`` is the noise level sqrt(sigma/gamma)
+    All three arrays have one entry per stage, and there is at least one
+    stage; a K-stage run consumes the first K - 1 entries (the final stage
+    is the returned Z, which gets no solve of its own).  ``sigma_tilde`` is the noise level sqrt(sigma/gamma)
     handed to denoisers that accept one.
     """
 
@@ -95,6 +95,8 @@ class StageSchedule:
 
     def __post_init__(self):
         n = np.atleast_1d(np.asarray(self.gamma)).shape[0]
+        if n == 0:
+            raise ParameterError("a schedule needs at least one stage")
         gamma = _as_stage_array(self.gamma, n, "gamma")
         zeta = _as_stage_array(self.zeta, n, "zeta")
         sigma_tilde = _as_stage_array(self.sigma_tilde, n, "sigma_tilde")
@@ -162,10 +164,12 @@ class Denoiser(ABC):
     """A named prior: maps an intermediate cube to a cleaner one.
 
     ``noise_level`` is the schedule's sigma_tilde for the current stage;
-    denoisers without a noise-level parameter ignore it.
+    denoisers without a noise-level parameter ignore it.  ``params`` maps
+    each spec key to a constructor argument and its type.
     """
 
     name: str = "?"
+    params: dict[str, tuple[str, type]] = {}
 
     @abstractmethod
     def denoise(self, cube: np.ndarray, noise_level: float) -> np.ndarray: ...
@@ -188,6 +192,7 @@ class GaussianDenoiser(Denoiser):
     in (0, MAX_GAUSSIAN_STD]."""
 
     name = "gaussian"
+    params = {"std": ("spatial_std", float)}
 
     def __init__(self, spatial_std: float = 1.0):
         if not 0 < spatial_std <= MAX_GAUSSIAN_STD:
@@ -209,6 +214,7 @@ class TotalVariationDenoiser(Denoiser):
     ``iters`` in [1, MAX_TV_ITERS]."""
 
     name = "tv"
+    params = {"lambda": ("weight", float), "iters": ("iters", int)}
 
     def __init__(self, weight: float = 0.01, iters: int = 30):
         if not (np.isfinite(weight) and weight >= 0):
@@ -328,9 +334,11 @@ def tv_denoise(cube: np.ndarray, weight: float, iters: int) -> np.ndarray:
 
 
 class Initializer(ABC):
-    """Named strategy producing the first prior iterate Z(1) from the coded image."""
+    """Named strategy producing the first prior iterate Z(1) from the coded
+    image; ``params`` maps each spec key to a constructor argument and type."""
 
     name: str = "?"
+    params: dict[str, tuple[str, type]] = {}
 
     @abstractmethod
     def initialize(self, coded: np.ndarray, op: FrequencyOperator) -> np.ndarray: ...
@@ -347,6 +355,7 @@ class RandInitializer(Initializer):
     """Uniform [0, 1) start, seeded for reproducibility."""
 
     name = "rand"
+    params = {"seed": ("seed", int)}
 
     def __init__(self, seed: int = 0):
         if seed < 0:
@@ -411,29 +420,21 @@ def reconstruct(
     schedule: StageSchedule,
     denoiser: Denoiser,
     initializer: Initializer,
-    mode: str = "admm",
     trace: bool = False,
-    solver: str = "exact",
-    gdm_iters: int = 10,
+    gdm_iters: int | None = None,
 ) -> ReconstructionResult:
     """Run the unrolled stage loop and return the final prior iterate.
 
-    ``mode`` selects ADMM or HQS (multiplier rates forced to zero).  The
-    measurement-consistency step uses the exact frequency-domain solver by
-    default; ``solver="gdm"`` swaps in ``gdm_iters`` warm-started gradient
-    steps instead, as a baseline.  With ``trace=True`` the result carries
-    one StageTrace per stage.  A stage whose arithmetic overflows or turns
-    invalid (for example under a huge zeta) raises DivergenceError naming
-    that stage.
+    The measurement-consistency step uses the exact frequency-domain solver
+    when ``gdm_iters`` is None; an integer swaps in that many warm-started
+    gradient steps instead, as a baseline.  With ``trace=True`` the result
+    carries one StageTrace per stage.  A stage whose arithmetic overflows or
+    turns invalid (for example under a huge zeta) raises DivergenceError
+    naming that stage.
     """
-    if mode not in ("admm", "hqs"):
-        raise ParameterError("mode must be 'admm' or 'hqs', got %r" % mode)
-    if solver not in ("exact", "gdm"):
-        raise ParameterError("solver must be 'exact' or 'gdm', got %r" % solver)
     # the problem checks the coded image's shape before any initializer reads it
     problem = FidelityProblem.from_coded_image(op, coded, gamma=schedule.gamma[0])
     coded = np.asarray(coded, dtype=np.float64)
-    zeta = np.zeros_like(schedule.zeta) if mode == "hqs" else schedule.zeta
 
     z = np.asarray(initializer.initialize(coded, op), dtype=np.float64)
     if z.shape != (op.height, op.width, op.n_bands):
@@ -443,7 +444,7 @@ def reconstruct(
         )
     beta = np.zeros_like(z)
     anchor = empty_cube(op)  # holds z - beta; the solve transforms it without a copy
-    lipschitz = lipschitz_bound(op) if solver == "gdm" else 0.0
+    lipschitz = 0.0 if gdm_iters is None else lipschitz_bound(op)
 
     records: list[StageTrace] = []
 
@@ -461,14 +462,14 @@ def reconstruct(
                 gamma = schedule.gamma[k]
                 prob_k = problem.with_gamma(gamma)
                 np.subtract(z, beta, out=anchor)
-                if solver == "exact":
+                if gdm_iters is None:
                     i_next = fidelity_solve(prob_k, anchor)
                 else:
                     i_next = gdm_fidelity_step(
                         prob_k, anchor, z, step=1.0 / (lipschitz + gamma), iters=gdm_iters
                     )
                 z_next = denoiser.denoise(i_next + beta, schedule.sigma_tilde[k])
-                beta += zeta[k] * (i_next - z_next)
+                beta += schedule.zeta[k] * (i_next - z_next)
                 if trace:
                     records.append(
                         StageTrace(
@@ -483,7 +484,7 @@ def reconstruct(
     except FloatingPointError as exc:
         raise DivergenceError(
             "stage %d of %d diverged (%s) at zeta %g, gamma %g"
-            % (k + 2, schedule.n_stages, exc, zeta[k], schedule.gamma[k])
+            % (k + 2, schedule.n_stages, exc, schedule.zeta[k], schedule.gamma[k])
         ) from None
 
     return ReconstructionResult(cube=z, trace=records)
@@ -492,15 +493,11 @@ def reconstruct(
 # registries used by the CLI and config parsing
 
 DENOISERS = {
-    "identity": IdentityDenoiser,
-    "gaussian": GaussianDenoiser,
-    "tv": TotalVariationDenoiser,
-    "quadratic": QuadraticDenoiser,
+    cls.name: cls
+    for cls in (IdentityDenoiser, GaussianDenoiser, TotalVariationDenoiser, QuadraticDenoiser)
 }
 
 INITIALIZERS = {
-    "zero": ZeroInitializer,
-    "rand": RandInitializer,
-    "mean": MeanInitializer,
-    "adjoint": AdjointInitializer,
+    cls.name: cls
+    for cls in (ZeroInitializer, RandInitializer, MeanInitializer, AdjointInitializer)
 }

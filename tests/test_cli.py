@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from snapspec import load_tensor, save_response_csv, save_tensor
+from snapspec import FrequencyOperator, load_tensor, save_response_csv, save_tensor
+from snapspec import cli
 from snapspec.cli import build_parser, main
+from snapspec.unfolding import DENOISERS, INITIALIZERS
 
 COMMANDS = ("simulate", "reconstruct", "evaluate", "bench", "oracle-check")
 
@@ -314,6 +316,45 @@ def test_spec_checked_before_files_are_read(tmp_path, capsys, spec, code):
     assert ("valid: gaussian, identity, quadratic, tv" if code == 1 else "iters") in err
 
 
+# every registered strategy is built from its spec through its declared
+# params: key -> (constructor argument, type)
+
+_STRATEGIES = [("--denoiser", cls) for cls in DENOISERS.values()] + \
+    [("--init", cls) for cls in INITIALIZERS.values()]
+_STRATEGY_PARSERS = {"--denoiser": cli.parse_denoiser_spec, "--init": cli.parse_init_spec}
+_SPEC_SAMPLES = {float: ("0.02", 0.02), int: ("12", 12)}
+
+
+@pytest.mark.parametrize("flag, cls", _STRATEGIES, ids=lambda v: getattr(v, "name", v))
+def test_bare_strategy_name_builds_default(flag, cls):
+    built = _STRATEGY_PARSERS[flag](cls.name)
+    assert type(built) is cls
+    assert vars(built) == vars(cls())
+
+
+@pytest.mark.parametrize("flag, cls, key", [
+    (flag, cls, key) for flag, cls in _STRATEGIES for key in cls.params
+], ids=lambda v: getattr(v, "name", v))
+def test_strategy_spec_key_reaches_constructor(flag, cls, key):
+    arg, kind = cls.params[key]
+    text, value = _SPEC_SAMPLES[kind]
+    built = _STRATEGY_PARSERS[flag]("%s:%s=%s" % (cls.name, key, text))
+    assert getattr(built, arg) == value
+    assert type(getattr(built, arg)) is kind
+
+
+@pytest.mark.parametrize("flag, cls", _STRATEGIES, ids=lambda v: getattr(v, "name", v))
+def test_unknown_strategy_key_exit_2_naming_valid_keys(tmp_path, capsys, flag, cls):
+    missing = str(tmp_path / "missing.htns")
+    assert _exit_code([
+        "reconstruct", "--coded", missing, "--psf", missing, "--response", missing,
+        "--out", str(tmp_path / "r.htns"), flag, cls.name + ":bogus=1",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'bogus'" in err
+    assert "valid keys: %s" % (", ".join(sorted(cls.params)) or "none") in err
+
+
 def test_usage_error_unknown_initializer(tmp_path):
     psf, resp = _write_random_system(tmp_path)
     cube_path, _ = _write_cube(tmp_path)
@@ -355,6 +396,7 @@ def test_validation_error_exit_2(tmp_path):
     ["evaluate", "--crop=-1"],
     ["bench", "--sizes=100000"],
     ["bench", "--sizes=2"],
+    ["bench", "--sizes=3"],
     ["bench", "--sizes=8,100000"],
     ["bench", "--sizes=,"],
     ["bench", "--bands=0"],
@@ -628,17 +670,19 @@ def test_oracle_check_zero_trials_warns(capsys):
     assert "vacuous" in capsys.readouterr().out
 
 
-def test_oracle_check_detects_injected_bug(capsys):
-    code = main(["oracle-check", "--trials", "2", "--inject-conjugate-bug"])
+def test_oracle_check_detects_injected_bug(capsys, monkeypatch):
+    build = cli.build_frequency_operator
+
+    def conjugated(system, height, width):
+        op = build(system, height, width)
+        return FrequencyOperator(response=op.response, transfer=np.conj(op.transfer),
+                                 height=op.height, width=op.width)
+
+    monkeypatch.setattr(cli, "build_frequency_operator", conjugated)
+    code = main(["oracle-check", "--trials", "2"])
     assert code == 4
     captured = capsys.readouterr()
     assert "FAIL" in captured.out or "FAIL" in captured.err
-
-
-def test_inject_flag_hidden_from_help(capsys):
-    with pytest.raises(SystemExit):
-        main(["oracle-check", "--help"])
-    assert "inject" not in capsys.readouterr().out
 
 
 # bench

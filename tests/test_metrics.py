@@ -194,6 +194,13 @@ def test_evaluate_overcrop_rejected():
         evaluate(x, x, crop=-1)
 
 
+@pytest.mark.parametrize("shape", [(5,), (16, 16), (16, 16, 2, 2)], ids=["1d", "2d", "4d"])
+def test_evaluate_rejects_non_cube_pairs(shape):
+    x = np.zeros(shape)
+    with pytest.raises(DimensionError, match="cubes"):
+        evaluate(x, x, crop=0)
+
+
 def test_report_json_keys_and_degrees():
     report = MetricReport(psnr_db=30.0, sam_rad=np.pi / 6, ssim=0.9, crop=20)
     payload = json.loads(report.to_json())
