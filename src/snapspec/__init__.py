@@ -40,13 +40,7 @@ from .optics import (
     embed_kernel,
     forward_encode,
 )
-from .oracle import (
-    DenseSystem,
-    unvec_cube,
-    unvec_image,
-    vec_cube,
-    vec_image,
-)
+from .oracle import DenseSystem, unvec_cube, vec_cube
 from .synth import (
     band_wavelengths,
     rgb_response,
@@ -69,7 +63,6 @@ from .unfolding import (
     StageTrace,
     TotalVariationDenoiser,
     ZeroInitializer,
-    default_gamma_schedule,
     reconstruct,
     tv_denoise,
 )
@@ -110,7 +103,6 @@ __all__ = [
     "band_wavelengths",
     "block_inverse_3x3",
     "build_frequency_operator",
-    "default_gamma_schedule",
     "embed_kernel",
     "evaluate",
     "fidelity_solve",
@@ -134,7 +126,5 @@ __all__ = [
     "synthetic_system",
     "tv_denoise",
     "unvec_cube",
-    "unvec_image",
     "vec_cube",
-    "vec_image",
 ]

@@ -118,6 +118,15 @@ def _conv_choice(*choices):
     return conv
 
 
+def _convert(conv, text: str, where: str):
+    """conv(text), with a conversion error prefixed by ``where``: a flag, or
+    a spec and the key the value belongs to."""
+    try:
+        return conv(text)
+    except ValidationError as exc:
+        raise ValidationError("%s: %s" % (where, exc)) from None
+
+
 class Key:
     """One config entry: name, converter, default, help text, and for a
     numeric key its domain [lo, hi], or (lo, hi] with ``lo_open``; hi=None
@@ -148,20 +157,6 @@ class Key:
         hi = "inf)" if self.hi is None else "%s]" % self.hi
         return "%s%s, %s" % ("(" if self.lo_open else "[", self.lo, hi)
 
-    def admits(self, value) -> bool:
-        if not self.listed:
-            return self._in_domain(value)
-        try:
-            self.parse(value)
-        except ValidationError:
-            return False
-        return True
-
-    def _in_domain(self, value) -> bool:
-        if self.lo is not None and (value <= self.lo if self.lo_open else value < self.lo):
-            return False
-        return self.hi is None or value <= self.hi
-
     def parse(self, text: str):
         """Convert ``text`` and check it against the domain; errors name the
         flag.  A listed key returns its entries rejoined, empty ones dropped."""
@@ -173,11 +168,9 @@ class Key:
         return ",".join(map(str, entries))
 
     def _parse_entry(self, text: str):
-        try:
-            value = self.conv(text)
-        except ValidationError as exc:
-            raise ValidationError("%s: %s" % (self.flag, exc)) from None
-        if not self._in_domain(value):
+        value = _convert(self.conv, text, self.flag)
+        below = self.lo is not None and (value <= self.lo if self.lo_open else value < self.lo)
+        if below or (self.hi is not None and value > self.hi):
             raise ValidationError("%s: must be in %s, got %r" % (self.flag, self.domain, value))
         return value
 
@@ -296,7 +289,10 @@ def _parse_kv_args(text: str, what: str) -> dict[str, str]:
         if "=" not in item:
             raise ValidationError("%s: expected key=value, got %r" % (what, item))
         name, _, value = item.partition("=")
-        out[name.strip()] = value.strip()
+        name = name.strip()
+        if name in out:
+            raise ValidationError("%s: key %r given more than once" % (what, name))
+        out[name] = value.strip()
     return out
 
 
@@ -311,9 +307,9 @@ def parse_noise_spec(spec: str, seed: int) -> NoiseModel:
     bits = 0
     for name, value in pairs.items():
         if name == "gaussian":
-            sigma = _conv_float(value)
+            sigma = _convert(_conv_float, value, "noise spec: gaussian")
         elif name == "poisson_bits":
-            bits = _conv_int(value)
+            bits = _convert(_conv_int, value, "noise spec: poisson_bits")
         else:
             raise ValidationError(
                 "noise spec: unknown key %r (valid: gaussian, poisson_bits)" % name
@@ -340,7 +336,7 @@ def _parse_strategy_spec(spec: str, registry: dict, what: str):
             raise ValidationError("%s %r: unknown key %r (valid keys: %s)" % (
                 what, name, key, ", ".join(sorted(cls.params)) or "none"))
         arg, kind = cls.params[key]
-        kwargs[arg] = _SPEC_CONVERTERS[kind](value)
+        kwargs[arg] = _convert(_SPEC_CONVERTERS[kind], value, "%s %r: %s" % (what, name, key))
     return cls(**kwargs)
 
 
@@ -354,21 +350,20 @@ def parse_init_spec(spec: str):
     return _parse_strategy_spec(spec, INITIALIZERS, "initializer")
 
 
-def parse_schedule_spec(spec: str, n_stages: int, prior_weight: float,
-                        zeta: float) -> StageSchedule:
-    """'geometric:GAMMA0,RATIO' or 'constant:GAMMA'."""
+def parse_schedule_spec(spec: str, n_stages: int) -> np.ndarray:
+    """'geometric:GAMMA0,RATIO' or 'constant:GAMMA' -> one anchor weight per stage."""
     name, _, rest = spec.partition(":")
     if name == "geometric":
         parts = rest.split(",") if rest else []
         if len(parts) != 2:
             raise ValidationError("geometric schedule needs GAMMA0,RATIO, got %r" % rest)
-        return StageSchedule.geometric(
-            n_stages, _conv_float(parts[0]), _conv_float(parts[1]), prior_weight, zeta
-        )
+        gamma0 = _convert(_conv_float, parts[0], "GAMMA0")
+        ratio = _convert(_conv_float, parts[1], "RATIO")
+        return StageSchedule.geometric(n_stages, gamma0, ratio).gamma
     if name == "constant":
         if not rest or "," in rest:
             raise ValidationError("constant schedule needs a single GAMMA, got %r" % rest)
-        return StageSchedule.constant(n_stages, _conv_float(rest), prior_weight, zeta)
+        return StageSchedule.constant(n_stages, _convert(_conv_float, rest, "GAMMA")).gamma
     raise ValidationError(
         "unknown schedule %r; valid: geometric:GAMMA0,RATIO, constant:GAMMA" % name
     )
@@ -478,12 +473,14 @@ def _cmd_reconstruct(config: dict) -> int:
     gdm_iters = config["gdm_iters"] if config["method"] == "gdm" else None
     # spec strings first, so that a usage error comes before an I/O error
     try:
-        schedule = parse_schedule_spec(
-            config["gamma_schedule"], config["stages"], config["prior_weight"], zeta
-        )
-    except ParameterError as exc:
+        gamma = parse_schedule_spec(config["gamma_schedule"], config["stages"])
+    except (ParameterError, ValidationError) as exc:
         raise ParameterError("--gamma-schedule %s with --stages %d: %s"
                              % (config["gamma_schedule"], config["stages"], exc)) from None
+    try:
+        schedule = StageSchedule.from_gammas(gamma, config["prior_weight"], zeta)
+    except ParameterError as exc:
+        raise ParameterError("--prior-weight %g: %s" % (config["prior_weight"], exc)) from None
     denoiser = parse_denoiser_spec(config["denoiser"])
     initializer = parse_init_spec(config["init"])
     coded = _load_cube(config["coded"])
@@ -574,12 +571,12 @@ _BENCH_KEYS = [
     Key("repeats", _conv_int, 3, "median-of-N repeats per timing", lo=1, hi=1000),
     Key("seed", _conv_int, 0, "instance RNG seed", lo=0),
     Key("out", _conv_str, "", "optional CSV path (default: stdout)"),
-    Key("matched_tol", _conv_float, 1e-6,
-        "relative objective gap defining 'matched accuracy' for the GDM row",
-        lo=0.0, lo_open=True),
-    Key("matched_cap", _conv_int, 20000, "iteration cap for the matched-GDM row",
-        lo=1, hi=1_000_000),
 ]
+
+# the matched-GDM row's relative objective gap and iteration cap: the bound
+# of the gate that the analytical solve beats matched GDM at extent 512
+MATCHED_TOL = 1e-6
+MATCHED_CAP = 20000
 
 
 def _median_time(fn, repeats: int) -> float:
@@ -621,18 +618,18 @@ def _cmd_bench(config: dict) -> int:
             rows.append((size, bands, "gdm10", t_gdm10, ""))
 
             # one matched-accuracy GDM run: iterate until the subproblem
-            # objective is within matched_tol of the closed-form optimum
+            # objective is within MATCHED_TOL of the closed-form optimum
             exact = fidelity_solve(prob, anchor)
             target = subproblem_objective(prob, exact, anchor)
             start = time.perf_counter()
             x = np.array(anchor, copy=True)
             iters_done = 0
             chunk = 50
-            while iters_done < config["matched_cap"]:
+            while iters_done < MATCHED_CAP:
                 x = gdm_fidelity_step(prob, anchor, x, step, chunk)
                 iters_done += chunk
                 gap = subproblem_objective(prob, x, anchor) - target
-                if gap <= config["matched_tol"] * max(1.0, abs(target)):
+                if gap <= MATCHED_TOL * max(1.0, abs(target)):
                     break
             t_matched = time.perf_counter() - start
             rows.append((size, bands, "gdm_matched", t_matched, "iters=%d" % iters_done))

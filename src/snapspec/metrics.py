@@ -34,15 +34,14 @@ def _check_pair(x: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return x, ref
 
 
-def psnr(x: np.ndarray, ref: np.ndarray, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB over all voxels, capped at 100 dB."""
+def psnr(x: np.ndarray, ref: np.ndarray) -> float:
+    """Peak signal-to-noise ratio in dB over all voxels for peak 1, capped at
+    100 dB."""
     x, ref = _check_pair(x, ref)
-    if not peak > 0:
-        raise ParameterError("peak must be positive, got %r" % peak)
     mse = float(np.mean((x - ref) ** 2))
-    if mse < 1e-10 * peak**2:
+    if mse < 1e-10:
         return PSNR_CAP_DB
-    return 10.0 * float(np.log10(peak**2 / mse))
+    return 10.0 * float(np.log10(1.0 / mse))
 
 
 def sam(x: np.ndarray, ref: np.ndarray) -> float:
@@ -72,18 +71,16 @@ def _ssim_window() -> np.ndarray:
     return win / win.sum()
 
 
-def ssim(x: np.ndarray, ref: np.ndarray, peak: float = 1.0) -> float:
-    """Mean structural similarity, computed per band and averaged.
+def ssim(x: np.ndarray, ref: np.ndarray) -> float:
+    """Mean structural similarity of two (H, W, bands) cubes, computed per
+    band and averaged.
 
-    Single-scale SSIM with an 11 x 11 Gaussian window (sigma 1.5) and
-    stability constants (0.01 peak)^2 and (0.03 peak)^2.  Local statistics
-    use only fully-supported windows, so both spatial extents must be at
-    least the window size.
+    Single-scale SSIM with an 11 x 11 Gaussian window (sigma 1.5) and, for
+    peak 1, stability constants 0.01^2 and 0.03^2.  Local statistics use
+    only fully-supported windows, so both spatial extents must be at least
+    the window size.
     """
     x, ref = _check_pair(x, ref)
-    if x.ndim == 2:
-        x = x[:, :, None]
-        ref = ref[:, :, None]
     if x.ndim != 3:
         raise DimensionError("expected (H, W, bands) cubes, got shape %r" % (x.shape,))
     if x.shape[0] < SSIM_WINDOW or x.shape[1] < SSIM_WINDOW:
@@ -91,11 +88,9 @@ def ssim(x: np.ndarray, ref: np.ndarray, peak: float = 1.0) -> float:
             "image extent %r smaller than the %d-pixel window"
             % (x.shape[:2], SSIM_WINDOW)
         )
-    if not peak > 0:
-        raise ParameterError("peak must be positive, got %r" % peak)
     win = _ssim_window()
-    c1 = (0.01 * peak) ** 2
-    c2 = (0.03 * peak) ** 2
+    c1 = 0.01**2
+    c2 = 0.03**2
 
     def local_mean(img: np.ndarray) -> np.ndarray:
         return signal.fftconvolve(img, win, mode="valid")

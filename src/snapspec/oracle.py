@@ -25,21 +25,13 @@ MAX_DENSE_UNKNOWNS = 4096
 
 
 def vec_cube(cube: np.ndarray) -> np.ndarray:
-    """Flatten (H, W, N) to length nN, band index slowest."""
+    """Flatten (H, W, N) to length nN, band index slowest; an (H, W, 3)
+    image is the depth-3 case, channel index slowest."""
     return np.asarray(cube).transpose(2, 0, 1).reshape(-1)
 
 
 def unvec_cube(v: np.ndarray, height: int, width: int, n_bands: int) -> np.ndarray:
     return np.asarray(v).reshape(n_bands, height, width).transpose(1, 2, 0)
-
-
-def vec_image(image: np.ndarray) -> np.ndarray:
-    """Flatten (H, W, 3) to length 3n, channel index slowest."""
-    return np.asarray(image).transpose(2, 0, 1).reshape(-1)
-
-
-def unvec_image(v: np.ndarray, height: int, width: int) -> np.ndarray:
-    return np.asarray(v).reshape(3, height, width).transpose(1, 2, 0)
 
 
 def _circulant_block(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -92,11 +84,11 @@ class DenseSystem:
 
     def forward(self, cube: np.ndarray) -> np.ndarray:
         self._check_cube(cube)
-        return unvec_image(self.phi @ vec_cube(cube), self.height, self.width)
+        return unvec_cube(self.phi @ vec_cube(cube), self.height, self.width, 3)
 
     def adjoint(self, image: np.ndarray) -> np.ndarray:
         self._check_image(image)
-        return unvec_cube(self.phi.T @ vec_image(image), self.height, self.width, self.n_bands)
+        return unvec_cube(self.phi.T @ vec_cube(image), self.height, self.width, self.n_bands)
 
     def ridge_solve(self, coded: np.ndarray, anchor: np.ndarray, gamma: float) -> np.ndarray:
         """Minimize 1/2 ||Phi x - j||^2 + gamma/2 ||x - t||^2 by dense Cholesky."""
@@ -105,7 +97,7 @@ class DenseSystem:
         self._check_image(coded)
         self._check_cube(anchor)
         normal = self.phi.T @ self.phi + gamma * np.eye(self.phi.shape[1])
-        rhs = self.phi.T @ vec_image(coded) + gamma * vec_cube(anchor)
+        rhs = self.phi.T @ vec_cube(coded) + gamma * vec_cube(anchor)
         x = cho_solve(cho_factor(normal), rhs)
         return unvec_cube(x, self.height, self.width, self.n_bands)
 
@@ -118,7 +110,7 @@ class DenseSystem:
             raise ParameterError("weight must be >= 0, got %r" % weight)
         if weight == 0:
             self._check_image(coded)
-            x, *_ = np.linalg.lstsq(self.phi, vec_image(coded), rcond=None)
+            x, *_ = np.linalg.lstsq(self.phi, vec_cube(coded), rcond=None)
             return unvec_cube(x, self.height, self.width, self.n_bands)
         return self.ridge_solve(
             coded, np.zeros((self.height, self.width, self.n_bands)), weight

@@ -67,31 +67,27 @@ def rotating_psf_stack(n_bands: int, kernel_size: int, radius: float | None = No
     return stack
 
 
-def band_wavelengths(n_bands: int, start: float = 450.0, stop: float = 650.0) -> np.ndarray:
-    """Evenly spaced band-center wavelengths in nanometers."""
+def band_wavelengths(n_bands: int) -> np.ndarray:
+    """Evenly spaced band-center wavelengths from 450 to 650 nanometers."""
     if n_bands < 1:
         raise ParameterError("n_bands must be >= 1")
-    if not stop > start:
-        raise ParameterError("need stop > start wavelengths")
-    return np.linspace(start, stop, n_bands)
+    return np.linspace(450.0, 650.0, n_bands)
 
 
-def rgb_response(n_bands: int, baseline: float = 0.02) -> np.ndarray:
+def rgb_response(n_bands: int) -> np.ndarray:
     """Overlapping non-negative response curves, rows ordered r, g, b.
 
     Gaussian bumps centered at 3/4, 1/2, and 1/4 of the band axis with a
-    small flat baseline so every band reaches every channel, which keeps
+    flat baseline of 0.02 so every band reaches every channel, which keeps
     synthetic systems well-conditioned.  Shape (3, n_bands).
     """
     if n_bands < 1:
         raise ParameterError("n_bands must be >= 1")
-    if baseline < 0:
-        raise ParameterError("baseline must be >= 0")
     pos = np.linspace(0.0, 1.0, n_bands) if n_bands > 1 else np.array([0.5])
     width = 0.18
     centers = np.array([0.75, 0.5, 0.25])
     response = np.exp(-((pos[None, :] - centers[:, None]) ** 2) / (2.0 * width**2))
-    return response + baseline
+    return response + 0.02
 
 
 def synthetic_system(n_bands: int = 8, kernel_size: int = 9) -> OpticalSystem:

@@ -36,33 +36,6 @@ from .fidelity import (
 from .optics import FrequencyOperator, apply_adjoint, apply_forward_frequency, empty_cube
 
 
-def default_gamma_schedule(n_stages: int, gamma0: float = 0.01, ratio: float = 4.0) -> np.ndarray:
-    """Geometric penalty ramp gamma0 * ratio**k, one weight per stage.
-
-    Small early weights let the data term pull the iterate around; large
-    late weights lock stages together.  A non-increasing ramp defeats that,
-    so ratio must exceed 1.  The defaults are a starting point, not a tuned
-    setting.
-    """
-    if n_stages < 1:
-        raise ParameterError("n_stages must be >= 1, got %r" % n_stages)
-    if not gamma0 > 0:
-        raise ParameterError("gamma0 must be positive, got %r" % gamma0)
-    if not ratio > 1:
-        raise ParameterError(
-            "schedule ratio must exceed 1 (flat or decaying penalty ramps "
-            "destabilize late stages), got %r" % ratio
-        )
-    with np.errstate(over="ignore"):
-        gamma = gamma0 * ratio ** np.arange(n_stages, dtype=np.float64)
-    if not np.isfinite(gamma[-1]):
-        raise ParameterError(
-            "the ramp gamma0 * ratio**k = %g * %g**k overflows before its last stage %d; "
-            "use fewer stages or a smaller gamma0 or ratio" % (gamma0, ratio, n_stages)
-        )
-    return gamma
-
-
 def _as_stage_array(values, n_stages: int, name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
     if arr.ndim != 1 or arr.shape[0] != n_stages:
@@ -126,12 +99,17 @@ class StageSchedule:
         _check_gammas(gamma)
         if not (np.isfinite(prior_weight) and prior_weight >= 0):
             raise ParameterError("prior_weight must be finite and >= 0, got %r" % prior_weight)
-        if zeta < 0:
-            raise ParameterError("zeta must be >= 0")
+        with np.errstate(over="ignore"):
+            sigma_tilde = np.sqrt(prior_weight / gamma)
+        if not np.all(np.isfinite(sigma_tilde)):
+            raise ParameterError(
+                "sigma_tilde = sqrt(prior_weight / gamma) overflows at gamma %g; "
+                "prior_weight must be smaller, got %r" % (gamma.min(), prior_weight)
+            )
         return cls(
             gamma=gamma,
             zeta=np.full(gamma.shape[0], float(zeta)),
-            sigma_tilde=np.sqrt(prior_weight / gamma),
+            sigma_tilde=sigma_tilde,
         )
 
     @classmethod
@@ -143,9 +121,31 @@ class StageSchedule:
         prior_weight: float = 0.0,
         zeta: float = 1.0,
     ) -> "StageSchedule":
-        return cls.from_gammas(
-            default_gamma_schedule(n_stages, gamma0, ratio), prior_weight, zeta
-        )
+        """Schedule on the geometric penalty ramp gamma0 * ratio**k, one
+        weight per stage.
+
+        Small early weights let the data term pull the iterate around; large
+        late weights lock stages together.  A non-increasing ramp defeats
+        that, so ratio must exceed 1.  The defaults are a starting point, not
+        a tuned setting.
+        """
+        if n_stages < 1:
+            raise ParameterError("n_stages must be >= 1, got %r" % n_stages)
+        if not gamma0 > 0:
+            raise ParameterError("gamma0 must be positive, got %r" % gamma0)
+        if not ratio > 1:
+            raise ParameterError(
+                "schedule ratio must exceed 1 (flat or decaying penalty ramps "
+                "destabilize late stages), got %r" % ratio
+            )
+        with np.errstate(over="ignore"):
+            gamma = gamma0 * ratio ** np.arange(n_stages, dtype=np.float64)
+        if not np.isfinite(gamma[-1]):
+            raise ParameterError(
+                "the ramp gamma0 * ratio**k = %g * %g**k overflows before its last stage %d; "
+                "use fewer stages or a smaller gamma0 or ratio" % (gamma0, ratio, n_stages)
+            )
+        return cls.from_gammas(gamma, prior_weight, zeta)
 
     @classmethod
     def constant(
@@ -290,8 +290,6 @@ def tv_denoise(cube: np.ndarray, weight: float, iters: int) -> np.ndarray:
     iterates are bit for bit those of a whole-array sweep.
     """
     cube = np.ascontiguousarray(cube, dtype=np.float64)
-    if cube.ndim == 2:
-        return tv_denoise(cube[:, :, None], weight, iters)[:, :, 0]
     if cube.ndim != 3:
         raise DimensionError("expected (H, W, bands) cube, got shape %r" % (cube.shape,))
     if not (np.isfinite(weight) and weight >= 0):

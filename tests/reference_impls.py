@@ -123,8 +123,6 @@ def tv_dual_reference(cube: np.ndarray, weight: float, iters: int) -> np.ndarray
     same iteration must match it bit for bit.
     """
     cube = np.asarray(cube, dtype=np.float64)
-    if cube.ndim == 2:
-        return tv_dual_reference(cube[:, :, None], weight, iters)[:, :, 0]
     tau = 0.125
     qh = np.zeros_like(cube)
     qv = np.zeros_like(cube)

@@ -41,18 +41,10 @@ def test_psnr_matches_direct_definition():
     assert abs(psnr(x, y) - psnr_direct(x, y)) < 1e-12
 
 
-def test_psnr_peak_scaling():
-    x = _cube(3)
-    y = x + 0.05
-    assert abs(psnr(2 * y, 2 * x, peak=2.0) - psnr(y, x, peak=1.0)) < 1e-12
-
-
 def test_psnr_validation():
     x = _cube()
     with pytest.raises(DimensionError):
         psnr(x, x[:-1])
-    with pytest.raises(ParameterError):
-        psnr(x, x, peak=0.0)
 
 
 # spectral angle
@@ -159,9 +151,10 @@ def test_ssim_window_size_guard():
         ssim(small, small)
 
 
-def test_ssim_accepts_2d():
-    img = np.random.default_rng(20).uniform(size=(24, 24))
-    assert ssim(img, img) == 1.0
+def test_ssim_rejects_non_cube():
+    image = np.zeros((24, 24))
+    with pytest.raises(DimensionError, match="cubes"):
+        ssim(image, image)
 
 
 # evaluate protocol

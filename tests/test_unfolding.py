@@ -19,7 +19,6 @@ from snapspec import (
     ZeroInitializer,
     apply_adjoint,
     build_frequency_operator,
-    default_gamma_schedule,
     forward_encode,
     psnr,
     reconstruct,
@@ -45,29 +44,29 @@ def _random_system(rng, n_bands, kernel_size):
 
 
 def test_default_gamma_values():
-    got = default_gamma_schedule(5)
+    got = StageSchedule.geometric(5).gamma
     assert np.allclose(got, [0.01, 0.04, 0.16, 0.64, 2.56], rtol=1e-12)
 
 
 def test_default_gamma_single_stage():
-    assert np.allclose(default_gamma_schedule(1), [0.01])
+    assert np.allclose(StageSchedule.geometric(1).gamma, [0.01])
 
 
 def test_default_gamma_strictly_increasing():
     for ratio in (1.5, 2.0, 4.0, 10.0):
-        g = default_gamma_schedule(7, gamma0=0.02, ratio=ratio)
+        g = StageSchedule.geometric(7, gamma0=0.02, ratio=ratio).gamma
         assert np.all(np.diff(g) > 0)
 
 
 def test_default_gamma_validation():
     with pytest.raises(ParameterError):
-        default_gamma_schedule(0)
+        StageSchedule.geometric(0)
     with pytest.raises(ParameterError):
-        default_gamma_schedule(3, gamma0=0.0)
+        StageSchedule.geometric(3, gamma0=0.0)
     with pytest.raises(ParameterError, match="exceed 1"):
-        default_gamma_schedule(3, ratio=1.0)
+        StageSchedule.geometric(3, ratio=1.0)
     with pytest.raises(ParameterError, match="exceed 1"):
-        default_gamma_schedule(3, ratio=0.5)
+        StageSchedule.geometric(3, ratio=0.5)
 
 
 def test_schedule_sigma_tilde_derivation():
@@ -90,6 +89,9 @@ def test_schedule_validation():
         StageSchedule.from_gammas([1.0], prior_weight=-0.1)
     with pytest.raises(ParameterError):
         StageSchedule.from_gammas([1.0], zeta=-1.0)
+    # finite prior weight over a small gamma: sigma_tilde overflows
+    with pytest.raises(ParameterError, match="prior_weight"):
+        StageSchedule.from_gammas([0.01, 1.0], prior_weight=1e308)
     # positive but subnormal: 1/gamma overflows to inf in the fidelity solve
     subnormal = np.array([1.0, 1e-320])
     with pytest.raises(ParameterError, match="gamma"):
@@ -152,7 +154,7 @@ def test_tv_constant_field_unchanged():
 def test_tv_step_edge_analytic():
     # 1-D step of height 1 over 8+8 samples: each plateau moves weight/8 inward
     signal = np.concatenate([np.zeros(8), np.ones(8)])
-    out = tv_denoise(signal[None, :], 0.1, 4000)[0]
+    out = tv_denoise(signal[None, :, None], 0.1, 4000)[0, :, 0]
     assert np.max(np.abs(out[:8] - 0.0125)) < 1e-6
     assert np.max(np.abs(out[8:] - 0.9875)) < 1e-6
 
@@ -163,7 +165,7 @@ def test_tv_matches_dynamic_programming_oracle():
         n = int(rng.integers(6, 17))
         signal = rng.uniform(-1.0, 2.0, size=n)
         lam = float(rng.uniform(0.02, 0.3))
-        dual = tv_denoise(signal[None, :], lam, 6000)[0]
+        dual = tv_denoise(signal[None, :, None], lam, 6000)[0, :, 0]
         ref = tv_prox_1d(signal, lam)
         assert np.max(np.abs(dual - ref)) < 1e-6
 
@@ -177,7 +179,9 @@ def test_tv_bands_processed_independently():
         assert np.array_equal(joint[:, :, b], single[:, :, 0])
 
 
-@pytest.mark.parametrize("shape", [(1, 16, 1), (16, 1, 2), (7, 9, 3), (33, 17, 2), (12, 10)],
+# "12x10" is the single-band 12 x 10 image
+@pytest.mark.parametrize("shape", [(1, 16, 1), (16, 1, 2), (7, 9, 3), (33, 17, 2),
+                                   pytest.param((12, 10, 1), id="12x10")],
                          ids=lambda shape: "x".join(map(str, shape)))
 @pytest.mark.parametrize("weight", [0.01, 0.3])
 @pytest.mark.parametrize("rows", [1, 2, 3, None])
@@ -185,8 +189,7 @@ def test_tv_strips_match_reference(monkeypatch, shape, weight, rows):
     # the strip sweep must give the whole-array iterates bit for bit,
     # whatever the strip height; None keeps the default (one strip here)
     if rows is not None:
-        width_bands = shape[1] * (shape[2] if len(shape) == 3 else 1)
-        monkeypatch.setattr(unfolding, "_TV_STRIP_ELEMENTS", rows * width_bands)
+        monkeypatch.setattr(unfolding, "_TV_STRIP_ELEMENTS", rows * shape[1] * shape[2])
     cube = np.random.default_rng(sum(shape)).standard_normal(shape)
     got = tv_denoise(cube, weight, 25)
     assert np.array_equal(got, tv_dual_reference(cube, weight, 25))
@@ -208,6 +211,8 @@ def test_tv_validation():
         tv_denoise(np.zeros((4, 4, 1)), 0.1, 0)
     with pytest.raises(DimensionError):
         tv_denoise(np.zeros(4), 0.1, 10)
+    with pytest.raises(DimensionError):
+        tv_denoise(np.zeros((4, 4)), 0.1, 10)
     with pytest.raises(ParameterError):
         TotalVariationDenoiser(weight=-1.0)
     with pytest.raises(ParameterError):
