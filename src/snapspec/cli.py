@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import (
     DivergenceError,
+    Domain,
     ParameterError,
     SnapspecError,
     UnknownNameError,
@@ -129,33 +130,22 @@ def _convert(conv, text: str, where: str):
 
 class Key:
     """One config entry: name, converter, default, help text, and for a
-    numeric key its domain [lo, hi], or (lo, hi] with ``lo_open``; hi=None
-    is unbounded.  A ``listed`` key's value is a comma list, and each entry
-    is converted and checked against the domain."""
+    numeric key its Domain.  A ``listed`` key's value is a comma list, and
+    each entry is converted and checked against the domain."""
 
     def __init__(self, name, conv, default, help_text, required=False,
-                 lo=None, hi=None, lo_open=False, listed=False):
+                 domain=None, listed=False):
         self.name = name
         self.conv = conv
         self.default = default
         self.help = help_text
         self.required = required
-        self.lo = lo
-        self.hi = hi
-        self.lo_open = lo_open
+        self.domain = domain
         self.listed = listed
 
     @property
     def flag(self) -> str:
         return "--" + self.name.replace("_", "-")
-
-    @property
-    def domain(self) -> str:
-        """The domain in interval notation, '' for a key without one."""
-        if self.lo is None:
-            return ""
-        hi = "inf)" if self.hi is None else "%s]" % self.hi
-        return "%s%s, %s" % ("(" if self.lo_open else "[", self.lo, hi)
 
     def parse(self, text: str):
         """Convert ``text`` and check it against the domain; errors name the
@@ -169,9 +159,8 @@ class Key:
 
     def _parse_entry(self, text: str):
         value = _convert(self.conv, text, self.flag)
-        below = self.lo is not None and (value <= self.lo if self.lo_open else value < self.lo)
-        if below or (self.hi is not None and value > self.hi):
-            raise ValidationError("%s: must be in %s, got %r" % (self.flag, self.domain, value))
+        if self.domain:
+            self.domain.check(value, self.flag)
         return value
 
 
@@ -185,36 +174,38 @@ def _add_config_flags(sub: argparse.ArgumentParser, keys: list[Key]) -> None:
             sub.add_argument(key.flag, dest=key.name, default=None,
                              action="store_const", const=True, help=key.help)
         else:
-            help_text = key.help + ("; range " + key.domain if key.domain else "")
+            help_text = key.help + ("; range %s" % key.domain if key.domain else "")
             sub.add_argument(key.flag, dest=key.name, default=None,
                              metavar=key.name.upper(), help=help_text)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ValidationError("%s: not UTF-8 text (%s)" % (path, exc)) from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValidationError(
-                "%s:%d: expected key=value, got %r" % (path, lineno, line)
-            )
-        name, _, value = line.partition("=")
-        values[name.strip()] = value.strip()
-    return values
+def _split_pairs(items) -> dict[str, str]:
+    """(where, 'key=value') items -> {key: value}, stripped; a missing '=' or a
+    repeated key raises naming its ``where``, a config file line or a spec."""
+    out: dict[str, str] = {}
+    for where, item in items:
+        name, eq, value = item.partition("=")
+        name = name.strip()
+        if not eq:
+            raise ValidationError("%s: expected key=value, got %r" % (where, item))
+        if name in out:
+            raise ValidationError("%s: key %r given more than once" % (where, name))
+        out[name] = value.strip()
+    return out
 
 
 def _resolve_config(args: argparse.Namespace, keys: list[Key],
                     parser: argparse.ArgumentParser) -> dict:
     file_values: dict[str, str] = {}
     if args.config:
-        file_values = _read_config_file(args.config)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            try:
+                lines = [line.strip() for line in fh.readlines()]
+            except UnicodeDecodeError as exc:
+                raise ValidationError("%s: not UTF-8 text (%s)" % (args.config, exc)) from None
+        file_values = _split_pairs(("%s:%d" % (args.config, lineno), line)
+                                   for lineno, line in enumerate(lines, start=1)
+                                   if line and not line.startswith("#"))
         known = {key.name for key in keys}
         for name in file_values:
             if name not in known:
@@ -281,43 +272,30 @@ def _write_pgm(path: str, image: np.ndarray) -> None:
 # spec-string parsing (noise, denoiser, initializer, schedule)
 
 
-def _parse_kv_args(text: str, what: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    if not text:
-        return out
-    for item in text.split(","):
-        if "=" not in item:
-            raise ValidationError("%s: expected key=value, got %r" % (what, item))
-        name, _, value = item.partition("=")
-        name = name.strip()
-        if name in out:
-            raise ValidationError("%s: key %r given more than once" % (what, name))
-        out[name] = value.strip()
-    return out
+_SPEC_CONVERTERS = {float: _conv_float, int: _conv_int}
+
+
+def _spec_kwargs(params: dict, text: str, what: str, where: str) -> dict:
+    """'KEY=VALUE,...' -> constructor kwargs through ``params``, whose domains the
+    constructor checks; ``what`` names the spec in splitting errors, ``where`` in others."""
+    kwargs = {}
+    for key, value in _split_pairs((what, item) for item in text.split(",") if text).items():
+        if key not in params:
+            raise ValidationError("%s: unknown key %r (valid keys: %s)" % (
+                where, key, ", ".join(sorted(params)) or "none"))
+        arg, kind, _ = params[key]
+        kwargs[arg] = _convert(_SPEC_CONVERTERS[kind], value, "%s: %s" % (where, key))
+    return kwargs
 
 
 def parse_noise_spec(spec: str, seed: int) -> NoiseModel:
-    """'none', 'default', or 'gaussian=SIGMA,poisson_bits=BITS'."""
-    if spec == "none":
-        return NoiseModel(gaussian_sigma=0.0, poisson_bits=0, seed=seed)
+    """'none', 'default', or 'gaussian=SIGMA,poisson_bits=BITS'; a key left
+    out is off."""
     if spec == "default":
         return NoiseModel(seed=seed)
-    pairs = _parse_kv_args(spec, "noise spec")
-    sigma = 0.0
-    bits = 0
-    for name, value in pairs.items():
-        if name == "gaussian":
-            sigma = _convert(_conv_float, value, "noise spec: gaussian")
-        elif name == "poisson_bits":
-            bits = _convert(_conv_int, value, "noise spec: poisson_bits")
-        else:
-            raise ValidationError(
-                "noise spec: unknown key %r (valid: gaussian, poisson_bits)" % name
-            )
-    return NoiseModel(gaussian_sigma=sigma, poisson_bits=bits, seed=seed)
-
-
-_SPEC_CONVERTERS = {float: _conv_float, int: _conv_int}
+    kwargs = _spec_kwargs(NoiseModel.params, "" if spec == "none" else spec,
+                          "noise spec", "noise spec")
+    return NoiseModel(**{"gaussian_sigma": 0.0, "poisson_bits": 0, **kwargs}, seed=seed)
 
 
 def _parse_strategy_spec(spec: str, registry: dict, what: str):
@@ -330,14 +308,7 @@ def _parse_strategy_spec(spec: str, registry: dict, what: str):
             "unknown %s %r; valid: %s" % (what, name, ", ".join(sorted(registry)))
         )
     cls = registry[name]
-    kwargs = {}
-    for key, value in _parse_kv_args(rest, what + " spec").items():
-        if key not in cls.params:
-            raise ValidationError("%s %r: unknown key %r (valid keys: %s)" % (
-                what, name, key, ", ".join(sorted(cls.params)) or "none"))
-        arg, kind = cls.params[key]
-        kwargs[arg] = _convert(_SPEC_CONVERTERS[kind], value, "%s %r: %s" % (what, name, key))
-    return cls(**kwargs)
+    return cls(**_spec_kwargs(cls.params, rest, what + " spec", "%s %r" % (what, name)))
 
 
 def parse_denoiser_spec(spec: str):
@@ -396,7 +367,7 @@ _SIMULATE_KEYS = [
         "convolution boundary handling; reconstruct inverts only circular"),
     Key("noise", _conv_str, "default",
         "'none', 'default' (gaussian=7e-5,poisson_bits=14), or explicit spec"),
-    Key("seed", _conv_int, 0, "noise RNG seed", lo=0),
+    Key("seed", _conv_int, 0, "noise RNG seed", domain=Domain(0)),
     Key("export_pgm", _conv_str, "", "optional 8-bit grayscale preview path"),
 ]
 
@@ -426,7 +397,7 @@ _RECONSTRUCT_KEYS = [
     Key("response", _conv_str, "", "spectral response CSV", required=True),
     Key("out", _conv_str, "", "output reconstructed cube (.htns)", required=True),
     Key("stages", _conv_int, 7, "stage count K (K=1 returns the initialization)",
-        lo=1, hi=1000),
+        domain=Domain(1, 1000)),
     Key("method", _conv_choice("admm", "hqs", "gdm"), "admm",
         "admm, hqs (no multipliers), or gdm (gradient-descent fidelity baseline)"),
     Key("gamma_schedule", _conv_str, "geometric:0.01,4",
@@ -435,10 +406,10 @@ _RECONSTRUCT_KEYS = [
         "identity | gaussian[:std=S] | tv[:lambda=L,iters=N] | quadratic"),
     Key("init", _conv_str, "mean", "zero | rand[:seed=N] | mean | adjoint"),
     Key("prior_weight", _conv_float, 0.0,
-        "prior weight sigma; denoiser noise level is sqrt(sigma/gamma)", lo=0.0),
-    Key("zeta", _conv_float, 1.0, "multiplier update rate (ignored by hqs)", lo=0.0),
+        "prior weight sigma; denoiser noise level is sqrt(sigma/gamma)", domain=Domain(0.0)),
+    Key("zeta", _conv_float, 1.0, "multiplier update rate (ignored by hqs)", domain=Domain(0.0)),
     Key("gdm_iters", _conv_int, 10, "inner gradient steps when method=gdm",
-        lo=0, hi=10_000),
+        domain=Domain(0, 10_000)),
     Key("trace", _conv_bool, False, "also write per-stage trace CSV next to the output"),
     Key("export_pgm", _conv_str, "", "optional band-mean preview path"),
 ]
@@ -474,7 +445,7 @@ def _cmd_reconstruct(config: dict) -> int:
     # spec strings first, so that a usage error comes before an I/O error
     try:
         gamma = parse_schedule_spec(config["gamma_schedule"], config["stages"])
-    except (ParameterError, ValidationError) as exc:
+    except ValidationError as exc:
         raise ParameterError("--gamma-schedule %s with --stages %d: %s"
                              % (config["gamma_schedule"], config["stages"], exc)) from None
     try:
@@ -527,7 +498,7 @@ def _cmd_reconstruct(config: dict) -> int:
 _EVALUATE_KEYS = [
     Key("recon", _conv_str, "", "reconstructed cube (.htns)", required=True),
     Key("gt", _conv_str, "", "ground-truth cube (.htns)", required=True),
-    Key("crop", _conv_int, 20, "pixels cropped per edge before measuring", lo=0),
+    Key("crop", _conv_int, 20, "pixels cropped per edge before measuring", domain=Domain(0)),
     Key("out_json", _conv_str, "", "optional path for the JSON report line"),
     Key("rmse_csv", _conv_str, "", "optional per-pixel RMSE map CSV (cropped region)"),
 ]
@@ -536,7 +507,13 @@ _EVALUATE_KEYS = [
 def _cmd_evaluate(config: dict) -> int:
     recon = _load_cube(config["recon"])
     gt = _load_cube(config["gt"])
-    report = evaluate_metrics(recon, gt, crop=config["crop"])
+    # an overflowing metric means nothing, and its inf or nan is not JSON
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            report = evaluate_metrics(recon, gt, crop=config["crop"])
+    except FloatingPointError as exc:
+        raise ValidationError("--recon %s against --gt %s: too large to measure (%s)"
+                              % (config["recon"], config["gt"], exc)) from None
     line = report.to_json()
     print(line)
     print(
@@ -564,12 +541,12 @@ def _cmd_evaluate(config: dict) -> int:
 
 _BENCH_KEYS = [
     Key("sizes", _conv_int, "8,64,512", "comma list of square image extents",
-        lo=4, hi=1024, listed=True),
-    Key("bands", _conv_int, "8", "comma list of band counts", lo=1, hi=64, listed=True),
+        domain=Domain(4, 1024), listed=True),
+    Key("bands", _conv_int, "8", "comma list of band counts", domain=Domain(1, 64), listed=True),
     Key("gamma", _conv_float, 0.5, "anchor weight used in timed solves",
-        lo=0.0, lo_open=True),
-    Key("repeats", _conv_int, 3, "median-of-N repeats per timing", lo=1, hi=1000),
-    Key("seed", _conv_int, 0, "instance RNG seed", lo=0),
+        domain=Domain(0.0, lo_open=True)),
+    Key("repeats", _conv_int, 3, "median-of-N repeats per timing", domain=Domain(1, 1000)),
+    Key("seed", _conv_int, 0, "instance RNG seed", domain=Domain(0)),
     Key("out", _conv_str, "", "optional CSV path (default: stdout)"),
 ]
 
@@ -671,9 +648,9 @@ def _cmd_bench(config: dict) -> int:
 
 
 _ORACLE_KEYS = [
-    Key("seed", _conv_int, 0, "trial RNG seed", lo=0),
+    Key("seed", _conv_int, 0, "trial RNG seed", domain=Domain(0)),
     Key("trials", _conv_int, 20, "number of random instances (0 = vacuous pass)",
-        lo=0, hi=10_000),
+        domain=Domain(0, 10_000)),
 ]
 
 

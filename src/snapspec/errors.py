@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the numeric Domain."""
+
+import math
+from dataclasses import dataclass
 
 
 class SnapspecError(Exception):
@@ -21,7 +24,7 @@ class DimensionError(SnapspecError):
     """Array shapes are inconsistent with each other or with an operator."""
 
 
-class ParameterError(SnapspecError):
+class ParameterError(ValidationError):
     """A numeric parameter is outside its admissible range."""
 
 
@@ -35,3 +38,31 @@ class SingularPivotError(SnapspecError):
 
 class DegenerateMetricError(SnapspecError):
     """A metric is undefined for the given inputs (e.g. all-zero spectra)."""
+
+
+@dataclass(frozen=True)
+class Domain:
+    """A numeric range [lo, hi], or (lo, hi] with ``lo_open``; hi None is
+    unbounded.  inf and nan lie outside every domain."""
+
+    lo: float
+    hi: float | None = None
+    lo_open: bool = False
+
+    def __str__(self) -> str:
+        return "%s%s, %s" % ("(" if self.lo_open else "[", self.lo,
+                             "inf)" if self.hi is None else "%s]" % self.hi)
+
+    def check(self, value, where: str) -> None:
+        """Raise ParameterError naming ``where`` unless ``value`` lies inside.
+        Only comparisons: an int of any size is compared exactly."""
+        above = value == math.inf if self.hi is None else not value <= self.hi
+        if above or not (self.lo < value if self.lo_open else self.lo <= value):
+            raise ParameterError("%s: must be in %s, got %r" % (where, self, value))
+
+
+def check_params(owner, where: str, **args) -> None:
+    """Check constructor arguments against the domains that ``owner.params``
+    declares, key -> (argument, type, Domain); a breach names ``where`` and the key."""
+    for key, (arg, _, domain) in owner.params.items():
+        domain.check(args[arg], "%s: %s" % (where, key))

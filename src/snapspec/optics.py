@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, Domain, ParameterError, ValidationError, check_params
 
 PSF_SUM_TOL = 1e-9
 
@@ -134,20 +134,21 @@ class NoiseModel:
     counts, followed by additive Gaussian read noise.
 
     ``poisson_bits = 0`` disables the Poisson stage; otherwise the bit depth
-    must lie in [8, 16].  Sampling is deterministic per ``seed``.
+    must lie in [8, 16].  A read noise above the unit peak is no sensor's, so
+    ``gaussian_sigma`` lies in [0, 1].  Sampling is deterministic per ``seed``.
     """
 
     gaussian_sigma: float = DEFAULT_GAUSSIAN_SIGMA
     poisson_bits: int = DEFAULT_POISSON_BITS
     seed: int = 0
+    params = {"gaussian": ("gaussian_sigma", float, Domain(0.0, 1.0)),
+              "poisson_bits": ("poisson_bits", int, Domain(0, 16))}
 
     def __post_init__(self):
-        if not (np.isfinite(self.gaussian_sigma) and self.gaussian_sigma >= 0):
-            raise ValidationError(
-                "gaussian_sigma must be finite and >= 0, got %r" % self.gaussian_sigma
-            )
-        if self.poisson_bits != 0 and not 8 <= self.poisson_bits <= 16:
-            raise ValidationError("poisson_bits must be 0 or in [8, 16]")
+        check_params(self, "noise spec", **vars(self))
+        if 0 < self.poisson_bits < 8:
+            raise ParameterError("noise spec: poisson_bits: must be 0 (off) or in [8, 16], "
+                                 "got %r" % self.poisson_bits)
 
 
 def embed_kernel(kernel: np.ndarray, height: int, width: int) -> np.ndarray:

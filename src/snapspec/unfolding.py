@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import DimensionError, DivergenceError, ParameterError
+from .errors import DimensionError, DivergenceError, Domain, ParameterError, check_params
 from .fidelity import (
     FidelityProblem,
     fidelity_solve,
@@ -165,11 +165,11 @@ class Denoiser(ABC):
 
     ``noise_level`` is the schedule's sigma_tilde for the current stage;
     denoisers without a noise-level parameter ignore it.  ``params`` maps
-    each spec key to a constructor argument and its type.
+    each spec key to a constructor argument, its type and its Domain.
     """
 
     name: str = "?"
-    params: dict[str, tuple[str, type]] = {}
+    params: dict[str, tuple[str, type, Domain]] = {}
 
     @abstractmethod
     def denoise(self, cube: np.ndarray, noise_level: float) -> np.ndarray: ...
@@ -188,16 +188,13 @@ MAX_GAUSSIAN_STD = 1e4
 
 
 class GaussianDenoiser(Denoiser):
-    """Per-band spatial Gaussian smoothing with a fixed std in pixels,
-    in (0, MAX_GAUSSIAN_STD]."""
+    """Per-band spatial Gaussian smoothing with a fixed std in pixels."""
 
     name = "gaussian"
-    params = {"std": ("spatial_std", float)}
+    params = {"std": ("spatial_std", float, Domain(0.0, MAX_GAUSSIAN_STD, lo_open=True))}
 
     def __init__(self, spatial_std: float = 1.0):
-        if not 0 < spatial_std <= MAX_GAUSSIAN_STD:
-            raise ParameterError("spatial_std must be finite and in (0, %g] px, got %r"
-                                 % (MAX_GAUSSIAN_STD, spatial_std))
+        check_params(self, "denoiser %r" % self.name, spatial_std=spatial_std)
         self.spatial_std = float(spatial_std)
 
     def denoise(self, cube: np.ndarray, noise_level: float) -> np.ndarray:
@@ -210,17 +207,14 @@ MAX_TV_ITERS = 10_000
 
 
 class TotalVariationDenoiser(Denoiser):
-    """Anisotropic total-variation proximal smoothing, band by band, with
-    ``iters`` in [1, MAX_TV_ITERS]."""
+    """Anisotropic total-variation proximal smoothing, band by band."""
 
     name = "tv"
-    params = {"lambda": ("weight", float), "iters": ("iters", int)}
+    params = {"lambda": ("weight", float, Domain(0.0)),
+              "iters": ("iters", int, Domain(1, MAX_TV_ITERS))}
 
     def __init__(self, weight: float = 0.01, iters: int = 30):
-        if not (np.isfinite(weight) and weight >= 0):
-            raise ParameterError("tv weight must be finite and >= 0, got %r" % weight)
-        if not 1 <= iters <= MAX_TV_ITERS:
-            raise ParameterError("tv iters must be in [1, %d], got %r" % (MAX_TV_ITERS, iters))
+        check_params(self, "denoiser %r" % self.name, weight=weight, iters=iters)
         self.weight = float(weight)
         self.iters = int(iters)
 
@@ -292,10 +286,7 @@ def tv_denoise(cube: np.ndarray, weight: float, iters: int) -> np.ndarray:
     cube = np.ascontiguousarray(cube, dtype=np.float64)
     if cube.ndim != 3:
         raise DimensionError("expected (H, W, bands) cube, got shape %r" % (cube.shape,))
-    if not (np.isfinite(weight) and weight >= 0):
-        raise ParameterError("weight must be finite and >= 0, got %r" % weight)
-    if iters < 1:
-        raise ParameterError("iters must be >= 1, got %r" % iters)
+    check_params(TotalVariationDenoiser, "denoiser 'tv'", weight=weight, iters=iters)
     if weight == 0:
         return cube.copy()
 
@@ -333,10 +324,11 @@ def tv_denoise(cube: np.ndarray, weight: float, iters: int) -> np.ndarray:
 
 class Initializer(ABC):
     """Named strategy producing the first prior iterate Z(1) from the coded
-    image; ``params`` maps each spec key to a constructor argument and type."""
+    image; ``params`` maps each spec key to a constructor argument, its type
+    and its Domain."""
 
     name: str = "?"
-    params: dict[str, tuple[str, type]] = {}
+    params: dict[str, tuple[str, type, Domain]] = {}
 
     @abstractmethod
     def initialize(self, coded: np.ndarray, op: FrequencyOperator) -> np.ndarray: ...
@@ -353,11 +345,10 @@ class RandInitializer(Initializer):
     """Uniform [0, 1) start, seeded for reproducibility."""
 
     name = "rand"
-    params = {"seed": ("seed", int)}
+    params = {"seed": ("seed", int, Domain(0))}
 
     def __init__(self, seed: int = 0):
-        if seed < 0:
-            raise ParameterError("rand seed must be >= 0, got %r" % seed)
+        check_params(self, "initializer %r" % self.name, seed=seed)
         self.seed = int(seed)
 
     def initialize(self, coded: np.ndarray, op: FrequencyOperator) -> np.ndarray:

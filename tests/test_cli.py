@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import struct
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from snapspec import FrequencyOperator, load_tensor, save_response_csv, save_tensor
 from snapspec import cli
 from snapspec.cli import build_parser, main
+from snapspec.errors import ParameterError
+from snapspec.optics import NoiseModel
 from snapspec.unfolding import DENOISERS, INITIALIZERS
 
 COMMANDS = ("simulate", "reconstruct", "evaluate", "bench", "oracle-check")
@@ -199,6 +202,21 @@ def test_evaluate_crop_below_ssim_window_exit_2_naming_crop(tmp_path, capsys):
     assert "crop 3" in err and "(16, 16)" in err and "11-pixel SSIM window" in err
 
 
+def test_evaluate_refuses_overflowing_metrics_exit_2(tmp_path, capsys, recwarn):
+    # squares of 1e200 overflow: the metrics would read -inf and nan
+    cube_path, cube = _write_cube(tmp_path, shape=(16, 16, 3))
+    huge = str(tmp_path / "huge.htns")
+    save_tensor(1e200 * cube, huge)
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--recon", huge, "--gt", cube_path, "--crop", "0",
+                 "--out-json", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--recon %s" % huge in captured.err
+    assert not report.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_export_pgm(tmp_path):
     psf, resp = _write_identity_system(tmp_path)
     cube_path, _ = _write_cube(tmp_path, shape=(8, 8, 3))
@@ -336,7 +354,7 @@ def test_bare_strategy_name_builds_default(flag, cls):
     (flag, cls, key) for flag, cls in _STRATEGIES for key in cls.params
 ], ids=lambda v: getattr(v, "name", v))
 def test_strategy_spec_key_reaches_constructor(flag, cls, key):
-    arg, kind = cls.params[key]
+    arg, kind, _ = cls.params[key]
     text, value = _SPEC_SAMPLES[kind]
     built = _STRATEGY_PARSERS[flag]("%s:%s=%s" % (cls.name, key, text))
     assert getattr(built, arg) == value
@@ -353,6 +371,55 @@ def test_unknown_strategy_key_exit_2_naming_valid_keys(tmp_path, capsys, flag, c
     err = capsys.readouterr().err
     assert "unknown key 'bogus'" in err
     assert "valid keys: %s" % (", ".join(sorted(cls.params)) or "none") in err
+
+
+# every declared spec key builds at the edges of its domain; the nearest
+# values outside exit 2 naming the spec and the key, before any file is
+# read, with the message that direct construction raises
+
+_SPEC_KEYS = [("reconstruct", flag, cls.name + ":", cls, key)
+              for flag, cls in _STRATEGIES for key in cls.params] + \
+    [("simulate", "--noise", "", NoiseModel, key) for key in NoiseModel.params]
+_SPEC_WHAT = {"--denoiser": "denoiser", "--init": "initializer"}
+
+
+def _domain_edges(kind, domain):
+    """(inside, outside): the values of ``kind`` nearest each bound on either side."""
+    def step(value, direction):
+        return value + direction if kind is int else math.nextafter(value, direction * math.inf)
+
+    inside = [step(domain.lo, 1) if domain.lo_open else domain.lo]
+    outside = [domain.lo if domain.lo_open else step(domain.lo, -1)]
+    if domain.hi is not None:
+        inside.append(domain.hi)
+        outside.append(step(domain.hi, 1))
+    return inside, outside
+
+
+@pytest.mark.parametrize("command, flag, prefix, cls, key", _SPEC_KEYS,
+                         ids=["%s-%s" % (cls.__name__, key) for *_, cls, key in _SPEC_KEYS])
+def test_spec_key_domain_edges(tmp_path, capsys, command, flag, prefix, cls, key):
+    arg, kind, domain = cls.params[key]
+    inside, outside = _domain_edges(kind, domain)
+    parse = {"--noise": lambda spec: cli.parse_noise_spec(spec, 0), **_STRATEGY_PARSERS}[flag]
+    for value in inside:
+        assert getattr(parse("%s%s=%r" % (prefix, key, value)), arg) == value
+        assert getattr(cls(**{arg: value}), arg) == value
+    missing = str(tmp_path / "missing.htns")
+    source = "--cube" if command == "simulate" else "--coded"
+    for value in outside:
+        with pytest.raises(ParameterError) as exc:
+            cls(**{arg: value})
+        message = str(exc.value)
+        spec = "noise spec" if cls is NoiseModel else "%s %r" % (_SPEC_WHAT[flag], cls.name)
+        assert message.startswith("%s: %s: must be in %s, got " % (spec, key, domain))
+        assert _exit_code([
+            command, source, missing, "--psf", missing, "--response", missing,
+            "--out", str(tmp_path / "o.htns"), flag, "%s%s=%r" % (prefix, key, value),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "error: %s\n" % message in err
+        assert "missing" not in err
 
 
 # a spec value that does not convert, a key given twice, or a prior weight
@@ -373,8 +440,9 @@ def test_unknown_strategy_key_exit_2_naming_valid_keys(tmp_path, capsys, flag, c
     ("simulate", "--noise", "gaussian=1,gaussian=2",
      "noise spec: key 'gaussian' given more than once"),
     ("reconstruct", "--prior-weight", "1e308", "--prior-weight 1e+308: sigma_tilde"),
+    ("simulate", "--noise", "gaussian=1e200", "noise spec: gaussian: must be in [0.0, 1.0]"),
 ], ids=["denoiser-value", "init-value", "noise-value", "schedule-value", "denoiser-repeat",
-        "noise-repeat", "prior-weight-overflow"])
+        "noise-repeat", "prior-weight-overflow", "noise-sigma-huge"])
 def test_bad_spec_value_exit_2_naming_key(tmp_path, capsys, recwarn, command, flag, spec,
                                           message):
     missing = str(tmp_path / "missing.htns")
@@ -448,6 +516,15 @@ def test_out_of_domain_config_file_value_exit_2(tmp_path, capsys):
     assert captured.out == ""
     assert str(cfg) in captured.err
     assert "--stages: must be in [1, 1000]" in captured.err
+
+
+def test_repeated_config_file_key_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text("stages=3\nstages=5\n")
+    assert _exit_code(["reconstruct", "--config", str(cfg), "--dump-config"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "%s:2: key 'stages' given more than once" % cfg in captured.err
 
 
 # text inputs that are not UTF-8, or that the CSV reader refuses, are
@@ -548,7 +625,8 @@ def test_overflowing_default_schedule_exit_2_naming_flags(tmp_path, capsys, recw
 _VALUES = st.one_of(
     st.integers(-3, 40).map(str),
     st.floats().map(repr),
-    st.sampled_from(["", "1e308", "-1e308", "1e-320", "abc", "0x10", " 1", "1000000000"]),
+    st.sampled_from(["", "1e308", "-1e308", "1e-320", "abc", "0x10", " 1", "1000000000",
+                     "1" + "0" * 399]),
 )
 
 

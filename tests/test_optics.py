@@ -298,6 +298,8 @@ def test_noise_model_validation():
         NoiseModel(poisson_bits=5)
     with pytest.raises(ValidationError):
         NoiseModel(poisson_bits=17)
+    with pytest.raises(ValidationError):
+        NoiseModel(gaussian_sigma=2.0)
     NoiseModel(poisson_bits=0)
     NoiseModel(poisson_bits=8)
     NoiseModel(poisson_bits=16)
