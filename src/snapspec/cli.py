@@ -311,13 +311,20 @@ def _parse_strategy_spec(spec: str, registry: dict, what: str):
     return cls(**_spec_kwargs(cls.params, rest, what + " spec", "%s %r" % (what, name)))
 
 
+def _strategy_help(registry: dict) -> str:
+    """'NAME[:KEY=VALUE,...]' help listing each registered name and its keys' domains."""
+    return "NAME[:KEY=VALUE,...]: " + "; ".join(
+        name + "".join(", %s in %s" % (key, domain) for key, (_, _, domain) in cls.params.items())
+        for name, cls in registry.items())
+
+
 def parse_denoiser_spec(spec: str):
-    """'identity', 'gaussian[:std=S]', 'tv[:lambda=L,iters=N]', 'quadratic'."""
+    """'NAME[:KEY=VALUE,...]' -> the DENOISERS entry NAME, built from its keys."""
     return _parse_strategy_spec(spec, DENOISERS, "denoiser")
 
 
 def parse_init_spec(spec: str):
-    """'zero', 'mean', 'adjoint', or 'rand[:seed=N]'."""
+    """'NAME[:KEY=VALUE,...]' -> the INITIALIZERS entry NAME, built from its keys."""
     return _parse_strategy_spec(spec, INITIALIZERS, "initializer")
 
 
@@ -402,12 +409,13 @@ _RECONSTRUCT_KEYS = [
         "admm, hqs (no multipliers), or gdm (gradient-descent fidelity baseline)"),
     Key("gamma_schedule", _conv_str, "geometric:0.01,4",
         "'geometric:GAMMA0,RATIO' or 'constant:GAMMA'"),
-    Key("denoiser", _conv_str, "tv:lambda=0.01,iters=30",
-        "identity | gaussian[:std=S] | tv[:lambda=L,iters=N] | quadratic"),
-    Key("init", _conv_str, "mean", "zero | rand[:seed=N] | mean | adjoint"),
+    Key("denoiser", _conv_str, "tv:lambda=0.01,iters=30", _strategy_help(DENOISERS)),
+    Key("init", _conv_str, "mean", _strategy_help(INITIALIZERS)),
     Key("prior_weight", _conv_float, 0.0,
-        "prior weight sigma; denoiser noise level is sqrt(sigma/gamma)", domain=Domain(0.0)),
-    Key("zeta", _conv_float, 1.0, "multiplier update rate (ignored by hqs)", domain=Domain(0.0)),
+        "prior weight sigma; denoiser noise level is sqrt(sigma/gamma)",
+        domain=StageSchedule.params["prior_weight"][2]),
+    Key("zeta", _conv_float, 1.0, "multiplier update rate (ignored by hqs)",
+        domain=StageSchedule.params["zeta"][2]),
     Key("gdm_iters", _conv_int, 10, "inner gradient steps when method=gdm",
         domain=Domain(0, 10_000)),
     Key("trace", _conv_bool, False, "also write per-stage trace CSV next to the output"),
@@ -449,7 +457,7 @@ def _cmd_reconstruct(config: dict) -> int:
         raise ParameterError("--gamma-schedule %s with --stages %d: %s"
                              % (config["gamma_schedule"], config["stages"], exc)) from None
     try:
-        schedule = StageSchedule.from_gammas(gamma, config["prior_weight"], zeta)
+        schedule = StageSchedule(gamma, config["prior_weight"], zeta)
     except ParameterError as exc:
         raise ParameterError("--prior-weight %g: %s" % (config["prior_weight"], exc)) from None
     denoiser = parse_denoiser_spec(config["denoiser"])

@@ -149,6 +149,8 @@ class NoiseModel:
         if 0 < self.poisson_bits < 8:
             raise ParameterError("noise spec: poisson_bits: must be 0 (off) or in [8, 16], "
                                  "got %r" % self.poisson_bits)
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ParameterError("noise seed: must be an integer >= 0, got %r" % (self.seed,))
 
 
 def embed_kernel(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -269,10 +271,16 @@ def back_project(op: FrequencyOperator, spectra: np.ndarray, rows=slice(None)) -
     return np.conjugate(bands, out=bands)
 
 
+# the largest Poisson rate numpy samples: about 9.22e18 counts, an intensity
+# of 5.6e14 at the default 14 bits
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
+
 def add_noise(image: np.ndarray, model: NoiseModel) -> np.ndarray:
     """Apply the sensor noise model: Poisson (shot) first, then Gaussian (read).
 
-    Negative intensities are clamped to zero before Poisson sampling.  With
+    Negative intensities are clamped to zero before Poisson sampling, and a
+    peak above what the sampler takes raises ParameterError.  With
     ``gaussian_sigma == 0`` and ``poisson_bits == 0`` the image is returned
     unchanged (copied).
     """
@@ -281,6 +289,12 @@ def add_noise(image: np.ndarray, model: NoiseModel) -> np.ndarray:
     out = image.copy()
     if model.poisson_bits:
         full_well = float(2 ** model.poisson_bits)
+        peak, most = out.max(initial=0.0), _POISSON_LAM_MAX / full_well
+        if not peak <= most:
+            raise ParameterError(
+                "noise spec: poisson_bits: a peak intensity of %g exceeds %.4g, the most "
+                "Poisson sampling takes at %d bits; scale the image down or set "
+                "poisson_bits=0" % (peak, most, model.poisson_bits))
         out = rng.poisson(np.clip(out, 0.0, None) * full_well).astype(np.float64) / full_well
     if model.gaussian_sigma > 0:
         out = out + rng.normal(0.0, model.gaussian_sigma, size=out.shape)

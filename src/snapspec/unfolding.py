@@ -7,15 +7,14 @@ Splitting the regularized inverse problem
 over a consensus pair (I, Z) gives the three-step stage recipe: an exact
 measurement-consistency solve for I, a denoiser standing in for the prior
 proximal step on Z, and a scaled multiplier update.  The stage count is
-fixed up front and every per-stage knob (gamma, zeta, sigma_tilde) lives in
-a StageSchedule, so a run is fully described by (schedule, denoiser,
-initializer).
+fixed up front, and a StageSchedule holds one anchor weight gamma per stage
+plus the prior weight and multiplier rate zeta that every stage shares, so a
+run is fully described by (schedule, denoiser, initializer).
 
 Stage numbering: Z(1) is the initializer output; stages 2..K each apply one
 solve / denoise / multiplier triple.  A schedule with K = 1 therefore
 returns the initialization untouched.  HQS is not a separate mode: it is a
-schedule whose multiplier rates zeta are all zero, run through the same
-loop.
+schedule whose multiplier rate zeta is zero, run through the same loop.
 """
 
 from __future__ import annotations
@@ -36,81 +35,49 @@ from .fidelity import (
 from .optics import FrequencyOperator, apply_adjoint, apply_forward_frequency, empty_cube
 
 
-def _as_stage_array(values, n_stages: int, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    if arr.ndim != 1 or arr.shape[0] != n_stages:
-        raise ParameterError("%s must have one entry per stage (%d)" % (name, n_stages))
-    return arr
-
-
-def _check_gammas(gamma: np.ndarray) -> None:
-    if not np.all(gamma > 0):
-        raise ParameterError("all gamma entries must be positive")
-    # the fidelity solve divides by gamma, so a subnormal gamma overflows it
-    with np.errstate(over="ignore"):
-        if not np.all(np.isfinite(1.0 / gamma)):
-            raise ParameterError("gamma entries must have a finite reciprocal, got %r" % gamma)
-
-
 @dataclass(frozen=True)
 class StageSchedule:
-    """Per-stage knobs: anchor weights, multiplier rates, denoiser noise levels.
+    """Per-stage anchor weights, plus a prior weight and a multiplier rate
+    shared by every stage.
 
-    All three arrays have one entry per stage, and there is at least one
-    stage; a K-stage run consumes the first K - 1 entries (the final stage
-    is the returned Z, which gets no solve of its own).  ``sigma_tilde`` is the noise level sqrt(sigma/gamma)
-    handed to denoisers that accept one.
+    ``gamma`` has one entry per stage, and there is at least one stage; a
+    K-stage run consumes the first K - 1 entries (the final stage is the
+    returned Z, which gets no solve of its own).  ``sigma_tilde`` is derived:
+    the noise level sqrt(prior_weight / gamma) handed to denoisers that
+    accept one.  ``params`` declares the scalars as ``Denoiser.params`` does.
     """
 
     gamma: np.ndarray
-    zeta: np.ndarray
-    sigma_tilde: np.ndarray
+    prior_weight: float = 0.0
+    zeta: float = 1.0
+    sigma_tilde: np.ndarray = field(init=False)
+    params = {"prior_weight": ("prior_weight", float, Domain(0.0)),
+              "zeta": ("zeta", float, Domain(0.0))}
 
     def __post_init__(self):
-        n = np.atleast_1d(np.asarray(self.gamma)).shape[0]
-        if n == 0:
-            raise ParameterError("a schedule needs at least one stage")
-        gamma = _as_stage_array(self.gamma, n, "gamma")
-        zeta = _as_stage_array(self.zeta, n, "zeta")
-        sigma_tilde = _as_stage_array(self.sigma_tilde, n, "sigma_tilde")
-        for name, arr in (("gamma", gamma), ("zeta", zeta), ("sigma_tilde", sigma_tilde)):
-            if not np.all(np.isfinite(arr)):
-                raise ParameterError("%s entries must be finite" % name)
-        _check_gammas(gamma)
-        if np.any(zeta < 0):
-            raise ParameterError("zeta entries must be >= 0")
-        if np.any(sigma_tilde < 0):
-            raise ParameterError("sigma_tilde entries must be >= 0")
+        check_params(self, "schedule", prior_weight=self.prior_weight, zeta=self.zeta)
+        gamma = np.atleast_1d(np.asarray(self.gamma, dtype=np.float64))
+        if gamma.ndim != 1 or gamma.shape[0] == 0:
+            raise ParameterError("a schedule needs at least one stage: one gamma per stage, "
+                                 "got shape %r" % (gamma.shape,))
+        # the fidelity solve divides by gamma, so a subnormal gamma overflows it
+        with np.errstate(over="ignore", divide="ignore"):
+            bad = np.flatnonzero(~((gamma > 0) & np.isfinite(gamma) & np.isfinite(1.0 / gamma)))
+            if bad.size:
+                raise ParameterError("gamma entries must be positive and finite with a finite "
+                                     "reciprocal, got gamma[%d] = %s" % (bad[0], gamma[bad[0]]))
+            sigma_tilde = np.sqrt(self.prior_weight / gamma)
+        if not np.all(np.isfinite(sigma_tilde)):
+            raise ParameterError(
+                "sigma_tilde = sqrt(prior_weight / gamma) overflows at gamma %g; "
+                "prior_weight must be smaller, got %r" % (gamma.min(), self.prior_weight)
+            )
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "sigma_tilde", sigma_tilde)
 
     @property
     def n_stages(self) -> int:
         return self.gamma.shape[0]
-
-    @classmethod
-    def from_gammas(cls, gamma, prior_weight: float = 0.0, zeta: float = 1.0) -> "StageSchedule":
-        """Schedule from explicit anchor weights plus a global prior weight.
-
-        ``sigma_tilde`` is derived as sqrt(prior_weight / gamma) per stage.
-        """
-        gamma = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
-        _check_gammas(gamma)
-        if not (np.isfinite(prior_weight) and prior_weight >= 0):
-            raise ParameterError("prior_weight must be finite and >= 0, got %r" % prior_weight)
-        with np.errstate(over="ignore"):
-            sigma_tilde = np.sqrt(prior_weight / gamma)
-        if not np.all(np.isfinite(sigma_tilde)):
-            raise ParameterError(
-                "sigma_tilde = sqrt(prior_weight / gamma) overflows at gamma %g; "
-                "prior_weight must be smaller, got %r" % (gamma.min(), prior_weight)
-            )
-        return cls(
-            gamma=gamma,
-            zeta=np.full(gamma.shape[0], float(zeta)),
-            sigma_tilde=sigma_tilde,
-        )
 
     @classmethod
     def geometric(
@@ -145,7 +112,7 @@ class StageSchedule:
                 "the ramp gamma0 * ratio**k = %g * %g**k overflows before its last stage %d; "
                 "use fewer stages or a smaller gamma0 or ratio" % (gamma0, ratio, n_stages)
             )
-        return cls.from_gammas(gamma, prior_weight, zeta)
+        return cls(gamma, prior_weight, zeta)
 
     @classmethod
     def constant(
@@ -153,7 +120,7 @@ class StageSchedule:
     ) -> "StageSchedule":
         if n_stages < 1:
             raise ParameterError("n_stages must be >= 1, got %r" % n_stages)
-        return cls.from_gammas(np.full(n_stages, float(gamma)), prior_weight, zeta)
+        return cls(np.full(n_stages, float(gamma)), prior_weight, zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +425,7 @@ def reconstruct(
                         prob_k, anchor, z, step=1.0 / (lipschitz + gamma), iters=gdm_iters
                     )
                 z_next = denoiser.denoise(i_next + beta, schedule.sigma_tilde[k])
-                beta += schedule.zeta[k] * (i_next - z_next)
+                beta += schedule.zeta * (i_next - z_next)
                 if trace:
                     records.append(
                         StageTrace(
@@ -473,7 +440,7 @@ def reconstruct(
     except FloatingPointError as exc:
         raise DivergenceError(
             "stage %d of %d diverged (%s) at zeta %g, gamma %g"
-            % (k + 2, schedule.n_stages, exc, schedule.zeta[k], schedule.gamma[k])
+            % (k + 2, schedule.n_stages, exc, schedule.zeta, schedule.gamma[k])
         ) from None
 
     return ReconstructionResult(cube=z, trace=records)

@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 from snapspec import FrequencyOperator, load_tensor, save_response_csv, save_tensor
 from snapspec import cli
 from snapspec.cli import build_parser, main
-from snapspec.errors import ParameterError
+from snapspec.errors import Domain, ParameterError
 from snapspec.optics import NoiseModel
+from snapspec.synth import smooth_cube
 from snapspec.unfolding import DENOISERS, INITIALIZERS
 
 COMMANDS = ("simulate", "reconstruct", "evaluate", "bench", "oracle-check")
@@ -350,6 +353,19 @@ def test_bare_strategy_name_builds_default(flag, cls):
     assert vars(built) == vars(cls())
 
 
+def test_reconstruct_help_lists_every_strategy_and_key_domain(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    for flag, cls in _STRATEGIES:
+        # the flag's own help runs from its metavar to the next flag
+        entry = text.split("%s %s " % (flag, flag[2:].upper()))[-1].split(" --")[0]
+        assert cls.name in entry.replace(";", " ").replace(",", " ").split()
+        for key, (_, _, domain) in cls.params.items():
+            assert "%s in %s" % (key, domain) in entry
+
+
 @pytest.mark.parametrize("flag, cls, key", [
     (flag, cls, key) for flag, cls in _STRATEGIES for key in cls.params
 ], ids=lambda v: getattr(v, "name", v))
@@ -587,6 +603,19 @@ def test_non_finite_parameter_exit_2(tmp_path, capsys, command, flags, message):
     assert not out.exists()
 
 
+def test_poisson_peak_beyond_sampler_exit_2_naming_bits(tmp_path, capsys, recwarn):
+    psf, resp = _write_random_system(tmp_path)
+    cube_path = str(tmp_path / "bright.htns")
+    save_tensor(smooth_cube(16, 16, 4) * 1e15, cube_path)
+    out = tmp_path / "out.htns"
+    assert main(["simulate", "--cube", cube_path, "--psf", psf, "--response", resp,
+                 "--out", str(out), "--noise", "default"]) == 2
+    err = capsys.readouterr().err
+    assert "noise spec: poisson_bits: a peak intensity of " in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 def test_diverging_zeta_exit_2_naming_flag_and_stage(tmp_path, capsys, recwarn):
     psf, resp = _write_random_system(tmp_path)
     cube_path, _ = _write_cube(tmp_path, shape=(8, 8, 4))
@@ -731,6 +760,94 @@ def test_key_defaults_inside_their_domains(command):
         if type(key.default) in (int, float):
             assert key.domain, key.name  # every numeric key declares one
         key.parse(str(key.default))  # raises outside the key's domain
+
+
+# pipeline fuzz: simulate -> reconstruct -> evaluate on 16x16x4 cubes from
+# black to far past the sensor's range, with spec and numeric values at and
+# just past the edges of their declared domains.  Each step ends in a
+# documented exit code without a traceback or numpy warning, every tensor
+# written reloads finite, and the report is strict JSON.
+
+
+def _edge_texts(kind, domain):
+    """Values at and just past each bound, and the float range's top for an
+    unbounded float domain."""
+    inside, outside = _domain_edges(kind, domain)
+    top = [1e308] if kind is float and domain.hi is None else []
+    return [repr(value) for value in inside + outside + top]
+
+
+def _edge_specs(registry):
+    return list(registry) + [
+        "%s:%s=%s" % (name, key, text) for name, cls in registry.items()
+        for key, (_, kind, domain) in cls.params.items() for text in _edge_texts(kind, domain)]
+
+
+_POSITIVE = _edge_texts(float, Domain(0.0, lo_open=True))
+_SIMULATE_EDGES = {
+    "--noise": ["none", "default", "poisson_bits=7", "poisson_bits=8"] + [
+        "%s=%s" % (key, text) for key, (_, kind, domain) in NoiseModel.params.items()
+        for text in _edge_texts(kind, domain)],
+    **{key.flag: _edge_texts(type(key.default), key.domain) for key in _numeric_keys("simulate")},
+}
+# a run at the top of --stages or --gdm-iters takes seconds; the --dump-config
+# fuzz above covers those two edges
+_RECONSTRUCT_EDGES = {
+    "--denoiser": _edge_specs(DENOISERS),
+    "--init": _edge_specs(INITIALIZERS),
+    "--gamma-schedule": ["geometric:%s,4" % g for g in _POSITIVE]
+    + ["geometric:0.01,%s" % r for r in _edge_texts(float, Domain(1.0, lo_open=True))]
+    + ["constant:%s" % g for g in _POSITIVE],
+    "--method": ["admm", "hqs", "gdm"],
+    **{key.flag: [text for text in _edge_texts(type(key.default), key.domain)
+                  if text not in ("1000", "10000")] for key in _numeric_keys("reconstruct")},
+}
+
+
+def _edge_flags(data, edges):
+    """Up to two of ``edges``' flags, each with one of its values."""
+    flags = data.draw(st.lists(st.sampled_from(sorted(edges)), unique=True, max_size=2))
+    return ["%s=%s" % (flag, data.draw(st.sampled_from(edges[flag]))) for flag in flags]
+
+
+@settings(max_examples=100, deadline=None)
+@given(scale=st.sampled_from([0.0, 1.0, 1e15, 1e150]), data=st.data())
+def test_pipeline_chains_end_in_documented_exit_codes(fuzz_dir, scale, data):
+    tmp, psf, resp, _, _ = fuzz_dir
+    cube, coded, recon, report = (str(tmp / name) for name in
+                                  ("chain_cube.htns", "chain_sim.htns", "chain_rec.htns",
+                                   "chain_eval.json"))
+    for path in (coded, recon, report):
+        if os.path.exists(path):
+            os.remove(path)
+    save_tensor(smooth_cube(16, 16, 4) * scale, cube)
+    system = ["--psf", psf, "--response", resp]
+    steps = [
+        ["simulate", "--cube", cube, *system, "--out", coded,
+         *_edge_flags(data, _SIMULATE_EDGES)],
+        ["reconstruct", "--coded", coded, *system, "--out", recon, "--stages", "3", "--trace",
+         *_edge_flags(data, _RECONSTRUCT_EDGES)],
+        ["evaluate", "--recon", recon, "--gt", cube, "--crop", "0", "--out-json", report],
+    ]
+    for argv in steps:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = _exit_code(argv)
+        assert code in (0, 1, 2, 3, 4), argv
+        assert "Traceback" not in err.getvalue()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+        for path in (coded, recon):
+            if os.path.exists(path):
+                assert np.all(np.isfinite(load_tensor(path)))
+        if code:
+            break
+    else:
+        def refuse(constant):
+            raise ValueError("non-finite %s in the report" % constant)
+        with open(report, encoding="utf-8") as fh:
+            json.loads(fh.read(), parse_constant=refuse)
 
 
 def test_corrupt_tensor_exit_2(tmp_path):

@@ -300,9 +300,28 @@ def test_noise_model_validation():
         NoiseModel(poisson_bits=17)
     with pytest.raises(ValidationError):
         NoiseModel(gaussian_sigma=2.0)
+    # a seed numpy's generator refuses is refused here, naming the seed
+    for seed in (-1, 1.5, None):
+        with pytest.raises(ValidationError, match="seed"):
+            NoiseModel(seed=seed)
     NoiseModel(poisson_bits=0)
     NoiseModel(poisson_bits=8)
     NoiseModel(poisson_bits=16)
+    NoiseModel(seed=np.int64(2**62))
+
+
+def test_poisson_peak_beyond_sampler_raises_naming_bits():
+    # numpy samples rates up to about 9.22e18 counts, 5.6e14 at 14 bits
+    model = NoiseModel(gaussian_sigma=0.0, seed=4)
+    edge = np.full((4, 4, 3), 5.6e14)
+    want = np.random.default_rng(4).poisson(edge * 2.0**14).astype(np.float64) / 2.0**14
+    assert np.array_equal(add_noise(edge, model), want)
+    with pytest.raises(ValidationError, match=r"poisson_bits: a peak intensity of 5\.7e\+14"):
+        add_noise(np.full((4, 4, 3), 5.7e14), model)
+    with pytest.raises(ValidationError, match="poisson_bits"):
+        add_noise(np.full((4, 4, 3), np.inf), model)
+    # with the Poisson stage off, the Gaussian stage takes any finite peak
+    assert np.isfinite(add_noise(edge * 1e100, NoiseModel(poisson_bits=0))).all()
 
 
 # synthetic helpers used across the suite

@@ -70,39 +70,37 @@ def test_default_gamma_validation():
 
 
 def test_schedule_sigma_tilde_derivation():
-    sched = StageSchedule.from_gammas([0.01, 0.04], prior_weight=0.16)
+    sched = StageSchedule([0.01, 0.04], prior_weight=0.16)
     assert np.allclose(sched.sigma_tilde, [4.0, 2.0])
-    assert np.allclose(sched.zeta, [1.0, 1.0])
+    assert sched.zeta == 1.0
     assert sched.n_stages == 2
 
 
 def test_schedule_validation():
-    with pytest.raises(ParameterError):
-        StageSchedule(gamma=np.array([1.0, -1.0]), zeta=np.zeros(2), sigma_tilde=np.zeros(2))
-    with pytest.raises(ParameterError):
-        StageSchedule(gamma=np.ones(2), zeta=np.array([0.5, -0.5]), sigma_tilde=np.zeros(2))
-    with pytest.raises(ParameterError):
-        StageSchedule(gamma=np.ones(2), zeta=np.zeros(2), sigma_tilde=np.array([1.0, -1.0]))
-    with pytest.raises(ParameterError):
-        StageSchedule(gamma=np.ones(3), zeta=np.zeros(2), sigma_tilde=np.zeros(3))
-    with pytest.raises(ParameterError):
-        StageSchedule.from_gammas([1.0], prior_weight=-0.1)
-    with pytest.raises(ParameterError):
-        StageSchedule.from_gammas([1.0], zeta=-1.0)
+    with pytest.raises(ParameterError, match="gamma"):
+        StageSchedule(np.array([1.0, -1.0]))
+    with pytest.raises(ParameterError, match="gamma"):
+        StageSchedule(np.array([1.0, np.inf]))
+    with pytest.raises(ParameterError, match="prior_weight"):
+        StageSchedule([1.0], prior_weight=-0.1)
+    with pytest.raises(ParameterError, match="zeta"):
+        StageSchedule([1.0], zeta=-1.0)
+    with pytest.raises(ParameterError, match="zeta"):
+        StageSchedule([1.0], zeta=np.nan)
     # finite prior weight over a small gamma: sigma_tilde overflows
     with pytest.raises(ParameterError, match="prior_weight"):
-        StageSchedule.from_gammas([0.01, 1.0], prior_weight=1e308)
+        StageSchedule([0.01, 1.0], prior_weight=1e308)
     # positive but subnormal: 1/gamma overflows to inf in the fidelity solve
     subnormal = np.array([1.0, 1e-320])
     with pytest.raises(ParameterError, match="gamma"):
-        StageSchedule(gamma=subnormal, zeta=np.zeros(2), sigma_tilde=np.zeros(2))
+        StageSchedule(subnormal)
     with pytest.raises(ParameterError, match="gamma"):
-        StageSchedule.from_gammas(subnormal, prior_weight=0.1)
+        StageSchedule(subnormal, prior_weight=0.1)
     # no stages: the stage loop would index gamma[0] of an empty array
     with pytest.raises(ParameterError, match="at least one stage"):
-        StageSchedule.from_gammas([])
+        StageSchedule([])
     with pytest.raises(ParameterError, match="at least one stage"):
-        StageSchedule(gamma=np.zeros(0), zeta=np.zeros(0), sigma_tilde=np.zeros(0))
+        StageSchedule(np.zeros(0), prior_weight=0.1, zeta=0.0)
 
 
 def test_constant_schedule():
@@ -306,15 +304,11 @@ def test_exact_data_consistent_start_is_fixed_point():
 
 
 def test_trailing_schedule_entries_unused():
-    # a K-stage run consumes only the first K-1 entries of each array
+    # a K-stage run consumes only the first K-1 gamma entries
     _, op, _, coded = _small_setup(seed=11)
-    gammas = np.array([0.01, 0.04, 0.16, 1e12])
-    base = StageSchedule.from_gammas(gammas, prior_weight=0.02)
-    poisoned = StageSchedule(
-        gamma=gammas.copy(),
-        zeta=np.array([1.0, 1.0, 1.0, 99.0]),
-        sigma_tilde=np.concatenate([base.sigma_tilde[:3], [1e6]]),
-    )
+    gammas = np.array([0.01, 0.04, 0.16, 0.64])
+    base = StageSchedule(gammas, prior_weight=0.02)
+    poisoned = StageSchedule(np.concatenate([gammas[:3], [1e12]]), prior_weight=0.02)
     den = QuadraticDenoiser()
     init = MeanInitializer()
     a = reconstruct(coded, op, base, den, init)
