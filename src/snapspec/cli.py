@@ -383,8 +383,17 @@ def _cmd_simulate(config: dict) -> int:
     noise = parse_noise_spec(config["noise"], config["seed"])
     cube = _load_cube(config["cube"])
     system = _load_system(config["psf"], config["response"])
-    coded = forward_encode(cube, system, boundary=config["boundary"])
-    coded = add_noise(coded, noise)
+    # a cube near the top of the float range overflows the encode; say so
+    # before any file is written, and without numpy's warnings
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            coded = forward_encode(cube, system, boundary=config["boundary"])
+            if not np.all(np.isfinite(coded)):  # the transforms overflow silently
+                raise FloatingPointError("non-finite coded image")
+            coded = add_noise(coded, noise)
+    except FloatingPointError as exc:
+        raise ValidationError("--cube %s: too large to encode (%s)"
+                              % (config["cube"], exc)) from None
     save_tensor(coded, config["out"])
     outputs = [config["out"]]
     if config["export_pgm"]:

@@ -20,9 +20,11 @@ and is cached on the operator as its 6 distinct entries, one plane each.
 The solve walks the bins in cache-sized strips of rows.  Per strip it
 inverts A_f on those planes by a two-level Schur-complement recursion that
 only ever divides by scalars bounded below by 1, applies H_f, the inverse
-and H_f^*, and adds the update into the anchor spectrum in place, so only
-the two FFTs touch whole arrays.  Spectra are the half spectra of
-:func:`optics.to_spectrum`, which also checks every input's grid shape.
+and H_f^*, and adds the update into the anchor spectrum in place.  The
+transforms go band by band, and the solve can write its output into the
+anchor's own buffer, so a solve holds one spectrum beyond its input and
+output.  Spectra are the half spectra of :func:`optics.to_spectrum`, which
+also checks every input's grid shape.
 
 ``fidelity_solve_naive`` solves the untransformed per-frequency N x N
 systems directly and exists to cross-validate the rearrangement;
@@ -120,14 +122,16 @@ def _pivot_reciprocal(pivot: np.ndarray, name: str) -> np.ndarray:
     return 1.0 / pivot
 
 
-def fidelity_solve(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarray:
+def fidelity_solve(prob: FidelityProblem, anchor: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Exact minimizer of the anchored subproblem via 3 x 3 block inversion.
 
     Cost per call: one real FFT and one inverse real FFT per band plus
-    pointwise 3 x 3 algebra over the stored half-spectrum bins.  An anchor
-    in an :func:`optics.empty_cube` buffer is transformed without a
-    transposing copy.  The gradient of the subproblem objective vanishes at
-    the output up to floating-point roundoff.
+    pointwise 3 x 3 algebra over the stored half-spectrum bins.  The output
+    goes into ``out`` when given, which may be ``anchor`` itself: the anchor
+    is transformed in full before any output band is written.  The gradient
+    of the subproblem objective vanishes at the output up to floating-point
+    roundoff.
     """
     op = prob.op
     g = 1.0 / prob.gamma
@@ -148,7 +152,7 @@ def fidelity_solve(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarray:
             channel += a_inv[p1] * resid[1]
             channel += a_inv[p2] * resid[2]
         spec[:, strip] += back_project(op, weighted, strip)
-    return from_spectrum(op, spec)
+    return from_spectrum(op, spec, out)
 
 
 def fidelity_solve_naive(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarray:

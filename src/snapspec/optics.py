@@ -204,24 +204,43 @@ def to_spectrum(op: FrequencyOperator, x: np.ndarray, depth: int) -> np.ndarray:
     operator's grid: the ``rfft2`` of each band or channel.
 
     Raises DimensionError unless ``x`` has shape (op.height, op.width, depth).
-    The transform reads the depth axis as its batch axis, so an (H, W, depth)
-    view of band-major memory (see :func:`empty_cube`) is transformed without
-    a copy, to the same bits as a C-contiguous array.
+    The bands are transformed one at a time into the result, so the
+    transform's transient is one band, not one cube; each band's bits are
+    those of a batched transform, whatever the memory layout of ``x``.
     """
     x = np.asarray(x, dtype=np.float64)
+    _check_grid(op, x, depth)
+    spectra = np.empty((depth, op.height, op.width // 2 + 1), dtype=np.complex128)
+    for spectrum, band in zip(spectra, x.transpose(2, 0, 1)):
+        spectrum[...] = scipy.fft.rfft2(band)
+    return spectra
+
+
+def from_spectrum(op: FrequencyOperator, spectra: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The (H, W, depth) real array whose half spectra are ``spectra``
+    (depth, H, W // 2 + 1): the inverse of :func:`to_spectrum`.
+
+    The bands are transformed one at a time into ``out``, an (H, W, depth)
+    float64 array, or into a new :func:`empty_cube`-layout array when
+    ``out`` is None; either is returned.
+    """
+    if out is None:
+        out = np.empty((spectra.shape[0], op.height, op.width)).transpose(1, 2, 0)
+    _check_grid(op, out, spectra.shape[0])
+    for spectrum, band in zip(spectra, out.transpose(2, 0, 1)):
+        # numpy's irfft2, not scipy's: scipy's is no faster and differs in
+        # the last bit on small odd grids, which would move every output;
+        # spelled irfftn, as numpy's irfft2 drops its out argument
+        np.fft.irfftn(spectrum, s=(op.height, op.width), axes=(0, 1), out=band)
+    return out
+
+
+def _check_grid(op: FrequencyOperator, x: np.ndarray, depth: int) -> None:
     expected = (op.height, op.width, depth)
     if x.shape != expected:
         raise DimensionError("array shape %r does not match operator grid %r"
                              % (x.shape, expected))
-    return scipy.fft.rfft2(x.transpose(2, 0, 1))
-
-
-def from_spectrum(op: FrequencyOperator, spectra: np.ndarray) -> np.ndarray:
-    """The (H, W, depth) view of the real arrays whose half spectra are
-    ``spectra`` (depth, H, W // 2 + 1): the inverse of :func:`to_spectrum`."""
-    # numpy's irfft2, not scipy's: scipy's is no faster and differs in the
-    # last bit on small odd grids, which would move every output
-    return np.fft.irfft2(spectra, s=(op.height, op.width)).transpose(1, 2, 0)
 
 
 def empty_cube(op: FrequencyOperator) -> np.ndarray:

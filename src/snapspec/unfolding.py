@@ -133,6 +133,8 @@ class Denoiser(ABC):
     ``noise_level`` is the schedule's sigma_tilde for the current stage;
     denoisers without a noise-level parameter ignore it.  ``params`` maps
     each spec key to a constructor argument, its type and its Domain.
+    :func:`reconstruct` writes into the cube ``denoise`` returns, so it is
+    the input itself or a new float64 array, never one the denoiser keeps.
     """
 
     name: str = "?"
@@ -354,7 +356,7 @@ class StageTrace:
     ``delta`` is the iterate movement ||Z(k) - Z(k-1)||, the oscillation
     diagnostic; ``primal_residual`` is the consensus gap ||I(k) - Z(k)||.
     Both are NaN on stage 1, which has no predecessor and no fidelity solve,
-    as is ``gamma``.
+    as is ``gamma``.  A fidelity beyond the float64 range reads inf.
     """
 
     stage: int
@@ -386,7 +388,16 @@ def reconstruct(
     gradient steps instead, as a baseline.  With ``trace=True`` the result
     carries one StageTrace per stage.  A stage whose arithmetic overflows or
     turns invalid (for example under a huge zeta) raises DivergenceError
-    naming that stage.
+    naming that stage; a trace record never does.
+
+    Working memory: an exact-solve stage holds four cubes above its inputs
+    (the iterate, the multipliers, the anchor that the solve overwrites with
+    its output, and the solve's spectrum) plus what the denoiser allocates;
+    ``trace=True`` keeps the previous iterate for ``delta``, one cube more,
+    and each stage record's forward transform briefly takes about two more.
+    The loop never writes into the initializer's cube, but it does write
+    into each cube the denoiser returns, which must be its input or a new
+    array.
     """
     # the problem checks the coded image's shape before any initializer reads it
     problem = FidelityProblem.from_coded_image(op, coded, gamma=schedule.gamma[0])
@@ -399,18 +410,22 @@ def reconstruct(
             % (z.shape, (op.height, op.width, op.n_bands))
         )
     beta = np.zeros_like(z)
-    anchor = empty_cube(op)  # holds z - beta; the solve transforms it without a copy
+    anchor = empty_cube(op)  # holds z - beta, then the stage's solve output
     lipschitz = 0.0 if gdm_iters is None else lipschitz_bound(op)
 
-    records: list[StageTrace] = []
+    def record(stage, z_next, z=None, gamma=np.nan, i_next=None) -> StageTrace:
+        # a diagnostic never breaks a run: on a bright scene the squared
+        # residual may leave the float64 range, and then reads inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = apply_forward_frequency(op, z_next) - coded
+            fidelity = 0.5 * float(np.sum(resid**2))
+            delta = np.nan if z is None else _norm(z_next - z)
+            primal = np.nan if i_next is None else _norm(i_next - z_next)
+        if np.isnan(fidelity):  # finite iterates: only an overflow (inf - inf) gives NaN
+            fidelity = np.inf
+        return StageTrace(stage, fidelity, delta, float(gamma), primal)
 
-    def fidelity_of(cube: np.ndarray) -> float:
-        resid = apply_forward_frequency(op, cube) - coded
-        return 0.5 * float(np.sum(resid**2))
-
-    if trace:
-        records.append(StageTrace(1, fidelity_of(z), float("nan"), float("nan"), float("nan")))
-
+    records = [record(1, z)] if trace else []
     # raising on the first overflow or NaN names the stage at no extra pass
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -419,24 +434,27 @@ def reconstruct(
                 prob_k = problem.with_gamma(gamma)
                 np.subtract(z, beta, out=anchor)
                 if gdm_iters is None:
-                    i_next = fidelity_solve(prob_k, anchor)
+                    i_next = fidelity_solve(prob_k, anchor, out=anchor)
                 else:
                     i_next = gdm_fidelity_step(
                         prob_k, anchor, z, step=1.0 / (lipschitz + gamma), iters=gdm_iters
                     )
-                z_next = denoiser.denoise(i_next + beta, schedule.sigma_tilde[k])
-                beta += schedule.zeta * (i_next - z_next)
                 if trace:
-                    records.append(
-                        StageTrace(
-                            k + 2,
-                            fidelity_of(z_next),
-                            float(np.linalg.norm(z_next - z)),
-                            float(gamma),
-                            float(np.linalg.norm(i_next - z_next)),
-                        )
-                    )
-                z = z_next
+                    z_next = denoiser.denoise(i_next + beta, schedule.sigma_tilde[k])
+                    records.append(record(k + 2, z_next, z, gamma, i_next))
+                    z = z_next
+                else:
+                    # the old iterate is dead: after the first stage, whose
+                    # iterate is the initializer's, its buffer takes the
+                    # denoiser input, and only the denoiser holds that
+                    x = np.add(i_next, beta, out=z if k else None)
+                    del z
+                    z = denoiser.denoise(x, schedule.sigma_tilde[k])
+                    del x
+                # beta += zeta * (i_next - z), through the anchor buffer
+                np.subtract(i_next, z, out=anchor)
+                anchor *= schedule.zeta
+                beta += anchor
     except FloatingPointError as exc:
         raise DivergenceError(
             "stage %d of %d diverged (%s) at zeta %g, gamma %g"
@@ -444,6 +462,16 @@ def reconstruct(
         ) from None
 
     return ReconstructionResult(cube=z, trace=records)
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x||, also where only its square leaves the float64 range."""
+    norm = float(np.linalg.norm(x))
+    if norm == np.inf:
+        scale = float(np.abs(x).max())
+        if scale < np.inf:
+            norm = scale * float(np.linalg.norm(x / scale))
+    return norm
 
 
 # registries used by the CLI and config parsing

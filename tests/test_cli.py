@@ -616,6 +616,42 @@ def test_poisson_peak_beyond_sampler_exit_2_naming_bits(tmp_path, capsys, recwar
     assert not out.exists()
 
 
+# a scene near the top of the float range, and one whose transform turns
+# to NaN everywhere without a floating-point flag
+_OVERFLOWING_CUBES = [smooth_cube(16, 16, 4) * 1e307,
+                      np.random.default_rng(0).choice([-1.7e308, 1.7e308], (16, 16, 4))]
+
+
+@pytest.mark.parametrize("cube", _OVERFLOWING_CUBES)
+def test_encode_overflow_exit_2_naming_cube(tmp_path, capsys, recwarn, cube):
+    psf, resp = _write_random_system(tmp_path)
+    cube_path = str(tmp_path / "bright.htns")
+    save_tensor(cube, cube_path)
+    out = tmp_path / "out.htns"
+    assert main(["simulate", "--cube", cube_path, "--psf", psf, "--response", resp,
+                 "--out", str(out), "--noise", "none"]) == 2
+    assert "--cube %s: too large to encode" % cube_path in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stages", ["1", "3"])
+def test_trace_of_a_bright_scene_changes_no_exit_code_or_cube(tmp_path, recwarn, stages):
+    # the squared residual of a 1e300 scene overflows; the trace says inf
+    psf, resp = _write_random_system(tmp_path)
+    cube_path = str(tmp_path / "bright.htns")
+    save_tensor(smooth_cube(16, 16, 4) * 1e300, cube_path)
+    coded = _simulate_noiseless(tmp_path, psf, resp, cube_path)
+    base = ["reconstruct", "--coded", coded, "--psf", psf, "--response", resp,
+            "--stages", stages]
+    assert main([*base, "--out", str(tmp_path / "plain.htns")]) == 0
+    assert main([*base, "--out", str(tmp_path / "traced.htns"), "--trace"]) == 0
+    assert (tmp_path / "plain.htns").read_bytes() == (tmp_path / "traced.htns").read_bytes()
+    rows = (tmp_path / "traced.htns.trace.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["inf"] * int(stages)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_diverging_zeta_exit_2_naming_flag_and_stage(tmp_path, capsys, recwarn):
     psf, resp = _write_random_system(tmp_path)
     cube_path, _ = _write_cube(tmp_path, shape=(8, 8, 4))

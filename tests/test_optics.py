@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from snapspec import (
     FrequencyOperator,
@@ -15,6 +16,7 @@ from snapspec import (
     forward_encode,
 )
 from snapspec.errors import DimensionError, ValidationError
+from snapspec.optics import empty_cube, from_spectrum, to_spectrum
 from snapspec.synth import rotating_psf_stack, smooth_cube, synthetic_system
 
 from reference_impls import direct_circular_encode, direct_dft2
@@ -145,6 +147,33 @@ def test_operator_without_response_sums_bands():
     cube = rng.standard_normal((6, 7, 4))
     slow = direct_circular_encode(cube, system.psfs, np.ones((3, 4)))
     assert np.max(np.abs(apply_forward_frequency(op, cube) - slow)) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(512, 512, 8), (128, 128, 31), (7, 9, 4), (8, 6, 5),
+                                   (1, 16, 1), (16, 1, 2), (33, 17, 3)])
+def test_band_by_band_transforms_match_batched(shape):
+    # one band at a time bounds the transient to a band; the bits must be
+    # those of one batched call, for pixel-major and band-major arrays alike
+    height, width, depth = shape
+    rng = np.random.default_rng(5)
+    op = FrequencyOperator(transfer=np.ones((depth, height, width // 2 + 1), complex),
+                           height=height, width=width)
+    band_major = empty_cube(op)
+    band_major[...] = rng.standard_normal(shape)
+    for x in (np.ascontiguousarray(band_major), band_major):
+        spectra = scipy.fft.rfft2(x.transpose(2, 0, 1))
+        assert np.array_equal(to_spectrum(op, x, depth), spectra)
+        batched = np.fft.irfft2(spectra, s=(height, width)).transpose(1, 2, 0)
+        assert np.array_equal(from_spectrum(op, spectra), batched)
+        out = np.full_like(x, np.nan)
+        assert from_spectrum(op, spectra, out) is out
+        assert np.array_equal(out, batched)
+
+
+def test_from_spectrum_rejects_misshapen_out():
+    op = FrequencyOperator(transfer=np.ones((2, 4, 3), complex), height=4, width=5)
+    with pytest.raises(DimensionError, match="does not match operator grid"):
+        from_spectrum(op, np.zeros((2, 4, 3), complex), np.empty((4, 5, 3)))
 
 
 def test_delta_psf_gives_flat_transfer():

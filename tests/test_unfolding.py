@@ -1,5 +1,8 @@
 """Stage-loop, schedule, denoiser, and initializer tests."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -303,6 +306,16 @@ def test_exact_data_consistent_start_is_fixed_point():
     assert np.max(np.abs(result.cube - cube)) < 1e-12
 
 
+def test_initializer_cube_left_unchanged():
+    # the untraced loop writes the denoiser input into the iterate's buffer,
+    # which must not be the initializer's own array
+    _, op, cube, coded = _small_setup(seed=5)
+    before = cube.copy()
+    reconstruct(coded, op, StageSchedule.geometric(4), IdentityDenoiser(),
+                _TruthInitializer(cube))
+    assert np.array_equal(cube, before)
+
+
 def test_trailing_schedule_entries_unused():
     # a K-stage run consumes only the first K-1 gamma entries
     _, op, _, coded = _small_setup(seed=11)
@@ -327,6 +340,66 @@ def test_trace_stage_numbering_and_nans():
     for r in result.trace[1:]:
         assert np.isfinite(r.delta) and np.isfinite(r.gamma)
         assert r.gamma > 0
+
+
+@pytest.mark.parametrize("gdm_iters", [None, 3])
+@pytest.mark.parametrize("denoiser", [IdentityDenoiser(), GaussianDenoiser(1.0),
+                                      TotalVariationDenoiser(0.01, 10), QuadraticDenoiser()])
+def test_trace_leaves_cube_unchanged(denoiser, gdm_iters):
+    # traced and untraced runs keep their buffers differently; the cube and
+    # every record must not depend on that
+    _, op, _, coded = _small_setup(seed=31, size=9)
+    sched = StageSchedule.geometric(5, prior_weight=0.01, zeta=0.7)
+    plain = reconstruct(coded, op, sched, denoiser, AdjointInitializer(), gdm_iters=gdm_iters)
+    traced = reconstruct(coded, op, sched, denoiser, AdjointInitializer(), trace=True,
+                         gdm_iters=gdm_iters)
+    assert np.array_equal(plain.cube, traced.cube)
+    assert all(np.isfinite(r.data_fidelity) for r in traced.trace)
+
+
+def test_trace_of_a_bright_scene_reads_inf_without_breaking_the_run():
+    # the squared residual of a 1e300 scene leaves the float64 range; the
+    # trace records that as inf, and neither warns nor changes the cube
+    cube = smooth_cube(16, 16, 4) * 1e300
+    system = synthetic_system(n_bands=4, kernel_size=5)
+    op = build_frequency_operator(system, 16, 16)
+    coded = forward_encode(cube, system)
+    sched = StageSchedule.geometric(3)
+    den = TotalVariationDenoiser()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plain = reconstruct(coded, op, sched, den, MeanInitializer())
+        traced = reconstruct(coded, op, sched, den, MeanInitializer(), trace=True)
+    assert np.array_equal(plain.cube, traced.cube)
+    assert [r.data_fidelity for r in traced.trace] == [np.inf] * 3
+    # a norm whose square alone overflows is still measured
+    assert all(1e298 < r.delta < np.inf for r in traced.trace[1:])
+
+
+def _peak_cubes(op, coded, sched, den, trace):
+    """tracemalloc peak of one run above what was allocated before it, in cubes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reconstruct(coded, op, sched, den, MeanInitializer(), trace=trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (op.height * op.width * op.n_bands * 8)
+
+
+def test_reconstruct_working_memory_in_cubes():
+    # an exact-solve stage holds the iterate, the multipliers, the anchor the
+    # solve writes into and the solve's spectrum: four cubes, plus the
+    # quadratic prior's output; 256^2 keeps the solve's fixed 512 KiB strip
+    # scratch small against a cube
+    system = synthetic_system(n_bands=8, kernel_size=9)
+    op = build_frequency_operator(system, 256, 256)
+    coded = forward_encode(smooth_cube(256, 256, 8), system)
+    sched = StageSchedule.geometric(13, prior_weight=1e-4)
+    assert _peak_cubes(op, coded, sched, QuadraticDenoiser(), trace=False) <= 5.0
+    # the trace keeps the previous iterate and measures the stage
+    assert _peak_cubes(op, coded, sched, IdentityDenoiser(), trace=True) <= 7.77
 
 
 def test_admm_quadratic_converges_to_dense_tikhonov():
