@@ -230,9 +230,8 @@ def from_spectrum(op: FrequencyOperator, spectra: np.ndarray,
     _check_grid(op, out, spectra.shape[0])
     for spectrum, band in zip(spectra, out.transpose(2, 0, 1)):
         # numpy's irfft2, not scipy's: scipy's is no faster and differs in
-        # the last bit on small odd grids, which would move every output;
-        # spelled irfftn, as numpy's irfft2 drops its out argument
-        np.fft.irfftn(spectrum, s=(op.height, op.width), axes=(0, 1), out=band)
+        # the last bit on small odd grids, which would move every output
+        band[...] = np.fft.irfft2(spectrum, s=(op.height, op.width))
     return out
 
 

@@ -356,7 +356,7 @@ class StageTrace:
     ``delta`` is the iterate movement ||Z(k) - Z(k-1)||, the oscillation
     diagnostic; ``primal_residual`` is the consensus gap ||I(k) - Z(k)||.
     Both are NaN on stage 1, which has no predecessor and no fidelity solve,
-    as is ``gamma``.  A fidelity beyond the float64 range reads inf.
+    as is ``gamma``.  A fidelity or norm beyond the float64 range reads inf.
     """
 
     stage: int
@@ -414,13 +414,13 @@ def reconstruct(
     lipschitz = 0.0 if gdm_iters is None else lipschitz_bound(op)
 
     def record(stage, z_next, z=None, gamma=np.nan, i_next=None) -> StageTrace:
-        # a diagnostic never breaks a run: on a bright scene the squared
-        # residual may leave the float64 range, and then reads inf
+        # a diagnostic never breaks a run: on a bright scene a squared
+        # residual may leave the float64 range, and its sum or norm reads inf
         with np.errstate(over="ignore", invalid="ignore"):
             resid = apply_forward_frequency(op, z_next) - coded
             fidelity = 0.5 * float(np.sum(resid**2))
-            delta = np.nan if z is None else _norm(z_next - z)
-            primal = np.nan if i_next is None else _norm(i_next - z_next)
+            delta = np.nan if z is None else float(np.linalg.norm(z_next - z))
+            primal = np.nan if i_next is None else float(np.linalg.norm(i_next - z_next))
         if np.isnan(fidelity):  # finite iterates: only an overflow (inf - inf) gives NaN
             fidelity = np.inf
         return StageTrace(stage, fidelity, delta, float(gamma), primal)
@@ -439,18 +439,17 @@ def reconstruct(
                     i_next = gdm_fidelity_step(
                         prob_k, anchor, z, step=1.0 / (lipschitz + gamma), iters=gdm_iters
                     )
+                # untraced, the old iterate is dead, and after the first
+                # stage, whose iterate is the initializer's, its buffer takes
+                # the denoiser input; the trace keeps it for delta
+                prev = z if trace else None
+                x = np.add(i_next, beta, out=z if k and not trace else None)
+                del z
+                z = denoiser.denoise(x, schedule.sigma_tilde[k])
+                del x
                 if trace:
-                    z_next = denoiser.denoise(i_next + beta, schedule.sigma_tilde[k])
-                    records.append(record(k + 2, z_next, z, gamma, i_next))
-                    z = z_next
-                else:
-                    # the old iterate is dead: after the first stage, whose
-                    # iterate is the initializer's, its buffer takes the
-                    # denoiser input, and only the denoiser holds that
-                    x = np.add(i_next, beta, out=z if k else None)
-                    del z
-                    z = denoiser.denoise(x, schedule.sigma_tilde[k])
-                    del x
+                    records.append(record(k + 2, z, prev, gamma, i_next))
+                del prev
                 # beta += zeta * (i_next - z), through the anchor buffer
                 np.subtract(i_next, z, out=anchor)
                 anchor *= schedule.zeta
@@ -462,16 +461,6 @@ def reconstruct(
         ) from None
 
     return ReconstructionResult(cube=z, trace=records)
-
-
-def _norm(x: np.ndarray) -> float:
-    """||x||, also where only its square leaves the float64 range."""
-    norm = float(np.linalg.norm(x))
-    if norm == np.inf:
-        scale = float(np.abs(x).max())
-        if scale < np.inf:
-            norm = scale * float(np.linalg.norm(x / scale))
-    return norm
 
 
 # registries used by the CLI and config parsing

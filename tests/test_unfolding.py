@@ -372,8 +372,6 @@ def test_trace_of_a_bright_scene_reads_inf_without_breaking_the_run():
         traced = reconstruct(coded, op, sched, den, MeanInitializer(), trace=True)
     assert np.array_equal(plain.cube, traced.cube)
     assert [r.data_fidelity for r in traced.trace] == [np.inf] * 3
-    # a norm whose square alone overflows is still measured
-    assert all(1e298 < r.delta < np.inf for r in traced.trace[1:])
 
 
 def _peak_cubes(op, coded, sched, den, trace):
