@@ -311,11 +311,15 @@ def _parse_strategy_spec(spec: str, registry: dict, what: str):
     return cls(**_spec_kwargs(cls.params, rest, what + " spec", "%s %r" % (what, name)))
 
 
+def _key_domains(params: dict) -> list[str]:
+    """'KEY in DOMAIN' for each key that ``params`` declares."""
+    return ["%s in %s" % (key, domain) for key, (_, _, domain) in params.items()]
+
+
 def _strategy_help(registry: dict) -> str:
     """'NAME[:KEY=VALUE,...]' help listing each registered name and its keys' domains."""
     return "NAME[:KEY=VALUE,...]: " + "; ".join(
-        name + "".join(", %s in %s" % (key, domain) for key, (_, _, domain) in cls.params.items())
-        for name, cls in registry.items())
+        ", ".join([name, *_key_domains(cls.params)]) for name, cls in registry.items())
 
 
 def parse_denoiser_spec(spec: str):
@@ -373,7 +377,10 @@ _SIMULATE_KEYS = [
     Key("boundary", _conv_choice("circular", "valid-crop"), "circular",
         "convolution boundary handling; reconstruct inverts only circular"),
     Key("noise", _conv_str, "default",
-        "'none', 'default' (gaussian=7e-5,poisson_bits=14), or explicit spec"),
+        "'none', 'default' (%s), or KEY=VALUE,... with %s (0 for off, else 8 to 16); "
+        "a key left out is off" % (",".join("%s=%s" % (key, getattr(NoiseModel, arg))
+                                            for key, (arg, _, _) in NoiseModel.params.items()),
+                                   ", ".join(_key_domains(NoiseModel.params)))),
     Key("seed", _conv_int, 0, "noise RNG seed", domain=Domain(0)),
     Key("export_pgm", _conv_str, "", "optional 8-bit grayscale preview path"),
 ]
@@ -414,8 +421,6 @@ _RECONSTRUCT_KEYS = [
     Key("out", _conv_str, "", "output reconstructed cube (.htns)", required=True),
     Key("stages", _conv_int, 7, "stage count K (K=1 returns the initialization)",
         domain=Domain(1, 1000)),
-    Key("method", _conv_choice("admm", "hqs", "gdm"), "admm",
-        "admm, hqs (no multipliers), or gdm (gradient-descent fidelity baseline)"),
     Key("gamma_schedule", _conv_str, "geometric:0.01,4",
         "'geometric:GAMMA0,RATIO' or 'constant:GAMMA'"),
     Key("denoiser", _conv_str, "tv:lambda=0.01,iters=30", _strategy_help(DENOISERS)),
@@ -423,10 +428,11 @@ _RECONSTRUCT_KEYS = [
     Key("prior_weight", _conv_float, 0.0,
         "prior weight sigma; denoiser noise level is sqrt(sigma/gamma)",
         domain=StageSchedule.params["prior_weight"][2]),
-    Key("zeta", _conv_float, 1.0, "multiplier update rate (ignored by hqs)",
+    Key("zeta", _conv_float, 1.0, "multiplier update rate; 0 is HQS (no multipliers)",
         domain=StageSchedule.params["zeta"][2]),
-    Key("gdm_iters", _conv_int, 10, "inner gradient steps when method=gdm",
-        domain=Domain(0, 10_000)),
+    Key("gdm_iters", _conv_int, 0,
+        "gradient steps in place of each exact fidelity solve (the GDM baseline); "
+        "0 keeps the exact solve", domain=Domain(0, 10_000)),
     Key("trace", _conv_bool, False, "also write per-stage trace CSV next to the output"),
     Key("export_pgm", _conv_str, "", "optional band-mean preview path"),
 ]
@@ -455,10 +461,6 @@ def _check_circular_coded(coded_path: str) -> None:
 
 
 def _cmd_reconstruct(config: dict) -> int:
-    # --method: hqs is admm without multiplier updates; gdm swaps the exact
-    # solve for gradient steps
-    zeta = 0.0 if config["method"] == "hqs" else config["zeta"]
-    gdm_iters = config["gdm_iters"] if config["method"] == "gdm" else None
     # spec strings first, so that a usage error comes before an I/O error
     try:
         gamma = parse_schedule_spec(config["gamma_schedule"], config["stages"])
@@ -466,7 +468,7 @@ def _cmd_reconstruct(config: dict) -> int:
         raise ParameterError("--gamma-schedule %s with --stages %d: %s"
                              % (config["gamma_schedule"], config["stages"], exc)) from None
     try:
-        schedule = StageSchedule(gamma, config["prior_weight"], zeta)
+        schedule = StageSchedule(gamma, config["prior_weight"], config["zeta"])
     except ParameterError as exc:
         raise ParameterError("--prior-weight %g: %s" % (config["prior_weight"], exc)) from None
     denoiser = parse_denoiser_spec(config["denoiser"])
@@ -479,7 +481,7 @@ def _cmd_reconstruct(config: dict) -> int:
     op = build_frequency_operator(system, coded.shape[0], coded.shape[1])
     try:
         result = run_reconstruct(coded, op, schedule, denoiser, initializer,
-                                 trace=config["trace"], gdm_iters=gdm_iters)
+                                 trace=config["trace"], gdm_iters=config["gdm_iters"])
     except DivergenceError as exc:
         raise DivergenceError("--zeta %g: %s" % (config["zeta"], exc)) from None
     save_tensor(result.cube, config["out"])
@@ -502,13 +504,8 @@ def _cmd_reconstruct(config: dict) -> int:
         config["out"], "reconstruct", config,
         [config["coded"], config["psf"], config["response"]], outputs,
     )
-    print(
-        "wrote %s (%dx%dx%d, %d stages, %s)"
-        % (
-            config["out"], result.cube.shape[0], result.cube.shape[1],
-            result.cube.shape[2], config["stages"], config["method"],
-        )
-    )
+    print("wrote %s (%dx%dx%d, %d stages)"
+          % (config["out"], *result.cube.shape, config["stages"]))
     return EXIT_OK
 
 

@@ -379,16 +379,17 @@ def reconstruct(
     denoiser: Denoiser,
     initializer: Initializer,
     trace: bool = False,
-    gdm_iters: int | None = None,
+    gdm_iters: int = 0,
 ) -> ReconstructionResult:
     """Run the unrolled stage loop and return the final prior iterate.
 
     The measurement-consistency step uses the exact frequency-domain solver
-    when ``gdm_iters`` is None; an integer swaps in that many warm-started
-    gradient steps instead, as a baseline.  With ``trace=True`` the result
-    carries one StageTrace per stage.  A stage whose arithmetic overflows or
-    turns invalid (for example under a huge zeta) raises DivergenceError
-    naming that stage; a trace record never does.
+    when ``gdm_iters`` is 0; a positive count swaps in that many warm-started
+    gradient steps instead, the GDM baseline.  A schedule with zeta 0 runs
+    HQS, the same loop without multiplier updates.  With ``trace=True`` the
+    result carries one StageTrace per stage.  A stage whose arithmetic
+    overflows or turns invalid (for example under a huge zeta) raises
+    DivergenceError naming that stage; a trace record never does.
 
     Working memory: an exact-solve stage holds four cubes above its inputs
     (the iterate, the multipliers, the anchor that the solve overwrites with
@@ -411,7 +412,7 @@ def reconstruct(
         )
     beta = np.zeros_like(z)
     anchor = empty_cube(op)  # holds z - beta, then the stage's solve output
-    lipschitz = 0.0 if gdm_iters is None else lipschitz_bound(op)
+    lipschitz = lipschitz_bound(op) if gdm_iters else 0.0
 
     def record(stage, z_next, z=None, gamma=np.nan, i_next=None) -> StageTrace:
         # a diagnostic never breaks a run: on a bright scene a squared
@@ -433,12 +434,12 @@ def reconstruct(
                 gamma = schedule.gamma[k]
                 prob_k = problem.with_gamma(gamma)
                 np.subtract(z, beta, out=anchor)
-                if gdm_iters is None:
-                    i_next = fidelity_solve(prob_k, anchor, out=anchor)
-                else:
+                if gdm_iters:
                     i_next = gdm_fidelity_step(
                         prob_k, anchor, z, step=1.0 / (lipschitz + gamma), iters=gdm_iters
                     )
+                else:
+                    i_next = fidelity_solve(prob_k, anchor, out=anchor)
                 # untraced, the old iterate is dead, and after the first
                 # stage, whose iterate is the initializer's, its buffer takes
                 # the denoiser input; the trace keeps it for delta
@@ -454,6 +455,7 @@ def reconstruct(
                 np.subtract(i_next, z, out=anchor)
                 anchor *= schedule.zeta
                 beta += anchor
+                del i_next  # a GDM output is its own cube: free it before the next stage
     except FloatingPointError as exc:
         raise DivergenceError(
             "stage %d of %d diverged (%s) at zeta %g, gamma %g"

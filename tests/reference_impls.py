@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from snapspec import FidelityProblem, fidelity_solve
+
 
 def direct_circular_encode(cube: np.ndarray, psfs: np.ndarray, response: np.ndarray) -> np.ndarray:
     """Nested-loop coded-image forward model with wrapped indices.
@@ -131,6 +133,22 @@ def tv_dual_reference(cube: np.ndarray, weight: float, iters: int) -> np.ndarray
         qh[:, :-1] = np.clip(qh[:, :-1] + tau * (z[:, 1:] - z[:, :-1]), -weight, weight)
         qv[:-1, :] = np.clip(qv[:-1, :] + tau * (z[1:, :] - z[:-1, :]), -weight, weight)
     return cube - _tv_adjoint_grad(qh, qv)
+
+
+def hqs_reference(coded, op, schedule, denoiser, initializer) -> np.ndarray:
+    """The multiplier-free stage loop, written out: from the initializer's
+    cube, each stage solves the fidelity subproblem anchored at the iterate
+    and denoises the result.  No multipliers, anchor buffer or trace.
+
+    It calls the library's fidelity_solve on purpose: the solve has its own
+    dense-oracle checks, and this reference checks only the loop around it.
+    """
+    prob = FidelityProblem.from_coded_image(op, coded, gamma=schedule.gamma[0])
+    z = np.asarray(initializer.initialize(coded, op), dtype=np.float64)
+    for k in range(schedule.n_stages - 1):
+        z = denoiser.denoise(fidelity_solve(prob.with_gamma(schedule.gamma[k]), z),
+                             schedule.sigma_tilde[k])
+    return z
 
 
 def psnr_direct(x: np.ndarray, ref: np.ndarray, peak: float = 1.0) -> float:

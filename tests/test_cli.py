@@ -119,22 +119,6 @@ def test_reconstruct_single_stage_returns_initialization(tmp_path):
     assert not load_tensor(out).any()
 
 
-def test_hqs_flag_equals_admm_with_zero_zeta(tmp_path):
-    psf, resp = _write_random_system(tmp_path)
-    cube_path, _ = _write_cube(tmp_path)
-    coded = _simulate_noiseless(tmp_path, psf, resp, cube_path)
-    out_h = str(tmp_path / "h.htns")
-    out_a = str(tmp_path / "a.htns")
-    base = [
-        "--coded", coded, "--psf", psf, "--response", resp, "--stages", "5",
-        "--denoiser", "quadratic", "--prior-weight", "0.05",
-    ]
-    assert main(["reconstruct", *base, "--out", out_h, "--method", "hqs"]) == 0
-    assert main(["reconstruct", *base, "--out", out_a, "--method", "admm",
-                 "--zeta", "0"]) == 0
-    assert (tmp_path / "h.htns").read_bytes() == (tmp_path / "a.htns").read_bytes()
-
-
 def test_reconstruct_trace_csv(tmp_path):
     psf, resp = _write_random_system(tmp_path)
     cube_path, _ = _write_cube(tmp_path)
@@ -364,6 +348,16 @@ def test_reconstruct_help_lists_every_strategy_and_key_domain(capsys):
         assert cls.name in entry.replace(";", " ").replace(",", " ").split()
         for key, (_, _, domain) in cls.params.items():
             assert "%s in %s" % (key, domain) in entry
+
+
+def test_simulate_help_lists_every_noise_key_domain(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    entry = text.split("--noise NOISE ")[-1].split(" --")[0]
+    for key, (_, _, domain) in NoiseModel.params.items():
+        assert "%s in %s" % (key, domain) in entry
 
 
 @pytest.mark.parametrize("flag, cls, key", [
@@ -834,10 +828,12 @@ _RECONSTRUCT_EDGES = {
     "--gamma-schedule": ["geometric:%s,4" % g for g in _POSITIVE]
     + ["geometric:0.01,%s" % r for r in _edge_texts(float, Domain(1.0, lo_open=True))]
     + ["constant:%s" % g for g in _POSITIVE],
-    "--method": ["admm", "hqs", "gdm"],
     **{key.flag: [text for text in _edge_texts(type(key.default), key.domain)
                   if text not in ("1000", "10000")] for key in _numeric_keys("reconstruct")},
 }
+# the domain edges of --gdm-iters are the exact solve (0) and refusals; these
+# run gradient stages
+_RECONSTRUCT_EDGES["--gdm-iters"] += ["1", "10"]
 
 
 def _edge_flags(data, edges):

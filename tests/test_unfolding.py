@@ -374,12 +374,12 @@ def test_trace_of_a_bright_scene_reads_inf_without_breaking_the_run():
     assert [r.data_fidelity for r in traced.trace] == [np.inf] * 3
 
 
-def _peak_cubes(op, coded, sched, den, trace):
+def _peak_cubes(op, coded, sched, den, trace, gdm_iters=0):
     """tracemalloc peak of one run above what was allocated before it, in cubes."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        reconstruct(coded, op, sched, den, MeanInitializer(), trace=trace)
+        reconstruct(coded, op, sched, den, MeanInitializer(), trace=trace, gdm_iters=gdm_iters)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -398,6 +398,11 @@ def test_reconstruct_working_memory_in_cubes():
     assert _peak_cubes(op, coded, sched, QuadraticDenoiser(), trace=False) <= 5.0
     # the trace keeps the previous iterate and measures the stage
     assert _peak_cubes(op, coded, sched, IdentityDenoiser(), trace=True) <= 7.77
+    # a GDM stage's output is dropped before the next stage's gradient steps
+    op = build_frequency_operator(system, 128, 128)
+    coded = forward_encode(smooth_cube(128, 128, 8), system)
+    sched = StageSchedule.geometric(5, prior_weight=1e-4)
+    assert _peak_cubes(op, coded, sched, QuadraticDenoiser(), trace=False, gdm_iters=3) <= 8.5
 
 
 def test_admm_quadratic_converges_to_dense_tikhonov():
