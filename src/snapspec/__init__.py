@@ -24,7 +24,6 @@ from .fidelity import (
     fidelity_solve,
     fidelity_solve_naive,
     gdm_fidelity_step,
-    lipschitz_bound,
     subproblem_gradient,
     subproblem_objective,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "fidelity_solve_naive",
     "forward_encode",
     "gdm_fidelity_step",
-    "lipschitz_bound",
     "load_response_csv",
     "load_tensor",
     "psnr",

@@ -28,8 +28,8 @@ also checks every input's grid shape.
 
 ``fidelity_solve_naive`` solves the untransformed per-frequency N x N
 systems directly and exists to cross-validate the rearrangement;
-``gdm_fidelity_step`` is the plain gradient-descent baseline the closed
-form replaces.
+``gdm_fidelity_step`` is the gradient-descent baseline the closed form
+replaces, each step 1 / (||A||^2 + gamma).
 """
 
 from __future__ import annotations
@@ -40,13 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError, SingularPivotError
-from .optics import FrequencyOperator, apply_adjoint, apply_forward_frequency
+from .optics import GRAM_PLANES, FrequencyOperator, apply_adjoint, apply_forward_frequency
 from .optics import back_project, forward_project, from_spectrum, to_spectrum
 
 _PIVOT_FLOOR = 1e-300
-
-# plane of entry (a, b) of a symmetric 3 x 3 in the layout of op.gram
-_PLANES = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 
 # complex elements per band strip in fidelity_solve: 2^15 (512 KiB) keeps a
 # strip's working set in a per-core L2 cache; 15 rows of a 512 x 512 x 8 solve
@@ -67,10 +64,9 @@ class FidelityProblem:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ParameterError("gamma must be positive, got %r" % self.gamma)
-        if not math.isfinite(1.0 / float(self.gamma)):
-            raise ParameterError("gamma must have a finite reciprocal, got %r" % self.gamma)
+        if not (self.gamma > 0 and math.isfinite(1.0 / float(self.gamma))):
+            raise ParameterError("gamma must be positive with a finite reciprocal, got %r"
+                                 % self.gamma)
         expected = (3, self.op.height, self.op.width // 2 + 1)
         if self.coded_spectrum.shape != expected:
             raise DimensionError(
@@ -147,7 +143,7 @@ def fidelity_solve(prob: FidelityProblem, anchor: np.ndarray,
         resid = forward_project(op, spec[:, strip], strip)
         np.subtract(prob.coded_spectrum[:, strip], resid, out=resid)
         weighted = np.empty_like(resid)
-        for channel, (p0, p1, p2) in zip(weighted, _PLANES):
+        for channel, (p0, p1, p2) in zip(weighted, GRAM_PLANES):
             np.multiply(a_inv[p0], resid[0], out=channel)
             channel += a_inv[p1] * resid[1]
             channel += a_inv[p2] * resid[2]
@@ -187,23 +183,16 @@ def subproblem_gradient(prob: FidelityProblem, x: np.ndarray, anchor: np.ndarray
     return apply_adjoint(prob.op, resid) + prob.gamma * (x - anchor)
 
 
-def gdm_fidelity_step(
-    prob: FidelityProblem,
-    anchor: np.ndarray,
-    current: np.ndarray,
-    step: float,
-    iters: int,
-) -> np.ndarray:
+def gdm_fidelity_step(prob: FidelityProblem, anchor: np.ndarray, current: np.ndarray,
+                      iters: int) -> np.ndarray:
     """Gradient-descent baseline for the subproblem.
 
-    Runs ``iters`` fixed-step gradient iterations from ``current``, applying
-    the forward operator and its adjoint in the frequency domain each step.
-    With step <= 1/(L + gamma), L the largest per-frequency squared singular
-    value of the transfer matrices, the iterates converge to the closed-form
-    solution linearly; the point of the baseline is how slowly.
+    Runs ``iters`` gradient iterations from ``current``, applying the forward
+    operator and its adjoint in the frequency domain each step.  Each step is
+    1 / (||A||^2 + gamma), ||A||^2 the operator's cached ``lipschitz``, so the
+    iterates converge to the closed-form solution linearly; the point of the
+    baseline is how slowly.
     """
-    if not step > 0:
-        raise ParameterError("step must be positive, got %r" % step)
     if iters < 0:
         raise ParameterError("iters must be >= 0")
     x = np.array(current, dtype=np.float64, copy=True)
@@ -211,13 +200,8 @@ def gdm_fidelity_step(
         return x
     anchor = np.asarray(anchor, dtype=np.float64)
     coded = prob.coded_image()
+    step = 1.0 / (prob.op.lipschitz + prob.gamma)
     for _ in range(iters):
         resid = apply_forward_frequency(prob.op, x) - coded
         x -= step * (apply_adjoint(prob.op, resid) + prob.gamma * (x - anchor))
     return x
-
-
-def lipschitz_bound(op: FrequencyOperator) -> float:
-    """Largest per-frequency eigenvalue of H_f H_f^*; equals ||A||^2."""
-    gram = np.moveaxis(op.gram[np.array(_PLANES)], (0, 1), (-2, -1))
-    return float(np.linalg.eigvalsh(gram)[..., -1].max())

@@ -24,6 +24,7 @@ through these two helpers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,10 @@ class OpticalSystem:
         return self.psfs.shape[1]
 
 
+# plane of entry (a, b) of a symmetric 3 x 3 in the layout of FrequencyOperator.gram
+GRAM_PLANES = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
+
+
 @dataclass(frozen=True)
 class FrequencyOperator:
     """The coded-image forward operator as its two per-frequency factors.
@@ -100,7 +105,7 @@ class FrequencyOperator:
     stores its 6 distinct entries as planes, derived once at construction:
     shape (6, height, width // 2 + 1), plane p holding entry (a, b) for the
     upper-triangle pairs (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)
-    (the order of ``np.triu_indices(3)``).
+    (the order of ``np.triu_indices(3)``; ``GRAM_PLANES`` maps them back).
     """
 
     transfer: np.ndarray
@@ -126,6 +131,13 @@ class FrequencyOperator:
     @property
     def n_bands(self) -> int:
         return self.transfer.shape[0]
+
+    @functools.cached_property
+    def lipschitz(self) -> float:
+        """||A||^2, the largest eigenvalue of any bin's Gram H_f H_f^*; computed
+        on first use, as the sweep costs more than an exact solve."""
+        gram = np.moveaxis(self.gram[np.array(GRAM_PLANES)], (0, 1), (-2, -1))
+        return float(np.linalg.eigvalsh(gram)[..., -1].max())
 
 
 @dataclass(frozen=True)

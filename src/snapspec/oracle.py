@@ -98,7 +98,11 @@ class DenseSystem:
         self._check_cube(anchor)
         normal = self.phi.T @ self.phi + gamma * np.eye(self.phi.shape[1])
         rhs = self.phi.T @ vec_cube(coded) + gamma * vec_cube(anchor)
-        x = cho_solve(cho_factor(normal), rhs)
+        try:
+            x = cho_solve(cho_factor(normal), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise ParameterError("gamma too small against ||Phi||^2 for a float64 "
+                                 "Cholesky (%s)" % exc) from None
         return unvec_cube(x, self.height, self.width, self.n_bands)
 
     def tikhonov_solve(self, coded: np.ndarray, weight: float) -> np.ndarray:

@@ -25,13 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import DimensionError, DivergenceError, Domain, ParameterError, check_params
-from .fidelity import (
-    FidelityProblem,
-    fidelity_solve,
-    gdm_fidelity_step,
-    lipschitz_bound,
-)
+from .errors import (DimensionError, DivergenceError, Domain, ParameterError,
+                     SingularPivotError, check_params)
+from .fidelity import FidelityProblem, fidelity_solve, gdm_fidelity_step
 from .optics import FrequencyOperator, apply_adjoint, apply_forward_frequency, empty_cube
 
 
@@ -389,7 +385,8 @@ def reconstruct(
     HQS, the same loop without multiplier updates.  With ``trace=True`` the
     result carries one StageTrace per stage.  A stage whose arithmetic
     overflows or turns invalid (for example under a huge zeta) raises
-    DivergenceError naming that stage; a trace record never does.
+    DivergenceError naming that stage (SingularPivotError if an exact solve
+    loses a pivot to a tiny gamma); a trace record never does.
 
     Working memory: an exact-solve stage holds four cubes above its inputs
     (the iterate, the multipliers, the anchor that the solve overwrites with
@@ -412,7 +409,6 @@ def reconstruct(
         )
     beta = np.zeros_like(z)
     anchor = empty_cube(op)  # holds z - beta, then the stage's solve output
-    lipschitz = lipschitz_bound(op) if gdm_iters else 0.0
 
     def record(stage, z_next, z=None, gamma=np.nan, i_next=None) -> StageTrace:
         # a diagnostic never breaks a run: on a bright scene a squared
@@ -435,9 +431,7 @@ def reconstruct(
                 prob_k = problem.with_gamma(gamma)
                 np.subtract(z, beta, out=anchor)
                 if gdm_iters:
-                    i_next = gdm_fidelity_step(
-                        prob_k, anchor, z, step=1.0 / (lipschitz + gamma), iters=gdm_iters
-                    )
+                    i_next = gdm_fidelity_step(prob_k, anchor, z, gdm_iters)
                 else:
                     i_next = fidelity_solve(prob_k, anchor, out=anchor)
                 # untraced, the old iterate is dead, and after the first
@@ -461,6 +455,9 @@ def reconstruct(
             "stage %d of %d diverged (%s) at zeta %g, gamma %g"
             % (k + 2, schedule.n_stages, exc, schedule.zeta, schedule.gamma[k])
         ) from None
+    except SingularPivotError as exc:
+        raise SingularPivotError("stage %d of %d: %s at gamma %g, too small for float64"
+                                 % (k + 2, schedule.n_stages, exc, schedule.gamma[k])) from None
 
     return ReconstructionResult(cube=z, trace=records)
 

@@ -18,7 +18,7 @@ from snapspec import cli
 from snapspec.cli import build_parser, main
 from snapspec.errors import Domain, ParameterError
 from snapspec.optics import NoiseModel
-from snapspec.synth import smooth_cube
+from snapspec.synth import rgb_response, rotating_psf_stack, smooth_cube
 from snapspec.unfolding import DENOISERS, INITIALIZERS
 
 COMMANDS = ("simulate", "reconstruct", "evaluate", "bench", "oracle-check")
@@ -661,6 +661,45 @@ def test_diverging_zeta_exit_2_naming_flag_and_stage(tmp_path, capsys, recwarn):
     assert "--zeta 1e+300: stage " in err and "diverged" in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+
+
+def test_gamma_too_small_for_pivots_exit_2_naming_flag_and_stage(tmp_path, capsys):
+    # one band makes every Gram rank one; at gamma 1e-20 rounding zeroes a pivot
+    psf_path, resp_path = tmp_path / "psf.htns", tmp_path / "resp.csv"
+    save_tensor(rotating_psf_stack(1, 5), psf_path)
+    save_response_csv(resp_path, np.array([550.0]), rgb_response(1))
+    cube_path = tmp_path / "cube.htns"
+    save_tensor(smooth_cube(16, 16, 1), cube_path)
+    coded = _simulate_noiseless(tmp_path, str(psf_path), str(resp_path), str(cube_path))
+    out = tmp_path / "out.htns"
+    capsys.readouterr()
+    code = main([
+        "reconstruct", "--coded", coded, "--psf", str(psf_path), "--response", str(resp_path),
+        "--out", str(out), "--gamma-schedule", "constant:1e-20",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--gamma-schedule constant:1e-20: stage 2 of 7: " in err
+    assert "pivot underflow at gamma 1e-20" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size, gamma, message", [
+    ("8", "1e-17", "--gamma 1e-17: gamma too small against ||Phi||^2"),
+    ("4", "1e-300", "--gamma 1e-300: gamma too small against ||Phi||^2"),
+    ("8", "1e-320", "--gamma 1e-320: gamma must be positive with a finite reciprocal"),
+], ids=["cholesky-1e-17", "cholesky-1e-300", "reciprocal-1e-320"])
+def test_bench_gamma_too_small_exit_2_naming_flag(capsys, monkeypatch, size, gamma, message):
+    # the dense solve fails before any GDM row runs, not after matched GDM's cap
+    def no_gdm(*args):
+        raise AssertionError("GDM ran before the gamma failure")
+
+    monkeypatch.setattr(cli, "gdm_fidelity_step", no_gdm)
+    code = main(["bench", "--sizes", size, "--bands", "4", "--repeats", "1", "--gamma", gamma])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("stages", [600, 1000])

@@ -18,7 +18,6 @@ from snapspec import (
     fidelity_solve_naive,
     forward_encode,
     gdm_fidelity_step,
-    lipschitz_bound,
     reconstruct,
     subproblem_gradient,
     subproblem_objective,
@@ -276,7 +275,7 @@ def test_gdm_zero_iters_is_identity():
     _, op, prob = _problem(rng)
     anchor = rng.standard_normal((8, 8, 5))
     start = rng.standard_normal((8, 8, 5))
-    out = gdm_fidelity_step(prob, anchor, start, step=0.1, iters=0)
+    out = gdm_fidelity_step(prob, anchor, start, iters=0)
     assert np.array_equal(out, start)
     assert out is not start
 
@@ -286,8 +285,7 @@ def test_gdm_ten_steps_still_inferior():
     _, op, prob = _problem(rng, gamma=0.5)
     anchor = rng.standard_normal((8, 8, 5))
     exact = fidelity_solve(prob, anchor)
-    step = 1.0 / (lipschitz_bound(prob.op) + prob.gamma)
-    approx = gdm_fidelity_step(prob, anchor, np.zeros_like(anchor), step=step, iters=10)
+    approx = gdm_fidelity_step(prob, anchor, np.zeros_like(anchor), iters=10)
     exact_obj = subproblem_objective(prob, exact, anchor)
     approx_obj = subproblem_objective(prob, approx, anchor)
     assert approx_obj > exact_obj * (1 + 1e-9)
@@ -298,8 +296,7 @@ def test_gdm_converges_to_closed_form():
     _, op, prob = _problem(rng, size=6, n_bands=4, gamma=1.0)
     anchor = rng.standard_normal((6, 6, 4))
     exact = fidelity_solve(prob, anchor)
-    step = 1.0 / (lipschitz_bound(prob.op) + prob.gamma)
-    approx = gdm_fidelity_step(prob, anchor, np.zeros_like(anchor), step=step, iters=10000)
+    approx = gdm_fidelity_step(prob, anchor, np.zeros_like(anchor), iters=10000)
     rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
     assert rel < 1e-6
 
@@ -309,21 +306,54 @@ def test_gdm_validation():
     _, op, prob = _problem(rng)
     anchor = np.zeros((8, 8, 5))
     with pytest.raises(ParameterError):
-        gdm_fidelity_step(prob, anchor, anchor, step=0.0, iters=1)
-    with pytest.raises(ParameterError):
-        gdm_fidelity_step(prob, anchor, anchor, step=0.1, iters=-1)
+        gdm_fidelity_step(prob, anchor, anchor, iters=-1)
 
 
 def test_lipschitz_bounds_operator_norm():
     rng = np.random.default_rng(47)
     system = _random_system(rng, 5, 3)
     op = build_frequency_operator(system, 8, 8)
-    bound = lipschitz_bound(op)
+    bound = op.lipschitz
     for trial in range(10):
         cube = rng.standard_normal((8, 8, 5))
         coded = forward_encode(cube, system)
         ratio = np.sum(coded**2) / np.sum(cube**2)
         assert ratio <= bound * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("width", [7, 8])
+def test_lipschitz_equals_dense_operator_norm(width):
+    # the half spectrum holds every distinct Gram of an odd or even width
+    rng = np.random.default_rng(48)
+    system = _random_system(rng, 5, 3)
+    op = build_frequency_operator(system, 6, width)
+    norm = np.linalg.norm(DenseSystem.from_system(system, 6, width).phi, 2) ** 2
+    assert abs(op.lipschitz - norm) <= 1e-12 * norm
+
+
+def test_lipschitz_sweeps_once_per_operator(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    rng = np.random.default_rng(49)
+    system = _random_system(rng, 4, 3)
+    op = build_frequency_operator(system, 16, 16)
+    coded = forward_encode(rng.uniform(size=(16, 16, 4)), system)
+    anchor = rng.standard_normal((16, 16, 4))
+    schedule = StageSchedule.geometric(5, 0.01, 4.0, prior_weight=0.01)
+    reconstruct(coded, op, schedule, IdentityDenoiser(), MeanInitializer())
+    gdm_fidelity_step(FidelityProblem.from_coded_image(op, coded, 0.5), anchor, anchor, iters=0)
+    assert calls == []  # exact solves and zero steps never pay for the sweep
+    reconstruct(coded, op, schedule, IdentityDenoiser(), MeanInitializer(), gdm_iters=3)
+    for gamma in (0.5, 2.0):
+        prob = FidelityProblem.from_coded_image(op, coded, gamma)
+        gdm_fidelity_step(prob, anchor, anchor, iters=2)
+    assert len(calls) == 1
 
 
 # problem container validation

@@ -140,6 +140,15 @@ def test_ridge_rejects_nonpositive_gamma():
         dense.ridge_solve(zeros3, zeros2, 0.0)
 
 
+def test_ridge_gamma_too_small_for_cholesky_is_parameter_error():
+    # Phi^T Phi is singular for more bands than channels, and gamma 1e-300
+    # is lost in its rounding, so the Cholesky factorization fails
+    rng = np.random.default_rng(12)
+    dense = DenseSystem.from_system(_random_system(rng, 4, 3), 4, 4)
+    with pytest.raises(ParameterError, match="too small against"):
+        dense.ridge_solve(np.zeros((4, 4, 3)), np.zeros((4, 4, 4)), 1e-300)
+
+
 def test_tikhonov_identity_optics_zero_weight():
     # identity optics, 3 bands: zero-weight solve reproduces the coded image
     dense = DenseSystem.from_system(_identity_system(3), 3, 3)
