@@ -621,14 +621,19 @@ def _cmd_bench(config: dict) -> int:
             x = np.array(anchor, copy=True)
             iters_done = 0
             chunk = 50
+            capped = False
             while iters_done < MATCHED_CAP:
                 x = gdm_fidelity_step(prob, anchor, x, chunk)
                 iters_done += chunk
                 gap = subproblem_objective(prob, x, anchor) - target
                 if gap <= MATCHED_TOL * max(1.0, abs(target)):
                     break
+            else:
+                capped = True
             t_matched = time.perf_counter() - start
-            rows.append((size, bands, "gdm_matched", t_matched, "iters=%d" % iters_done))
+            # a run stopped at its cap never matched: say so in the row
+            detail = "iters=%d%s" % (iters_done, ";capped" if capped else "")
+            rows.append((size, bands, "gdm_matched", t_matched, detail))
 
             if t_dense is not None:
                 rows.append((size, bands, "dense_oracle", t_dense, ""))
@@ -639,7 +644,12 @@ def _cmd_bench(config: dict) -> int:
                         "size %d bands %d: analytical %.4fs not faster than 10-step GDM %.4fs"
                         % (size, bands, t_exact, t_gdm10)
                     )
-                if not t_exact < t_matched:
+                if capped:
+                    failures.append(
+                        "size %d bands %d: matched GDM stopped at its %d-step cap before"
+                        " reaching relative gap %g" % (size, bands, MATCHED_CAP, MATCHED_TOL)
+                    )
+                elif not t_exact < t_matched:
                     failures.append(
                         "size %d bands %d: analytical %.4fs not faster than matched GDM %.4fs"
                         % (size, bands, t_exact, t_matched)

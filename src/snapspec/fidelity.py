@@ -201,7 +201,18 @@ def gdm_fidelity_step(prob: FidelityProblem, anchor: np.ndarray, current: np.nda
     anchor = np.asarray(anchor, dtype=np.float64)
     coded = prob.coded_image()
     step = 1.0 / (prob.op.lipschitz + prob.gamma)
+    # x -= step * (A^T (A x - coded) + gamma (x - anchor)) in place, each
+    # temporary freed once used
     for _ in range(iters):
-        resid = apply_forward_frequency(prob.op, x) - coded
-        x -= step * (apply_adjoint(prob.op, resid) + prob.gamma * (x - anchor))
+        resid = apply_forward_frequency(prob.op, x)
+        resid -= coded
+        grad = apply_adjoint(prob.op, resid)
+        del resid
+        pull = x - anchor
+        pull *= prob.gamma
+        grad += pull
+        del pull
+        grad *= step
+        x -= grad
+        del grad
     return x

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+import scipy.fft
 
 from .errors import DegenerateMetricError, DimensionError, ParameterError
 
@@ -78,7 +78,10 @@ def ssim(x: np.ndarray, ref: np.ndarray) -> float:
     Single-scale SSIM with an 11 x 11 Gaussian window (sigma 1.5) and, for
     peak 1, stability constants 0.01^2 and 0.03^2.  Local statistics use
     only fully-supported windows, so both spatial extents must be at least
-    the window size.
+    the window size.  Each local mean is an FFT linear convolution (zero
+    padded, through ``scipy.fft``) cut to those windows: equal, bit for bit,
+    to ``fftconvolve(img, window, mode="valid")``, with the window's spectrum
+    taken once per call.
     """
     x, ref = _check_pair(x, ref)
     if x.ndim != 3:
@@ -88,12 +91,15 @@ def ssim(x: np.ndarray, ref: np.ndarray) -> float:
             "image extent %r smaller than the %d-pixel window"
             % (x.shape[:2], SSIM_WINDOW)
         )
-    win = _ssim_window()
     c1 = 0.01**2
     c2 = 0.03**2
+    # linear, not circular: pad each axis to hold the full convolution
+    fshape = [scipy.fft.next_fast_len(n + SSIM_WINDOW - 1, True) for n in x.shape[:2]]
+    win_f = scipy.fft.rfftn(_ssim_window(), fshape)
+    valid = (slice(SSIM_WINDOW - 1, x.shape[0]), slice(SSIM_WINDOW - 1, x.shape[1]))
 
     def local_mean(img: np.ndarray) -> np.ndarray:
-        return signal.fftconvolve(img, win, mode="valid")
+        return scipy.fft.irfftn(scipy.fft.rfftn(img, fshape) * win_f, fshape)[valid]
 
     scores = []
     for band in range(x.shape[2]):

@@ -8,6 +8,7 @@ library code it checks.
 from __future__ import annotations
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 from snapspec import FidelityProblem, fidelity_solve
 
@@ -172,3 +173,28 @@ def sam_direct(x: np.ndarray, ref: np.ndarray) -> float:
             cosv = min(1.0, max(-1.0, float(np.dot(a, b) / (na * nb))))
             angles.append(np.arccos(cosv))
     return float(np.mean(angles))
+
+
+def ssim_fftconvolve(x: np.ndarray, ref: np.ndarray) -> float:
+    """Per-band SSIM (Wang et al. 2004) with local means from
+    ``scipy.signal.fftconvolve(mode="valid")``: 11 x 11 Gaussian window,
+    sigma 1.5, constants (0.01)^2 and (0.03)^2, averaged over bands."""
+    offsets = np.arange(11) - 5.0
+    g = np.exp(-offsets**2 / (2.0 * 1.5**2))
+    window = g[:, None] * g[None, :]
+    window = window / window.sum()
+    c1 = 0.01**2
+    c2 = 0.03**2
+    scores = []
+    for band in range(x.shape[2]):
+        a = np.asarray(x[:, :, band], dtype=float)
+        b = np.asarray(ref[:, :, band], dtype=float)
+        mu_a = fftconvolve(a, window, mode="valid")
+        mu_b = fftconvolve(b, window, mode="valid")
+        var_a = fftconvolve(a * a, window, mode="valid") - mu_a * mu_a
+        var_b = fftconvolve(b * b, window, mode="valid") - mu_b * mu_b
+        cov = fftconvolve(a * b, window, mode="valid") - mu_a * mu_b
+        num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+        den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+        scores.append(np.mean(num / den))
+    return float(np.mean(scores))

@@ -1004,6 +1004,31 @@ def test_bench_smoke(tmp_path):
     assert {"analytical", "gdm10", "gdm_matched"} <= solvers_large
     for row in rows:
         assert float(row[3]) >= 0.0
+        assert len(row) == 5
+    assert not [row for row in rows if "capped" in row[4]]
+
+
+def test_bench_capped_matched_row_is_marked(capsys, monkeypatch):
+    # 50 steps at gamma 1e-4 stop well short of the matched tolerance
+    monkeypatch.setattr(cli, "MATCHED_CAP", 50)
+    code = main(["bench", "--sizes", "8", "--bands", "4", "--repeats", "1", "--gamma", "1e-4"])
+    assert code == 0
+    row = capsys.readouterr().out.splitlines()[3].split(",")
+    assert row[:3] == ["8", "4", "gdm_matched"]
+    assert row[4] == "iters=50;capped"
+
+
+def test_bench_capped_matched_row_fails_gate_at_512(capsys, monkeypatch):
+    # the analytical-beats-matched-GDM gate cannot pass against a run that
+    # never matched; a zero cap keeps the 512 extent cheap
+    monkeypatch.setattr(cli, "MATCHED_CAP", 0)
+    code = main(["bench", "--sizes", "512", "--bands", "1", "--repeats", "1"])
+    assert code == 4
+    captured = capsys.readouterr()
+    row = captured.out.splitlines()[3].split(",")
+    assert row[:3] == ["512", "1", "gdm_matched"]
+    assert row[4] == "iters=0;capped"
+    assert "size 512 bands 1: matched GDM stopped at its 0-step cap" in captured.err
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,10 @@
 """Quality-metric tests: PSNR cap, spectral angle edge cases, SSIM symmetry."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ import pytest
 from snapspec import MetricReport, evaluate, psnr, sam, ssim
 from snapspec.errors import DegenerateMetricError, DimensionError, ParameterError
 
-from reference_impls import psnr_direct, sam_direct
+from reference_impls import psnr_direct, sam_direct, ssim_fftconvolve
 
 
 def _cube(seed=0, shape=(48, 48, 4)):
@@ -143,6 +147,29 @@ def test_ssim_bounded():
     y = _cube(19)
     s = ssim(x, y)
     assert -1.0 <= s <= 1.0
+
+
+@pytest.mark.parametrize("shape", [(33, 17, 4), (12, 40, 2), (11, 11, 1), (40, 40, 31)],
+                         ids=["odd", "even-mixed", "window-minimum", "31-band"])
+def test_ssim_equals_fftconvolve_reference(shape):
+    # the same local means as scipy.signal's valid-mode convolution, to the bit
+    rng = np.random.default_rng(sum(shape))
+    x = rng.uniform(size=shape)
+    y = np.clip(x + rng.normal(0.0, 0.1, size=shape), 0.0, 1.0)
+    assert ssim(x, y) == ssim_fftconvolve(x, y)
+
+
+def test_import_leaves_out_scipy_signal():
+    # scipy.signal pulls in scipy.stats, sparse, optimize, ...: about 40 MB
+    # and most of a second per process, for nothing the package needs
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, snapspec, snapspec.cli; "
+            "print(' '.join(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == ""
 
 
 def test_ssim_window_size_guard():

@@ -398,11 +398,12 @@ def test_reconstruct_working_memory_in_cubes():
     assert _peak_cubes(op, coded, sched, QuadraticDenoiser(), trace=False) <= 5.0
     # the trace keeps the previous iterate and measures the stage
     assert _peak_cubes(op, coded, sched, IdentityDenoiser(), trace=True) <= 7.77
-    # a GDM stage's output is dropped before the next stage's gradient steps
+    # a GDM stage's output is dropped before the next stage's gradient steps,
+    # and each gradient step frees its temporaries as it goes (7.40 measured)
     op = build_frequency_operator(system, 128, 128)
     coded = forward_encode(smooth_cube(128, 128, 8), system)
     sched = StageSchedule.geometric(5, prior_weight=1e-4)
-    assert _peak_cubes(op, coded, sched, QuadraticDenoiser(), trace=False, gdm_iters=3) <= 8.5
+    assert _peak_cubes(op, coded, sched, QuadraticDenoiser(), trace=False, gdm_iters=3) <= 7.5
 
 
 def test_admm_quadratic_converges_to_dense_tikhonov():
