@@ -21,10 +21,12 @@ The solve walks the bins in cache-sized strips of rows.  Per strip it
 inverts A_f on those planes by a two-level Schur-complement recursion that
 only ever divides by scalars bounded below by 1, applies H_f, the inverse
 and H_f^*, and adds the update into the anchor spectrum in place.  The
-transforms go band by band, and the solve can write its output into the
-anchor's own buffer, so a solve holds one spectrum beyond its input and
-output.  Spectra are the half spectra of :func:`optics.to_spectrum`, which
-also checks every input's grid shape.
+anchor spectrum lives in the output's own bytes: an
+:func:`optics.empty_cube` pads each row to hold its half spectrum, the
+transforms go band by band into it and back, and the output may be the
+anchor itself.  So a solve holds no cube beyond its input and output, only
+one band's transform and its strip scratch.  Spectra are the half spectra
+of :func:`optics.to_spectrum`, which also checks every input's grid shape.
 
 ``fidelity_solve_naive`` solves the untransformed per-frequency N x N
 systems directly and exists to cross-validate the rearrangement;
@@ -41,9 +43,13 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, SingularPivotError
 from .optics import GRAM_PLANES, FrequencyOperator, apply_adjoint, apply_forward_frequency
-from .optics import back_project, forward_project, from_spectrum, to_spectrum
+from .optics import back_project, cube_spectrum, empty_cube, forward_project, from_spectrum
+from .optics import to_spectrum
 
-_PIVOT_FLOOR = 1e-300
+# every exact pivot of identity-plus-PSD input is >= 1; a computed one
+# below this margin (negative and NaN ones included) has lost its digits to
+# cancellation, as under a gamma too small for float64
+_PIVOT_MARGIN = 0.5
 
 # complex elements per band strip in fidelity_solve: 2^15 (512 KiB) keeps a
 # strip's working set in a per-core L2 cache; 15 rows of a 512 x 512 x 8 solve
@@ -92,8 +98,9 @@ def block_inverse_3x3(a: np.ndarray) -> np.ndarray:
     comes back in the same layout.  The recursion eliminates entry (0, 0)
     first via the inner Schur complement, inverts the top-left 2 x 2 block,
     then forms the outer Schur complement against entry (2, 2).  All
-    divisions are by scalars that are >= 1 for identity-plus-PSD input; a
-    guard trips if any pivot underflows regardless.
+    divisions are by pivots that are >= 1 for identity-plus-PSD input;
+    SingularPivotError names the first pivot that computes below 1/2 (or
+    NaN) anywhere, since its digits are then lost to rounding.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 1 or a.shape[0] != 6:
@@ -113,8 +120,9 @@ def block_inverse_3x3(a: np.ndarray) -> np.ndarray:
 
 
 def _pivot_reciprocal(pivot: np.ndarray, name: str) -> np.ndarray:
-    if np.any(np.abs(pivot) < _PIVOT_FLOOR):
-        raise SingularPivotError("%s pivot underflow" % name)
+    if not np.all(pivot >= _PIVOT_MARGIN):
+        worst = np.min(np.where(pivot >= _PIVOT_MARGIN, np.inf, pivot))  # NaN if any
+        raise SingularPivotError("%s pivot %.3g below %g" % (name, worst, _PIVOT_MARGIN))
     return 1.0 / pivot
 
 
@@ -124,14 +132,17 @@ def fidelity_solve(prob: FidelityProblem, anchor: np.ndarray,
 
     Cost per call: one real FFT and one inverse real FFT per band plus
     pointwise 3 x 3 algebra over the stored half-spectrum bins.  The output
-    goes into ``out`` when given, which may be ``anchor`` itself: the anchor
-    is transformed in full before any output band is written.  The gradient
-    of the subproblem objective vanishes at the output up to floating-point
-    roundoff.
+    is ``out``, an :func:`optics.empty_cube` array (DimensionError for any
+    other), or a new one when ``out`` is None.  The anchor is transformed
+    into the output's own bytes, band by band, so ``out`` may be ``anchor``
+    itself.  The gradient of the subproblem objective vanishes at the output
+    up to floating-point roundoff.
     """
     op = prob.op
     g = 1.0 / prob.gamma
-    spec = to_spectrum(op, anchor, op.n_bands)
+    if out is None:
+        out = empty_cube(op)
+    spec = to_spectrum(op, anchor, op.n_bands, out=cube_spectrum(op, out))
     half = spec.shape[2]
     rows = max(1, min(op.height, _SOLVE_STRIP_ELEMENTS // (op.n_bands * half)))
     for r0 in range(0, op.height, rows):

@@ -19,7 +19,9 @@ owns that layout: :func:`to_spectrum` maps an (H, W, depth) array to its
 band-major (depth, H, W // 2 + 1) half spectra, checking the grid shape on
 the way, and :func:`from_spectrum` maps back, passing the full extent
 ``s=(H, W)`` so odd widths round-trip.  Every transform in the package goes
-through these two helpers.
+through these two helpers.  A cube from :func:`empty_cube` has its rows
+padded to 2 (W // 2 + 1) floats, so its half spectra fit in its own bytes
+(:func:`cube_spectrum`) and a solve needs no spectrum of its own.
 """
 
 from __future__ import annotations
@@ -211,21 +213,26 @@ def build_frequency_operator(system: OpticalSystem, height: int, width: int) -> 
     )
 
 
-def to_spectrum(op: FrequencyOperator, x: np.ndarray, depth: int) -> np.ndarray:
+def to_spectrum(op: FrequencyOperator, x: np.ndarray, depth: int,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Half spectra (depth, H, W // 2 + 1) of an (H, W, depth) array on the
     operator's grid: the ``rfft2`` of each band or channel.
 
     Raises DimensionError unless ``x`` has shape (op.height, op.width, depth).
-    The bands are transformed one at a time into the result, so the
-    transform's transient is one band, not one cube; each band's bits are
-    those of a batched transform, whatever the memory layout of ``x``.
+    The bands are transformed one at a time into ``out``, a complex array of
+    the result's shape, or into a new one when ``out`` is None; either is
+    returned.  The transform's transient is one band, not one cube, and each
+    band's bits are those of a batched transform, whatever the memory layout
+    of ``x``.  A band is transformed in full before its spectrum is written,
+    so ``out`` may be :func:`cube_spectrum` of ``x`` itself.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_grid(op, x, depth)
-    spectra = np.empty((depth, op.height, op.width // 2 + 1), dtype=np.complex128)
-    for spectrum, band in zip(spectra, x.transpose(2, 0, 1)):
+    if out is None:
+        out = np.empty((depth, op.height, op.width // 2 + 1), dtype=np.complex128)
+    for spectrum, band in zip(out, x.transpose(2, 0, 1)):
         spectrum[...] = scipy.fft.rfft2(band)
-    return spectra
+    return out
 
 
 def from_spectrum(op: FrequencyOperator, spectra: np.ndarray,
@@ -234,8 +241,9 @@ def from_spectrum(op: FrequencyOperator, spectra: np.ndarray,
     (depth, H, W // 2 + 1): the inverse of :func:`to_spectrum`.
 
     The bands are transformed one at a time into ``out``, an (H, W, depth)
-    float64 array, or into a new :func:`empty_cube`-layout array when
-    ``out`` is None; either is returned.
+    float64 array, or into a new band-major array when ``out`` is None;
+    either is returned.  A band's spectrum is inverted in full before the
+    band is written, so ``spectra`` may be :func:`cube_spectrum` of ``out``.
     """
     if out is None:
         out = np.empty((spectra.shape[0], op.height, op.width)).transpose(1, 2, 0)
@@ -256,8 +264,36 @@ def _check_grid(op: FrequencyOperator, x: np.ndarray, depth: int) -> None:
 
 def empty_cube(op: FrequencyOperator) -> np.ndarray:
     """An uninitialized (H, W, bands) cube that is a view of band-major
-    memory, the layout :func:`to_spectrum` transforms without a copy."""
-    return np.empty((op.n_bands, op.height, op.width)).transpose(1, 2, 0)
+    memory whose rows are padded to hold their half spectrum.
+
+    Each band is (H, 2 (W // 2 + 1)) float64 of which the cube sees the
+    first W columns: in those bytes a row of W reals and its W // 2 + 1
+    complex bins take the same room (the in-place real-to-complex layout of
+    FFTW), so :func:`cube_spectrum` can transform the cube into itself.
+    """
+    padded = np.empty((op.n_bands, op.height, 2 * (op.width // 2 + 1)))
+    return padded[:, :, :op.width].transpose(1, 2, 0)
+
+
+def cube_spectrum(op: FrequencyOperator, cube: np.ndarray) -> np.ndarray:
+    """The complex (bands, H, W // 2 + 1) view of the bytes of an
+    :func:`empty_cube` ``cube``: the room its half spectra fill.
+
+    Raises DimensionError for any other array, a view of part of one
+    included, since its bytes cannot hold the spectra.
+    """
+    padded = getattr(cube, "base", None)
+    grid = (op.height, op.width, op.n_bands)
+    if not (isinstance(padded, np.ndarray) and padded.dtype == np.float64
+            and padded.flags.c_contiguous
+            and padded.shape == (op.n_bands, op.height, 2 * (op.width // 2 + 1))
+            and cube.shape == grid
+            and cube.strides == tuple(padded.strides[i] for i in (1, 2, 0))
+            and cube.ctypes.data == padded.ctypes.data):
+        raise DimensionError("an array of shape %r and strides %r is not an empty_cube on "
+                             "grid %r, the layout whose rows hold their half spectra"
+                             % (np.shape(cube), getattr(cube, "strides", None), grid))
+    return padded.view(np.complex128)
 
 
 def apply_forward_frequency(op: FrequencyOperator, cube: np.ndarray) -> np.ndarray:

@@ -129,22 +129,30 @@ class Denoiser(ABC):
     ``noise_level`` is the schedule's sigma_tilde for the current stage;
     denoisers without a noise-level parameter ignore it.  ``params`` maps
     each spec key to a constructor argument, its type and its Domain.
-    :func:`reconstruct` writes into the cube ``denoise`` returns, so it is
-    the input itself or a new float64 array, never one the denoiser keeps.
+    ``denoise`` writes its result into ``out``, a float64 array of the
+    cube's shape that may be ``cube`` itself, and returns it; with ``out``
+    None it returns a new array, or ``cube`` when it would be a copy of it,
+    and never writes into ``cube``.  :func:`reconstruct` passes its own
+    buffer as both, so no stage allocates a cube for the prior's output.
     """
 
     name: str = "?"
     params: dict[str, tuple[str, type, Domain]] = {}
 
     @abstractmethod
-    def denoise(self, cube: np.ndarray, noise_level: float) -> np.ndarray: ...
+    def denoise(self, cube: np.ndarray, noise_level: float,
+                out: np.ndarray | None = None) -> np.ndarray: ...
 
 
 class IdentityDenoiser(Denoiser):
     name = "identity"
 
-    def denoise(self, cube: np.ndarray, noise_level: float) -> np.ndarray:
-        return cube
+    def denoise(self, cube: np.ndarray, noise_level: float,
+                out: np.ndarray | None = None) -> np.ndarray:
+        if out is None or out is cube:
+            return cube
+        out[...] = cube
+        return out
 
 
 # largest Gaussian denoiser std in pixels: scipy builds a kernel of radius
@@ -162,8 +170,11 @@ class GaussianDenoiser(Denoiser):
         check_params(self, "denoiser %r" % self.name, spatial_std=spatial_std)
         self.spatial_std = float(spatial_std)
 
-    def denoise(self, cube: np.ndarray, noise_level: float) -> np.ndarray:
-        return ndimage.gaussian_filter(cube, sigma=(self.spatial_std, self.spatial_std, 0.0))
+    def denoise(self, cube: np.ndarray, noise_level: float,
+                out: np.ndarray | None = None) -> np.ndarray:
+        # scipy filters axis by axis through line buffers, so out may be cube
+        return ndimage.gaussian_filter(cube, sigma=(self.spatial_std, self.spatial_std, 0.0),
+                                       output=out)
 
 
 # largest TV dual iteration count: far above the 30-60 iterations the prior
@@ -183,8 +194,11 @@ class TotalVariationDenoiser(Denoiser):
         self.weight = float(weight)
         self.iters = int(iters)
 
-    def denoise(self, cube: np.ndarray, noise_level: float) -> np.ndarray:
-        return tv_denoise(cube, self.weight, self.iters)
+    def denoise(self, cube: np.ndarray, noise_level: float,
+                out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:  # the three-argument call that stand-ins for tv_denoise take
+            return tv_denoise(cube, self.weight, self.iters)
+        return tv_denoise(cube, self.weight, self.iters, out=out)
 
 
 class QuadraticDenoiser(Denoiser):
@@ -197,8 +211,9 @@ class QuadraticDenoiser(Denoiser):
 
     name = "quadratic"
 
-    def denoise(self, cube: np.ndarray, noise_level: float) -> np.ndarray:
-        return cube / (1.0 + noise_level**2)
+    def denoise(self, cube: np.ndarray, noise_level: float,
+                out: np.ndarray | None = None) -> np.ndarray:
+        return np.divide(cube, 1.0 + noise_level**2, out=out)
 
 
 # elements per strip array in tv_denoise: 2^15 float64 values (256 KiB) keep
@@ -234,7 +249,8 @@ def _tv_dual_step(q, z_hi, z_lo, tau, weight, diff):
     np.clip(q, -weight, weight, out=q)
 
 
-def tv_denoise(cube: np.ndarray, weight: float, iters: int) -> np.ndarray:
+def tv_denoise(cube: np.ndarray, weight: float, iters: int,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Approximate prox of weight * TV_aniso at ``cube``, each band separately.
 
     Solves the dual box-constrained problem by projected gradient ascent
@@ -247,13 +263,20 @@ def tv_denoise(cube: np.ndarray, weight: float, iters: int) -> np.ndarray:
     row waits for the next strip, whose primal rows still need its old
     value, so every strip reads only the previous iteration's duals: the
     iterates are bit for bit those of a whole-array sweep.
+
+    The result goes into ``out`` when given, which may be ``cube`` itself:
+    the closing primal pass reads each strip's cube rows before it writes
+    them.  Otherwise it is a new pixel-major array.
     """
     cube = np.ascontiguousarray(cube, dtype=np.float64)
     if cube.ndim != 3:
         raise DimensionError("expected (H, W, bands) cube, got shape %r" % (cube.shape,))
     check_params(TotalVariationDenoiser, "denoiser 'tv'", weight=weight, iters=iters)
+    if out is None:
+        out = np.empty_like(cube)
     if weight == 0:
-        return cube.copy()
+        np.copyto(out, cube)
+        return out
 
     tau = 0.125
     height, width, bands = cube.shape
@@ -277,9 +300,12 @@ def tv_denoise(cube: np.ndarray, weight: float, iters: int) -> np.ndarray:
             _tv_dual_step(qv[r0 - 1 + first : r1 - 1], z[first + 1 : n + 1], z[first:n], tau,
                           weight, diff[: n - first])
             z[0] = z[n]
-    out = np.empty_like(cube)
+    # the primal rows use their output as scratch before they read the
+    # cube's rows, so they go through the z strip and then into out
     for r0, r1 in strips:
-        _tv_primal_rows(cube, qh, qv, r0, r1, diff[: r1 - r0], out[r0:r1])
+        zs = z[1 : r1 - r0 + 1]
+        _tv_primal_rows(cube, qh, qv, r0, r1, diff[: r1 - r0], zs)
+        out[r0:r1] = zs
     return out
 
 
@@ -388,27 +414,28 @@ def reconstruct(
     DivergenceError naming that stage (SingularPivotError if an exact solve
     loses a pivot to a tiny gamma); a trace record never does.
 
-    Working memory: an exact-solve stage holds four cubes above its inputs
-    (the iterate, the multipliers, the anchor that the solve overwrites with
-    its output, and the solve's spectrum) plus what the denoiser allocates;
-    ``trace=True`` keeps the previous iterate for ``delta``, one cube more,
-    and each stage record's forward transform briefly takes about two more.
-    The loop never writes into the initializer's cube, but it does write
-    into each cube the denoiser returns, which must be its input or a new
-    array.
+    Working memory: an exact-solve stage holds three cubes above its inputs
+    (the iterate, which the denoiser overwrites in place, the multipliers,
+    and the anchor, whose padded rows the solve transforms in place and
+    overwrites with its output) plus the denoiser's own scratch (two dual
+    cubes for TV); ``trace=True`` keeps the previous iterate for ``delta``
+    and gives each stage a new denoiser input, and each stage record's
+    forward transform briefly takes about two more.  The loop copies the
+    initializer's cube once and never writes into it.
     """
     # the problem checks the coded image's shape before any initializer reads it
     problem = FidelityProblem.from_coded_image(op, coded, gamma=schedule.gamma[0])
     coded = np.asarray(coded, dtype=np.float64)
 
-    z = np.asarray(initializer.initialize(coded, op), dtype=np.float64)
+    # the loop's own iterate buffer, in the initializer's memory layout
+    z = np.array(initializer.initialize(coded, op), dtype=np.float64)
     if z.shape != (op.height, op.width, op.n_bands):
         raise DimensionError(
             "initializer produced shape %r, expected %r"
             % (z.shape, (op.height, op.width, op.n_bands))
         )
     beta = np.zeros_like(z)
-    anchor = empty_cube(op)  # holds z - beta, then the stage's solve output
+    anchor = empty_cube(op)  # holds z - beta, its spectrum, then the solve's output
 
     def record(stage, z_next, z=None, gamma=np.nan, i_next=None) -> StageTrace:
         # a diagnostic never breaks a run: on a bright scene a squared
@@ -434,13 +461,16 @@ def reconstruct(
                     i_next = gdm_fidelity_step(prob_k, anchor, z, gdm_iters)
                 else:
                     i_next = fidelity_solve(prob_k, anchor, out=anchor)
-                # untraced, the old iterate is dead, and after the first
-                # stage, whose iterate is the initializer's, its buffer takes
-                # the denoiser input; the trace keeps it for delta
+                # untraced, the old iterate is dead and its buffer takes the
+                # denoiser's input and output.  Traced, it stays for delta,
+                # and the denoiser returns a new array in its own layout:
+                # np.linalg.norm sums in memory order, so writing into the
+                # input's layout would move the trace norms' last bits
+                out = None if trace else z
                 prev = z if trace else None
-                x = np.add(i_next, beta, out=z if k and not trace else None)
+                x = np.add(i_next, beta, out=out)
                 del z
-                z = denoiser.denoise(x, schedule.sigma_tilde[k])
+                z = denoiser.denoise(x, schedule.sigma_tilde[k], out=out)
                 del x
                 if trace:
                     records.append(record(k + 2, z, prev, gamma, i_next))

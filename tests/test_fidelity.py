@@ -1,5 +1,7 @@
 """Closed-form subproblem solver tests, cross-checked against dense algebra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from snapspec import (
 from snapspec.errors import DimensionError, ParameterError, SingularPivotError
 from snapspec.optics import empty_cube
 from snapspec.oracle import DenseSystem
+from snapspec.synth import rgb_response, rotating_psf_stack, smooth_cube
 
 from reference_impls import adjugate_inverse_3x3
 
@@ -111,6 +114,35 @@ def test_block_inverse_batch_residuals():
 def test_block_inverse_singular_guard():
     with pytest.raises(SingularPivotError):
         block_inverse_3x3(np.zeros((6, 2)))
+
+
+@pytest.mark.parametrize("value", [0.49, -1.0, np.nan])
+def test_block_inverse_pivot_guard_names_pivot_and_value(value):
+    # identity-plus-PSD pivots are >= 1: one below 1/2, negative or NaN
+    # means rounding has eaten its digits
+    a = _planes(np.broadcast_to(np.eye(3), (5, 3, 3)).copy())
+    a[5, 2] = value
+    with pytest.raises(SingularPivotError, match="outer Schur pivot %s below 0.5"
+                       % ("nan" if np.isnan(value) else "%.3g" % value)):
+        block_inverse_3x3(a)
+    a[5, 2] = 0.5
+    block_inverse_3x3(a)
+
+
+@pytest.mark.parametrize("gamma", [1e-10, 1e-16])
+def test_rank_one_gram_at_tiny_gamma_trips_pivot_guard(gamma):
+    # one band: every Gram is rank one, and below gamma ~1e-9 cancellation
+    # drives the outer Schur pivot negative (about -454 at 1e-10, -3.3e14 at
+    # 1e-16) while it is >= 1 in exact arithmetic
+    system = OpticalSystem(psfs=rotating_psf_stack(1, 5), response=rgb_response(1))
+    op = build_frequency_operator(system, 16, 16)
+    coded = apply_forward_frequency(op, smooth_cube(16, 16, 1))
+    zero = np.zeros((16, 16, 1))
+    with pytest.raises(SingularPivotError, match=r"outer Schur pivot -[0-9.e+]+ below 0\.5"):
+        fidelity_solve(FidelityProblem.from_coded_image(op, coded, gamma), zero)
+    # at 1e-6 the solve is sound: its subproblem gradient is at roundoff
+    prob = FidelityProblem.from_coded_image(op, coded, 1e-6)
+    assert np.linalg.norm(subproblem_gradient(prob, fidelity_solve(prob, zero), zero)) < 1e-8
 
 
 def test_block_inverse_shape_guard():
@@ -211,16 +243,45 @@ def test_solve_leaves_inputs_and_operator_unchanged():
 @pytest.mark.parametrize("width", [8, 9])
 @pytest.mark.parametrize("band_major", [False, True])
 def test_solve_into_its_anchor_matches_fresh_output(width, band_major):
-    # the stage loop solves into its anchor buffer: the anchor must be
-    # transformed in full before the first output band overwrites it
+    # the stage loop solves into its empty_cube anchor, whose padded rows
+    # take each band's spectrum once that band is transformed; a pixel-major
+    # or compact band-major out has no room for the spectra and is refused
     rng = np.random.default_rng(73)
     op = build_frequency_operator(_random_system(rng, 5, 3), 7, width)
     prob = FidelityProblem.from_coded_image(op, rng.standard_normal((7, width, 3)), 0.3)
-    anchor = empty_cube(op) if band_major else np.empty((7, width, 5))
-    anchor[...] = rng.standard_normal((7, width, 5))
-    fresh = fidelity_solve(prob, anchor.copy())
+    values = rng.standard_normal((7, width, 5))
+    fresh = fidelity_solve(prob, values)
+    if not band_major:
+        for foreign in (values.copy(), np.empty((5, 7, width)).transpose(1, 2, 0)):
+            with pytest.raises(DimensionError, match="empty_cube"):
+                fidelity_solve(prob, values, out=foreign)
+        return
+    anchor = empty_cube(op)
+    anchor[...] = values
     assert fidelity_solve(prob, anchor, out=anchor) is anchor
     assert np.array_equal(anchor, fresh)
+
+
+def test_solve_into_its_anchor_allocates_no_cube():
+    # the in-place solve keeps only its strip scratch and one band's
+    # transform (0.351 cubes measured at 256^2); a new output adds one cube
+    rng = np.random.default_rng(79)
+    op = build_frequency_operator(_random_system(rng, 8, 9), 256, 256)
+    prob = FidelityProblem.from_coded_image(op, rng.standard_normal((256, 256, 3)), 0.05)
+    anchor = empty_cube(op)
+    anchor[...] = 0.5
+    cube = anchor.size * 8
+    peaks = []
+    for out in (anchor, None):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fidelity_solve(prob, anchor, out=out)
+            peaks.append((tracemalloc.get_traced_memory()[1] - base) / cube)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 0.36
+    assert peaks[1] <= 1.37
 
 
 def test_matches_naive_frequency_solver():

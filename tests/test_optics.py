@@ -16,7 +16,7 @@ from snapspec import (
     forward_encode,
 )
 from snapspec.errors import DimensionError, ValidationError
-from snapspec.optics import empty_cube, from_spectrum, to_spectrum
+from snapspec.optics import cube_spectrum, empty_cube, from_spectrum, to_spectrum
 from snapspec.synth import rotating_psf_stack, smooth_cube, synthetic_system
 
 from reference_impls import direct_circular_encode, direct_dft2
@@ -168,6 +168,26 @@ def test_band_by_band_transforms_match_batched(shape):
         out = np.full_like(x, np.nan)
         assert from_spectrum(op, spectra, out) is out
         assert np.array_equal(out, batched)
+    # an empty_cube holds its own half spectra: each band is transformed
+    # into its padded rows and back in place, with the same bits
+    own = cube_spectrum(op, band_major)
+    assert to_spectrum(op, band_major, depth, out=own) is own
+    assert np.array_equal(own, spectra)
+    assert from_spectrum(op, own, band_major) is band_major
+    assert np.array_equal(band_major, batched)
+
+
+def test_cube_spectrum_only_of_an_empty_cube():
+    op = FrequencyOperator(transfer=np.ones((2, 4, 3), complex), height=4, width=5)
+    cube = empty_cube(op)
+    spectra = cube_spectrum(op, cube)
+    assert spectra.shape == (2, 4, 3) and spectra.dtype == np.complex128
+    assert np.shares_memory(spectra, cube)
+    other = FrequencyOperator(transfer=np.ones((2, 4, 3), complex), height=4, width=4)
+    for foreign in (np.empty((4, 5, 2)), np.empty((2, 4, 5)).transpose(1, 2, 0),
+                    cube[:, :, :1], cube[1:], cube.copy(), empty_cube(other)):
+        with pytest.raises(DimensionError, match="empty_cube"):
+            cube_spectrum(op, foreign)
 
 
 def test_from_spectrum_rejects_misshapen_out():
