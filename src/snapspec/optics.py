@@ -297,8 +297,16 @@ def cube_spectrum(op: FrequencyOperator, cube: np.ndarray) -> np.ndarray:
 
 
 def apply_forward_frequency(op: FrequencyOperator, cube: np.ndarray) -> np.ndarray:
-    """Apply the forward operator: per bin, J_f = response (P_f * X_f)."""
-    return from_spectrum(op, forward_project(op, to_spectrum(op, cube, op.n_bands)))
+    """Apply the forward operator: per bin, J_f = response (P_f * X_f).
+
+    The cube's spectra are multiplied by the OTFs in place, so one
+    cube-sized spectrum is alive at a time.  The transfer stays the first
+    operand, as in :func:`forward_project`: ``spectra *= op.transfer``
+    rounds some complex products differently.
+    """
+    spectra = to_spectrum(op, cube, op.n_bands)
+    np.multiply(op.transfer, spectra, out=spectra)
+    return from_spectrum(op, _mix(op.response, spectra))
 
 
 def apply_adjoint(op: FrequencyOperator, image: np.ndarray) -> np.ndarray:

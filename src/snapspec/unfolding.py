@@ -418,17 +418,21 @@ def reconstruct(
     (the iterate, which the denoiser overwrites in place, the multipliers,
     and the anchor, whose padded rows the solve transforms in place and
     overwrites with its output) plus the denoiser's own scratch (two dual
-    cubes for TV); ``trace=True`` keeps the previous iterate for ``delta``
-    and gives each stage a new denoiser input, and each stage record's
-    forward transform briefly takes about two more.  The loop copies the
-    initializer's cube once and never writes into it.
+    cubes for TV).  ``trace=True`` adds one cube: a second iterate buffer
+    that takes the denoiser's input and output while the previous iterate
+    stays for ``delta``, the two swapping after each stage; each stage
+    record's forward transform briefly takes about two more.  The loop
+    copies the initializer's cube once, pixel-major whatever its layout,
+    and never writes into it.
     """
     # the problem checks the coded image's shape before any initializer reads it
     problem = FidelityProblem.from_coded_image(op, coded, gamma=schedule.gamma[0])
     coded = np.asarray(coded, dtype=np.float64)
 
-    # the loop's own iterate buffer, in the initializer's memory layout
-    z = np.array(initializer.initialize(coded, op), dtype=np.float64)
+    # the loop's own iterate buffer, pixel-major whatever the initializer's
+    # layout: TV then never copies it, and the trace norms, which sum in
+    # memory order, see one layout
+    z = np.array(initializer.initialize(coded, op), dtype=np.float64, order="C")
     if z.shape != (op.height, op.width, op.n_bands):
         raise DimensionError(
             "initializer produced shape %r, expected %r"
@@ -436,6 +440,7 @@ def reconstruct(
         )
     beta = np.zeros_like(z)
     anchor = empty_cube(op)  # holds z - beta, its spectrum, then the solve's output
+    spare = np.empty_like(z) if trace else None  # the next iterate's, while z stays
 
     def record(stage, z_next, z=None, gamma=np.nan, i_next=None) -> StageTrace:
         # a diagnostic never breaks a run: on a bright scene a squared
@@ -461,20 +466,15 @@ def reconstruct(
                     i_next = gdm_fidelity_step(prob_k, anchor, z, gdm_iters)
                 else:
                     i_next = fidelity_solve(prob_k, anchor, out=anchor)
-                # untraced, the old iterate is dead and its buffer takes the
-                # denoiser's input and output.  Traced, it stays for delta,
-                # and the denoiser returns a new array in its own layout:
-                # np.linalg.norm sums in memory order, so writing into the
-                # input's layout would move the trace norms' last bits
-                out = None if trace else z
-                prev = z if trace else None
-                x = np.add(i_next, beta, out=out)
-                del z
-                z = denoiser.denoise(x, schedule.sigma_tilde[k], out=out)
-                del x
+                # the denoiser's input and output go into one buffer: untraced
+                # the old iterate's, traced the spare, as the old iterate
+                # stays for delta and then takes the spare's place
+                x = np.add(i_next, beta, out=z if spare is None else spare)
+                x = denoiser.denoise(x, schedule.sigma_tilde[k], out=x)
                 if trace:
-                    records.append(record(k + 2, z, prev, gamma, i_next))
-                del prev
+                    records.append(record(k + 2, x, z, gamma, i_next))
+                    spare = z
+                z = x
                 # beta += zeta * (i_next - z), through the anchor buffer
                 np.subtract(i_next, z, out=anchor)
                 anchor *= schedule.zeta

@@ -1,5 +1,7 @@
 """Forward-model tests: encoder, frequency operator, noise."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -16,7 +18,8 @@ from snapspec import (
     forward_encode,
 )
 from snapspec.errors import DimensionError, ValidationError
-from snapspec.optics import cube_spectrum, empty_cube, from_spectrum, to_spectrum
+from snapspec.optics import (cube_spectrum, empty_cube, forward_project, from_spectrum,
+                             to_spectrum)
 from snapspec.synth import rotating_psf_stack, smooth_cube, synthetic_system
 
 from reference_impls import direct_circular_encode, direct_dft2
@@ -248,6 +251,34 @@ def test_frequency_forward_matches_spatial(size):
     freq = apply_forward_frequency(op, cube)
     assert np.max(np.abs(freq - spatial)) < 1e-10
     assert np.max(np.abs(forward_encode(cube, system) - spatial)) < 1e-10
+
+
+@pytest.mark.parametrize("width", [64, 63])
+def test_forward_in_place_product_matches_forward_project(width):
+    # the forward transform multiplies its own spectra in place; with the
+    # transfer as the first operand its bits are those of forward_project,
+    # which ``spectra *= transfer`` (the operands swapped) does not keep
+    rng = np.random.default_rng(width)
+    op = build_frequency_operator(_random_system(rng, 8, 5), 48, width)
+    cube = rng.standard_normal((48, width, 8))
+    ref = from_spectrum(op, forward_project(op, to_spectrum(op, cube, op.n_bands)))
+    assert np.array_equal(apply_forward_frequency(op, cube), ref)
+
+
+def test_forward_holds_one_spectrum():
+    # one cube-sized spectrum plus the channel spectra and image: 2.01
+    # cubes measured at 256^2 x 8, 2.39 with a second spectrum for the product
+    system = synthetic_system(n_bands=8, kernel_size=9)
+    op = build_frequency_operator(system, 256, 256)
+    cube = smooth_cube(256, 256, 8)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        apply_forward_frequency(op, cube)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / cube.nbytes <= 2.05
 
 
 @pytest.mark.parametrize("size", [4, 8, 16])
