@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 
@@ -103,15 +102,6 @@ def _conv_bool(text: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValidationError("expected a boolean, got %r" % text)
-
-
-def _conv_choice(*choices):
-    def conv(text: str):
-        if text not in choices:
-            raise ValidationError("expected one of %s, got %r" % ("/".join(choices), text))
-        return text
-
-    return conv
 
 
 def _convert(conv, text: str, where: str):
@@ -369,8 +359,6 @@ _SIMULATE_KEYS = [
     Key("psf", _conv_str, "", "PSF stack tensor (bands, k, k) (.htns)", required=True),
     Key("response", _conv_str, "", "spectral response CSV", required=True),
     Key("out", _conv_str, "", "output coded image (.htns)", required=True),
-    Key("boundary", _conv_choice("circular", "valid-crop"), "circular",
-        "convolution boundary handling; reconstruct inverts only circular"),
     Key("noise", _conv_str, "default",
         "'none', 'default' (%s), or KEY=VALUE,... with %s (0 for off, else 8 to 16); "
         "a key left out is off" % (",".join("%s=%s" % (key, getattr(NoiseModel, arg))
@@ -389,7 +377,7 @@ def _cmd_simulate(config: dict) -> int:
     # before any file is written, and without numpy's warnings
     try:
         with np.errstate(over="raise", invalid="raise"):
-            coded = forward_encode(cube, system, boundary=config["boundary"])
+            coded = forward_encode(cube, system)
             if not np.all(np.isfinite(coded)):  # the transforms overflow silently
                 raise FloatingPointError("non-finite coded image")
             coded = add_noise(coded, noise)
@@ -433,28 +421,6 @@ _RECONSTRUCT_KEYS = [
 ]
 
 
-def _check_circular_coded(coded_path: str) -> None:
-    """Refuse a coded image whose simulate manifest records a non-circular
-    boundary: the solver inverts the circular model only."""
-    manifest_path = coded_path + ".manifest.json"
-    if not os.path.exists(manifest_path):
-        return
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise ValidationError("%s: not a JSON manifest (%s)" % (manifest_path, exc)) from None
-    try:
-        boundary = manifest["config"]["boundary"]
-    except (KeyError, TypeError):
-        return  # not a simulate manifest: nothing recorded to check
-    if boundary != "circular":
-        raise ValidationError(
-            "%s was simulated with boundary %r; reconstruct supports only circular"
-            % (coded_path, boundary)
-        )
-
-
 def _cmd_reconstruct(config: dict) -> int:
     # spec strings first, so that a usage error comes before an I/O error
     try:
@@ -469,7 +435,6 @@ def _cmd_reconstruct(config: dict) -> int:
     denoiser = parse_denoiser_spec(config["denoiser"])
     initializer = parse_init_spec(config["init"])
     coded = _load_cube(config["coded"])
-    _check_circular_coded(config["coded"])
     if coded.shape[2] != 3:
         raise ValidationError("coded image must have 3 channels, got %d" % coded.shape[2])
     system = _load_system(config["psf"], config["response"])

@@ -177,15 +177,13 @@ def embed_kernel(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
     return np.roll(emb, (-(k // 2), -(k // 2)), axis=(-2, -1))
 
 
-def forward_encode(cube: np.ndarray, system: OpticalSystem, boundary: str = "circular") -> np.ndarray:
-    """Encode a spectral cube (H, W, bands) into a coded RGB image.
+def forward_encode(cube: np.ndarray, system: OpticalSystem) -> np.ndarray:
+    """Encode a spectral cube (H, W, bands) into a coded RGB image (H, W, 3).
 
-    ``boundary="circular"`` wraps indices and keeps the (H, W) extent; it is
-    :func:`apply_forward_frequency` with the operator of ``system`` on the
-    cube's grid.  ``boundary="valid-crop"`` keeps only pixels whose kernel
-    support never leaves the grid, shrinking each spatial extent by k - 1;
-    it is the circular output with (k - 1) / 2 pixels cropped per edge.  No
-    noise is added here.
+    Indices wrap (circular boundary): this is :func:`apply_forward_frequency`
+    with the operator of ``system`` on the cube's grid, the model that
+    reconstruction inverts.  The boundary-free interior is this output with
+    (k - 1) / 2 pixels cropped per edge.  No noise is added here.
     """
     cube = np.asarray(cube, dtype=np.float64)
     if cube.ndim != 3 or cube.shape[2] != system.n_bands:
@@ -193,16 +191,7 @@ def forward_encode(cube: np.ndarray, system: OpticalSystem, boundary: str = "cir
             "cube shape %r does not match %d bands" % (cube.shape, system.n_bands)
         )
     height, width = cube.shape[:2]
-    k = system.kernel_size
-    if boundary not in ("circular", "valid-crop"):
-        raise ValueError("boundary must be 'circular' or 'valid-crop', got %r" % boundary)
-    if boundary == "valid-crop" and (height <= k or width <= k):
-        raise DimensionError("valid-crop needs image extent > kernel size %d" % k)
-    out = apply_forward_frequency(build_frequency_operator(system, height, width), cube)
-    if boundary == "valid-crop":
-        m = k // 2
-        out = out[m:height - m, m:width - m]
-    return out
+    return apply_forward_frequency(build_frequency_operator(system, height, width), cube)
 
 
 def build_frequency_operator(system: OpticalSystem, height: int, width: int) -> FrequencyOperator:

@@ -92,6 +92,9 @@ def test_manifest_contents_and_determinism(tmp_path):
     assert cube_path in manifest["inputs"]
     assert out in manifest["outputs"]
     assert manifest["config"]["noise"] == "default"
+    assert sorted(manifest["config"]) == [
+        "cube", "export_pgm", "noise", "out", "psf", "response", "seed",
+    ]
     assert "time" not in json.dumps(manifest).lower() or "timestamp" not in manifest
     assert main(args) == 0
     assert (tmp_path / "coded.htns.manifest.json").read_bytes() == first
@@ -275,36 +278,43 @@ def test_usage_error_unknown_denoiser(tmp_path, capsys):
         assert name in err
 
 
-def test_reconstruct_refuses_valid_crop_coded(tmp_path, capsys):
-    psf, resp = _write_random_system(tmp_path)
-    cube_path, _ = _write_cube(tmp_path)
-    coded = str(tmp_path / "coded.htns")
-    assert main([
-        "simulate", "--cube", cube_path, "--psf", psf, "--response", resp,
-        "--out", coded, "--noise", "none", "--boundary", "valid-crop",
-    ]) == 0
-    out = tmp_path / "r.htns"
-    code = main([
-        "reconstruct", "--coded", coded, "--psf", psf, "--response", resp,
-        "--out", str(out), "--stages", "2",
-    ])
-    assert code == 2
-    assert "only circular" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_reconstruct_unreadable_manifest_exit_2(tmp_path, capsys):
+def test_reconstruct_ignores_sidecar_manifest(tmp_path):
+    # reconstruct reads only --coded, --psf and --response: a manifest
+    # beside the coded image, unreadable or recording a boundary no longer
+    # offered, changes neither the exit code nor the cube
     psf, resp = _write_random_system(tmp_path)
     cube_path, _ = _write_cube(tmp_path)
     coded = _simulate_noiseless(tmp_path, psf, resp, cube_path)
-    with open(coded + ".manifest.json", "w", encoding="utf-8") as fh:
-        fh.write("{truncated")
-    code = main([
-        "reconstruct", "--coded", coded, "--psf", psf, "--response", resp,
-        "--out", str(tmp_path / "r.htns"), "--stages", "2",
-    ])
-    assert code == 2
-    assert "manifest" in capsys.readouterr().err
+    manifest_path = coded + ".manifest.json"
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["config"]["boundary"] = "valid-crop"
+    out = tmp_path / "r.htns"
+    argv = ["reconstruct", "--coded", coded, "--psf", psf, "--response", resp,
+            "--out", str(out), "--stages", "2"]
+    os.remove(manifest_path)
+    assert main(argv) == 0
+    want = out.read_bytes()
+    for text in ("{truncated", json.dumps(manifest)):
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out.unlink()
+        assert main(argv) == 0
+        assert out.read_bytes() == want
+
+
+def test_boundary_flag_removed_exit_1(capsys):
+    assert _exit_code(["simulate", "--boundary", "circular", "--dump-config"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_boundary_config_key_removed_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("boundary=circular\n")
+    assert _exit_code(["simulate", "--config", str(cfg), "--dump-config"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown config key 'boundary'" in captured.err
 
 
 @pytest.mark.parametrize("spec, code", [

@@ -84,17 +84,6 @@ def test_forward_linearity():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_valid_crop_equals_circular_interior():
-    rng = np.random.default_rng(21)
-    system = _random_system(rng, 4, 5)
-    cube = rng.uniform(size=(12, 12, 4))
-    circ = direct_circular_encode(cube, system.psfs, system.response)
-    valid = forward_encode(cube, system, boundary="valid-crop")
-    m = 2  # (kernel_size - 1) // 2
-    assert valid.shape == (8, 8, 3)
-    assert np.max(np.abs(valid - circ[m:-m, m:-m, :])) < 1e-12
-
-
 def test_forward_non_square_odd_width():
     # odd width: the half spectrum alone does not determine W, so the
     # inverse transform must be told the extent
@@ -105,12 +94,6 @@ def test_forward_non_square_odd_width():
     slow = direct_circular_encode(cube, system.psfs, system.response)
     assert coded.shape == (7, 9, 3)
     assert np.max(np.abs(coded - slow)) < 1e-12
-
-
-def test_unknown_boundary_rejected():
-    system = _identity_system(3)
-    with pytest.raises(ValueError, match="boundary"):
-        forward_encode(np.ones((4, 4, 3)), system, boundary="mirror")
 
 
 def test_embed_kernel_centers_at_origin():
