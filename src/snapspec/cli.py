@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .fidelity import FidelityProblem, fidelity_solve, gdm_fidelity_step, subproblem_objective
-from .metrics import evaluate as evaluate_metrics
+from .metrics import DEFAULT_CROP, evaluate as evaluate_metrics
 from .optics import (
     NoiseModel,
     OpticalSystem,
@@ -43,10 +43,11 @@ from .optics import (
     forward_encode,
 )
 from .oracle import MAX_DENSE_UNKNOWNS, DenseSystem
-from .synth import rgb_response, rotating_psf_stack, smooth_cube
+from .synth import smooth_cube, synthetic_system
 from .tensorio import load_response_csv, load_tensor, save_tensor
 from .unfolding import (
     DENOISERS,
+    GDM_ITERS,
     INITIALIZERS,
     QuadraticDenoiser,
     StageSchedule,
@@ -318,22 +319,18 @@ def parse_init_spec(spec: str):
 
 
 def parse_schedule_spec(spec: str, n_stages: int) -> np.ndarray:
-    """'geometric:GAMMA0,RATIO' or 'constant:GAMMA' -> one anchor weight per stage."""
-    name, _, rest = spec.partition(":")
-    if name == "geometric":
-        parts = rest.split(",") if rest else []
-        if len(parts) != 2:
-            raise ValidationError("geometric schedule needs GAMMA0,RATIO, got %r" % rest)
-        gamma0 = _convert(_conv_float, parts[0], "GAMMA0")
-        ratio = _convert(_conv_float, parts[1], "RATIO")
-        return StageSchedule.geometric(n_stages, gamma0, ratio).gamma
-    if name == "constant":
-        if not rest or "," in rest:
-            raise ValidationError("constant schedule needs a single GAMMA, got %r" % rest)
-        return StageSchedule.constant(n_stages, _convert(_conv_float, rest, "GAMMA")).gamma
-    raise ValidationError(
-        "unknown schedule %r; valid: geometric:GAMMA0,RATIO, constant:GAMMA" % name
-    )
+    """'KIND:VALUE,...' -> one anchor weight per stage, on the ramp that
+    ``StageSchedule.ramps`` declares as KIND; an unknown KIND raises UnknownNameError."""
+    kind, _, rest = spec.partition(":")
+    if kind not in StageSchedule.ramps:
+        raise UnknownNameError("unknown schedule %r; valid: %s"
+                               % (kind, ", ".join(sorted(StageSchedule.ramps))))
+    names = [name.upper() for name in StageSchedule.ramps[kind]]
+    parts = rest.split(",") if rest else []
+    if len(parts) != len(names):
+        raise ValidationError("%s schedule needs %s, got %r" % (kind, ",".join(names), rest))
+    return getattr(StageSchedule, kind)(
+        n_stages, *(_convert(_conv_float, part, name) for part, name in zip(parts, names))).gamma
 
 
 def _load_system(psf_path: str, response_path: str) -> OpticalSystem:
@@ -404,18 +401,20 @@ _RECONSTRUCT_KEYS = [
     Key("out", _conv_str, "", "output reconstructed cube (.htns)", required=True),
     Key("stages", _conv_int, 7, "stage count K (K=1 returns the initialization)",
         domain=Domain(1, 1000)),
-    Key("gamma_schedule", _conv_str, "geometric:0.01,4",
-        "'geometric:GAMMA0,RATIO' or 'constant:GAMMA'"),
+    Key("gamma_schedule", _conv_str, "geometric:0.01,4", "KIND:VALUE,...: " + "; ".join(
+        "%s:%s, %s" % (kind, ",".join(ramp).upper(), ", ".join(
+            "%s in %s" % (name.upper(), domain) for name, domain in ramp.items()))
+        for kind, ramp in StageSchedule.ramps.items())),
     Key("denoiser", _conv_str, "tv:lambda=0.01,iters=30", _strategy_help(DENOISERS)),
     Key("init", _conv_str, "mean", _strategy_help(INITIALIZERS)),
     Key("prior_weight", _conv_float, 0.0,
-        "prior weight sigma; denoiser noise level is sqrt(sigma/gamma)",
+        "prior weight sigma; denoiser noise level is sqrt(sigma/gamma), read only by quadratic",
         domain=StageSchedule.params["prior_weight"][2]),
     Key("zeta", _conv_float, 1.0, "multiplier update rate; 0 is HQS (no multipliers)",
         domain=StageSchedule.params["zeta"][2]),
     Key("gdm_iters", _conv_int, 0,
         "gradient steps in place of each exact fidelity solve (the GDM baseline); "
-        "0 keeps the exact solve", domain=Domain(0, 10_000)),
+        "0 keeps the exact solve", domain=GDM_ITERS),
     Key("trace", _conv_bool, False, "also write per-stage trace CSV next to the output"),
     Key("export_pgm", _conv_str, "", "optional band-mean preview path"),
 ]
@@ -425,6 +424,8 @@ def _cmd_reconstruct(config: dict) -> int:
     # spec strings first, so that a usage error comes before an I/O error
     try:
         gamma = parse_schedule_spec(config["gamma_schedule"], config["stages"])
+    except UnknownNameError:
+        raise
     except ValidationError as exc:
         raise ParameterError("--gamma-schedule %s with --stages %d: %s"
                              % (config["gamma_schedule"], config["stages"], exc)) from None
@@ -474,7 +475,8 @@ def _cmd_reconstruct(config: dict) -> int:
 _EVALUATE_KEYS = [
     Key("recon", _conv_str, "", "reconstructed cube (.htns)", required=True),
     Key("gt", _conv_str, "", "ground-truth cube (.htns)", required=True),
-    Key("crop", _conv_int, 20, "pixels cropped per edge before measuring", domain=Domain(0)),
+    Key("crop", _conv_int, DEFAULT_CROP, "pixels cropped per edge before measuring",
+        domain=Domain(0)),
     Key("out_json", _conv_str, "", "optional path for the JSON report line"),
     Key("rmse_csv", _conv_str, "", "optional per-pixel RMSE map CSV (cropped region)"),
 ]
@@ -551,9 +553,7 @@ def _cmd_bench(config: dict) -> int:
     for size in sizes:
         for bands in bands_list:
             kernel = 41 if size >= 64 else (5 if size >= 6 else 3)
-            system = OpticalSystem(
-                psfs=rotating_psf_stack(bands, kernel), response=rgb_response(bands)
-            )
+            system = synthetic_system(bands, kernel)
             op = build_frequency_operator(system, size, size)
             truth = smooth_cube(size, size, bands, seed=config["seed"])
             coded = apply_forward_frequency(op, truth)

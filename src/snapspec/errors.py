@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the numeric Domain."""
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -59,6 +60,12 @@ class Domain:
         above = value == math.inf if self.hi is None else not value <= self.hi
         if above or not (self.lo < value if self.lo_open else self.lo <= value):
             raise ParameterError("%s: must be in %s, got %r" % (where, self, value))
+
+    def check_count(self, value, where: str) -> None:
+        """check() for a count: ``value`` must also be an integer, not a bool."""
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ParameterError("%s: must be an integer, got %r" % (where, value))
+        self.check(value, where)
 
 
 def check_params(owner, where: str, **args) -> None:

@@ -37,7 +37,7 @@ replaces, each step 1 / (||A||^2 + gamma).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,12 +60,14 @@ _SOLVE_STRIP_ELEMENTS = 1 << 15
 class FidelityProblem:
     """One measurement-consistency subproblem instance.
 
-    ``coded_spectrum`` is the coded image's :func:`optics.to_spectrum`,
+    ``coded`` is the float64 coded image J, shape (H, W, 3), read-only.
+    ``coded_spectrum`` is its :func:`optics.to_spectrum`,
     shape (3, H, W // 2 + 1) complex.
     ``gamma`` is the positive anchor weight.
     """
 
     op: FrequencyOperator
+    coded: np.ndarray
     coded_spectrum: np.ndarray
     gamma: float
 
@@ -81,13 +83,12 @@ class FidelityProblem:
 
     @classmethod
     def from_coded_image(cls, op: FrequencyOperator, coded: np.ndarray, gamma: float):
-        return cls(op=op, coded_spectrum=to_spectrum(op, coded, 3), gamma=gamma)
-
-    def coded_image(self) -> np.ndarray:
-        return from_spectrum(self.op, self.coded_spectrum)
+        coded = np.asarray(coded, dtype=np.float64).view()  # not a copy
+        coded.flags.writeable = False
+        return cls(op=op, coded=coded, coded_spectrum=to_spectrum(op, coded, 3), gamma=gamma)
 
     def with_gamma(self, gamma: float) -> "FidelityProblem":
-        return FidelityProblem(op=self.op, coded_spectrum=self.coded_spectrum, gamma=gamma)
+        return replace(self, gamma=gamma)
 
 
 def block_inverse_3x3(a: np.ndarray) -> np.ndarray:
@@ -182,16 +183,21 @@ def fidelity_solve_naive(prob: FidelityProblem, anchor: np.ndarray) -> np.ndarra
 
 def subproblem_objective(prob: FidelityProblem, x: np.ndarray, anchor: np.ndarray) -> float:
     """Value of 1/2 ||A x - J||^2 + gamma/2 ||x - anchor||^2."""
-    coded = prob.coded_image()
-    resid = apply_forward_frequency(prob.op, x) - coded
+    resid = apply_forward_frequency(prob.op, x) - prob.coded
     return 0.5 * float(np.sum(resid**2)) + 0.5 * prob.gamma * float(np.sum((x - anchor) ** 2))
 
 
 def subproblem_gradient(prob: FidelityProblem, x: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Gradient A^T (A x - J) + gamma (x - anchor) of the subproblem objective."""
-    coded = prob.coded_image()
-    resid = apply_forward_frequency(prob.op, x) - coded
-    return apply_adjoint(prob.op, resid) + prob.gamma * (x - anchor)
+    """Gradient A^T (A x - J) + gamma (x - anchor) of the subproblem objective,
+    each temporary freed once used."""
+    resid = apply_forward_frequency(prob.op, x)
+    resid -= prob.coded
+    grad = apply_adjoint(prob.op, resid)
+    del resid
+    pull = x - anchor
+    pull *= prob.gamma
+    grad += pull
+    return grad
 
 
 def gdm_fidelity_step(prob: FidelityProblem, anchor: np.ndarray, current: np.ndarray,
@@ -210,19 +216,9 @@ def gdm_fidelity_step(prob: FidelityProblem, anchor: np.ndarray, current: np.nda
     if iters == 0:
         return x
     anchor = np.asarray(anchor, dtype=np.float64)
-    coded = prob.coded_image()
     step = 1.0 / (prob.op.lipschitz + prob.gamma)
-    # x -= step * (A^T (A x - coded) + gamma (x - anchor)) in place, each
-    # temporary freed once used
-    for _ in range(iters):
-        resid = apply_forward_frequency(prob.op, x)
-        resid -= coded
-        grad = apply_adjoint(prob.op, resid)
-        del resid
-        pull = x - anchor
-        pull *= prob.gamma
-        grad += pull
-        del pull
+    for _ in range(iters):  # x -= step * gradient, in place
+        grad = subproblem_gradient(prob, x, anchor)
         grad *= step
         x -= grad
         del grad

@@ -49,6 +49,11 @@ class StageSchedule:
     sigma_tilde: np.ndarray = field(init=False)
     params = {"prior_weight": ("prior_weight", float, Domain(0.0)),
               "zeta": ("zeta", float, Domain(0.0))}
+    # each ramp's values in its constructor's order; ratio starts above 1, as
+    # flat or decaying penalty ramps destabilize late stages
+    ramps = {"geometric": {"gamma0": Domain(0.0, lo_open=True),
+                           "ratio": Domain(1.0, lo_open=True)},
+             "constant": {"gamma": Domain(0.0, lo_open=True)}}
 
     def __post_init__(self):
         check_params(self, "schedule", prior_weight=self.prior_weight, zeta=self.zeta)
@@ -76,6 +81,12 @@ class StageSchedule:
         return self.gamma.shape[0]
 
     @classmethod
+    def _check_ramp(cls, kind: str, n_stages: int, **values) -> None:
+        Domain(1).check_count(n_stages, "%s schedule: n_stages" % kind)
+        for name, domain in cls.ramps[kind].items():
+            domain.check(values[name], "%s schedule: %s" % (kind, name))
+
+    @classmethod
     def geometric(
         cls,
         n_stages: int,
@@ -92,15 +103,7 @@ class StageSchedule:
         that, so ratio must exceed 1.  The defaults are a starting point, not
         a tuned setting.
         """
-        if n_stages < 1:
-            raise ParameterError("n_stages must be >= 1, got %r" % n_stages)
-        if not gamma0 > 0:
-            raise ParameterError("gamma0 must be positive, got %r" % gamma0)
-        if not ratio > 1:
-            raise ParameterError(
-                "schedule ratio must exceed 1 (flat or decaying penalty ramps "
-                "destabilize late stages), got %r" % ratio
-            )
+        cls._check_ramp("geometric", n_stages, gamma0=gamma0, ratio=ratio)
         with np.errstate(over="ignore"):
             gamma = gamma0 * ratio ** np.arange(n_stages, dtype=np.float64)
         if not np.isfinite(gamma[-1]):
@@ -114,8 +117,7 @@ class StageSchedule:
     def constant(
         cls, n_stages: int, gamma: float, prior_weight: float = 0.0, zeta: float = 1.0
     ) -> "StageSchedule":
-        if n_stages < 1:
-            raise ParameterError("n_stages must be >= 1, got %r" % n_stages)
+        cls._check_ramp("constant", n_stages, gamma=gamma)
         return cls(np.full(n_stages, float(gamma)), prior_weight, zeta)
 
 
@@ -180,6 +182,9 @@ class GaussianDenoiser(Denoiser):
 # largest TV dual iteration count: far above the 30-60 iterations the prior
 # uses, while a mistyped count cannot sweep the cube for hours
 MAX_TV_ITERS = 10_000
+# the same cap on the GDM baseline's gradient steps per stage in reconstruct
+MAX_GDM_ITERS = 10_000
+GDM_ITERS = Domain(0, MAX_GDM_ITERS)
 
 
 class TotalVariationDenoiser(Denoiser):
@@ -407,7 +412,8 @@ def reconstruct(
 
     The measurement-consistency step uses the exact frequency-domain solver
     when ``gdm_iters`` is 0; a positive count swaps in that many warm-started
-    gradient steps instead, the GDM baseline.  A schedule with zeta 0 runs
+    gradient steps instead, the GDM baseline.  ``gdm_iters`` is an integer in
+    ``GDM_ITERS``, checked before any stage runs.  A schedule with zeta 0 runs
     HQS, the same loop without multiplier updates.  With ``trace=True`` the
     result carries one StageTrace per stage.  A stage whose arithmetic
     overflows or turns invalid (for example under a huge zeta) raises
@@ -425,14 +431,14 @@ def reconstruct(
     copies the initializer's cube once, pixel-major whatever its layout,
     and never writes into it.
     """
+    GDM_ITERS.check_count(gdm_iters, "gdm_iters")
     # the problem checks the coded image's shape before any initializer reads it
     problem = FidelityProblem.from_coded_image(op, coded, gamma=schedule.gamma[0])
-    coded = np.asarray(coded, dtype=np.float64)
 
     # the loop's own iterate buffer, pixel-major whatever the initializer's
     # layout: TV then never copies it, and the trace norms, which sum in
     # memory order, see one layout
-    z = np.array(initializer.initialize(coded, op), dtype=np.float64, order="C")
+    z = np.array(initializer.initialize(problem.coded, op), dtype=np.float64, order="C")
     if z.shape != (op.height, op.width, op.n_bands):
         raise DimensionError(
             "initializer produced shape %r, expected %r"
@@ -446,7 +452,7 @@ def reconstruct(
         # a diagnostic never breaks a run: on a bright scene a squared
         # residual may leave the float64 range, and its sum or norm reads inf
         with np.errstate(over="ignore", invalid="ignore"):
-            resid = apply_forward_frequency(op, z_next) - coded
+            resid = apply_forward_frequency(op, z_next) - problem.coded
             fidelity = 0.5 * float(np.sum(resid**2))
             delta = np.nan if z is None else float(np.linalg.norm(z_next - z))
             primal = np.nan if i_next is None else float(np.linalg.norm(i_next - z_next))

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: pipelines, exit codes, manifests, determinism."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -17,10 +18,10 @@ from hypothesis import strategies as st
 from snapspec import FrequencyOperator, load_tensor, save_response_csv, save_tensor
 from snapspec import cli
 from snapspec.cli import build_parser, main
-from snapspec.errors import Domain, ParameterError
+from snapspec.errors import ParameterError
 from snapspec.optics import NoiseModel
 from snapspec.synth import rgb_response, rotating_psf_stack, smooth_cube
-from snapspec.unfolding import DENOISERS, INITIALIZERS
+from snapspec.unfolding import DENOISERS, INITIALIZERS, StageSchedule
 
 COMMANDS = ("simulate", "reconstruct", "evaluate", "bench", "oracle-check")
 
@@ -361,6 +362,18 @@ def test_reconstruct_help_lists_every_strategy_and_key_domain(capsys):
             assert "%s in %s" % (key, domain) in entry
 
 
+def test_reconstruct_help_lists_every_schedule_value_domain(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    entry = text.split("--gamma-schedule GAMMA_SCHEDULE ")[-1].split(" --")[0]
+    for kind, ramp in StageSchedule.ramps.items():
+        assert "%s:%s" % (kind, ",".join(ramp).upper()) in entry
+        for name, domain in ramp.items():
+            assert "%s in %s" % (name.upper(), domain) in entry
+
+
 def test_simulate_help_lists_every_noise_key_domain(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--help"])
@@ -392,6 +405,51 @@ def test_unknown_strategy_key_exit_2_naming_valid_keys(tmp_path, capsys, flag, c
     err = capsys.readouterr().err
     assert "unknown key 'bogus'" in err
     assert "valid keys: %s" % (", ".join(sorted(cls.params)) or "none") in err
+
+
+def test_unknown_schedule_exit_1_naming_the_kinds(tmp_path, capsys):
+    missing = str(tmp_path / "missing.htns")
+    assert _exit_code([
+        "reconstruct", "--coded", missing, "--psf", missing, "--response", missing,
+        "--out", str(tmp_path / "r.htns"), "--gamma-schedule", "bogus:1",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert "unknown schedule 'bogus'; valid: constant, geometric" in err
+    assert "missing" not in err
+
+
+def _ramp_specs(kind, name, text):
+    """The ``kind`` schedule spec with value ``name`` at ``text``, the others at
+    the defaults of its StageSchedule constructor."""
+    defaults = inspect.signature(getattr(StageSchedule, kind)).parameters
+    return "%s:%s" % (kind, ",".join(text if other == name else repr(defaults[other].default)
+                                     for other in StageSchedule.ramps[kind]))
+
+
+_RAMP_VALUES = [(kind, name) for kind, ramp in StageSchedule.ramps.items() for name in ramp]
+
+
+@pytest.mark.parametrize("kind, name", _RAMP_VALUES, ids=["%s-%s" % v for v in _RAMP_VALUES])
+def test_schedule_value_domain_edges(tmp_path, capsys, kind, name):
+    # the values nearest each edge of a ramp value's domain: inside they pass
+    # its check, outside they exit 2 naming the kind and the value
+    inside, outside = _domain_edges(float, StageSchedule.ramps[kind][name])
+    for value in inside:
+        try:
+            cli.parse_schedule_spec(_ramp_specs(kind, name, repr(value)), 1)
+        except ParameterError as exc:  # a subnormal gamma has no finite reciprocal
+            assert "must be in" not in str(exc)
+    missing = str(tmp_path / "missing.htns")
+    for value in outside:
+        assert _exit_code([
+            "reconstruct", "--coded", missing, "--psf", missing, "--response", missing,
+            "--out", str(tmp_path / "o.htns"),
+            "--gamma-schedule", _ramp_specs(kind, name, repr(value)),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "%s schedule: %s: must be in %s, got " % (
+            kind, name, StageSchedule.ramps[kind][name]) in err
+        assert "missing" not in err
 
 
 # every declared spec key builds at the edges of its domain; the nearest
@@ -864,7 +922,6 @@ def _edge_specs(registry):
         for key, (_, kind, domain) in cls.params.items() for text in _edge_texts(kind, domain)]
 
 
-_POSITIVE = _edge_texts(float, Domain(0.0, lo_open=True))
 _SIMULATE_EDGES = {
     "--noise": ["none", "default", "poisson_bits=7", "poisson_bits=8"] + [
         "%s=%s" % (key, text) for key, (_, kind, domain) in NoiseModel.params.items()
@@ -876,9 +933,8 @@ _SIMULATE_EDGES = {
 _RECONSTRUCT_EDGES = {
     "--denoiser": _edge_specs(DENOISERS),
     "--init": _edge_specs(INITIALIZERS),
-    "--gamma-schedule": ["geometric:%s,4" % g for g in _POSITIVE]
-    + ["geometric:0.01,%s" % r for r in _edge_texts(float, Domain(1.0, lo_open=True))]
-    + ["constant:%s" % g for g in _POSITIVE],
+    "--gamma-schedule": [_ramp_specs(kind, name, text) for kind, name in _RAMP_VALUES
+                         for text in _edge_texts(float, StageSchedule.ramps[kind][name])],
     **{key.flag: [text for text in _edge_texts(type(key.default), key.domain)
                   if text not in ("1000", "10000")] for key in _numeric_keys("reconstruct")},
 }

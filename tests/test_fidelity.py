@@ -25,7 +25,7 @@ from snapspec import (
     subproblem_objective,
 )
 from snapspec.errors import DimensionError, ParameterError, SingularPivotError
-from snapspec.optics import empty_cube
+from snapspec.optics import empty_cube, from_spectrum
 from snapspec.oracle import DenseSystem
 from snapspec.synth import rgb_response, rotating_psf_stack, smooth_cube
 
@@ -204,7 +204,8 @@ def test_odd_extents_match_dense_oracle(height, width):
     for gamma in (1e-3, 1.0, 1e3):
         anchor = rng.standard_normal((height, width, 4))
         prob = FidelityProblem.from_coded_image(op, image, gamma)
-        assert np.max(np.abs(prob.coded_image() - image)) < 1e-12
+        assert np.array_equal(prob.coded, image)
+        assert np.max(np.abs(from_spectrum(op, prob.coded_spectrum) - image)) < 1e-12
         ref = dense.ridge_solve(image, anchor, gamma)
         for solve in (fidelity_solve, fidelity_solve_naive):
             rel = np.linalg.norm(solve(prob, anchor) - ref) / np.linalg.norm(ref)
@@ -362,6 +363,16 @@ def test_gdm_converges_to_closed_form():
     assert rel < 1e-6
 
 
+def test_gdm_step_is_the_subproblem_gradient_step():
+    rng = np.random.default_rng(45)
+    _, op, prob = _problem(rng)
+    anchor = rng.standard_normal((8, 8, 5))
+    x = rng.standard_normal((8, 8, 5))
+    step = 1.0 / (op.lipschitz + prob.gamma)
+    want = x - step * subproblem_gradient(prob, x, anchor)
+    assert np.array_equal(gdm_fidelity_step(prob, anchor, x, 1), want)
+
+
 def test_gdm_validation():
     rng = np.random.default_rng(43)
     _, op, prob = _problem(rng)
@@ -481,4 +492,8 @@ def test_coded_image_round_trip():
     op = build_frequency_operator(system, 4, 4)
     coded = rng.standard_normal((4, 4, 3))
     prob = FidelityProblem.from_coded_image(op, coded, 1.0)
-    assert np.max(np.abs(prob.coded_image() - coded)) < 1e-12
+    # the problem keeps a read-only view of the image itself, and its spectrum
+    assert np.array_equal(prob.coded, coded)
+    assert np.shares_memory(prob.coded, coded) and not prob.coded.flags.writeable
+    assert coded.flags.writeable
+    assert np.max(np.abs(from_spectrum(op, prob.coded_spectrum) - coded)) < 1e-12

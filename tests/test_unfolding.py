@@ -32,7 +32,7 @@ from snapspec.errors import DimensionError, ParameterError
 from snapspec.oracle import DenseSystem
 from snapspec.synth import smooth_cube, synthetic_system
 from snapspec import unfolding
-from snapspec.unfolding import DENOISERS, INITIALIZERS, MAX_TV_ITERS
+from snapspec.unfolding import DENOISERS, INITIALIZERS, MAX_GDM_ITERS, MAX_TV_ITERS
 
 from reference_impls import tv_dual_reference, tv_prox_1d
 
@@ -67,10 +67,23 @@ def test_default_gamma_validation():
         StageSchedule.geometric(0)
     with pytest.raises(ParameterError):
         StageSchedule.geometric(3, gamma0=0.0)
-    with pytest.raises(ParameterError, match="exceed 1"):
+    with pytest.raises(ParameterError, match=r"ratio: must be in \(1\.0, inf\), got 1\.0"):
         StageSchedule.geometric(3, ratio=1.0)
-    with pytest.raises(ParameterError, match="exceed 1"):
+    with pytest.raises(ParameterError, match=r"ratio: must be in \(1\.0, inf\), got 0\.5"):
         StageSchedule.geometric(3, ratio=0.5)
+
+
+@pytest.mark.parametrize("n_stages", [0, 2.5, True, np.float64(3.0)])
+def test_schedule_stage_count_is_a_positive_integer(n_stages):
+    with pytest.raises(ParameterError, match="geometric schedule: n_stages: "):
+        StageSchedule.geometric(n_stages)
+    with pytest.raises(ParameterError, match="constant schedule: n_stages: "):
+        StageSchedule.constant(n_stages, 0.1)
+
+
+def test_schedule_stage_count_takes_numpy_integers():
+    assert StageSchedule.geometric(np.int64(3)).n_stages == 3
+    assert StageSchedule.constant(np.int32(2), 0.1).n_stages == 2
 
 
 def test_schedule_sigma_tilde_derivation():
@@ -313,6 +326,16 @@ def test_single_stage_returns_initialization():
     assert result.trace == []
 
 
+@pytest.mark.parametrize("stages", [1, 3])
+@pytest.mark.parametrize("gdm_iters", [-1, 2.5, True, MAX_GDM_ITERS + 1])
+def test_reconstruct_refuses_gdm_iters_outside_its_domain(stages, gdm_iters):
+    # checked before any stage runs, so a one-stage run refuses it too
+    _, op, _, coded = _small_setup()
+    with pytest.raises(ParameterError, match="gdm_iters: must be "):
+        reconstruct(coded, op, StageSchedule.geometric(stages), IdentityDenoiser(),
+                    ZeroInitializer(), gdm_iters=gdm_iters)
+
+
 class _TruthInitializer(Initializer):
     name = "truth"
 
@@ -367,7 +390,7 @@ def test_trace_stage_numbering_and_nans():
         assert r.gamma > 0
 
 
-@pytest.mark.parametrize("gdm_iters", [None, 3])
+@pytest.mark.parametrize("gdm_iters", [0, 3])
 @pytest.mark.parametrize("denoiser", [IdentityDenoiser(), GaussianDenoiser(1.0),
                                       TotalVariationDenoiser(0.01, 10), QuadraticDenoiser()])
 def test_trace_leaves_cube_unchanged(denoiser, gdm_iters):
