@@ -14,9 +14,11 @@ check breach.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 
@@ -24,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    SEED,
     DivergenceError,
     Domain,
     ParameterError,
@@ -33,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .fidelity import FidelityProblem, fidelity_solve, gdm_fidelity_step, subproblem_objective
-from .metrics import DEFAULT_CROP, evaluate as evaluate_metrics
+from .metrics import CROP, DEFAULT_CROP, evaluate as evaluate_metrics
 from .optics import (
     NoiseModel,
     OpticalSystem,
@@ -229,17 +232,62 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(anchor_path: str, command: str, config: dict,
-                    inputs: list[str], outputs: list[str]) -> str:
+def _paths(config: dict, *names: str) -> dict[str, str]:
+    """{flag: path} for each path key in ``names`` that is set, in that order."""
+    return {"--" + name.replace("_", "-"): config[name] for name in names if config[name]}
+
+
+def _manifest_path(outputs: dict[str, str]) -> str:
+    """A command's manifest goes beside its first output."""
+    return next(iter(outputs.values())) + ".manifest.json"
+
+
+def _same_file(a: str, b: str) -> bool:
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.normcase(os.path.realpath(a)) == os.path.normcase(os.path.realpath(b))
+
+
+def _check_paths(inputs: dict[str, str], outputs: dict[str, str]) -> None:
+    """Refuse, before anything is written, an output that is an existing
+    directory (an OSError, exit 3) or the same file as an input or another
+    output, the manifest included (exit 2, naming both).  Both map a flag,
+    or an output's sidecar, to its path; a file a run left may be overwritten."""
+    if outputs:
+        flag = next(iter(outputs))
+        outputs = {**outputs, flag + " manifest": _manifest_path(outputs)}
+    for name, path in {**inputs, **outputs}.items():
+        if "\0" in path:  # no file has such a name, and os.path raises on it
+            raise ValidationError("%s %r: a path cannot hold a NUL byte" % (name, path))
+    seen = list(inputs.items())
+    for name, path in outputs.items():
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for other, earlier in seen:
+            if _same_file(path, earlier):
+                raise ValidationError("%s %s and %s %s are the same file"
+                                      % (other, earlier, name, path))
+        seen.append((name, path))
+
+
+def _hashes(paths: dict[str, str]) -> dict[str, str]:
+    """{path: SHA-256} of each input, taken before the command writes."""
+    return {path: _sha256(path) for path in paths.values()}
+
+
+def _write_manifest(command: str, config: dict, inputs: dict[str, str],
+                    outputs: dict[str, str]) -> str:
+    """Write the manifest beside the first of ``outputs``; ``inputs`` holds the
+    inputs' hashes from :func:`_hashes`."""
     manifest = {
         "tool": "snapspec",
         "version": __version__,
         "command": command,
         "config": {name: config[name] for name in sorted(config)},
-        "inputs": {path: _sha256(path) for path in sorted(inputs)},
-        "outputs": {path: _sha256(path) for path in sorted(outputs)},
+        "inputs": inputs,
+        "outputs": {path: _sha256(path) for path in outputs.values()},
     }
-    path = anchor_path + ".manifest.json"
+    path = _manifest_path(outputs)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -356,18 +404,20 @@ _SIMULATE_KEYS = [
     Key("psf", _conv_str, "", "PSF stack tensor (bands, k, k) (.htns)", required=True),
     Key("response", _conv_str, "", "spectral response CSV", required=True),
     Key("out", _conv_str, "", "output coded image (.htns)", required=True),
-    Key("noise", _conv_str, "default",
-        "'none', 'default' (%s), or KEY=VALUE,... with %s (0 for off, else 8 to 16); "
-        "a key left out is off" % (",".join("%s=%s" % (key, getattr(NoiseModel, arg))
-                                            for key, (arg, _, _) in NoiseModel.params.items()),
-                                   ", ".join(_key_domains(NoiseModel.params)))),
-    Key("seed", _conv_int, 0, "noise RNG seed", domain=Domain(0)),
+    Key("noise", _conv_str, "default", "'none', 'default' (%s), or KEY=VALUE,... with %s; a "
+        "key left out is off" % (",".join("%s=%s" % (key, getattr(NoiseModel, arg))
+                                          for key, (arg, _, _) in NoiseModel.params.items()),
+                                 ", ".join(_key_domains(NoiseModel.params)))),
+    Key("seed", _conv_int, 0, "noise RNG seed", domain=SEED),
     Key("export_pgm", _conv_str, "", "optional 8-bit grayscale preview path"),
 ]
 
 
 def _cmd_simulate(config: dict) -> int:
     noise = parse_noise_spec(config["noise"], config["seed"])
+    inputs = _paths(config, "cube", "psf", "response")
+    outputs = _paths(config, "out", "export_pgm")
+    _check_paths(inputs, outputs)
     cube = _load_cube(config["cube"])
     system = _load_system(config["psf"], config["response"])
     # a cube near the top of the float range overflows the encode; say so
@@ -381,15 +431,11 @@ def _cmd_simulate(config: dict) -> int:
     except FloatingPointError as exc:
         raise ValidationError("--cube %s: too large to encode (%s)"
                               % (config["cube"], exc)) from None
+    hashes = _hashes(inputs)
     save_tensor(coded, config["out"])
-    outputs = [config["out"]]
     if config["export_pgm"]:
         _write_pgm(config["export_pgm"], coded.mean(axis=2))
-        outputs.append(config["export_pgm"])
-    _write_manifest(
-        config["out"], "simulate", config,
-        [config["cube"], config["psf"], config["response"]], outputs,
-    )
+    _write_manifest("simulate", config, hashes, outputs)
     print("wrote %s (%dx%dx3)" % (config["out"], coded.shape[0], coded.shape[1]))
     return EXIT_OK
 
@@ -435,6 +481,11 @@ def _cmd_reconstruct(config: dict) -> int:
         raise ParameterError("--prior-weight %g: %s" % (config["prior_weight"], exc)) from None
     denoiser = parse_denoiser_spec(config["denoiser"])
     initializer = parse_init_spec(config["init"])
+    inputs = _paths(config, "coded", "psf", "response")
+    outputs = _paths(config, "out", "export_pgm")
+    if config["trace"]:
+        outputs["--out trace"] = config["out"] + ".trace.csv"
+    _check_paths(inputs, outputs)
     coded = _load_cube(config["coded"])
     if coded.shape[2] != 3:
         raise ValidationError("coded image must have 3 channels, got %d" % coded.shape[2])
@@ -447,11 +498,10 @@ def _cmd_reconstruct(config: dict) -> int:
         raise DivergenceError("--zeta %g: %s" % (config["zeta"], exc)) from None
     except SingularPivotError as exc:
         raise ParameterError("--gamma-schedule %s: %s" % (config["gamma_schedule"], exc)) from None
+    hashes = _hashes(inputs)
     save_tensor(result.cube, config["out"])
-    outputs = [config["out"]]
     if config["trace"]:
-        trace_path = config["out"] + ".trace.csv"
-        with open(trace_path, "w", encoding="utf-8") as fh:
+        with open(outputs["--out trace"], "w", encoding="utf-8") as fh:
             fh.write("stage,fidelity,delta,gamma,primal_residual\n")
             for rec in result.trace:
                 fh.write(
@@ -459,14 +509,9 @@ def _cmd_reconstruct(config: dict) -> int:
                     % (rec.stage, rec.data_fidelity, rec.delta, rec.gamma,
                        rec.primal_residual)
                 )
-        outputs.append(trace_path)
     if config["export_pgm"]:
         _write_pgm(config["export_pgm"], result.cube.mean(axis=2))
-        outputs.append(config["export_pgm"])
-    _write_manifest(
-        config["out"], "reconstruct", config,
-        [config["coded"], config["psf"], config["response"]], outputs,
-    )
+    _write_manifest("reconstruct", config, hashes, outputs)
     print("wrote %s (%dx%dx%d, %d stages)"
           % (config["out"], *result.cube.shape, config["stages"]))
     return EXIT_OK
@@ -476,13 +521,16 @@ _EVALUATE_KEYS = [
     Key("recon", _conv_str, "", "reconstructed cube (.htns)", required=True),
     Key("gt", _conv_str, "", "ground-truth cube (.htns)", required=True),
     Key("crop", _conv_int, DEFAULT_CROP, "pixels cropped per edge before measuring",
-        domain=Domain(0)),
+        domain=CROP),
     Key("out_json", _conv_str, "", "optional path for the JSON report line"),
     Key("rmse_csv", _conv_str, "", "optional per-pixel RMSE map CSV (cropped region)"),
 ]
 
 
 def _cmd_evaluate(config: dict) -> int:
+    inputs = _paths(config, "recon", "gt")
+    outputs = _paths(config, "out_json", "rmse_csv")
+    _check_paths(inputs, outputs)
     recon = _load_cube(config["recon"])
     gt = _load_cube(config["gt"])
     # an overflowing metric means nothing, and its inf or nan is not JSON
@@ -499,21 +547,18 @@ def _cmd_evaluate(config: dict) -> int:
         % (report.psnr_db, report.sam_deg, report.ssim, report.crop),
         file=sys.stderr,
     )
-    outputs = []
+    hashes = _hashes(inputs) if outputs else {}
     if config["out_json"]:
         with open(config["out_json"], "w", encoding="utf-8") as fh:
             fh.write(line + "\n")
-        outputs.append(config["out_json"])
     if config["rmse_csv"]:
         c = config["crop"]
         a = recon[c:-c, c:-c] if c else recon
         b = gt[c:-c, c:-c] if c else gt
         rmse = np.sqrt(np.mean((a - b) ** 2, axis=2))
         np.savetxt(config["rmse_csv"], rmse, fmt="%.8g", delimiter=",")
-        outputs.append(config["rmse_csv"])
     if outputs:
-        _write_manifest(outputs[0], "evaluate", config,
-                        [config["recon"], config["gt"]], outputs)
+        _write_manifest("evaluate", config, hashes, outputs)
     return EXIT_OK
 
 
@@ -524,7 +569,7 @@ _BENCH_KEYS = [
     Key("gamma", _conv_float, 0.5, "anchor weight used in timed solves",
         domain=Domain(0.0, lo_open=True)),
     Key("repeats", _conv_int, 3, "median-of-N repeats per timing", domain=Domain(1, 1000)),
-    Key("seed", _conv_int, 0, "instance RNG seed", domain=Domain(0)),
+    Key("seed", _conv_int, 0, "instance RNG seed", domain=SEED),
     Key("out", _conv_str, "", "optional CSV path (default: stdout)"),
 ]
 
@@ -544,6 +589,8 @@ def _median_time(fn, repeats: int) -> float:
 
 
 def _cmd_bench(config: dict) -> int:
+    outputs = _paths(config, "out")
+    _check_paths({}, outputs)
     sizes = [int(size) for size in config["sizes"].split(",")]
     bands_list = [int(bands) for bands in config["bands"].split(",")]
     gamma = config["gamma"]
@@ -626,7 +673,7 @@ def _cmd_bench(config: dict) -> int:
     if config["out"]:
         with open(config["out"], "w", encoding="utf-8") as fh:
             fh.write(text)
-        _write_manifest(config["out"], "bench", config, [], [config["out"]])
+        _write_manifest("bench", config, {}, outputs)
         print("wrote %s" % config["out"])
     else:
         sys.stdout.write(text)
@@ -638,7 +685,7 @@ def _cmd_bench(config: dict) -> int:
 
 
 _ORACLE_KEYS = [
-    Key("seed", _conv_int, 0, "trial RNG seed", domain=Domain(0)),
+    Key("seed", _conv_int, 0, "trial RNG seed", domain=SEED),
     Key("trials", _conv_int, 20, "number of random instances (0 = vacuous pass)",
         domain=Domain(0, 10_000)),
 ]

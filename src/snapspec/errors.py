@@ -43,22 +43,25 @@ class DegenerateMetricError(SnapspecError):
 
 @dataclass(frozen=True)
 class Domain:
-    """A numeric range [lo, hi], or (lo, hi] with ``lo_open``; hi None is
-    unbounded.  inf and nan lie outside every domain."""
+    """A numeric range [lo, hi], or (lo, hi] with ``lo_open``; hi None is unbounded, and
+    ``off`` is one value accepted outside it.  inf and nan lie outside every domain."""
 
     lo: float
     hi: float | None = None
     lo_open: bool = False
+    off: float | None = None
 
     def __str__(self) -> str:
-        return "%s%s, %s" % ("(" if self.lo_open else "[", self.lo,
-                             "inf)" if self.hi is None else "%s]" % self.hi)
+        interval = "%s%s, %s" % ("(" if self.lo_open else "[", self.lo,
+                                 "inf)" if self.hi is None else "%s]" % self.hi)
+        return interval if self.off is None else "%s or %s" % (self.off, interval)
 
     def check(self, value, where: str) -> None:
         """Raise ParameterError naming ``where`` unless ``value`` lies inside.
         Only comparisons: an int of any size is compared exactly."""
         above = value == math.inf if self.hi is None else not value <= self.hi
-        if above or not (self.lo < value if self.lo_open else self.lo <= value):
+        below = not (self.lo < value if self.lo_open else self.lo <= value)
+        if (above or below) and value != self.off:
             raise ParameterError("%s: must be in %s, got %r" % (where, self, value))
 
     def check_count(self, value, where: str) -> None:
@@ -68,8 +71,11 @@ class Domain:
         self.check(value, where)
 
 
+SEED = Domain(0)  # an RNG seed: numpy's generators take any integer >= 0
+
+
 def check_params(owner, where: str, **args) -> None:
-    """Check constructor arguments against the domains that ``owner.params``
-    declares, key -> (argument, type, Domain); a breach names ``where`` and the key."""
-    for key, (arg, _, domain) in owner.params.items():
-        domain.check(args[arg], "%s: %s" % (where, key))
+    """Check arguments against the domains that ``owner.params`` declares, key -> (argument,
+    type, Domain), an int key as a count; a breach names ``where`` and the key."""
+    for key, (arg, kind, domain) in owner.params.items():
+        (domain.check_count if kind is int else domain.check)(args[arg], "%s: %s" % (where, key))

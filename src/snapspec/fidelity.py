@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, SingularPivotError
+from .errors import DimensionError, Domain, ParameterError, SingularPivotError
 from .optics import GRAM_PLANES, FrequencyOperator, apply_adjoint, apply_forward_frequency
 from .optics import back_project, cube_spectrum, empty_cube, forward_project, from_spectrum
 from .optics import to_spectrum
@@ -54,6 +54,10 @@ _PIVOT_MARGIN = 0.5
 # complex elements per band strip in fidelity_solve: 2^15 (512 KiB) keeps a
 # strip's working set in a per-core L2 cache; 15 rows of a 512 x 512 x 8 solve
 _SOLVE_STRIP_ELEMENTS = 1 << 15
+
+# largest GDM step count per call: a mistyped one cannot sweep the cube for hours
+MAX_GDM_ITERS = 10_000
+GDM_ITERS = Domain(0, MAX_GDM_ITERS)
 
 
 @dataclass(frozen=True)
@@ -208,10 +212,9 @@ def gdm_fidelity_step(prob: FidelityProblem, anchor: np.ndarray, current: np.nda
     operator and its adjoint in the frequency domain each step.  Each step is
     1 / (||A||^2 + gamma), ||A||^2 the operator's cached ``lipschitz``, so the
     iterates converge to the closed-form solution linearly; the point of the
-    baseline is how slowly.
+    baseline is how slowly.  ``iters`` is an integer in ``GDM_ITERS``.
     """
-    if iters < 0:
-        raise ParameterError("iters must be >= 0")
+    GDM_ITERS.check_count(iters, "iters")
     x = np.array(current, dtype=np.float64, copy=True)
     if iters == 0:
         return x

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import DegenerateMetricError, DimensionError, ParameterError
+from .errors import DegenerateMetricError, DimensionError, Domain, ParameterError
 
 PSNR_CAP_DB = 100.0
 
@@ -24,6 +24,7 @@ SAM_NORM_FLOOR = 1e-12
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 DEFAULT_CROP = 20
+CROP = Domain(0)
 
 
 def _check_pair(x: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,8 +150,7 @@ def evaluate(recon: np.ndarray, gt: np.ndarray, crop: int = DEFAULT_CROP) -> Met
     recon, gt = _check_pair(recon, gt)
     if recon.ndim != 3:
         raise DimensionError("expected (H, W, bands) cubes, got shape %r" % (recon.shape,))
-    if crop < 0:
-        raise ParameterError("crop must be >= 0, got %r" % crop)
+    CROP.check_count(crop, "crop")
     if min(recon.shape[0], recon.shape[1]) - 2 * crop < SSIM_WINDOW:
         raise ParameterError(
             "crop %d on extent %r leaves less than the %d-pixel SSIM window"

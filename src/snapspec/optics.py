@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .errors import DimensionError, Domain, ParameterError, ValidationError, check_params
+from .errors import SEED, DimensionError, Domain, ParameterError, ValidationError, check_params
 
 PSF_SUM_TOL = 1e-9
 
@@ -147,24 +147,19 @@ class NoiseModel:
     """Sensor noise: photon shot noise against a full well of ``2**poisson_bits``
     counts, followed by additive Gaussian read noise.
 
-    ``poisson_bits = 0`` disables the Poisson stage; otherwise the bit depth
-    must lie in [8, 16].  A read noise above the unit peak is no sensor's, so
-    ``gaussian_sigma`` lies in [0, 1].  Sampling is deterministic per ``seed``.
+    ``poisson_bits = 0`` disables the Poisson stage, and a read noise above the unit
+    peak is no sensor's (``params`` holds both ranges); sampling is deterministic per ``seed``.
     """
 
     gaussian_sigma: float = DEFAULT_GAUSSIAN_SIGMA
     poisson_bits: int = DEFAULT_POISSON_BITS
     seed: int = 0
     params = {"gaussian": ("gaussian_sigma", float, Domain(0.0, 1.0)),
-              "poisson_bits": ("poisson_bits", int, Domain(0, 16))}
+              "poisson_bits": ("poisson_bits", int, Domain(8, 16, off=0))}
 
     def __post_init__(self):
         check_params(self, "noise spec", **vars(self))
-        if 0 < self.poisson_bits < 8:
-            raise ParameterError("noise spec: poisson_bits: must be 0 (off) or in [8, 16], "
-                                 "got %r" % self.poisson_bits)
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ParameterError("noise seed: must be an integer >= 0, got %r" % (self.seed,))
+        SEED.check_count(self.seed, "noise seed")
 
 
 def embed_kernel(kernel: np.ndarray, height: int, width: int) -> np.ndarray:

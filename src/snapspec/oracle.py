@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, Domain, ParameterError
 from .optics import OpticalSystem
 
 # dense Phi is (3n) x (nN); past this the quadratic memory blows up
@@ -92,8 +92,7 @@ class DenseSystem:
 
     def ridge_solve(self, coded: np.ndarray, anchor: np.ndarray, gamma: float) -> np.ndarray:
         """Minimize 1/2 ||Phi x - j||^2 + gamma/2 ||x - t||^2 by dense Cholesky."""
-        if not gamma > 0:
-            raise ParameterError("gamma must be positive, got %r" % gamma)
+        Domain(0.0, lo_open=True).check(gamma, "gamma")
         self._check_image(coded)
         self._check_cube(anchor)
         normal = self.phi.T @ self.phi + gamma * np.eye(self.phi.shape[1])
@@ -110,8 +109,7 @@ class DenseSystem:
 
         ``weight == 0`` degrades to minimum-norm least squares.
         """
-        if weight < 0:
-            raise ParameterError("weight must be >= 0, got %r" % weight)
+        Domain(0.0).check(weight, "weight")
         if weight == 0:
             self._check_image(coded)
             x, *_ = np.linalg.lstsq(self.phi, vec_cube(coded), rcond=None)

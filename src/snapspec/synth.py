@@ -12,8 +12,10 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from .errors import ParameterError
+from .errors import SEED, Domain, ParameterError
 from .optics import OpticalSystem
+
+BANDS = Domain(1)  # the band counts every generator takes
 
 
 def smooth_cube(height: int, width: int, n_bands: int, seed: int = 0) -> np.ndarray:
@@ -23,8 +25,9 @@ def smooth_cube(height: int, width: int, n_bands: int, seed: int = 0) -> np.ndar
     scene has no seam under circular boundary handling) and a mild spectral
     blur, then min-max normalized.  Deterministic per seed.
     """
-    if height < 4 or width < 4 or n_bands < 1:
-        raise ParameterError("scene needs height, width >= 4 and n_bands >= 1")
+    for name, value, domain in (("height", height, Domain(4)), ("width", width, Domain(4)),
+                                ("n_bands", n_bands, BANDS), ("seed", seed, SEED)):
+        domain.check_count(value, name)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((height, width, n_bands))
     spatial = max(2.0, min(height, width) / 12.0)
@@ -45,10 +48,10 @@ def rotating_psf_stack(n_bands: int, kernel_size: int, radius: float | None = No
     of wavelength-coded blur a rotating-lobe diffractive element produces.
     Returns shape (n_bands, kernel_size, kernel_size).
     """
-    if n_bands < 1:
-        raise ParameterError("n_bands must be >= 1")
-    if kernel_size < 3 or kernel_size % 2 == 0:
-        raise ParameterError("kernel_size must be odd and >= 3, got %r" % kernel_size)
+    BANDS.check_count(n_bands, "n_bands")
+    Domain(3).check_count(kernel_size, "kernel_size")
+    if kernel_size % 2 == 0:
+        raise ParameterError("kernel_size: must be odd, got %r" % kernel_size)
     half = kernel_size // 2
     if radius is None:
         radius = 0.55 * half
@@ -69,8 +72,7 @@ def rotating_psf_stack(n_bands: int, kernel_size: int, radius: float | None = No
 
 def band_wavelengths(n_bands: int) -> np.ndarray:
     """Evenly spaced band-center wavelengths from 450 to 650 nanometers."""
-    if n_bands < 1:
-        raise ParameterError("n_bands must be >= 1")
+    BANDS.check_count(n_bands, "n_bands")
     return np.linspace(450.0, 650.0, n_bands)
 
 
@@ -81,8 +83,7 @@ def rgb_response(n_bands: int) -> np.ndarray:
     flat baseline of 0.02 so every band reaches every channel, which keeps
     synthetic systems well-conditioned.  Shape (3, n_bands).
     """
-    if n_bands < 1:
-        raise ParameterError("n_bands must be >= 1")
+    BANDS.check_count(n_bands, "n_bands")
     pos = np.linspace(0.0, 1.0, n_bands) if n_bands > 1 else np.array([0.5])
     width = 0.18
     centers = np.array([0.75, 0.5, 0.25])

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import (DimensionError, DivergenceError, Domain, ParameterError,
+from .errors import (SEED, DimensionError, DivergenceError, Domain, ParameterError,
                      SingularPivotError, check_params)
-from .fidelity import FidelityProblem, fidelity_solve, gdm_fidelity_step
+from .fidelity import GDM_ITERS, MAX_GDM_ITERS, FidelityProblem, fidelity_solve, gdm_fidelity_step
 from .optics import FrequencyOperator, apply_adjoint, apply_forward_frequency, empty_cube
 
 
@@ -182,9 +182,6 @@ class GaussianDenoiser(Denoiser):
 # largest TV dual iteration count: far above the 30-60 iterations the prior
 # uses, while a mistyped count cannot sweep the cube for hours
 MAX_TV_ITERS = 10_000
-# the same cap on the GDM baseline's gradient steps per stage in reconstruct
-MAX_GDM_ITERS = 10_000
-GDM_ITERS = Domain(0, MAX_GDM_ITERS)
 
 
 class TotalVariationDenoiser(Denoiser):
@@ -341,7 +338,7 @@ class RandInitializer(Initializer):
     """Uniform [0, 1) start, seeded for reproducibility."""
 
     name = "rand"
-    params = {"seed": ("seed", int, Domain(0))}
+    params = {"seed": ("seed", int, SEED)}
 
     def __init__(self, seed: int = 0):
         check_params(self, "initializer %r" % self.name, seed=seed)

@@ -1,13 +1,17 @@
 """End-to-end command-line tests: pipelines, exit codes, manifests, determinism."""
 
 import contextlib
+import hashlib
 import inspect
 import io
 import json
 import math
 import os
+import pathlib
 import re
+import shutil
 import struct
+import tempfile
 import warnings
 
 import numpy as np
@@ -469,6 +473,8 @@ def _domain_edges(kind, domain):
 
     inside = [step(domain.lo, 1) if domain.lo_open else domain.lo]
     outside = [domain.lo if domain.lo_open else step(domain.lo, -1)]
+    if domain.off is not None:
+        inside.append(domain.off)
     if domain.hi is not None:
         inside.append(domain.hi)
         outside.append(step(domain.hi, 1))
@@ -989,6 +995,74 @@ def test_pipeline_chains_end_in_documented_exit_codes(fuzz_dir, scale, data):
             json.loads(fh.read(), parse_constant=refuse)
 
 
+# path fuzz: a command's outputs drawn from names that include its inputs, a
+# symlink to one, other spellings of one name, each other's sidecars and a
+# directory.  A draw in which two paths, sidecars included, resolve to one
+# file exits 2, one that writes to a directory exits 3, and both leave every
+# file as it was; any other draw exits 0.
+
+_PATH_POOL = ["cube.htns", "psf.htns", "resp.csv", "coded.htns", "link.htns", "a.htns",
+              "./a.htns", "sub/../a.htns", "b.htns", "a.htns.manifest.json",
+              "a.htns.trace.csv", "b.htns.manifest.json", "sub"]
+_PATH_COMMANDS = {
+    "simulate": ({"--cube": "cube.htns", "--psf": "psf.htns", "--response": "resp.csv"},
+                 ["--out", "--export-pgm"], ["--noise", "none"]),
+    "reconstruct": ({"--coded": "coded.htns", "--psf": "psf.htns", "--response": "resp.csv"},
+                    ["--out", "--export-pgm"], ["--stages", "2"]),
+    "evaluate": ({"--recon": "cube.htns", "--gt": "link.htns"},
+                 ["--out-json", "--rmse-csv"], ["--crop", "0"]),
+}
+
+
+@pytest.fixture(scope="module")
+def path_fuzz_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("paths")
+    _write_random_system(tmp)
+    _write_cube(tmp)
+    save_tensor(np.random.default_rng(2).uniform(size=(16, 16, 3)), tmp / "coded.htns")
+    return tmp
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(sorted(_PATH_COMMANDS)), data=st.data())
+def test_path_collisions_refused_before_any_write(path_fuzz_dir, command, data):
+    inputs, output_flags, extra = _PATH_COMMANDS[command]
+    outputs = {}
+    for flag in output_flags:  # "" leaves an optional output out
+        pool = _PATH_POOL if flag == "--out" else _PATH_POOL + [""]
+        outputs[flag] = data.draw(st.sampled_from(pool), label=flag)
+    outputs = {flag: path for flag, path in outputs.items() if path}
+    trace = command == "reconstruct" and data.draw(st.booleans(), label="--trace")
+    work = pathlib.Path(tempfile.mkdtemp(dir=path_fuzz_dir))
+    for name in ("cube.htns", "psf.htns", "resp.csv", "coded.htns"):
+        shutil.copy(path_fuzz_dir / name, work / name)
+    (work / "sub").mkdir()
+    (work / "link.htns").symlink_to("cube.htns")
+
+    # what the command should do, from each path's resolved name
+    written = list(outputs.values())
+    if trace:
+        written.append(outputs["--out"] + ".trace.csv")
+    if written:
+        written.append(written[0] + ".manifest.json")
+    real = [os.path.realpath(work / path) for path in written]
+    seen = [os.path.realpath(work / path) for path in inputs.values()]
+    clash = any(path in seen + real[:i] for i, path in enumerate(real))
+    to_dir = any(os.path.isdir(path) for path in real)
+
+    argv = [command, *(part for item in {**inputs, **outputs}.items() for part in item),
+            *extra, *(["--trace"] if trace else [])]
+    argv = [str(work / part) if part in _PATH_POOL else part for part in argv]
+    before = _tree(work)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = _exit_code(argv)
+    if not (clash or to_dir):
+        assert code == 0, argv
+        return
+    assert code in ((2, 3) if clash and to_dir else (2,) if clash else (3,)), argv
+    assert _tree(work) == before
+
+
 def test_corrupt_tensor_exit_2(tmp_path):
     psf, resp = _write_random_system(tmp_path)
     bad = tmp_path / "bad.htns"
@@ -1017,6 +1091,93 @@ def test_missing_file_exit_3(tmp_path):
         "--response", resp, "--out", str(tmp_path / "o.htns"),
     ])
     assert code == 3
+
+
+# no output overwrites an input or another output: every path a command reads
+# or writes, sidecars included, is resolved before anything is written
+
+
+def _tree(directory):
+    """{path: bytes} of every file under ``directory``."""
+    return {path: path.read_bytes() for path in directory.rglob("*") if path.is_file()}
+
+
+@pytest.fixture
+def pipeline_dir(tmp_path, monkeypatch):
+    """A directory holding psf.htns, resp.csv, cube.htns (16 x 16 x 4) and
+    coded.htns, made the working directory so that paths read as given."""
+    monkeypatch.chdir(tmp_path)
+    _write_random_system(tmp_path)
+    _write_cube(tmp_path)
+    _simulate_noiseless(tmp_path, "psf.htns", "resp.csv", "cube.htns")
+    return tmp_path
+
+
+_SYSTEM = ["--psf", "psf.htns", "--response", "resp.csv"]
+
+
+@pytest.mark.parametrize("argv, first, second", [
+    (["simulate", "--cube", "cube.htns", *_SYSTEM, "--out", "cube.htns"], "--cube", "--out"),
+    (["reconstruct", "--coded", "coded.htns", *_SYSTEM, "--out", "psf.htns"], "--psf", "--out"),
+    (["simulate", "--cube", "cube.htns", *_SYSTEM, "--out", "x.htns", "--export-pgm", "x.htns"],
+     "--out", "--export-pgm"),
+    (["evaluate", "--recon", "cube.htns", "--gt", "cube.htns", "--out-json", "r.txt",
+      "--rmse-csv", "r.txt"], "--out-json", "--rmse-csv"),
+    (["simulate", "--cube", "cube.htns", *_SYSTEM, "--out", "x.htns",
+      "--export-pgm", "./x.htns.manifest.json"], "--export-pgm", "--out manifest"),
+    (["reconstruct", "--coded", "coded.htns", *_SYSTEM, "--out", "x.htns", "--trace",
+      "--export-pgm", "x.htns.trace.csv"], "--export-pgm", "--out trace"),
+], ids=["scene", "psf", "pgm", "report", "manifest", "trace"])
+def test_colliding_paths_exit_2_naming_both_before_any_write(pipeline_dir, capsys, argv,
+                                                             first, second):
+    before = _tree(pipeline_dir)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: %s " % first in err and " and %s " % second in err
+    assert "are the same file" in err
+    assert _tree(pipeline_dir) == before
+
+
+def test_output_directory_exit_3_before_any_write(pipeline_dir, capsys):
+    (pipeline_dir / "preview").mkdir()
+    before = _tree(pipeline_dir)
+    assert main(["simulate", "--cube", "cube.htns", *_SYSTEM, "--out", "x.htns",
+                 "--export-pgm", "preview"]) == 3
+    assert "Is a directory: 'preview'" in capsys.readouterr().err
+    assert _tree(pipeline_dir) == before
+
+
+def test_nul_byte_path_exit_2(pipeline_dir, capsys):
+    cfg = pipeline_dir / "run.cfg"
+    cfg.write_text("out=x\0.htns\n")
+    before = _tree(pipeline_dir)
+    assert main(["simulate", "--config", str(cfg), "--cube", "cube.htns", *_SYSTEM]) == 2
+    assert "--out 'x\\x00.htns': a path cannot hold a NUL byte" in capsys.readouterr().err
+    assert _tree(pipeline_dir) == before
+
+
+def test_manifest_records_inputs_as_read_and_every_output(pipeline_dir):
+    # the manifest's bytes, rebuilt from the files: the inputs hashed as they
+    # were before the run, every output and sidecar hashed as written
+    def sha(path):
+        return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+    runs = [
+        (["reconstruct", "--coded", "coded.htns", *_SYSTEM, "--out", "rec.htns", "--stages", "2",
+          "--trace", "--export-pgm", "rec.pgm"], ["coded.htns", "psf.htns", "resp.csv"],
+         ["rec.htns", "rec.htns.trace.csv", "rec.pgm"]),
+        (["evaluate", "--recon", "rec.htns", "--gt", "cube.htns", "--crop", "0",
+          "--out-json", "r.json", "--rmse-csv", "rmse.csv"], ["rec.htns", "cube.htns"],
+         ["r.json", "rmse.csv"]),
+    ]
+    for argv, inputs, outputs in runs:
+        hashes = {path: sha(path) for path in inputs}
+        assert main(argv) == 0
+        manifest = (pipeline_dir / (outputs[0] + ".manifest.json")).read_bytes()
+        want = {"tool": "snapspec", "version": cli.__version__, "command": argv[0],
+                "config": json.loads(manifest)["config"], "inputs": hashes,
+                "outputs": {path: sha(path) for path in outputs}}
+        assert manifest == (json.dumps(want, indent=2, sort_keys=True) + "\n").encode()
 
 
 # oracle-check

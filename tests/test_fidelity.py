@@ -25,6 +25,7 @@ from snapspec import (
     subproblem_objective,
 )
 from snapspec.errors import DimensionError, ParameterError, SingularPivotError
+from snapspec.fidelity import MAX_GDM_ITERS
 from snapspec.optics import empty_cube, from_spectrum
 from snapspec.oracle import DenseSystem
 from snapspec.synth import rgb_response, rotating_psf_stack, smooth_cube
@@ -379,6 +380,10 @@ def test_gdm_validation():
     anchor = np.zeros((8, 8, 5))
     with pytest.raises(ParameterError):
         gdm_fidelity_step(prob, anchor, anchor, iters=-1)
+    # a step count is an integer: no fraction, bool or integral float
+    for iters in (2.5, np.float64(2.0), True, MAX_GDM_ITERS + 1):
+        with pytest.raises(ParameterError, match="iters: must be "):
+            gdm_fidelity_step(prob, anchor, anchor, iters=iters)
 
 
 def test_lipschitz_bounds_operator_norm():

@@ -214,6 +214,13 @@ def test_evaluate_overcrop_rejected():
         evaluate(x, x, crop=-1)
 
 
+@pytest.mark.parametrize("crop", [True, 2.5, np.float64(2.0)], ids=repr)
+def test_evaluate_crop_is_an_integer(crop):
+    x = _cube(24, (40, 40, 3))
+    with pytest.raises(ParameterError, match="crop: must be an integer, got "):
+        evaluate(x, x, crop=crop)
+
+
 @pytest.mark.parametrize("shape", [(5,), (16, 16), (16, 16, 2, 2)], ids=["1d", "2d", "4d"])
 def test_evaluate_rejects_non_cube_pairs(shape):
     x = np.zeros(shape)

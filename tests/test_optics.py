@@ -17,10 +17,11 @@ from snapspec import (
     embed_kernel,
     forward_encode,
 )
-from snapspec.errors import DimensionError, ValidationError
+from snapspec.errors import DimensionError, ParameterError, ValidationError
 from snapspec.optics import (cube_spectrum, empty_cube, forward_project, from_spectrum,
                              to_spectrum)
-from snapspec.synth import rotating_psf_stack, smooth_cube, synthetic_system
+from snapspec.synth import (band_wavelengths, rgb_response, rotating_psf_stack, smooth_cube,
+                            synthetic_system)
 
 from reference_impls import direct_circular_encode, direct_dft2
 
@@ -364,13 +365,23 @@ def test_noise_model_validation():
     with pytest.raises(ValidationError):
         NoiseModel(gaussian_sigma=2.0)
     # a seed numpy's generator refuses is refused here, naming the seed
-    for seed in (-1, 1.5, None):
+    for seed in (-1, 1.5, None, True):
         with pytest.raises(ValidationError, match="seed"):
             NoiseModel(seed=seed)
     NoiseModel(poisson_bits=0)
     NoiseModel(poisson_bits=8)
     NoiseModel(poisson_bits=16)
     NoiseModel(seed=np.int64(2**62))
+
+
+def test_poisson_bits_is_off_or_in_its_range():
+    # the gap between off (0) and 8 bits is declared, not checked by hand
+    assert str(NoiseModel.params["poisson_bits"][2]) == "0 or [8, 16]"
+    for bits in (0, *range(8, 17), np.int64(12)):
+        assert NoiseModel(poisson_bits=bits).poisson_bits == bits
+    for bits in (*range(1, 8), 17, -1, 8.5):
+        with pytest.raises(ParameterError, match="noise spec: poisson_bits: must be "):
+            NoiseModel(poisson_bits=bits)
 
 
 def test_poisson_peak_beyond_sampler_raises_naming_bits():
@@ -405,6 +416,24 @@ def test_rotating_psfs_differ_across_bands():
     cos = gram / norm
     # far-apart bands must point in visibly different directions
     assert cos[0, 5] < 0.99
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: smooth_cube(8.0, 8, 2), "height"),
+    (lambda: smooth_cube(8, 8.5, 2), "width"),
+    (lambda: smooth_cube(8, 8, np.float64(2.0)), "n_bands"),
+    (lambda: smooth_cube(8, 8, 2, seed=1.5), "seed"),
+    (lambda: smooth_cube(3, 8, 2), "height"),
+    (lambda: rotating_psf_stack(2.0, 5), "n_bands"),
+    (lambda: rotating_psf_stack(2, 5.0), "kernel_size"),
+    (lambda: rotating_psf_stack(2, 1), "kernel_size"),
+    (lambda: band_wavelengths(True), "n_bands"),
+    (lambda: rgb_response(0), "n_bands"),
+], ids=["height", "width", "bands", "seed", "extent", "psf-bands", "kernel", "kernel-1",
+        "wavelengths", "response"])
+def test_synth_sizes_are_checked_naming_the_argument(call, name):
+    with pytest.raises(ParameterError, match="^%s: must be " % name):
+        call()
 
 
 def test_smooth_cube_range_and_determinism():

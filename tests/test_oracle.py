@@ -185,6 +185,9 @@ def test_tikhonov_rejects_negative_weight():
     dense = DenseSystem.from_system(_identity_system(2), 2, 2)
     with pytest.raises(ParameterError):
         dense.tikhonov_solve(np.zeros((2, 2, 3)), -0.1)
+    for weight in (np.nan, np.inf):  # named as the weight, not as the ridge's gamma
+        with pytest.raises(ParameterError, match="^weight: must be in "):
+            dense.tikhonov_solve(np.zeros((2, 2, 3)), weight)
 
 
 def test_size_guard():

@@ -29,6 +29,7 @@ from snapspec import (
     tv_denoise,
 )
 from snapspec.errors import DimensionError, ParameterError
+from snapspec.optics import NoiseModel
 from snapspec.oracle import DenseSystem
 from snapspec.synth import smooth_cube, synthetic_system
 from snapspec import unfolding
@@ -268,6 +269,22 @@ def test_registries_cover_all_names():
         assert cls.name == name
     for name, cls in INITIALIZERS.items():
         assert cls.name == name
+
+
+# every key a class declares int is a count: a fraction, a bool or a float
+# that holds an integer is refused naming the key, not truncated
+
+_COUNT_KEYS = [(cls, key) for cls in (*DENOISERS.values(), *INITIALIZERS.values(), NoiseModel)
+               for key, (_, kind, _) in cls.params.items() if kind is int]
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.float64(2.0)], ids=repr)
+@pytest.mark.parametrize("cls, key", _COUNT_KEYS, ids=["%s-%s" % (cls.__name__, key)
+                                                      for cls, key in _COUNT_KEYS])
+def test_int_declared_keys_refuse_non_integers(cls, key, value):
+    arg = cls.params[key][0]
+    with pytest.raises(ParameterError, match=r": %s: must be an integer, got " % key):
+        cls(**{arg: value})
 
 
 # initializers
