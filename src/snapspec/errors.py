@@ -4,6 +4,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class SnapspecError(Exception):
     """Base class for all snapspec errors."""
@@ -58,7 +60,10 @@ class Domain:
 
     def check(self, value, where: str) -> None:
         """Raise ParameterError naming ``where`` unless ``value`` lies inside.
-        Only comparisons: an int of any size is compared exactly."""
+        Only comparisons: an int of any size is compared exactly.  A bool,
+        Python's or numpy's, is refused rather than read as 0 or 1."""
+        if isinstance(value, (bool, np.bool_)):
+            raise ParameterError("%s: must be a number, not a bool, got %r" % (where, value))
         above = value == math.inf if self.hi is None else not value <= self.hi
         below = not (self.lo < value if self.lo_open else self.lo <= value)
         if (above or below) and value != self.off:

@@ -125,7 +125,11 @@ class FrequencyOperator:
                 "response shape %r and transfer shape %r, expected (3, bands) and (bands,) + %r"
                 % (self.response.shape, self.transfer.shape, expected)
             )
-        power = self.transfer.real**2 + self.transfer.imag**2
+        # |transfer|^2 plane by plane: one real plane of temporary, not a cube
+        power = np.empty(self.transfer.shape, dtype=self.transfer.real.dtype)
+        for t, plane in zip(self.transfer, power):
+            np.square(t.real, out=plane)
+            plane += np.square(t.imag)
         rows, cols = np.triu_indices(3)
         gram = np.tensordot(self.response[rows] * self.response[cols], power, axes=1)
         object.__setattr__(self, "gram", gram)
@@ -190,8 +194,16 @@ def forward_encode(cube: np.ndarray, system: OpticalSystem) -> np.ndarray:
 
 
 def build_frequency_operator(system: OpticalSystem, height: int, width: int) -> FrequencyOperator:
-    """The system's response and per-band OTFs on an (height, width) grid."""
-    transfer = scipy.fft.rfft2(embed_kernel(system.psfs, height, width))
+    """The system's response and per-band OTFs on an (height, width) grid.
+
+    Each band's kernel is embedded and transformed on its own, into the
+    operator's ``transfer``, so the working memory is the operator itself:
+    ``transfer`` (about one cube of the grid), the power planes the Gram is
+    formed from (half a cube) and ``gram`` (6 planes), 1.89 cubes at 8 bands.
+    """
+    transfer = np.empty((system.n_bands, height, width // 2 + 1), dtype=np.complex128)
+    for spectrum, psf in zip(transfer, system.psfs):
+        spectrum[...] = scipy.fft.rfft2(embed_kernel(psf, height, width))
     return FrequencyOperator(
         response=system.response, transfer=transfer, height=height, width=width
     )
@@ -338,13 +350,14 @@ def add_noise(image: np.ndarray, model: NoiseModel) -> np.ndarray:
     """Apply the sensor noise model: Poisson (shot) first, then Gaussian (read).
 
     Negative intensities are clamped to zero before Poisson sampling, and a
-    peak above what the sampler takes raises ParameterError.  With
-    ``gaussian_sigma == 0`` and ``poisson_bits == 0`` the image is returned
-    unchanged (copied).
+    peak above what the sampler takes raises ParameterError.  The image is
+    copied once into the float64 result, and each stage works in it: the
+    working memory is the result plus one image of Poisson counts or of
+    read noise.  With ``gaussian_sigma == 0`` and ``poisson_bits == 0`` the
+    result equals the image.
     """
-    image = np.asarray(image, dtype=np.float64)
+    out = np.array(image, dtype=np.float64, order="C")
     rng = np.random.default_rng(model.seed)
-    out = image.copy()
     if model.poisson_bits:
         full_well = float(2 ** model.poisson_bits)
         peak, most = out.max(initial=0.0), _POISSON_LAM_MAX / full_well
@@ -353,7 +366,9 @@ def add_noise(image: np.ndarray, model: NoiseModel) -> np.ndarray:
                 "noise spec: poisson_bits: a peak intensity of %g exceeds %.4g, the most "
                 "Poisson sampling takes at %d bits; scale the image down or set "
                 "poisson_bits=0" % (peak, most, model.poisson_bits))
-        out = rng.poisson(np.clip(out, 0.0, None) * full_well).astype(np.float64) / full_well
+        np.clip(out, 0.0, None, out=out)
+        out *= full_well
+        np.divide(rng.poisson(out), full_well, out=out)
     if model.gaussian_sigma > 0:
-        out = out + rng.normal(0.0, model.gaussian_sigma, size=out.shape)
+        out += rng.normal(0.0, model.gaussian_sigma, size=out.shape)
     return out

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionError, Domain, ParameterError
 from .optics import OpticalSystem
@@ -92,6 +91,10 @@ class DenseSystem:
 
     def ridge_solve(self, coded: np.ndarray, anchor: np.ndarray, gamma: float) -> np.ndarray:
         """Minimize 1/2 ||Phi x - j||^2 + gamma/2 ||x - t||^2 by dense Cholesky."""
+        # imported here: scipy.linalg adds about 6 MB of resident memory to
+        # every process that imports the package, and only this solve uses it
+        from scipy.linalg import cho_factor, cho_solve
+
         Domain(0.0, lo_open=True).check(gamma, "gamma")
         self._check_image(coded)
         self._check_cube(anchor)

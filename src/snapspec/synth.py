@@ -24,19 +24,25 @@ def smooth_cube(height: int, width: int, n_bands: int, seed: int = 0) -> np.ndar
     White noise is low-passed with a wrap-around spatial Gaussian (so the
     scene has no seam under circular boundary handling) and a mild spectral
     blur, then min-max normalized.  Deterministic per seed.
+
+    The noise is filtered and normalized in its own array, which is
+    returned: the working memory is the one cube.
     """
     for name, value, domain in (("height", height, Domain(4)), ("width", width, Domain(4)),
                                 ("n_bands", n_bands, BANDS), ("seed", seed, SEED)):
         domain.check_count(value, name)
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((height, width, n_bands))
+    cube = rng.standard_normal((height, width, n_bands))
     spatial = max(2.0, min(height, width) / 12.0)
-    cube = ndimage.gaussian_filter(noise, sigma=(spatial, spatial, 1.0), mode="wrap")
+    ndimage.gaussian_filter(cube, sigma=(spatial, spatial, 1.0), mode="wrap", output=cube)
     lo = cube.min()
     hi = cube.max()
     if hi - lo < 1e-12:
-        return np.full_like(cube, 0.5)
-    return (cube - lo) / (hi - lo)
+        cube.fill(0.5)
+        return cube
+    cube -= lo
+    cube /= hi - lo
+    return cube
 
 
 def rotating_psf_stack(n_bands: int, kernel_size: int, radius: float | None = None,

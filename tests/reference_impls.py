@@ -8,9 +8,11 @@ library code it checks.
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
+from scipy import ndimage
 from scipy.signal import fftconvolve
 
-from snapspec import FidelityProblem, fidelity_solve
+from snapspec import FidelityProblem, NoiseModel, embed_kernel, fidelity_solve
 
 
 def direct_circular_encode(cube: np.ndarray, psfs: np.ndarray, response: np.ndarray) -> np.ndarray:
@@ -198,3 +200,45 @@ def ssim_fftconvolve(x: np.ndarray, ref: np.ndarray) -> float:
         den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
         scores.append(np.mean(num / den))
     return float(np.mean(scores))
+
+
+# The set-up functions written as whole-array expressions, one new array per
+# step.  The library computes the same values in its output buffers, band by
+# band or in place, and must match these to the bit.
+
+
+def smooth_cube_whole_array(height: int, width: int, n_bands: int, seed: int = 0) -> np.ndarray:
+    """``synth.smooth_cube`` with the filter and the min-max scaling each
+    returning a new cube."""
+    noise = np.random.default_rng(seed).standard_normal((height, width, n_bands))
+    spatial = max(2.0, min(height, width) / 12.0)
+    g = ndimage.gaussian_filter(noise, sigma=(spatial, spatial, 1.0), mode="wrap")
+    lo, hi = g.min(), g.max()
+    if hi - lo < 1e-12:
+        return np.full_like(g, 0.5)
+    return (g - lo) / (hi - lo)
+
+
+def transfer_batched(psfs: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Every band's OTF from one batched transform of the embedded stack."""
+    return scipy.fft.rfft2(embed_kernel(psfs, height, width))
+
+
+def gram_whole_array(transfer: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """The 6 Gram planes from the whole power cube |transfer|^2."""
+    power = transfer.real**2 + transfer.imag**2
+    rows, cols = np.triu_indices(3)
+    return np.tensordot(response[rows] * response[cols], power, axes=1)
+
+
+def add_noise_whole_array(image: np.ndarray, model: NoiseModel) -> np.ndarray:
+    """``optics.add_noise`` as one expression per stage, with the same draws
+    in the same order (no peak check)."""
+    rng = np.random.default_rng(model.seed)
+    out = np.asarray(image, dtype=np.float64).copy()
+    if model.poisson_bits:
+        full_well = float(2 ** model.poisson_bits)
+        out = rng.poisson(np.clip(out, 0, None) * full_well).astype(float) / full_well
+    if model.gaussian_sigma > 0:
+        out = out + rng.normal(0.0, model.gaussian_sigma, size=out.shape)
+    return out

@@ -159,14 +159,16 @@ def test_ssim_equals_fftconvolve_reference(shape):
     assert ssim(x, y) == ssim_fftconvolve(x, y)
 
 
-def test_import_leaves_out_scipy_signal():
+def test_import_leaves_out_scipy_signal_and_linalg():
     # scipy.signal pulls in scipy.stats, sparse, optimize, ...: about 40 MB
-    # and most of a second per process, for nothing the package needs
+    # and most of a second per process, for nothing the package needs;
+    # scipy.linalg adds about 6 MB, and only the dense oracle's solve uses it
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, snapspec, snapspec.cli; "
-            "print(' '.join(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+            "print(' '.join(m for m in ('scipy.signal', 'scipy.stats', 'scipy.linalg') "
+            "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == ""

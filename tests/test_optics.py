@@ -23,7 +23,8 @@ from snapspec.optics import (cube_spectrum, empty_cube, forward_project, from_sp
 from snapspec.synth import (band_wavelengths, rgb_response, rotating_psf_stack, smooth_cube,
                             synthetic_system)
 
-from reference_impls import direct_circular_encode, direct_dft2
+from reference_impls import (add_noise_whole_array, direct_circular_encode, direct_dft2,
+                             gram_whole_array, smooth_cube_whole_array, transfer_batched)
 
 
 def _random_system(rng, n_bands, kernel_size):
@@ -247,6 +248,38 @@ def test_forward_in_place_product_matches_forward_project(width):
     cube = rng.standard_normal((48, width, 8))
     ref = from_spectrum(op, forward_project(op, to_spectrum(op, cube, op.n_bands)))
     assert np.array_equal(apply_forward_frequency(op, cube), ref)
+
+
+# the set-up functions work in their output buffers; every bit stays that of
+# the whole-array forms
+
+_GRIDS = pytest.mark.parametrize("height, width, n_bands", [(64, 64, 8), (17, 15, 5)],
+                                 ids=["even", "odd"])
+
+
+@_GRIDS
+def test_setup_matches_whole_array_forms(height, width, n_bands):
+    cube = smooth_cube(height, width, n_bands, seed=3)
+    assert np.array_equal(cube, smooth_cube_whole_array(height, width, n_bands, seed=3))
+    # random kernels: the synthetic ones are point-symmetric, with real OTFs
+    system = _random_system(np.random.default_rng(width), n_bands, 7)
+    op = build_frequency_operator(system, height, width)
+    transfer = transfer_batched(system.psfs, height, width)
+    assert np.array_equal(op.transfer, transfer)
+    assert np.array_equal(op.gram, gram_whole_array(transfer, system.response))
+
+
+@_GRIDS
+@pytest.mark.parametrize("model", [NoiseModel(seed=6), NoiseModel(poisson_bits=0, seed=6),
+                                   NoiseModel(gaussian_sigma=0.0, seed=6)],
+                         ids=["poisson-gaussian", "gaussian", "poisson"])
+def test_add_noise_matches_whole_array_form(height, width, n_bands, model):
+    # negative pixels exercise the clamp; a float32 Fortran-ordered copy
+    # draws the same numbers into the same pixels
+    image = np.random.default_rng(height).uniform(-0.1, 1.0, size=(height, width, 3))
+    assert np.array_equal(add_noise(image, model), add_noise_whole_array(image, model))
+    single = np.asfortranarray(image.astype(np.float32))
+    assert np.array_equal(add_noise(single, model), add_noise_whole_array(single, model))
 
 
 def test_forward_holds_one_spectrum():

@@ -21,6 +21,7 @@ from snapspec import (
     StageSchedule,
     TotalVariationDenoiser,
     ZeroInitializer,
+    add_noise,
     apply_adjoint,
     build_frequency_operator,
     forward_encode,
@@ -287,6 +288,19 @@ def test_int_declared_keys_refuse_non_integers(cls, key, value):
         cls(**{arg: value})
 
 
+# a float-declared number is not a bool either, Python's or numpy's
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=repr)
+@pytest.mark.parametrize("call, key", [
+    (lambda v: GaussianDenoiser(spatial_std=v), "std"),
+    (lambda v: NoiseModel(gaussian_sigma=v), "gaussian"),
+    (lambda v: StageSchedule.constant(3, v), "gamma"),
+], ids=["gaussian-std", "noise-gaussian", "constant-gamma"])
+def test_float_declared_keys_refuse_bools(call, key, flag):
+    with pytest.raises(ParameterError, match=r": %s: must be a number, not a bool" % key):
+        call(flag)
+
+
 # initializers
 
 
@@ -466,16 +480,23 @@ def test_trace_of_a_bright_scene_reads_inf_without_breaking_the_run():
     assert [r.data_fidelity for r in traced.trace] == [np.inf] * 3
 
 
-def _peak_cubes(op, coded, sched, den, init, trace, gdm_iters=0):
-    """tracemalloc peak of one run above what was allocated before it, in cubes."""
+def _peak_bytes(call, *args, **kwargs):
+    """tracemalloc peak of one call above what was allocated before it."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        reconstruct(coded, op, sched, den, init, trace=trace, gdm_iters=gdm_iters)
+        call(*args, **kwargs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - base) / (op.height * op.width * op.n_bands * 8)
+    return peak - base
+
+
+def _peak_cubes(op, coded, sched, den, init, trace, gdm_iters=0):
+    """tracemalloc peak of one run above what was allocated before it, in cubes."""
+    peak = _peak_bytes(reconstruct, coded, op, sched, den, init, trace=trace,
+                       gdm_iters=gdm_iters)
+    return peak / (op.height * op.width * op.n_bands * 8)
 
 
 def test_reconstruct_working_memory_in_cubes():
@@ -508,6 +529,25 @@ def test_reconstruct_working_memory_in_cubes():
     sched = StageSchedule.geometric(5, prior_weight=1e-4)
     assert _peak_cubes(op, coded, sched, QuadraticDenoiser(), mean, trace=False,
                        gdm_iters=3) <= 7.5
+
+
+def test_setup_working_memory():
+    # each set-up function works in its output; the bounds are the values
+    # measured at 256^2 x 8 plus a margin of at most 5%
+    system = synthetic_system(n_bands=8, kernel_size=9)
+    cube = 256 * 256 * 8 * 8
+    # the scene is filtered and scaled in its noise array: 1.00 cube
+    # measured (3.00 with a new array per step), 5% margin
+    assert _peak_bytes(smooth_cube, 256, 256, 8) / cube <= 1.05
+    # transfer (1 cube of half spectra), the power planes (0.5) and the six
+    # Gram planes (0.375), each band embedded and transformed on its own:
+    # 1.89 measured (2.02 from the batched transform), 3% margin
+    assert _peak_bytes(build_frequency_operator, system, 256, 256) / cube <= 1.95
+    # the noisy copy plus one image of Poisson counts or of read noise: 2.04
+    # images measured with both stages (3.01 from whole-array steps), 3% margin
+    coded = forward_encode(smooth_cube(256, 256, 8), system)
+    for model in (NoiseModel(), NoiseModel(poisson_bits=0), NoiseModel(gaussian_sigma=0.0)):
+        assert _peak_bytes(add_noise, coded, model) / coded.nbytes <= 2.1
 
 
 def test_admm_quadratic_converges_to_dense_tikhonov():
