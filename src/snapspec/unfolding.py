@@ -218,10 +218,16 @@ class QuadraticDenoiser(Denoiser):
         return np.divide(cube, 1.0 + noise_level**2, out=out)
 
 
-# elements per strip array in tv_denoise: 2^15 float64 values (256 KiB) keep
-# a strip's cube, duals and scratch rows resident in a per-core L2 cache;
-# 8 rows of a 512 x 512 x 8 cube
+# elements per strip array in tv_denoise and the stage loop's multiplier
+# pass: 2^15 float64 values (256 KiB) keep a strip's rows of every array it
+# touches resident in a per-core L2 cache; 8 rows of a 512 x 512 x 8 cube
 _TV_STRIP_ELEMENTS = 1 << 15
+
+
+def _strip_rows(cube: np.ndarray) -> int:
+    """Whole rows of ``cube`` per strip of _TV_STRIP_ELEMENTS, at least one."""
+    height, width, bands = cube.shape
+    return max(1, min(height, _TV_STRIP_ELEMENTS // (width * bands)))
 
 
 def _tv_primal_rows(cube, qh, qv, r0, r1, diff, out):
@@ -282,7 +288,7 @@ def tv_denoise(cube: np.ndarray, weight: float, iters: int,
 
     tau = 0.125
     height, width, bands = cube.shape
-    rows = max(1, min(height, _TV_STRIP_ELEMENTS // (width * bands)))
+    rows = _strip_rows(cube)
     strips = [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]
     qh = np.zeros_like(cube)
     qv = np.zeros_like(cube)
@@ -396,6 +402,54 @@ class ReconstructionResult:
     trace: list[StageTrace] = field(default_factory=list)
 
 
+def _multiplier_pass(i, z, beta, zeta, anchor=None):
+    """beta += zeta * (i - z), then anchor = z - beta when ``anchor`` is
+    given, in strips of whole rows through one pixel-major strip of scratch.
+
+    The stage loop's iterate and multipliers are pixel-major and the exact
+    solve's output ``i`` and the ``anchor`` band-major; a strip's rows of all
+    of them stay in cache while its layouts are crossed.  ``i`` may be
+    ``anchor`` itself: each strip reads its rows of ``i`` before it writes
+    them.  Every element sees the operations of the whole-cube passes in
+    their order, so the bytes match them.
+
+    Overflows are reported as the whole-cube passes report them.  Those
+    raise at the first of the four operations, in order, that overflows in
+    any row, so after a FloatingPointError the sweep goes on through the
+    other strips and keeps the earliest operation's error.  An error in the
+    update is raised.  An error in the anchor write is returned instead, as
+    the whole-cube loop meets it in the next stage's first pass; None means
+    nothing overflowed.
+    """
+    rows = _strip_rows(z)
+    scratch = np.empty((rows,) + z.shape[1:])
+    first = None  # (operation index, error) of the earliest overflow
+    for r0 in range(0, z.shape[0], rows):
+        r1 = min(r0 + rows, z.shape[0])
+        t = scratch[: r1 - r0]
+        op = 0
+        try:
+            np.subtract(i[r0:r1], z[r0:r1], out=t)
+            op = 1
+            t *= zeta
+            op = 2
+            beta[r0:r1] += t
+            op = 3
+            if anchor is not None:
+                # a copy walks its output's layout, where a subtract into
+                # the band-major rows would walk the inputs' pixel-major one
+                np.subtract(z[r0:r1], beta[r0:r1], out=t)
+                anchor[r0:r1] = t
+        except FloatingPointError as exc:
+            if first is None or op < first[0]:
+                first = (op, exc)
+    if first is None:
+        return None
+    if first[0] < 3:
+        raise first[1]
+    return first[1]
+
+
 def reconstruct(
     coded: np.ndarray,
     op: FrequencyOperator,
@@ -417,16 +471,25 @@ def reconstruct(
     DivergenceError naming that stage (SingularPivotError if an exact solve
     loses a pivot to a tiny gamma); a trace record never does.
 
+    A stage is the solve, one whole-cube pass i + beta into the iterate's
+    buffer, the denoiser in that buffer, and one pass over row strips that
+    updates the multipliers, beta += zeta * (i - z), and writes the next
+    stage's anchor z - beta (the last stage, whose anchor no stage reads,
+    only updates).  Every element sees the operations of the whole-cube
+    update and anchor write in their order, so the bytes and a diverging
+    stage's message are theirs.
+
     Working memory: an exact-solve stage holds three cubes above its inputs
     (the iterate, which the denoiser overwrites in place, the multipliers,
     and the anchor, whose padded rows the solve transforms in place and
     overwrites with its output) plus the denoiser's own scratch (two dual
-    cubes for TV).  ``trace=True`` adds one cube: a second iterate buffer
-    that takes the denoiser's input and output while the previous iterate
-    stays for ``delta``, the two swapping after each stage; each stage
-    record's forward transform briefly takes about two more.  The loop
-    copies the initializer's cube once, pixel-major whatever its layout,
-    and never writes into it.
+    cubes for TV); the strip pass adds one strip of scratch, 256 KiB or
+    one row if a row is larger.  ``trace=True`` adds one cube: a second
+    iterate buffer that takes the denoiser's input and output while the
+    previous iterate stays for ``delta``, the two swapping after each
+    stage; each stage record's forward transform briefly takes about two
+    more.  The loop copies the initializer's cube once, pixel-major
+    whatever its layout, and never writes into it.
     """
     GDM_ITERS.check_count(gdm_iters, "gdm_iters")
     # the problem checks the coded image's shape before any initializer reads it
@@ -458,13 +521,16 @@ def reconstruct(
         return StageTrace(stage, fidelity, delta, float(gamma), primal)
 
     records = [record(1, z)] if trace else []
+    np.subtract(z, beta, out=anchor)  # the first stage's; each pass writes the next one's
+    overflow = None  # of a pass's anchor write, raised by the stage that reads it
     # raising on the first overflow or NaN names the stage at no extra pass
     try:
         with np.errstate(over="raise", invalid="raise"):
             for k in range(schedule.n_stages - 1):
+                if overflow is not None:
+                    raise overflow
                 gamma = schedule.gamma[k]
                 prob_k = problem.with_gamma(gamma)
-                np.subtract(z, beta, out=anchor)
                 if gdm_iters:
                     i_next = gdm_fidelity_step(prob_k, anchor, z, gdm_iters)
                 else:
@@ -478,10 +544,10 @@ def reconstruct(
                     records.append(record(k + 2, x, z, gamma, i_next))
                     spare = z
                 z = x
-                # beta += zeta * (i_next - z), through the anchor buffer
-                np.subtract(i_next, z, out=anchor)
-                anchor *= schedule.zeta
-                beta += anchor
+                # beta += zeta * (i_next - z), and the next anchor z - beta
+                # unless this is the last stage, whose anchor no stage reads
+                overflow = _multiplier_pass(i_next, z, beta, schedule.zeta,
+                                            anchor if k < schedule.n_stages - 2 else None)
                 del i_next  # a GDM output is its own cube: free it before the next stage
     except FloatingPointError as exc:
         raise DivergenceError(

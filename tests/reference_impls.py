@@ -12,7 +12,10 @@ import scipy.fft
 from scipy import ndimage
 from scipy.signal import fftconvolve
 
-from snapspec import FidelityProblem, NoiseModel, embed_kernel, fidelity_solve
+from snapspec import (FidelityProblem, NoiseModel, apply_forward_frequency, embed_kernel,
+                      fidelity_solve, gdm_fidelity_step)
+from snapspec.errors import DivergenceError
+from snapspec.optics import empty_cube
 
 
 def direct_circular_encode(cube: np.ndarray, psfs: np.ndarray, response: np.ndarray) -> np.ndarray:
@@ -152,6 +155,65 @@ def hqs_reference(coded, op, schedule, denoiser, initializer) -> np.ndarray:
         z = denoiser.denoise(fidelity_solve(prob.with_gamma(schedule.gamma[k]), z),
                              schedule.sigma_tilde[k])
     return z
+
+
+def stage_loop_reference(coded, op, schedule, denoiser, initializer, trace=False,
+                         gdm_iters=0):
+    """The ADMM stage loop with whole-cube multiplier passes, written out.
+
+    Each stage writes the anchor z - beta over the whole cube, solves (or
+    takes ``gdm_iters`` gradient steps) and denoises i + beta; then
+    beta += zeta * (i - z) runs as three whole-cube passes through the
+    anchor buffer.  Returns the final iterate and the trace as tuples
+    (stage, data fidelity, delta, gamma, primal residual).  An overflow or
+    invalid value raises DivergenceError with the library's message.
+
+    It calls the library's fidelity_solve, gdm_fidelity_step and denoisers,
+    whose own tests check them, and keeps the library's layouts: pixel-major
+    iterate and multipliers, a band-major padded anchor for the solve to
+    work in.  The trace norms sum in memory order, so the layouts decide
+    their last bits.
+    """
+    prob = FidelityProblem.from_coded_image(op, coded, gamma=schedule.gamma[0])
+    z = np.array(initializer.initialize(prob.coded, op), dtype=np.float64, order="C")
+    beta = np.zeros_like(z)
+    anchor = empty_cube(op)
+    records = []
+
+    def record(stage, z_next, z_prev=None, gamma=np.nan, i_next=None):
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = apply_forward_frequency(op, z_next) - prob.coded
+            fidelity = 0.5 * float(np.sum(resid**2))
+            delta = np.nan if z_prev is None else float(np.linalg.norm(z_next - z_prev))
+            primal = np.nan if i_next is None else float(np.linalg.norm(i_next - z_next))
+        records.append((stage, np.inf if np.isnan(fidelity) else fidelity, delta,
+                        float(gamma), primal))
+
+    if trace:
+        record(1, z)
+    n = schedule.n_stages
+    for k in range(n - 1):
+        gamma = schedule.gamma[k]
+        prob_k = prob.with_gamma(gamma)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                np.subtract(z, beta, out=anchor)
+                if gdm_iters:
+                    i_next = gdm_fidelity_step(prob_k, anchor, z, gdm_iters)
+                else:
+                    i_next = fidelity_solve(prob_k, anchor, out=anchor)
+                x = np.add(i_next, beta, out=np.empty_like(z))
+                x = denoiser.denoise(x, schedule.sigma_tilde[k], out=x)
+                if trace:
+                    record(k + 2, x, z, gamma, i_next)
+                z = x
+                np.subtract(i_next, z, out=anchor)
+                anchor *= schedule.zeta
+                beta += anchor
+        except FloatingPointError as exc:
+            raise DivergenceError("stage %d of %d diverged (%s) at zeta %g, gamma %g"
+                                  % (k + 2, n, exc, schedule.zeta, gamma)) from None
+    return z, records
 
 
 def psnr_direct(x: np.ndarray, ref: np.ndarray, peak: float = 1.0) -> float:

@@ -29,14 +29,14 @@ from snapspec import (
     reconstruct,
     tv_denoise,
 )
-from snapspec.errors import DimensionError, ParameterError
-from snapspec.optics import NoiseModel
+from snapspec.errors import DimensionError, DivergenceError, ParameterError
+from snapspec.optics import NoiseModel, empty_cube
 from snapspec.oracle import DenseSystem
 from snapspec.synth import smooth_cube, synthetic_system
 from snapspec import unfolding
 from snapspec.unfolding import DENOISERS, INITIALIZERS, MAX_GDM_ITERS, MAX_TV_ITERS
 
-from reference_impls import tv_dual_reference, tv_prox_1d
+from reference_impls import stage_loop_reference, tv_dual_reference, tv_prox_1d
 
 
 def _random_system(rng, n_bands, kernel_size):
@@ -480,6 +480,159 @@ def test_trace_of_a_bright_scene_reads_inf_without_breaking_the_run():
     assert [r.data_fidelity for r in traced.trace] == [np.inf] * 3
 
 
+_LOOP_GRIDS = [(16, 16, 4), (15, 17, 5), (33, 9, 3)]
+
+
+def _grid_setup(shape, seed=0):
+    height, width, bands = shape
+    rng = np.random.default_rng(seed)
+    system = _random_system(rng, bands, 3)
+    op = build_frequency_operator(system, height, width)
+    return op, forward_encode(rng.uniform(size=shape), system)
+
+
+def _assert_loop_matches_reference(op, coded, sched, denoiser, init, trace, gdm_iters):
+    result = reconstruct(coded, op, sched, denoiser, init, trace=trace, gdm_iters=gdm_iters)
+    cube, records = stage_loop_reference(coded, op, sched, denoiser, init, trace=trace,
+                                         gdm_iters=gdm_iters)
+    assert result.cube.shape == cube.shape and result.cube.tobytes() == cube.tobytes()
+    got = [dataclasses.astuple(r) for r in result.trace]
+    assert np.array(got).tobytes() == np.array(records).tobytes() and len(got) == len(records)
+
+
+_ALL_DENOISERS = [IdentityDenoiser(), GaussianDenoiser(1.0), TotalVariationDenoiser(0.01, 10),
+                  QuadraticDenoiser()]
+_ALL_INITS = [ZeroInitializer(), MeanInitializer(), AdjointInitializer(), RandInitializer(5)]
+
+
+@pytest.mark.parametrize("shape", _LOOP_GRIDS, ids=lambda s: "x".join(map(str, s)))
+def test_stage_loop_matches_whole_cube_reference(shape):
+    # the strip-swept multiplier pass gives the bytes of the whole-cube
+    # update and anchor passes, traced records included: 192 runs per grid
+    op, coded = _grid_setup(shape)
+    for zeta in (0.0, 0.7, 1.0):
+        sched = StageSchedule.geometric(5, prior_weight=0.01, zeta=zeta)
+        for gdm_iters in (0, 3):
+            for trace in (False, True):
+                for denoiser in _ALL_DENOISERS:
+                    for init in _ALL_INITS:
+                        _assert_loop_matches_reference(op, coded, sched, denoiser, init,
+                                                       trace, gdm_iters)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, 100], ids=lambda r: "rows%d" % r)
+@pytest.mark.parametrize("shape", _LOOP_GRIDS, ids=lambda s: "x".join(map(str, s)))
+def test_stage_loop_strips_match_whole_cube_reference(monkeypatch, shape, rows):
+    # one row, three rows, seven (dividing none of the heights) and more
+    # rows than the cube has; TV takes the same strips
+    monkeypatch.setattr(unfolding, "_TV_STRIP_ELEMENTS", rows * shape[1] * shape[2])
+    op, coded = _grid_setup(shape, seed=1)
+    sched = StageSchedule.geometric(4, prior_weight=0.01, zeta=0.7)
+    for gdm_iters in (0, 3):
+        for trace in (False, True):
+            for denoiser in (TotalVariationDenoiser(0.01, 5), QuadraticDenoiser()):
+                for init in (AdjointInitializer(), RandInitializer(2)):
+                    _assert_loop_matches_reference(op, coded, sched, denoiser, init, trace,
+                                                   gdm_iters)
+
+
+def _divergence_message(call, *args, **kwargs):
+    with pytest.raises(DivergenceError) as info:
+        call(*args, **kwargs)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("rows", [None, 1], ids=["default-strips", "one-row-strips"])
+def test_divergence_caught_at_the_reference_stage(monkeypatch, rows):
+    # a 1e110 scene overflows the update at stage 2 or 3 under these rates;
+    # the strip pass raises where the whole-cube passes do, the last stage too
+    _, op, _, coded = _small_setup(seed=41, size=9)
+    coded = coded * 1e110
+    if rows:
+        monkeypatch.setattr(unfolding, "_TV_STRIP_ELEMENTS", rows * 9 * 4)
+    messages = []
+    for zeta in (1e100, 1e200, 1e300):
+        for stages in (3, 20):
+            sched = StageSchedule.geometric(stages, prior_weight=0.01, zeta=zeta)
+            for gdm_iters in (0, 3):
+                args = (coded, op, sched, QuadraticDenoiser(), MeanInitializer())
+                want = _divergence_message(stage_loop_reference, *args, gdm_iters=gdm_iters)
+                assert _divergence_message(reconstruct, *args, gdm_iters=gdm_iters) == want
+                messages.append(want)
+    assert any(m.startswith("stage 3 of 3 diverged") for m in messages)
+    assert any(m.startswith("stage 2 of 20 diverged") for m in messages)
+
+
+class _SpikeDenoiser(IdentityDenoiser):
+    """Identity, but its first call sets one pixel to 1e308."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def denoise(self, cube, noise_level, out=None):
+        out = super().denoise(cube, noise_level, out)
+        self.calls += 1
+        if self.calls == 1:
+            out[5, 2, 1] = 1e308
+        return out
+
+
+@pytest.mark.parametrize("rows", [None, 1], ids=["default-strips", "one-row-strips"])
+def test_anchor_write_overflow_names_the_stage_that_reads_it(monkeypatch, rows):
+    # stage 2 leaves beta = -1e308 under z = 1e308 at one pixel: the update
+    # is finite and the next anchor z - beta overflows, which the whole-cube
+    # loop meets as stage 3's first pass; a two-stage run never writes it
+    _, op, _, coded = _small_setup(seed=3)
+    if rows:
+        monkeypatch.setattr(unfolding, "_TV_STRIP_ELEMENTS", rows * 8 * 4)
+    sched = StageSchedule.constant(4, 1.0)
+    want = _divergence_message(stage_loop_reference, coded, op, sched, _SpikeDenoiser(),
+                               ZeroInitializer())
+    assert want.startswith("stage 3 of 4 diverged (overflow encountered in subtract)")
+    got = _divergence_message(reconstruct, coded, op, sched, _SpikeDenoiser(), ZeroInitializer())
+    assert got == want
+    two = StageSchedule.constant(2, 1.0)
+    cube, _ = stage_loop_reference(coded, op, two, _SpikeDenoiser(), ZeroInitializer())
+    result = reconstruct(coded, op, two, _SpikeDenoiser(), ZeroInitializer())
+    assert result.cube.tobytes() == cube.tobytes()
+
+
+def _whole_cube_update(i, z, beta, zeta, anchor):
+    np.subtract(i, z, out=anchor)
+    anchor *= zeta
+    beta += anchor
+    np.subtract(z, beta, out=anchor)
+
+
+@pytest.mark.parametrize("case", ["multiply-after-add", "add-after-anchor", "anchor-only"])
+def test_multiplier_pass_reports_the_whole_cube_passes_first_overflow(monkeypatch, case):
+    # one-row strips over a (3, 1, 1) cube, i = 0: an overflow in an early
+    # row's later operation must not hide one in a later row's earlier
+    # operation; an anchor write's overflow alone is returned, not raised
+    monkeypatch.setattr(unfolding, "_TV_STRIP_ELEMENTS", 1)
+    zeta, z, beta = {
+        # row 0: 1e307 * 10 + 1.7e308 overflows the add; row 2: 1e308 * 10 the multiply
+        "multiply-after-add": (10.0, [-1e307, 0.0, -1e308], [1.7e308, 0.0, 0.0]),
+        # row 1: 1e308 - (-1e308) overflows the anchor; row 2: 1.7e308 + 1e308 the add
+        "add-after-anchor": (1.0, [0.0, 1e308, -1e308], [0.0, 0.0, 1.7e308]),
+        "anchor-only": (1.0, [0.0, 1e308, 0.0], [0.0, 0.0, 0.0]),
+    }[case]
+    z, beta = np.array(z).reshape(3, 1, 1), np.array(beta).reshape(3, 1, 1)
+    i = np.zeros_like(z)
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError) as whole:
+            _whole_cube_update(i, z, beta.copy(), zeta, np.empty_like(z))
+        if case == "anchor-only":
+            assert str(unfolding._multiplier_pass(i, z, beta, zeta, np.empty_like(z))) \
+                == str(whole.value) == "overflow encountered in subtract"
+            return
+        with pytest.raises(FloatingPointError) as strips:
+            unfolding._multiplier_pass(i, z, beta, zeta, np.empty_like(z))
+    assert str(strips.value) == str(whole.value)
+    assert str(whole.value) == {"multiply-after-add": "overflow encountered in multiply",
+                                "add-after-anchor": "overflow encountered in add"}[case]
+
+
 def _peak_bytes(call, *args, **kwargs):
     """tracemalloc peak of one call above what was allocated before it."""
     tracemalloc.start()
@@ -529,6 +682,19 @@ def test_reconstruct_working_memory_in_cubes():
     sched = StageSchedule.geometric(5, prior_weight=1e-4)
     assert _peak_cubes(op, coded, sched, QuadraticDenoiser(), mean, trace=False,
                        gdm_iters=3) <= 7.5
+
+
+def test_multiplier_pass_allocates_one_strip():
+    # the update and the next anchor go through one pixel-major strip, not
+    # a cube: 329 552 bytes measured at 256^2 x 8 (a cube is 4 MiB), the
+    # 262 144-byte strip plus the 64 KiB iterator buffer numpy takes for
+    # each cross-layout operation in turn; 5% margin
+    rng = np.random.default_rng(0)
+    op = build_frequency_operator(synthetic_system(n_bands=8, kernel_size=9), 256, 256)
+    anchor = empty_cube(op)
+    anchor[...] = rng.uniform(size=anchor.shape)  # the exact solve's output, band-major
+    z, beta = rng.uniform(size=(2, 256, 256, 8))
+    assert _peak_bytes(unfolding._multiplier_pass, anchor, z, beta, 0.7, anchor) <= 346_000
 
 
 def test_setup_working_memory():
