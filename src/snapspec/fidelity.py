@@ -17,7 +17,9 @@ inverting:
 with V the coded-image spectrum and T_f the anchor spectrum.  The Gram
 H_f H_f^* = R diag(|P_f|^2) R^T is real symmetric, does not depend on gamma
 and is cached on the operator as its 6 distinct entries, one plane each.
-The solve walks the bins in cache-sized strips of rows.  Per strip it
+The solve walks the bins in the cache-sized strips of rows of
+:func:`optics.row_strips`, the rule TV and the stage loop's anchor and
+multiplier sweeps follow too.  Per strip it
 inverts A_f on those planes by a two-level Schur-complement recursion that
 only ever divides by scalars bounded below by 1, applies H_f, the inverse
 and H_f^*, and adds the update into the anchor spectrum in place.  The
@@ -44,16 +46,12 @@ import numpy as np
 from .errors import DimensionError, Domain, ParameterError, SingularPivotError
 from .optics import GRAM_PLANES, FrequencyOperator, apply_adjoint, apply_forward_frequency
 from .optics import back_project, cube_spectrum, empty_cube, forward_project, from_spectrum
-from .optics import to_spectrum
+from .optics import row_strips, to_spectrum
 
 # every exact pivot of identity-plus-PSD input is >= 1; a computed one
 # below this margin (negative and NaN ones included) has lost its digits to
 # cancellation, as under a gamma too small for float64
 _PIVOT_MARGIN = 0.5
-
-# complex elements per band strip in fidelity_solve: 2^15 (512 KiB) keeps a
-# strip's working set in a per-core L2 cache; 15 rows of a 512 x 512 x 8 solve
-_SOLVE_STRIP_ELEMENTS = 1 << 15
 
 # largest GDM step count per call: a mistyped one cannot sweep the cube for hours
 MAX_GDM_ITERS = 10_000
@@ -148,10 +146,8 @@ def fidelity_solve(prob: FidelityProblem, anchor: np.ndarray,
     if out is None:
         out = empty_cube(op)
     spec = to_spectrum(op, anchor, op.n_bands, out=cube_spectrum(op, out))
-    half = spec.shape[2]
-    rows = max(1, min(op.height, _SOLVE_STRIP_ELEMENTS // (op.n_bands * half)))
-    for r0 in range(0, op.height, rows):
-        strip = slice(r0, r0 + rows)
+    for r0, r1 in row_strips(op.height, op.n_bands * spec.shape[2]):
+        strip = slice(r0, r1)
         a = op.gram[:, strip] * g
         a[[0, 3, 5]] += 1.0  # the diagonal planes
         a_inv = block_inverse_3x3(a)

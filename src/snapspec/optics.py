@@ -341,6 +341,21 @@ def back_project(op: FrequencyOperator, spectra: np.ndarray, rows=slice(None)) -
     return np.conjugate(bands, out=bands)
 
 
+# elements per strip of the cache-sized row sweeps (the exact solve's bins,
+# TV, the stage loop's anchor and multiplier sweeps): 2^15 float64 (256 KiB)
+# or complex (512 KiB) values keep a strip's rows of every array it touches
+# in a per-core L2 cache; at 512 x 512 x 8, 8 cube rows or 15 spectrum rows
+_STRIP_ELEMENTS = 1 << 15
+
+
+def row_strips(height: int, row_elements: int) -> list[tuple[int, int]]:
+    """Strips (r0, r1) of whole rows that cover rows 0..height-1 once, in
+    order: as many rows of ``row_elements`` as fit in _STRIP_ELEMENTS, or
+    one if a row is larger; the last strip may be shorter."""
+    rows = max(1, min(height, _STRIP_ELEMENTS // row_elements))
+    return [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]
+
+
 # the largest Poisson rate numpy samples: about 9.22e18 counts, an intensity
 # of 5.6e14 at the default 14 bits
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10

@@ -29,6 +29,7 @@ from .errors import (SEED, DimensionError, DivergenceError, Domain, ParameterErr
                      SingularPivotError, check_params)
 from .fidelity import GDM_ITERS, MAX_GDM_ITERS, FidelityProblem, fidelity_solve, gdm_fidelity_step
 from .optics import FrequencyOperator, apply_adjoint, apply_forward_frequency, empty_cube
+from .optics import row_strips
 
 
 @dataclass(frozen=True)
@@ -218,18 +219,6 @@ class QuadraticDenoiser(Denoiser):
         return np.divide(cube, 1.0 + noise_level**2, out=out)
 
 
-# elements per strip array in tv_denoise and the stage loop's multiplier
-# pass: 2^15 float64 values (256 KiB) keep a strip's rows of every array it
-# touches resident in a per-core L2 cache; 8 rows of a 512 x 512 x 8 cube
-_TV_STRIP_ELEMENTS = 1 << 15
-
-
-def _strip_rows(cube: np.ndarray) -> int:
-    """Whole rows of ``cube`` per strip of _TV_STRIP_ELEMENTS, at least one."""
-    height, width, bands = cube.shape
-    return max(1, min(height, _TV_STRIP_ELEMENTS // (width * bands)))
-
-
 def _tv_primal_rows(cube, qh, qv, r0, r1, diff, out):
     """out = cube - D^T q on rows r0..r1-1, with diff as scratch.
 
@@ -288,8 +277,8 @@ def tv_denoise(cube: np.ndarray, weight: float, iters: int,
 
     tau = 0.125
     height, width, bands = cube.shape
-    rows = _strip_rows(cube)
-    strips = [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]
+    strips = row_strips(height, width * bands)
+    rows = strips[0][1]
     qh = np.zeros_like(cube)
     qv = np.zeros_like(cube)
     diff = np.empty((rows, width, bands))
@@ -402,30 +391,36 @@ class ReconstructionResult:
     trace: list[StageTrace] = field(default_factory=list)
 
 
-def _multiplier_pass(i, z, beta, zeta, anchor=None):
-    """beta += zeta * (i - z), then anchor = z - beta when ``anchor`` is
-    given, in strips of whole rows through one pixel-major strip of scratch.
+def _write_anchor(z, beta, anchor):
+    """anchor = z - beta in strips of whole rows: a pixel-major subtract
+    into scratch, then a copy into the band-major ``anchor``, as a copy
+    walks its output's layout where a subtract into the band-major rows
+    would walk the inputs' pixel-major one.  The bytes, and the overflow a
+    diverging stage reports, are those of the whole-cube subtract."""
+    strips = row_strips(z.shape[0], z.shape[1] * z.shape[2])
+    scratch = np.empty((strips[0][1],) + z.shape[1:])
+    for r0, r1 in strips:
+        t = scratch[: r1 - r0]
+        np.subtract(z[r0:r1], beta[r0:r1], out=t)
+        anchor[r0:r1] = t
 
-    The stage loop's iterate and multipliers are pixel-major and the exact
-    solve's output ``i`` and the ``anchor`` band-major; a strip's rows of all
-    of them stay in cache while its layouts are crossed.  ``i`` may be
-    ``anchor`` itself: each strip reads its rows of ``i`` before it writes
-    them.  Every element sees the operations of the whole-cube passes in
-    their order, so the bytes match them.
 
-    Overflows are reported as the whole-cube passes report them.  Those
-    raise at the first of the four operations, in order, that overflows in
-    any row, so after a FloatingPointError the sweep goes on through the
-    other strips and keeps the earliest operation's error.  An error in the
-    update is raised.  An error in the anchor write is returned instead, as
-    the whole-cube loop meets it in the next stage's first pass; None means
-    nothing overflowed.
+def _update_multipliers(i, z, beta, zeta):
+    """beta += zeta * (i - z) in strips of whole rows through one
+    pixel-major strip of scratch, the solve's band-major output ``i`` read
+    while a strip's rows of every array stay in cache.
+
+    Every element sees the operations of the whole-cube passes in their
+    order, so the bytes match them, and overflows are reported as those
+    passes report them: they raise at the first of the three operations,
+    in order, that overflows in any row, so after a FloatingPointError the
+    sweep goes on through the other strips and raises the earliest
+    operation's error.
     """
-    rows = _strip_rows(z)
-    scratch = np.empty((rows,) + z.shape[1:])
-    first = None  # (operation index, error) of the earliest overflow
-    for r0 in range(0, z.shape[0], rows):
-        r1 = min(r0 + rows, z.shape[0])
+    errors = {}  # each operation's first error, by its index
+    strips = row_strips(z.shape[0], z.shape[1] * z.shape[2])
+    scratch = np.empty((strips[0][1],) + z.shape[1:])
+    for r0, r1 in strips:
         t = scratch[: r1 - r0]
         op = 0
         try:
@@ -434,20 +429,10 @@ def _multiplier_pass(i, z, beta, zeta, anchor=None):
             t *= zeta
             op = 2
             beta[r0:r1] += t
-            op = 3
-            if anchor is not None:
-                # a copy walks its output's layout, where a subtract into
-                # the band-major rows would walk the inputs' pixel-major one
-                np.subtract(z[r0:r1], beta[r0:r1], out=t)
-                anchor[r0:r1] = t
         except FloatingPointError as exc:
-            if first is None or op < first[0]:
-                first = (op, exc)
-    if first is None:
-        return None
-    if first[0] < 3:
-        raise first[1]
-    return first[1]
+            errors.setdefault(op, exc)
+    if errors:
+        raise errors[min(errors)]
 
 
 def reconstruct(
@@ -471,19 +456,20 @@ def reconstruct(
     DivergenceError naming that stage (SingularPivotError if an exact solve
     loses a pivot to a tiny gamma); a trace record never does.
 
-    A stage is the solve, one whole-cube pass i + beta into the iterate's
-    buffer, the denoiser in that buffer, and one pass over row strips that
-    updates the multipliers, beta += zeta * (i - z), and writes the next
-    stage's anchor z - beta (the last stage, whose anchor no stage reads,
-    only updates).  Every element sees the operations of the whole-cube
-    update and anchor write in their order, so the bytes and a diverging
-    stage's message are theirs.
+    A stage is a sweep over row strips that writes its anchor z - beta, the
+    solve, one whole-cube pass i + beta into the iterate's buffer, the
+    denoiser in that buffer, and a second strip sweep that updates the
+    multipliers, beta += zeta * (i - z).  The sweeps cross between the
+    pixel-major iterate and multipliers and the band-major anchor and solve
+    output while a strip's rows stay in cache; every element sees the
+    operations of the whole-cube passes in their order, so the bytes and a
+    diverging stage's message are theirs.
 
     Working memory: an exact-solve stage holds three cubes above its inputs
     (the iterate, which the denoiser overwrites in place, the multipliers,
     and the anchor, whose padded rows the solve transforms in place and
     overwrites with its output) plus the denoiser's own scratch (two dual
-    cubes for TV); the strip pass adds one strip of scratch, 256 KiB or
+    cubes for TV); each strip sweep adds one strip of scratch, 256 KiB or
     one row if a row is larger.  ``trace=True`` adds one cube: a second
     iterate buffer that takes the denoiser's input and output while the
     previous iterate stays for ``delta``, the two swapping after each
@@ -521,14 +507,11 @@ def reconstruct(
         return StageTrace(stage, fidelity, delta, float(gamma), primal)
 
     records = [record(1, z)] if trace else []
-    np.subtract(z, beta, out=anchor)  # the first stage's; each pass writes the next one's
-    overflow = None  # of a pass's anchor write, raised by the stage that reads it
     # raising on the first overflow or NaN names the stage at no extra pass
     try:
         with np.errstate(over="raise", invalid="raise"):
             for k in range(schedule.n_stages - 1):
-                if overflow is not None:
-                    raise overflow
+                _write_anchor(z, beta, anchor)
                 gamma = schedule.gamma[k]
                 prob_k = problem.with_gamma(gamma)
                 if gdm_iters:
@@ -544,10 +527,7 @@ def reconstruct(
                     records.append(record(k + 2, x, z, gamma, i_next))
                     spare = z
                 z = x
-                # beta += zeta * (i_next - z), and the next anchor z - beta
-                # unless this is the last stage, whose anchor no stage reads
-                overflow = _multiplier_pass(i_next, z, beta, schedule.zeta,
-                                            anchor if k < schedule.n_stages - 2 else None)
+                _update_multipliers(i_next, z, beta, schedule.zeta)
                 del i_next  # a GDM output is its own cube: free it before the next stage
     except FloatingPointError as exc:
         raise DivergenceError(

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import snapspec.fidelity as fidelity
+import snapspec.optics as optics
 from snapspec import (
     FidelityProblem,
     IdentityDenoiser,
@@ -221,7 +221,7 @@ def test_strip_walk_matches_dense_oracle(monkeypatch, rows, height, width):
     system = _random_system(rng, 4, 5)
     dense = DenseSystem.from_system(system, height, width)
     op = build_frequency_operator(system, height, width)
-    monkeypatch.setattr(fidelity, "_SOLVE_STRIP_ELEMENTS", rows * 4 * (width // 2 + 1))
+    monkeypatch.setattr(optics, "_STRIP_ELEMENTS", rows * 4 * (width // 2 + 1))
     image = rng.standard_normal((height, width, 3))
     for gamma in (1e-3, 1.0, 1e3):
         anchor = rng.standard_normal((height, width, 4))

@@ -19,7 +19,7 @@ from snapspec import (
 )
 from snapspec.errors import DimensionError, ParameterError, ValidationError
 from snapspec.optics import (cube_spectrum, empty_cube, forward_project, from_spectrum,
-                             to_spectrum)
+                             row_strips, to_spectrum)
 from snapspec.synth import (band_wavelengths, rgb_response, rotating_psf_stack, smooth_cube,
                             synthetic_system)
 
@@ -248,6 +248,20 @@ def test_forward_in_place_product_matches_forward_project(width):
     cube = rng.standard_normal((48, width, 8))
     ref = from_spectrum(op, forward_project(op, to_spectrum(op, cube, op.n_bands)))
     assert np.array_equal(apply_forward_frequency(op, cube), ref)
+
+
+@pytest.mark.parametrize("height, row_elements, rows", [
+    (512, 8 * 257, 15), (128, 31 * 65, 16),  # solve bin rows at 512^2 x 8 and 128^2 x 31
+    (512, 512 * 8, 8), (128, 128 * 31, 8),  # cube rows: TV and the stage loop's sweeps
+    (5, 3 << 12, 2),  # a short last strip
+    (7, (1 << 15) + 1, 1),  # a row wider than the budget
+    (5, 1, 5),  # a budget above the whole height: one strip
+])
+def test_row_strips_cover_each_row_once(height, row_elements, rows):
+    strips = row_strips(height, row_elements)
+    assert [r for r0, r1 in strips for r in range(r0, r1)] == list(range(height))
+    assert all(r1 - r0 == rows for r0, r1 in strips[:-1])
+    assert 0 < strips[-1][1] - strips[-1][0] <= rows
 
 
 # the set-up functions work in their output buffers; every bit stays that of

@@ -33,7 +33,7 @@ from snapspec.errors import DimensionError, DivergenceError, ParameterError
 from snapspec.optics import NoiseModel, empty_cube
 from snapspec.oracle import DenseSystem
 from snapspec.synth import smooth_cube, synthetic_system
-from snapspec import unfolding
+from snapspec import optics, unfolding
 from snapspec.unfolding import DENOISERS, INITIALIZERS, MAX_GDM_ITERS, MAX_TV_ITERS
 
 from reference_impls import stage_loop_reference, tv_dual_reference, tv_prox_1d
@@ -208,7 +208,7 @@ def test_tv_strips_match_reference(monkeypatch, shape, weight, rows):
     # the strip sweep must give the whole-array iterates bit for bit,
     # whatever the strip height; None keeps the default (one strip here)
     if rows is not None:
-        monkeypatch.setattr(unfolding, "_TV_STRIP_ELEMENTS", rows * shape[1] * shape[2])
+        monkeypatch.setattr(optics, "_STRIP_ELEMENTS", rows * shape[1] * shape[2])
     cube = np.random.default_rng(sum(shape)).standard_normal(shape)
     got = tv_denoise(cube, weight, 25)
     assert np.array_equal(got, tv_dual_reference(cube, weight, 25))
@@ -248,7 +248,7 @@ def test_denoise_into_its_input_matches_fresh_output(monkeypatch, name, shape, b
     # the untraced stage loop passes its iterate buffer as input and out;
     # the bits must be those of a fresh output, and a call without out must
     # leave its input alone.  Three-row TV strips leave a short last strip
-    monkeypatch.setattr(unfolding, "_TV_STRIP_ELEMENTS", 3 * shape[1] * shape[2])
+    monkeypatch.setattr(optics, "_STRIP_ELEMENTS", 3 * shape[1] * shape[2])
     den = DENOISERS[name]()
     x = np.random.default_rng(len(name)).standard_normal(shape)
     if band_major:
@@ -507,8 +507,8 @@ _ALL_INITS = [ZeroInitializer(), MeanInitializer(), AdjointInitializer(), RandIn
 
 @pytest.mark.parametrize("shape", _LOOP_GRIDS, ids=lambda s: "x".join(map(str, s)))
 def test_stage_loop_matches_whole_cube_reference(shape):
-    # the strip-swept multiplier pass gives the bytes of the whole-cube
-    # update and anchor passes, traced records included: 192 runs per grid
+    # the strip-swept anchor write and multiplier update give the bytes of
+    # the whole-cube passes, traced records included: 192 runs per grid
     op, coded = _grid_setup(shape)
     for zeta in (0.0, 0.7, 1.0):
         sched = StageSchedule.geometric(5, prior_weight=0.01, zeta=zeta)
@@ -525,7 +525,7 @@ def test_stage_loop_matches_whole_cube_reference(shape):
 def test_stage_loop_strips_match_whole_cube_reference(monkeypatch, shape, rows):
     # one row, three rows, seven (dividing none of the heights) and more
     # rows than the cube has; TV takes the same strips
-    monkeypatch.setattr(unfolding, "_TV_STRIP_ELEMENTS", rows * shape[1] * shape[2])
+    monkeypatch.setattr(optics, "_STRIP_ELEMENTS", rows * shape[1] * shape[2])
     op, coded = _grid_setup(shape, seed=1)
     sched = StageSchedule.geometric(4, prior_weight=0.01, zeta=0.7)
     for gdm_iters in (0, 3):
@@ -545,11 +545,11 @@ def _divergence_message(call, *args, **kwargs):
 @pytest.mark.parametrize("rows", [None, 1], ids=["default-strips", "one-row-strips"])
 def test_divergence_caught_at_the_reference_stage(monkeypatch, rows):
     # a 1e110 scene overflows the update at stage 2 or 3 under these rates;
-    # the strip pass raises where the whole-cube passes do, the last stage too
+    # the strip sweeps raise where the whole-cube passes do, the last stage too
     _, op, _, coded = _small_setup(seed=41, size=9)
     coded = coded * 1e110
     if rows:
-        monkeypatch.setattr(unfolding, "_TV_STRIP_ELEMENTS", rows * 9 * 4)
+        monkeypatch.setattr(optics, "_STRIP_ELEMENTS", rows * 9 * 4)
     messages = []
     for zeta in (1e100, 1e200, 1e300):
         for stages in (3, 20):
@@ -584,7 +584,7 @@ def test_anchor_write_overflow_names_the_stage_that_reads_it(monkeypatch, rows):
     # loop meets as stage 3's first pass; a two-stage run never writes it
     _, op, _, coded = _small_setup(seed=3)
     if rows:
-        monkeypatch.setattr(unfolding, "_TV_STRIP_ELEMENTS", rows * 8 * 4)
+        monkeypatch.setattr(optics, "_STRIP_ELEMENTS", rows * 8 * 4)
     sched = StageSchedule.constant(4, 1.0)
     want = _divergence_message(stage_loop_reference, coded, op, sched, _SpikeDenoiser(),
                                ZeroInitializer())
@@ -597,40 +597,43 @@ def test_anchor_write_overflow_names_the_stage_that_reads_it(monkeypatch, rows):
     assert result.cube.tobytes() == cube.tobytes()
 
 
-def _whole_cube_update(i, z, beta, zeta, anchor):
-    np.subtract(i, z, out=anchor)
-    anchor *= zeta
-    beta += anchor
-    np.subtract(z, beta, out=anchor)
+def _whole_cube_update(i, z, beta, zeta, scratch):
+    np.subtract(i, z, out=scratch)
+    scratch *= zeta
+    beta += scratch
 
 
-@pytest.mark.parametrize("case", ["multiply-after-add", "add-after-anchor", "anchor-only"])
-def test_multiplier_pass_reports_the_whole_cube_passes_first_overflow(monkeypatch, case):
+@pytest.mark.parametrize("case", ["multiply-after-add", "add", "anchor"])
+def test_strip_sweeps_raise_the_first_whole_cube_overflow(monkeypatch, case):
     # one-row strips over a (3, 1, 1) cube, i = 0: an overflow in an early
     # row's later operation must not hide one in a later row's earlier
-    # operation; an anchor write's overflow alone is returned, not raised
-    monkeypatch.setattr(unfolding, "_TV_STRIP_ELEMENTS", 1)
+    # operation; the anchor write raises its subtract's overflow at once
+    monkeypatch.setattr(optics, "_STRIP_ELEMENTS", 1)
     zeta, z, beta = {
         # row 0: 1e307 * 10 + 1.7e308 overflows the add; row 2: 1e308 * 10 the multiply
         "multiply-after-add": (10.0, [-1e307, 0.0, -1e308], [1.7e308, 0.0, 0.0]),
-        # row 1: 1e308 - (-1e308) overflows the anchor; row 2: 1.7e308 + 1e308 the add
-        "add-after-anchor": (1.0, [0.0, 1e308, -1e308], [0.0, 0.0, 1.7e308]),
-        "anchor-only": (1.0, [0.0, 1e308, 0.0], [0.0, 0.0, 0.0]),
+        # row 2: 1e308 + 1.7e308 overflows the add; row 1 is finite
+        "add": (1.0, [0.0, 1e308, -1e308], [0.0, 0.0, 1.7e308]),
+        # row 1: 1e308 - (-1e308) overflows the anchor
+        "anchor": (None, [0.0, 1e308, 0.0], [0.0, -1e308, 0.0]),
     }[case]
     z, beta = np.array(z).reshape(3, 1, 1), np.array(beta).reshape(3, 1, 1)
     i = np.zeros_like(z)
     with np.errstate(over="raise", invalid="raise"):
         with pytest.raises(FloatingPointError) as whole:
-            _whole_cube_update(i, z, beta.copy(), zeta, np.empty_like(z))
-        if case == "anchor-only":
-            assert str(unfolding._multiplier_pass(i, z, beta, zeta, np.empty_like(z))) \
-                == str(whole.value) == "overflow encountered in subtract"
-            return
+            if case == "anchor":
+                np.subtract(z, beta, out=np.empty_like(z))
+            else:
+                _whole_cube_update(i, z, beta.copy(), zeta, np.empty_like(z))
         with pytest.raises(FloatingPointError) as strips:
-            unfolding._multiplier_pass(i, z, beta, zeta, np.empty_like(z))
+            if case == "anchor":
+                unfolding._write_anchor(z, beta, np.empty_like(z))
+            else:
+                unfolding._update_multipliers(i, z, beta, zeta)
     assert str(strips.value) == str(whole.value)
     assert str(whole.value) == {"multiply-after-add": "overflow encountered in multiply",
-                                "add-after-anchor": "overflow encountered in add"}[case]
+                                "add": "overflow encountered in add",
+                                "anchor": "overflow encountered in subtract"}[case]
 
 
 def _peak_bytes(call, *args, **kwargs):
@@ -684,17 +687,19 @@ def test_reconstruct_working_memory_in_cubes():
                        gdm_iters=3) <= 7.5
 
 
-def test_multiplier_pass_allocates_one_strip():
-    # the update and the next anchor go through one pixel-major strip, not
-    # a cube: 329 552 bytes measured at 256^2 x 8 (a cube is 4 MiB), the
-    # 262 144-byte strip plus the 64 KiB iterator buffer numpy takes for
-    # each cross-layout operation in turn; 5% margin
+def test_strip_sweeps_allocate_one_strip():
+    # the anchor write and the multiplier update each go through one
+    # pixel-major strip, not a cube (a cube is 4 MiB at 256^2 x 8): the
+    # 262 144-byte strip, 262 896 bytes measured for the anchor write, and
+    # for the update the 64 KiB iterator buffer numpy takes to read the
+    # band-major i too, 329 904 measured; one bound 5% over the larger
     rng = np.random.default_rng(0)
     op = build_frequency_operator(synthetic_system(n_bands=8, kernel_size=9), 256, 256)
     anchor = empty_cube(op)
     anchor[...] = rng.uniform(size=anchor.shape)  # the exact solve's output, band-major
     z, beta = rng.uniform(size=(2, 256, 256, 8))
-    assert _peak_bytes(unfolding._multiplier_pass, anchor, z, beta, 0.7, anchor) <= 346_000
+    assert _peak_bytes(unfolding._write_anchor, z, beta, anchor) <= 346_000
+    assert _peak_bytes(unfolding._update_multipliers, anchor, z, beta, 0.7) <= 346_000
 
 
 def test_setup_working_memory():
