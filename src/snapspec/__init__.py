@@ -36,10 +36,9 @@ from .optics import (
     apply_adjoint,
     apply_forward_frequency,
     build_frequency_operator,
-    embed_kernel,
     forward_encode,
 )
-from .oracle import DenseSystem, unvec_cube, vec_cube
+from .oracle import DenseSystem
 from .synth import (
     band_wavelengths,
     rgb_response,
@@ -102,7 +101,6 @@ __all__ = [
     "band_wavelengths",
     "block_inverse_3x3",
     "build_frequency_operator",
-    "embed_kernel",
     "evaluate",
     "fidelity_solve",
     "fidelity_solve_naive",
@@ -123,6 +121,4 @@ __all__ = [
     "subproblem_objective",
     "synthetic_system",
     "tv_denoise",
-    "unvec_cube",
-    "vec_cube",
 ]

@@ -1,11 +1,13 @@
 """Command-line pipeline: simulate, reconstruct, evaluate, bench, oracle-check.
 
 Every subcommand resolves its configuration from three layers (command-line
-flag, then config file, then built-in default), can print the resolved
-result with ``--dump-config``, and writes a manifest next to any file it
-produces.  Manifests carry the resolved config, input/output checksums, and
-the tool version, and deliberately no timestamps, so identical runs yield
-byte-identical artifacts.
+flag, then config file, then built-in default) and can print the resolved
+result with ``--dump-config``.  No output may name an input, the config file
+included.  A command writes one manifest, beside its first output, after all
+its outputs; a run that fails leaves no output or temporary file and an
+earlier run's files untouched.  Manifests carry the resolved config,
+input/output checksums, and the tool version, and deliberately no
+timestamps, so identical runs yield byte-identical artifacts.
 
 Exit codes: 0 success, 1 usage, 2 input validation, 3 I/O, 4 reference
 check breach.
@@ -14,6 +16,7 @@ check breach.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import hashlib
 import json
@@ -237,9 +240,16 @@ def _paths(config: dict, *names: str) -> dict[str, str]:
     return {"--" + name.replace("_", "-"): config[name] for name in names if config[name]}
 
 
-def _manifest_path(outputs: dict[str, str]) -> str:
+def _outputs(config: dict, **writers) -> dict[str, tuple]:
+    """{flag: (path, writer)} for each output key in ``writers`` that is set, in that
+    order; :func:`_publish` calls each writer later with the path to write to."""
+    return {flag: (path, writers[name]) for name in writers
+            for flag, path in _paths(config, name).items()}
+
+
+def _manifest_path(outputs: dict[str, tuple]) -> str:
     """A command's manifest goes beside its first output."""
-    return next(iter(outputs.values())) + ".manifest.json"
+    return next(iter(outputs.values()))[0] + ".manifest.json"
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -248,19 +258,19 @@ def _same_file(a: str, b: str) -> bool:
     return os.path.normcase(os.path.realpath(a)) == os.path.normcase(os.path.realpath(b))
 
 
-def _check_paths(inputs: dict[str, str], outputs: dict[str, str]) -> None:
+def _check_paths(inputs: dict[str, str], outputs: dict[str, tuple]) -> None:
     """Refuse, before anything is written, an output that is an existing
     directory (an OSError, exit 3) or the same file as an input or another
-    output, the manifest included (exit 2, naming both).  Both map a flag,
-    or an output's sidecar, to its path; a file a run left may be overwritten."""
+    output, the manifest included (exit 2, naming both).  ``inputs`` maps a
+    flag to its path; a file a run left may be overwritten."""
+    paths = {name: path for name, (path, _) in outputs.items()}
     if outputs:
-        flag = next(iter(outputs))
-        outputs = {**outputs, flag + " manifest": _manifest_path(outputs)}
-    for name, path in {**inputs, **outputs}.items():
+        paths[next(iter(outputs)) + " manifest"] = _manifest_path(outputs)
+    for name, path in {**inputs, **paths}.items():
         if "\0" in path:  # no file has such a name, and os.path raises on it
             raise ValidationError("%s %r: a path cannot hold a NUL byte" % (name, path))
     seen = list(inputs.items())
-    for name, path in outputs.items():
+    for name, path in paths.items():
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for other, earlier in seen:
@@ -270,28 +280,45 @@ def _check_paths(inputs: dict[str, str], outputs: dict[str, str]) -> None:
         seen.append((name, path))
 
 
-def _hashes(paths: dict[str, str]) -> dict[str, str]:
-    """{path: SHA-256} of each input, taken before the command writes."""
-    return {path: _sha256(path) for path in paths.values()}
+def _temporary(path: str) -> tuple[str, str]:
+    """A new empty file beside the file ``path`` resolves to, named to end with
+    that file's name, and the resolved path."""
+    final = os.path.realpath(path)
+    head, name = os.path.split(final)
+    temporary = os.path.join(head, ".%s.%s" % (os.urandom(6).hex(), name))
+    try:
+        open(temporary, "x").close()
+    except OSError as exc:  # name the output, not its temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    return temporary, final
 
 
-def _write_manifest(command: str, config: dict, inputs: dict[str, str],
-                    outputs: dict[str, str]) -> str:
-    """Write the manifest beside the first of ``outputs``; ``inputs`` holds the
-    inputs' hashes from :func:`_hashes`."""
-    manifest = {
-        "tool": "snapspec",
-        "version": __version__,
-        "command": command,
-        "config": {name: config[name] for name in sorted(config)},
-        "inputs": inputs,
-        "outputs": {path: _sha256(path) for path in outputs.values()},
-    }
-    path = _manifest_path(outputs)
+def _publish(command: str, config: dict, inputs: dict[str, str], outputs: dict) -> None:
+    """Write each of ``outputs`` (from :func:`_outputs`) to a temporary file beside it,
+    then the manifest, and rename them all into place, the manifest last; on
+    any error, remove the temporary files and re-raise."""
+    manifest = {"tool": "snapspec", "version": __version__, "command": command, "config": config,
+                "inputs": {path: _sha256(path) for path in inputs.values()}, "outputs": {}}
+    staged = []  # (temporary, final) pairs in rename order
+    try:
+        for path, writer in outputs.values():
+            staged.append(_temporary(path))
+            writer(staged[-1][0])
+            manifest["outputs"][path] = _sha256(staged[-1][0])
+        staged.append(_temporary(_manifest_path(outputs)))
+        _write_text(staged[-1][0], json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        for temporary, final in staged:
+            os.replace(temporary, final)
+    except BaseException:
+        for temporary, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(temporary)
+        raise
+
+
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+        fh.write(text)
 
 
 def _write_pgm(path: str, image: np.ndarray) -> None:
@@ -413,11 +440,12 @@ _SIMULATE_KEYS = [
 ]
 
 
-def _cmd_simulate(config: dict) -> int:
+def _cmd_simulate(config: dict, config_file: dict[str, str]) -> int:
     noise = parse_noise_spec(config["noise"], config["seed"])
     inputs = _paths(config, "cube", "psf", "response")
-    outputs = _paths(config, "out", "export_pgm")
-    _check_paths(inputs, outputs)
+    outputs = _outputs(config, out=lambda path: save_tensor(coded, path),
+                       export_pgm=lambda path: _write_pgm(path, coded.mean(axis=2)))
+    _check_paths({**config_file, **inputs}, outputs)
     cube = _load_cube(config["cube"])
     system = _load_system(config["psf"], config["response"])
     # a cube near the top of the float range overflows the encode; say so
@@ -431,11 +459,7 @@ def _cmd_simulate(config: dict) -> int:
     except FloatingPointError as exc:
         raise ValidationError("--cube %s: too large to encode (%s)"
                               % (config["cube"], exc)) from None
-    hashes = _hashes(inputs)
-    save_tensor(coded, config["out"])
-    if config["export_pgm"]:
-        _write_pgm(config["export_pgm"], coded.mean(axis=2))
-    _write_manifest("simulate", config, hashes, outputs)
+    _publish("simulate", config, inputs, outputs)
     print("wrote %s (%dx%dx3)" % (config["out"], coded.shape[0], coded.shape[1]))
     return EXIT_OK
 
@@ -466,7 +490,7 @@ _RECONSTRUCT_KEYS = [
 ]
 
 
-def _cmd_reconstruct(config: dict) -> int:
+def _cmd_reconstruct(config: dict, config_file: dict[str, str]) -> int:
     # spec strings first, so that a usage error comes before an I/O error
     try:
         gamma = parse_schedule_spec(config["gamma_schedule"], config["stages"])
@@ -482,10 +506,14 @@ def _cmd_reconstruct(config: dict) -> int:
     denoiser = parse_denoiser_spec(config["denoiser"])
     initializer = parse_init_spec(config["init"])
     inputs = _paths(config, "coded", "psf", "response")
-    outputs = _paths(config, "out", "export_pgm")
+    outputs = _outputs(config, out=lambda path: save_tensor(result.cube, path),
+                       export_pgm=lambda path: _write_pgm(path, result.cube.mean(axis=2)))
     if config["trace"]:
-        outputs["--out trace"] = config["out"] + ".trace.csv"
-    _check_paths(inputs, outputs)
+        outputs["--out trace"] = (config["out"] + ".trace.csv", lambda path: np.savetxt(
+            path, [(rec.stage, rec.data_fidelity, rec.delta, rec.gamma, rec.primal_residual)
+                   for rec in result.trace], fmt="%d" + ",%.17g" * 4,
+            header="stage,fidelity,delta,gamma,primal_residual", comments=""))
+    _check_paths({**config_file, **inputs}, outputs)
     coded = _load_cube(config["coded"])
     if coded.shape[2] != 3:
         raise ValidationError("coded image must have 3 channels, got %d" % coded.shape[2])
@@ -498,20 +526,7 @@ def _cmd_reconstruct(config: dict) -> int:
         raise DivergenceError("--zeta %g: %s" % (config["zeta"], exc)) from None
     except SingularPivotError as exc:
         raise ParameterError("--gamma-schedule %s: %s" % (config["gamma_schedule"], exc)) from None
-    hashes = _hashes(inputs)
-    save_tensor(result.cube, config["out"])
-    if config["trace"]:
-        with open(outputs["--out trace"], "w", encoding="utf-8") as fh:
-            fh.write("stage,fidelity,delta,gamma,primal_residual\n")
-            for rec in result.trace:
-                fh.write(
-                    "%d,%.17g,%.17g,%.17g,%.17g\n"
-                    % (rec.stage, rec.data_fidelity, rec.delta, rec.gamma,
-                       rec.primal_residual)
-                )
-    if config["export_pgm"]:
-        _write_pgm(config["export_pgm"], result.cube.mean(axis=2))
-    _write_manifest("reconstruct", config, hashes, outputs)
+    _publish("reconstruct", config, inputs, outputs)
     print("wrote %s (%dx%dx%d, %d stages)"
           % (config["out"], *result.cube.shape, config["stages"]))
     return EXIT_OK
@@ -527,10 +542,14 @@ _EVALUATE_KEYS = [
 ]
 
 
-def _cmd_evaluate(config: dict) -> int:
+def _cmd_evaluate(config: dict, config_file: dict[str, str]) -> int:
     inputs = _paths(config, "recon", "gt")
-    outputs = _paths(config, "out_json", "rmse_csv")
-    _check_paths(inputs, outputs)
+    crop = slice(config["crop"], -config["crop"] or None)  # the RMSE map's rows, columns
+    outputs = _outputs(config, out_json=lambda path: _write_text(path, line + "\n"),
+                       rmse_csv=lambda path: np.savetxt(
+                           path, np.sqrt(np.mean((recon - gt)[crop, crop] ** 2, axis=2)),
+                           fmt="%.8g", delimiter=","))
+    _check_paths({**config_file, **inputs}, outputs)
     recon = _load_cube(config["recon"])
     gt = _load_cube(config["gt"])
     # an overflowing metric means nothing, and its inf or nan is not JSON
@@ -547,18 +566,8 @@ def _cmd_evaluate(config: dict) -> int:
         % (report.psnr_db, report.sam_deg, report.ssim, report.crop),
         file=sys.stderr,
     )
-    hashes = _hashes(inputs) if outputs else {}
-    if config["out_json"]:
-        with open(config["out_json"], "w", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-    if config["rmse_csv"]:
-        c = config["crop"]
-        a = recon[c:-c, c:-c] if c else recon
-        b = gt[c:-c, c:-c] if c else gt
-        rmse = np.sqrt(np.mean((a - b) ** 2, axis=2))
-        np.savetxt(config["rmse_csv"], rmse, fmt="%.8g", delimiter=",")
     if outputs:
-        _write_manifest("evaluate", config, hashes, outputs)
+        _publish("evaluate", config, inputs, outputs)
     return EXIT_OK
 
 
@@ -588,9 +597,9 @@ def _median_time(fn, repeats: int) -> float:
     return float(np.median(times))
 
 
-def _cmd_bench(config: dict) -> int:
-    outputs = _paths(config, "out")
-    _check_paths({}, outputs)
+def _cmd_bench(config: dict, config_file: dict[str, str]) -> int:
+    outputs = _outputs(config, out=lambda path: _write_text(path, text))
+    _check_paths(config_file, outputs)
     sizes = [int(size) for size in config["sizes"].split(",")]
     bands_list = [int(bands) for bands in config["bands"].split(",")]
     gamma = config["gamma"]
@@ -674,9 +683,7 @@ def _cmd_bench(config: dict) -> int:
     lines += ["%d,%d,%s,%.6f,%s" % row for row in rows]
     text = "\n".join(lines) + "\n"
     if config["out"]:
-        with open(config["out"], "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _write_manifest("bench", config, {}, outputs)
+        _publish("bench", config, {}, outputs)
         print("wrote %s" % config["out"])
     else:
         sys.stdout.write(text)
@@ -703,7 +710,7 @@ def _random_instance(rng: np.random.Generator, size: int, bands: int, kernel: in
     return system, cube
 
 
-def _cmd_oracle_check(config: dict) -> int:
+def _cmd_oracle_check(config: dict, config_file: dict[str, str]) -> int:
     trials = config["trials"]
     if trials == 0:
         print("oracle-check: WARNING 0 trials requested; vacuous PASS")
@@ -777,26 +784,18 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version="snapspec " + __version__)
     subs = parser.add_subparsers(dest="command", parser_class=_Parser, metavar="COMMAND")
 
-    sub = subs.add_parser("simulate", help="encode a spectral cube into a coded image")
-    _add_config_flags(sub, _SIMULATE_KEYS)
-    sub.set_defaults(keys=_SIMULATE_KEYS, run=_cmd_simulate)
-
-    sub = subs.add_parser("reconstruct", help="recover a cube from a coded image")
-    _add_config_flags(sub, _RECONSTRUCT_KEYS)
-    sub.set_defaults(keys=_RECONSTRUCT_KEYS, run=_cmd_reconstruct)
-
-    sub = subs.add_parser("evaluate", help="compare a reconstruction against ground truth")
-    _add_config_flags(sub, _EVALUATE_KEYS)
-    sub.set_defaults(keys=_EVALUATE_KEYS, run=_cmd_evaluate)
-
-    sub = subs.add_parser("bench", help="time the solver paths at several scales")
-    _add_config_flags(sub, _BENCH_KEYS)
-    sub.set_defaults(keys=_BENCH_KEYS, run=_cmd_bench)
-
-    sub = subs.add_parser("oracle-check",
-                          help="verify production solvers against dense references")
-    _add_config_flags(sub, _ORACLE_KEYS)
-    sub.set_defaults(keys=_ORACLE_KEYS, run=_cmd_oracle_check)
+    for name, keys, run, help_text in [
+        ("simulate", _SIMULATE_KEYS, _cmd_simulate, "encode a spectral cube into a coded image"),
+        ("reconstruct", _RECONSTRUCT_KEYS, _cmd_reconstruct, "recover a cube from a coded image"),
+        ("evaluate", _EVALUATE_KEYS, _cmd_evaluate,
+         "compare a reconstruction against ground truth"),
+        ("bench", _BENCH_KEYS, _cmd_bench, "time the solver paths at several scales"),
+        ("oracle-check", _ORACLE_KEYS, _cmd_oracle_check,
+         "verify production solvers against dense references"),
+    ]:
+        sub = subs.add_parser(name, help=help_text)
+        _add_config_flags(sub, keys)
+        sub.set_defaults(keys=keys, run=run)
 
     return parser
 
@@ -808,7 +807,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("a command is required")
     try:
         config = _resolve_config(args, args.keys, parser)
-        return args.run(config)
+        return args.run(config, _paths(vars(args), "config"))
     except UnknownNameError as exc:
         parser.error(str(exc))
     except SnapspecError as exc:

@@ -12,10 +12,10 @@ import scipy.fft
 from scipy import ndimage
 from scipy.signal import fftconvolve
 
-from snapspec import (FidelityProblem, NoiseModel, apply_forward_frequency, embed_kernel,
-                      fidelity_solve, gdm_fidelity_step)
+from snapspec import (FidelityProblem, NoiseModel, apply_forward_frequency, fidelity_solve,
+                      gdm_fidelity_step)
 from snapspec.errors import DivergenceError
-from snapspec.optics import empty_cube
+from snapspec.optics import embed_kernel, empty_cube
 
 
 def direct_circular_encode(cube: np.ndarray, psfs: np.ndarray, response: np.ndarray) -> np.ndarray:

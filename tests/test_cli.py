@@ -1,6 +1,7 @@
 """End-to-end command-line tests: pipelines, exit codes, manifests, determinism."""
 
 import contextlib
+import errno
 import hashlib
 import inspect
 import io
@@ -996,14 +997,15 @@ def test_pipeline_chains_end_in_documented_exit_codes(fuzz_dir, scale, data):
 
 
 # path fuzz: a command's outputs drawn from names that include its inputs, a
-# symlink to one, other spellings of one name, each other's sidecars and a
-# directory.  A draw in which two paths, sidecars included, resolve to one
-# file exits 2, one that writes to a directory exits 3, and both leave every
-# file as it was; any other draw exits 0.
+# symlink to one, other spellings of one name, each other's sidecars, a
+# directory and a name in a missing directory.  A draw in which two paths,
+# sidecars included, resolve to one file exits 2, one that writes to a
+# directory or into a missing one exits 3, and each leaves every file as it
+# was; any other draw exits 0.  No draw leaves a temporary file.
 
 _PATH_POOL = ["cube.htns", "psf.htns", "resp.csv", "coded.htns", "link.htns", "a.htns",
               "./a.htns", "sub/../a.htns", "b.htns", "a.htns.manifest.json",
-              "a.htns.trace.csv", "b.htns.manifest.json", "sub"]
+              "a.htns.trace.csv", "b.htns.manifest.json", "sub", "nodir/a.htns"]
 _PATH_COMMANDS = {
     "simulate": ({"--cube": "cube.htns", "--psf": "psf.htns", "--response": "resp.csv"},
                  ["--out", "--export-pgm"], ["--noise", "none"]),
@@ -1049,6 +1051,7 @@ def test_path_collisions_refused_before_any_write(path_fuzz_dir, command, data):
     seen = [os.path.realpath(work / path) for path in inputs.values()]
     clash = any(path in seen + real[:i] for i, path in enumerate(real))
     to_dir = any(os.path.isdir(path) for path in real)
+    missing = any(not os.path.isdir(os.path.dirname(path)) for path in real)
 
     argv = [command, *(part for item in {**inputs, **outputs}.items() for part in item),
             *extra, *(["--trace"] if trace else [])]
@@ -1056,7 +1059,8 @@ def test_path_collisions_refused_before_any_write(path_fuzz_dir, command, data):
     before = _tree(work)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = _exit_code(argv)
-    if not (clash or to_dir):
+    assert not list(work.rglob(".*")), argv
+    if not (clash or to_dir or missing):
         assert code == 0, argv
         return
     assert code in ((2, 3) if clash and to_dir else (2,) if clash else (3,)), argv
@@ -1104,11 +1108,13 @@ def _tree(directory):
 
 @pytest.fixture
 def pipeline_dir(tmp_path, monkeypatch):
-    """A directory holding psf.htns, resp.csv, cube.htns (16 x 16 x 4) and
-    coded.htns, made the working directory so that paths read as given."""
+    """A directory holding psf.htns, resp.csv, cube.htns (16 x 16 x 4),
+    coded.htns and a simulate config run.cfg, made the working directory so
+    that paths read as given."""
     monkeypatch.chdir(tmp_path)
     _write_random_system(tmp_path)
     _write_cube(tmp_path)
+    (tmp_path / "run.cfg").write_text("noise=none\n")
     _simulate_noiseless(tmp_path, "psf.htns", "resp.csv", "cube.htns")
     return tmp_path
 
@@ -1127,7 +1133,9 @@ _SYSTEM = ["--psf", "psf.htns", "--response", "resp.csv"]
       "--export-pgm", "./x.htns.manifest.json"], "--export-pgm", "--out manifest"),
     (["reconstruct", "--coded", "coded.htns", *_SYSTEM, "--out", "x.htns", "--trace",
       "--export-pgm", "x.htns.trace.csv"], "--export-pgm", "--out trace"),
-], ids=["scene", "psf", "pgm", "report", "manifest", "trace"])
+    (["simulate", "--config", "run.cfg", "--cube", "cube.htns", *_SYSTEM, "--out", "run.cfg"],
+     "--config", "--out"),
+], ids=["scene", "psf", "pgm", "report", "manifest", "trace", "config"])
 def test_colliding_paths_exit_2_naming_both_before_any_write(pipeline_dir, capsys, argv,
                                                              first, second):
     before = _tree(pipeline_dir)
@@ -1135,6 +1143,57 @@ def test_colliding_paths_exit_2_naming_both_before_any_write(pipeline_dir, capsy
     err = capsys.readouterr().err
     assert "error: %s " % first in err and " and %s " % second in err
     assert "are the same file" in err
+    assert _tree(pipeline_dir) == before
+
+
+# a run that fails after its checks leaves no file under any output name, and
+# an earlier run's outputs and manifest as they were.  Each rerun changes a
+# key, so that its outputs would differ from the first run's (bench's timings
+# differ anyway).
+
+_WRITERS = [
+    (["simulate", "--cube", "cube.htns", *_SYSTEM, "--out", "x.htns", "--noise", "none"],
+     ["--noise", "default"], cli, "save_tensor"),
+    (["reconstruct", "--coded", "coded.htns", *_SYSTEM, "--out", "rec.htns", "--stages", "2",
+      "--trace", "--export-pgm", "rec.pgm"], ["--stages", "3"], np, "savetxt"),
+    (["evaluate", "--recon", "cube.htns", "--gt", "cube.htns", "--crop", "0",
+      "--out-json", "r.json", "--rmse-csv", "rmse.csv"], ["--crop", "2"], np, "savetxt"),
+    (["bench", "--sizes", "6", "--bands", "4", "--repeats", "1", "--out", "bench.csv"],
+     [], cli, "_write_text"),
+]
+
+
+@pytest.mark.parametrize("argv, rerun, owner, writer", _WRITERS,
+                         ids=["simulate", "reconstruct", "evaluate", "bench"])
+def test_failed_last_write_exit_3_keeps_earlier_run(pipeline_dir, capsys, monkeypatch, argv,
+                                                    rerun, owner, writer):
+    assert main(argv) == 0
+    before = _tree(pipeline_dir)
+    write = getattr(owner, writer)
+
+    def write_then_fail(*args, **kwargs):  # the command's last writer
+        write(*args, **kwargs)
+        raise OSError(errno.ENOSPC, "injected write failure")
+
+    monkeypatch.setattr(owner, writer, write_then_fail)
+    capsys.readouterr()
+    assert main(argv + rerun) == 3
+    assert "i/o error: [Errno 28] injected write failure" in capsys.readouterr().err
+    assert _tree(pipeline_dir) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--cube", "cube.htns", *_SYSTEM, "--out", "x.htns", "--export-pgm",
+     "nodir/x.pgm"],
+    ["reconstruct", "--coded", "coded.htns", *_SYSTEM, "--out", "rec.htns", "--stages", "2",
+     "--trace", "--export-pgm", "nodir/p.pgm"],
+    ["evaluate", "--recon", "coded.htns", "--gt", "coded.htns", "--crop", "0",
+     "--out-json", "rep.json", "--rmse-csv", "nodir/r.csv"],
+], ids=["simulate", "reconstruct", "evaluate"])
+def test_output_in_missing_directory_exit_3_writes_nothing(pipeline_dir, capsys, argv):
+    before = _tree(pipeline_dir)
+    assert main(argv) == 3
+    assert "No such file or directory: 'nodir/" in capsys.readouterr().err
     assert _tree(pipeline_dir) == before
 
 

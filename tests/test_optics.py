@@ -14,12 +14,11 @@ from snapspec import (
     apply_adjoint,
     apply_forward_frequency,
     build_frequency_operator,
-    embed_kernel,
     forward_encode,
 )
 from snapspec.errors import DimensionError, ParameterError, ValidationError
-from snapspec.optics import (cube_spectrum, empty_cube, forward_project, from_spectrum,
-                             row_strips, to_spectrum)
+from snapspec.optics import (cube_spectrum, embed_kernel, empty_cube, forward_project,
+                             from_spectrum, row_strips, to_spectrum)
 from snapspec.synth import (band_wavelengths, rgb_response, rotating_psf_stack, smooth_cube,
                             synthetic_system)
 
