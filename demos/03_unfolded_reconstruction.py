@@ -56,6 +56,6 @@ print("\nfinal quality (8 px edge crop): psnr %.2f dB, sam %.2f deg, ssim %.4f"
 # band-wise prior cannot remove, zero start does not
 for init in (ZeroInitializer(), MeanInitializer()):
     run = reconstruct(coded, op, schedule, denoiser, init)
-    start = init.initialize(coded, op)
+    start = init.initialize(coded, op, np.empty(cube.shape))
     print("init %-5s  start %6.2f dB  ->  reconstruction %6.2f dB"
           % (init.name, psnr(start, cube), psnr(run.cube, cube)))

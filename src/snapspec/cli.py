@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import errno
+import gzip
 import hashlib
 import json
 import math
@@ -321,6 +323,17 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _write_csv_map(path: str, values: np.ndarray) -> None:
+    """A 2-D array as comma-separated rows; a ``.gz`` name gets a gzip stream
+    whose header holds no write time or file name, so a rerun gives the
+    same bytes."""
+    if not path.endswith(".gz"):
+        np.savetxt(path, values, fmt="%.8g", delimiter=",")
+        return
+    with open(path, "wb") as fh, gzip.GzipFile(filename="", mode="wb", fileobj=fh, mtime=0) as gz:
+        np.savetxt(gz, values, fmt="%.8g", delimiter=",")
+
+
 def _write_pgm(path: str, image: np.ndarray) -> None:
     """8-bit binary PGM preview of a 2-D array, clipped to [0, 1]."""
     data = np.round(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
@@ -510,8 +523,7 @@ def _cmd_reconstruct(config: dict, config_file: dict[str, str]) -> int:
                        export_pgm=lambda path: _write_pgm(path, result.cube.mean(axis=2)))
     if config["trace"]:
         outputs["--out trace"] = (config["out"] + ".trace.csv", lambda path: np.savetxt(
-            path, [(rec.stage, rec.data_fidelity, rec.delta, rec.gamma, rec.primal_residual)
-                   for rec in result.trace], fmt="%d" + ",%.17g" * 4,
+            path, [dataclasses.astuple(rec) for rec in result.trace], fmt="%d" + ",%.17g" * 4,
             header="stage,fidelity,delta,gamma,primal_residual", comments=""))
     _check_paths({**config_file, **inputs}, outputs)
     coded = _load_cube(config["coded"])
@@ -546,9 +558,8 @@ def _cmd_evaluate(config: dict, config_file: dict[str, str]) -> int:
     inputs = _paths(config, "recon", "gt")
     crop = slice(config["crop"], -config["crop"] or None)  # the RMSE map's rows, columns
     outputs = _outputs(config, out_json=lambda path: _write_text(path, line + "\n"),
-                       rmse_csv=lambda path: np.savetxt(
-                           path, np.sqrt(np.mean((recon - gt)[crop, crop] ** 2, axis=2)),
-                           fmt="%.8g", delimiter=","))
+                       rmse_csv=lambda path: _write_csv_map(
+                           path, np.sqrt(np.mean((recon - gt)[crop, crop] ** 2, axis=2))))
     _check_paths({**config_file, **inputs}, outputs)
     recon = _load_cube(config["recon"])
     gt = _load_cube(config["gt"])

@@ -9,7 +9,7 @@ wrap-around artifacts that say nothing about reconstruction quality.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.fft
@@ -32,12 +32,14 @@ def _check_pair(x: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     ref = np.asarray(ref, dtype=np.float64)
     if x.shape != ref.shape:
         raise DimensionError("shape mismatch: %r vs %r" % (x.shape, ref.shape))
+    if x.ndim != 3:
+        raise DimensionError("expected (H, W, bands) cubes, got shape %r" % (x.shape,))
     return x, ref
 
 
 def psnr(x: np.ndarray, ref: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB over all voxels for peak 1, capped at
-    100 dB."""
+    """Peak signal-to-noise ratio in dB over all voxels of two (H, W, bands)
+    cubes for peak 1, capped at 100 dB."""
     x, ref = _check_pair(x, ref)
     mse = float(np.mean((x - ref) ** 2))
     if mse < 1e-10:
@@ -53,8 +55,6 @@ def sam(x: np.ndarray, ref: np.ndarray) -> float:
     undefined and an error is raised.
     """
     x, ref = _check_pair(x, ref)
-    if x.ndim != 3:
-        raise DimensionError("expected (H, W, bands) cubes, got shape %r" % (x.shape,))
     nx = np.linalg.norm(x, axis=2)
     nr = np.linalg.norm(ref, axis=2)
     valid = (nx >= SAM_NORM_FLOOR) & (nr >= SAM_NORM_FLOOR)
@@ -85,8 +85,6 @@ def ssim(x: np.ndarray, ref: np.ndarray) -> float:
     taken once per call.
     """
     x, ref = _check_pair(x, ref)
-    if x.ndim != 3:
-        raise DimensionError("expected (H, W, bands) cubes, got shape %r" % (x.shape,))
     if x.shape[0] < SSIM_WINDOW or x.shape[1] < SSIM_WINDOW:
         raise DimensionError(
             "image extent %r smaller than the %d-pixel window"
@@ -131,14 +129,7 @@ class MetricReport:
         return float(np.degrees(self.sam_rad))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "psnr_db": self.psnr_db,
-                "sam_rad": self.sam_rad,
-                "ssim": self.ssim,
-                "crop": self.crop,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def evaluate(recon: np.ndarray, gt: np.ndarray, crop: int = DEFAULT_CROP) -> MetricReport:
@@ -148,8 +139,6 @@ def evaluate(recon: np.ndarray, gt: np.ndarray, crop: int = DEFAULT_CROP) -> Met
     What is left must span the SSIM window in both spatial extents.
     """
     recon, gt = _check_pair(recon, gt)
-    if recon.ndim != 3:
-        raise DimensionError("expected (H, W, bands) cubes, got shape %r" % (recon.shape,))
     CROP.check_count(crop, "crop")
     if min(recon.shape[0], recon.shape[1]) - 2 * crop < SSIM_WINDOW:
         raise ParameterError(

@@ -199,7 +199,7 @@ class TotalVariationDenoiser(Denoiser):
 
     def denoise(self, cube: np.ndarray, noise_level: float,
                 out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:  # the three-argument call that stand-ins for tv_denoise take
+        if out is None:  # perfbench's TV-prox self-test swaps in a three-argument tv_denoise
             return tv_denoise(cube, self.weight, self.iters)
         return tv_denoise(cube, self.weight, self.iters, out=out)
 
@@ -313,20 +313,24 @@ def tv_denoise(cube: np.ndarray, weight: float, iters: int,
 class Initializer(ABC):
     """Named strategy producing the first prior iterate Z(1) from the coded
     image; ``params`` maps each spec key to a constructor argument, its type
-    and its Domain."""
+    and its Domain.  ``initialize`` writes the start into ``out``, the
+    loop's own uninitialized pixel-major float64 (H, W, bands) iterate, and
+    returns it."""
 
     name: str = "?"
     params: dict[str, tuple[str, type, Domain]] = {}
 
     @abstractmethod
-    def initialize(self, coded: np.ndarray, op: FrequencyOperator) -> np.ndarray: ...
+    def initialize(self, coded: np.ndarray, op: FrequencyOperator,
+                   out: np.ndarray) -> np.ndarray: ...
 
 
 class ZeroInitializer(Initializer):
     name = "zero"
 
-    def initialize(self, coded: np.ndarray, op: FrequencyOperator) -> np.ndarray:
-        return np.zeros((op.height, op.width, op.n_bands))
+    def initialize(self, coded: np.ndarray, op: FrequencyOperator, out: np.ndarray) -> np.ndarray:
+        out.fill(0.0)
+        return out
 
 
 class RandInitializer(Initializer):
@@ -339,9 +343,8 @@ class RandInitializer(Initializer):
         check_params(self, "initializer %r" % self.name, seed=seed)
         self.seed = int(seed)
 
-    def initialize(self, coded: np.ndarray, op: FrequencyOperator) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        return rng.uniform(size=(op.height, op.width, op.n_bands))
+    def initialize(self, coded: np.ndarray, op: FrequencyOperator, out: np.ndarray) -> np.ndarray:
+        return np.random.default_rng(self.seed).random(out=out)
 
 
 class MeanInitializer(Initializer):
@@ -349,9 +352,9 @@ class MeanInitializer(Initializer):
 
     name = "mean"
 
-    def initialize(self, coded: np.ndarray, op: FrequencyOperator) -> np.ndarray:
-        mean = np.asarray(coded, dtype=np.float64).mean(axis=2)
-        return np.repeat(mean[:, :, None], op.n_bands, axis=2)
+    def initialize(self, coded: np.ndarray, op: FrequencyOperator, out: np.ndarray) -> np.ndarray:
+        out[...] = np.mean(coded, axis=2)[:, :, None]
+        return out
 
 
 class AdjointInitializer(Initializer):
@@ -359,8 +362,9 @@ class AdjointInitializer(Initializer):
 
     name = "adjoint"
 
-    def initialize(self, coded: np.ndarray, op: FrequencyOperator) -> np.ndarray:
-        return apply_adjoint(op, np.asarray(coded, dtype=np.float64))
+    def initialize(self, coded: np.ndarray, op: FrequencyOperator, out: np.ndarray) -> np.ndarray:
+        out[...] = apply_adjoint(op, coded)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -474,22 +478,16 @@ def reconstruct(
     iterate buffer that takes the denoiser's input and output while the
     previous iterate stays for ``delta``, the two swapping after each
     stage; each stage record's forward transform briefly takes about two
-    more.  The loop copies the initializer's cube once, pixel-major
-    whatever its layout, and never writes into it.
+    more.  The initializer writes the start into the iterate's buffer.
     """
     GDM_ITERS.check_count(gdm_iters, "gdm_iters")
     # the problem checks the coded image's shape before any initializer reads it
     problem = FidelityProblem.from_coded_image(op, coded, gamma=schedule.gamma[0])
 
-    # the loop's own iterate buffer, pixel-major whatever the initializer's
-    # layout: TV then never copies it, and the trace norms, which sum in
-    # memory order, see one layout
-    z = np.array(initializer.initialize(problem.coded, op), dtype=np.float64, order="C")
-    if z.shape != (op.height, op.width, op.n_bands):
-        raise DimensionError(
-            "initializer produced shape %r, expected %r"
-            % (z.shape, (op.height, op.width, op.n_bands))
-        )
+    # the loop's own pixel-major iterate: TV then never copies it, and the
+    # trace norms, which sum in memory order, see one layout
+    z = np.empty((op.height, op.width, op.n_bands))
+    initializer.initialize(problem.coded, op, z)
     beta = np.zeros_like(z)
     anchor = empty_cube(op)  # holds z - beta, its spectrum, then the solve's output
     spare = np.empty_like(z) if trace else None  # the next iterate's, while z stays

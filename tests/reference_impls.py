@@ -150,7 +150,7 @@ def hqs_reference(coded, op, schedule, denoiser, initializer) -> np.ndarray:
     dense-oracle checks, and this reference checks only the loop around it.
     """
     prob = FidelityProblem.from_coded_image(op, coded, gamma=schedule.gamma[0])
-    z = np.asarray(initializer.initialize(coded, op), dtype=np.float64)
+    z = initializer.initialize(coded, op, np.empty((op.height, op.width, op.n_bands)))
     for k in range(schedule.n_stages - 1):
         z = denoiser.denoise(fidelity_solve(prob.with_gamma(schedule.gamma[k]), z),
                              schedule.sigma_tilde[k])
@@ -175,7 +175,7 @@ def stage_loop_reference(coded, op, schedule, denoiser, initializer, trace=False
     their last bits.
     """
     prob = FidelityProblem.from_coded_image(op, coded, gamma=schedule.gamma[0])
-    z = np.array(initializer.initialize(prob.coded, op), dtype=np.float64, order="C")
+    z = initializer.initialize(prob.coded, op, np.empty((op.height, op.width, op.n_bands)))
     beta = np.zeros_like(z)
     anchor = empty_cube(op)
     records = []

@@ -259,7 +259,7 @@ def test_criterion_08_end_to_end_beats_naive_baseline(capsys):
     # the naive baseline: per-pixel channel mean broadcast across bands, and,
     # stricter, the same unfolding started from it (its scale bias survives
     # band-wise spatial smoothing, so it plateaus well below the zero start)
-    mean_cube = MeanInitializer().initialize(coded, op)
+    mean_cube = MeanInitializer().initialize(coded, op, np.empty(cube.shape))
     baseline_naive = psnr(mean_cube, cube)
     baseline_recon = psnr(
         reconstruct(coded, op, schedule, den, MeanInitializer()).cube, cube

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import gzip
 import hashlib
 import inspect
 import io
@@ -13,6 +14,7 @@ import re
 import shutil
 import struct
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -189,6 +191,26 @@ def test_evaluate_rmse_csv(tmp_path):
     grid = np.loadtxt(rmse_path, delimiter=",")
     assert grid.shape == (12, 12)
     assert np.allclose(grid, 0.1, atol=1e-6)
+
+
+def test_evaluate_gz_rmse_map_is_reproducible(tmp_path, monkeypatch):
+    # the gzip header holds no write time or file name, so runs at two clock
+    # readings give the same map and manifest bytes, and the map inflates
+    # to the plain CSV
+    cube_path, cube = _write_cube(tmp_path, shape=(16, 16, 3))
+    other_path = str(tmp_path / "other.htns")
+    save_tensor(cube + 0.1, other_path)
+    args = ["evaluate", "--recon", other_path, "--gt", cube_path, "--crop", "2", "--rmse-csv"]
+    gz_path = tmp_path / "rmse.csv.gz"
+    runs = []
+    for clock in (1.0e9, 2.0e9):
+        monkeypatch.setattr(time, "time", lambda: clock)
+        assert main(args + [str(gz_path)]) == 0
+        manifest = pathlib.Path(str(gz_path) + ".manifest.json")
+        runs.append((gz_path.read_bytes(), manifest.read_bytes()))
+    assert runs[0] == runs[1]
+    assert main(args + [str(tmp_path / "rmse.csv")]) == 0
+    assert gzip.decompress(runs[0][0]) == (tmp_path / "rmse.csv").read_bytes()
 
 
 def test_evaluate_crop_below_ssim_window_exit_2_naming_crop(tmp_path, capsys):

@@ -49,6 +49,9 @@ def test_psnr_validation():
     x = _cube()
     with pytest.raises(DimensionError):
         psnr(x, x[:-1])
+    image = np.zeros((16, 16))
+    with pytest.raises(DimensionError, match="cubes"):
+        psnr(image, image)
 
 
 # spectral angle
