@@ -18,12 +18,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import errno
 import gzip
 import hashlib
 import json
 import math
 import os
+import stat
 import sys
 import time
 
@@ -261,10 +261,11 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _check_paths(inputs: dict[str, str], outputs: dict[str, tuple]) -> None:
-    """Refuse, before anything is written, an output that is an existing
-    directory (an OSError, exit 3) or the same file as an input or another
-    output, the manifest included (exit 2, naming both).  ``inputs`` maps a
-    flag to its path; a file a run left may be overwritten."""
+    """Refuse, before anything is written, an output that exists and is not a
+    regular file or cannot be looked up, say under too long a name (an
+    OSError, exit 3), or the same file as an input or another output, the
+    manifest included (exit 2, naming both).  ``inputs`` maps a flag to its
+    path; a file a run left may be overwritten."""
     paths = {name: path for name, (path, _) in outputs.items()}
     if outputs:
         paths[next(iter(outputs)) + " manifest"] = _manifest_path(outputs)
@@ -273,8 +274,11 @@ def _check_paths(inputs: dict[str, str], outputs: dict[str, tuple]) -> None:
             raise ValidationError("%s %r: a path cannot hold a NUL byte" % (name, path))
     seen = list(inputs.items())
     for name, path in paths.items():
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        with contextlib.suppress(FileNotFoundError):  # an absent output is written
+            mode = os.stat(path).st_mode
+            if not stat.S_ISREG(mode):  # never replace a directory, FIFO, socket or device
+                raise OSError("%s: %r" % ("Is a directory" if stat.S_ISDIR(mode)
+                                          else "Not a regular file", path))
         for other, earlier in seen:
             if _same_file(path, earlier):
                 raise ValidationError("%s %s and %s %s are the same file"
@@ -283,11 +287,10 @@ def _check_paths(inputs: dict[str, str], outputs: dict[str, tuple]) -> None:
 
 
 def _temporary(path: str) -> tuple[str, str]:
-    """A new empty file beside the file ``path`` resolves to, named to end with
-    that file's name, and the resolved path."""
+    """A new empty file under a name of fixed length beside the file ``path``
+    resolves to, and the resolved path."""
     final = os.path.realpath(path)
-    head, name = os.path.split(final)
-    temporary = os.path.join(head, ".%s.%s" % (os.urandom(6).hex(), name))
+    temporary = os.path.join(os.path.dirname(final), ".%s.tmp" % os.urandom(6).hex())
     try:
         open(temporary, "x").close()
     except OSError as exc:  # name the output, not its temporary file
@@ -323,11 +326,11 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv_map(path: str, values: np.ndarray) -> None:
-    """A 2-D array as comma-separated rows; a ``.gz`` name gets a gzip stream
-    whose header holds no write time or file name, so a rerun gives the
-    same bytes."""
-    if not path.endswith(".gz"):
+def _write_csv_map(path: str, values: np.ndarray, gz: bool) -> None:
+    """A 2-D array as comma-separated rows; with ``gz`` (the output's name ends
+    in ``.gz``) a gzip stream whose header holds no write time or file name,
+    so a rerun gives the same bytes."""
+    if not gz:
         np.savetxt(path, values, fmt="%.8g", delimiter=",")
         return
     with open(path, "wb") as fh, gzip.GzipFile(filename="", mode="wb", fileobj=fh, mtime=0) as gz:
@@ -559,7 +562,8 @@ def _cmd_evaluate(config: dict, config_file: dict[str, str]) -> int:
     crop = slice(config["crop"], -config["crop"] or None)  # the RMSE map's rows, columns
     outputs = _outputs(config, out_json=lambda path: _write_text(path, line + "\n"),
                        rmse_csv=lambda path: _write_csv_map(
-                           path, np.sqrt(np.mean((recon - gt)[crop, crop] ** 2, axis=2))))
+                           path, np.sqrt(np.mean((recon - gt)[crop, crop] ** 2, axis=2)),
+                           config["rmse_csv"].endswith(".gz")))
     _check_paths({**config_file, **inputs}, outputs)
     recon = _load_cube(config["recon"])
     gt = _load_cube(config["gt"])

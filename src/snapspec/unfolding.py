@@ -26,8 +26,8 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import (SEED, DimensionError, DivergenceError, Domain, ParameterError,
-                     SingularPivotError, check_params)
-from .fidelity import GDM_ITERS, MAX_GDM_ITERS, FidelityProblem, fidelity_solve, gdm_fidelity_step
+                     SingularPivotError, ValidationError, check_params)
+from .fidelity import GDM_ITERS, FidelityProblem, fidelity_solve, gdm_fidelity_step
 from .optics import FrequencyOperator, apply_adjoint, apply_forward_frequency, empty_cube
 from .optics import row_strips
 
@@ -315,7 +315,7 @@ class Initializer(ABC):
     image; ``params`` maps each spec key to a constructor argument, its type
     and its Domain.  ``initialize`` writes the start into ``out``, the
     loop's own uninitialized pixel-major float64 (H, W, bands) iterate, and
-    returns it."""
+    returns it; :func:`reconstruct` refuses any other return value."""
 
     name: str = "?"
     params: dict[str, tuple[str, type, Domain]] = {}
@@ -412,31 +412,16 @@ def _write_anchor(z, beta, anchor):
 def _update_multipliers(i, z, beta, zeta):
     """beta += zeta * (i - z) in strips of whole rows through one
     pixel-major strip of scratch, the solve's band-major output ``i`` read
-    while a strip's rows of every array stay in cache.
-
-    Every element sees the operations of the whole-cube passes in their
-    order, so the bytes match them, and overflows are reported as those
-    passes report them: they raise at the first of the three operations,
-    in order, that overflows in any row, so after a FloatingPointError the
-    sweep goes on through the other strips and raises the earliest
-    operation's error.
-    """
-    errors = {}  # each operation's first error, by its index
+    while a strip's rows of every array stay in cache.  The bytes are those
+    of the whole-cube passes; like every strip sweep, it raises the first
+    overflow it meets."""
     strips = row_strips(z.shape[0], z.shape[1] * z.shape[2])
     scratch = np.empty((strips[0][1],) + z.shape[1:])
     for r0, r1 in strips:
         t = scratch[: r1 - r0]
-        op = 0
-        try:
-            np.subtract(i[r0:r1], z[r0:r1], out=t)
-            op = 1
-            t *= zeta
-            op = 2
-            beta[r0:r1] += t
-        except FloatingPointError as exc:
-            errors.setdefault(op, exc)
-    if errors:
-        raise errors[min(errors)]
+        np.subtract(i[r0:r1], z[r0:r1], out=t)
+        t *= zeta
+        beta[r0:r1] += t
 
 
 def reconstruct(
@@ -467,7 +452,9 @@ def reconstruct(
     pixel-major iterate and multipliers and the band-major anchor and solve
     output while a strip's rows stay in cache; every element sees the
     operations of the whole-cube passes in their order, so the bytes and a
-    diverging stage's message are theirs.
+    diverging stage are theirs.  Every sweep raises the first overflow it
+    meets, so the operation it names differs from theirs only when two rows
+    overflow in different operations.
 
     Working memory: an exact-solve stage holds three cubes above its inputs
     (the iterate, which the denoiser overwrites in place, the multipliers,
@@ -478,7 +465,8 @@ def reconstruct(
     iterate buffer that takes the denoiser's input and output while the
     previous iterate stays for ``delta``, the two swapping after each
     stage; each stage record's forward transform briefly takes about two
-    more.  The initializer writes the start into the iterate's buffer.
+    more.  The initializer writes the start into the iterate's buffer and
+    returns it; any other return value raises ValidationError.
     """
     GDM_ITERS.check_count(gdm_iters, "gdm_iters")
     # the problem checks the coded image's shape before any initializer reads it
@@ -487,7 +475,9 @@ def reconstruct(
     # the loop's own pixel-major iterate: TV then never copies it, and the
     # trace norms, which sum in memory order, see one layout
     z = np.empty((op.height, op.width, op.n_bands))
-    initializer.initialize(problem.coded, op, z)
+    if initializer.initialize(problem.coded, op, z) is not z:
+        raise ValidationError("initializer %s must write the start into out and return out"
+                              % type(initializer).__name__)
     beta = np.zeros_like(z)
     anchor = empty_cube(op)  # holds z - beta, its spectrum, then the solve's output
     spare = np.empty_like(z) if trace else None  # the next iterate's, while z stays

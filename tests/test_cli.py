@@ -12,6 +12,7 @@ import os
 import pathlib
 import re
 import shutil
+import stat
 import struct
 import tempfile
 import time
@@ -1226,6 +1227,49 @@ def test_output_directory_exit_3_before_any_write(pipeline_dir, capsys):
                  "--export-pgm", "preview"]) == 3
     assert "Is a directory: 'preview'" in capsys.readouterr().err
     assert _tree(pipeline_dir) == before
+
+
+@pytest.mark.parametrize("argv, fifo", [
+    (["simulate", "--cube", "cube.htns", *_SYSTEM, "--out", "x.htns", "--noise", "none",
+      "--export-pgm", "pipe"], "pipe"),
+    (["reconstruct", "--coded", "coded.htns", *_SYSTEM, "--out", "pipe", "--stages", "2"],
+     "pipe"),
+    (["evaluate", "--recon", "cube.htns", "--gt", "cube.htns", "--crop", "0",
+      "--out-json", "pipe"], "pipe"),
+    (["bench", "--sizes", "6", "--bands", "4", "--repeats", "1", "--out", "pipe"], "pipe"),
+    (["simulate", "--cube", "cube.htns", *_SYSTEM, "--out", "x.htns", "--noise", "none"],
+     "x.htns.manifest.json"),
+], ids=["simulate", "reconstruct", "evaluate", "bench", "manifest"])
+def test_output_that_is_not_a_regular_file_exit_3_left_intact(pipeline_dir, capsys, argv, fifo):
+    os.mkfifo(fifo)
+    before = _tree(pipeline_dir)
+    assert main(argv) == 3
+    assert "Not a regular file: '%s'" % fifo in capsys.readouterr().err
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert _tree(pipeline_dir) == before  # no output, manifest or temporary file
+
+
+def test_longest_output_names_publish(pipeline_dir, capsys):
+    # the manifest adds 14 characters to the first output's name, and the
+    # temporary files' names do not grow with it
+    longest = os.pathconf(".", "PC_NAME_MAX") - len(".manifest.json")
+    out = "o" * (longest - len(".htns")) + ".htns"
+    assert main(["simulate", "--cube", "cube.htns", *_SYSTEM, "--out", out,
+                 "--noise", "none"]) == 0
+    assert load_tensor(out).shape == (16, 16, 3)
+    assert os.path.exists(out + ".manifest.json")
+    gz = "r" * (longest - len(".csv.gz")) + ".csv.gz"
+    evaluate = ["evaluate", "--recon", "coded.htns", "--gt", out, "--crop", "0", "--rmse-csv"]
+    assert main(evaluate + [gz]) == 0
+    assert main(evaluate + ["r.csv"]) == 0
+    assert gzip.decompress(pathlib.Path(gz).read_bytes()) == pathlib.Path("r.csv").read_bytes()
+    capsys.readouterr()
+    before = _tree(pipeline_dir)
+    for argv in (["simulate", "--cube", "cube.htns", *_SYSTEM, "--out", "o" + out,
+                  "--noise", "none"], evaluate + ["r" + gz]):
+        assert main(argv) == 3
+        assert "File name too long" in capsys.readouterr().err
+        assert _tree(pipeline_dir) == before
 
 
 def test_nul_byte_path_exit_2(pipeline_dir, capsys):

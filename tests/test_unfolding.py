@@ -29,12 +29,13 @@ from snapspec import (
     reconstruct,
     tv_denoise,
 )
-from snapspec.errors import DimensionError, DivergenceError, ParameterError
+from snapspec.errors import DimensionError, DivergenceError, ParameterError, ValidationError
 from snapspec.optics import NoiseModel, empty_cube
 from snapspec.oracle import DenseSystem
 from snapspec.synth import smooth_cube, synthetic_system
 from snapspec import optics, unfolding
-from snapspec.unfolding import DENOISERS, INITIALIZERS, MAX_GDM_ITERS, MAX_TV_ITERS
+from snapspec.fidelity import MAX_GDM_ITERS
+from snapspec.unfolding import DENOISERS, INITIALIZERS, MAX_TV_ITERS
 
 from reference_impls import stage_loop_reference, tv_dual_reference, tv_prox_1d
 
@@ -582,15 +583,12 @@ def _whole_cube_update(i, z, beta, zeta, scratch):
     beta += scratch
 
 
-@pytest.mark.parametrize("case", ["multiply-after-add", "add", "anchor"])
-def test_strip_sweeps_raise_the_first_whole_cube_overflow(monkeypatch, case):
-    # one-row strips over a (3, 1, 1) cube, i = 0: an overflow in an early
-    # row's later operation must not hide one in a later row's earlier
-    # operation; the anchor write raises its subtract's overflow at once
+@pytest.mark.parametrize("case", ["add", "anchor"])
+def test_strip_sweeps_raise_the_first_overflow_they_meet(monkeypatch, case):
+    # one-row strips over a (3, 1, 1) cube, i = 0: a finite row before the
+    # overflowing one, and each sweep raises the error of its whole-cube pass
     monkeypatch.setattr(optics, "_STRIP_ELEMENTS", 1)
     zeta, z, beta = {
-        # row 0: 1e307 * 10 + 1.7e308 overflows the add; row 2: 1e308 * 10 the multiply
-        "multiply-after-add": (10.0, [-1e307, 0.0, -1e308], [1.7e308, 0.0, 0.0]),
         # row 2: 1e308 + 1.7e308 overflows the add; row 1 is finite
         "add": (1.0, [0.0, 1e308, -1e308], [0.0, 0.0, 1.7e308]),
         # row 1: 1e308 - (-1e308) overflows the anchor
@@ -610,8 +608,7 @@ def test_strip_sweeps_raise_the_first_whole_cube_overflow(monkeypatch, case):
             else:
                 unfolding._update_multipliers(i, z, beta, zeta)
     assert str(strips.value) == str(whole.value)
-    assert str(whole.value) == {"multiply-after-add": "overflow encountered in multiply",
-                                "add": "overflow encountered in add",
+    assert str(whole.value) == {"add": "overflow encountered in add",
                                 "anchor": "overflow encountered in subtract"}[case]
 
 
@@ -780,3 +777,18 @@ def test_reconstruct_validation():
     sched = StageSchedule.geometric(3)
     with pytest.raises(DimensionError):
         reconstruct(coded[:, :, :2], op, sched, IdentityDenoiser(), ZeroInitializer())
+
+
+class _NewCubeInitializer(Initializer):
+    """A start that returns a cube of its own and leaves ``out`` as it was."""
+
+    def initialize(self, coded, op, out):
+        return np.zeros_like(out)
+
+
+def test_reconstruct_refuses_an_initializer_that_does_not_return_out():
+    _, op, _, coded = _small_setup()
+    with pytest.raises(ValidationError, match="initializer _NewCubeInitializer must write the "
+                                              "start into out and return out"):
+        reconstruct(coded, op, StageSchedule.geometric(3), IdentityDenoiser(),
+                    _NewCubeInitializer())
