@@ -9,7 +9,8 @@ earlier run's files untouched.  Manifests carry the resolved config,
 input/output checksums, and the tool version, and deliberately no
 timestamps, so identical runs yield byte-identical artifacts.
 
-Exit codes: 0 success, 1 usage, 2 input validation, 3 I/O, 4 reference
+Exit codes: 0 success, 1 usage, 2 input validation, 3 I/O or out of memory
+(a resource the run could not get, not an input at fault), 4 reference
 check breach.
 """
 
@@ -830,6 +831,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except OSError as exc:
         print("snapspec %s: i/o error: %s" % (args.command, exc), file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        detail = str(exc)
+        print("snapspec %s: error: out of memory%s" % (args.command, detail and ": " + detail),
+              file=sys.stderr)
         return EXIT_IO
 
 

@@ -18,17 +18,18 @@ with V the coded-image spectrum and T_f the anchor spectrum.  The Gram
 H_f H_f^* = R diag(|P_f|^2) R^T is real symmetric, does not depend on gamma
 and is cached on the operator as its 6 distinct entries, one plane each.
 The solve walks the bins in the cache-sized strips of rows of
-:func:`optics.row_strips`, the rule TV and the stage loop's anchor and
-multiplier sweeps follow too.  Per strip it
+:func:`optics.row_strips`, the rule that the transforms' row passes, TV
+and the stage loop's anchor and multiplier sweeps follow too.  Per strip it
 inverts A_f on those planes by a two-level Schur-complement recursion that
 only ever divides by scalars bounded below by 1, applies H_f, the inverse
 and H_f^*, and adds the update into the anchor spectrum in place.  The
 anchor spectrum lives in the output's own bytes: an
 :func:`optics.empty_cube` pads each row to hold its half spectrum, the
-transforms go band by band into it and back, and the output may be the
-anchor itself.  So a solve holds no cube beyond its input and output, only
-one band's transform and its strip scratch.  Spectra are the half spectra
-of :func:`optics.to_spectrum`, which also checks every input's grid shape.
+transforms go a strip of rows at a time into it and back, and the output
+may be the anchor itself.  So a solve holds no cube beyond its input and
+output, only the transforms' strip and its own strip scratch.  Spectra are
+the half spectra of :func:`optics.to_spectrum`, which also checks every
+input's grid shape.
 
 ``fidelity_solve_naive`` solves the untransformed per-frequency N x N
 systems directly and exists to cross-validate the rearrangement;
@@ -137,9 +138,9 @@ def fidelity_solve(prob: FidelityProblem, anchor: np.ndarray,
     pointwise 3 x 3 algebra over the stored half-spectrum bins.  The output
     is ``out``, an :func:`optics.empty_cube` array (DimensionError for any
     other), or a new one when ``out`` is None.  The anchor is transformed
-    into the output's own bytes, band by band, so ``out`` may be ``anchor``
-    itself.  The gradient of the subproblem objective vanishes at the output
-    up to floating-point roundoff.
+    into the output's own bytes, a strip of rows at a time, so ``out`` may
+    be ``anchor`` itself.  The gradient of the subproblem objective
+    vanishes at the output up to floating-point roundoff.
     """
     op = prob.op
     g = 1.0 / prob.gamma

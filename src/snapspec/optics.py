@@ -17,11 +17,17 @@ Kernels, cubes and images are real, so every spectrum is Hermitian and only
 the non-negative half of the last axis is kept (``rfft2``).  This module
 owns that layout: :func:`to_spectrum` maps an (H, W, depth) array to its
 band-major (depth, H, W // 2 + 1) half spectra, checking the grid shape on
-the way, and :func:`from_spectrum` maps back, passing the full extent
-``s=(H, W)`` so odd widths round-trip.  Every transform in the package goes
-through these two helpers.  A cube from :func:`empty_cube` has its rows
-padded to 2 (W // 2 + 1) floats, so its half spectra fit in its own bytes
-(:func:`cube_spectrum`) and a solve needs no spectrum of its own.
+the way, and :func:`from_spectrum` maps back to the full extent (H, W), so
+odd widths round-trip.  Every transform of a cube or a coded image, either
+way, goes through these two helpers; the package's other transforms, the
+kernels' OTFs in :func:`build_frequency_operator` and the Gaussian-window
+convolutions of ``metrics.ssim``, call ``scipy.fft`` themselves.  The
+helpers run the row and column passes of the 2-D transform on every band
+at once, the rows a strip of :func:`row_strips` at a time, with the bits
+of ``rfft2`` and numpy's ``irfft2``.  A cube from :func:`empty_cube` has
+its rows padded to 2 (W // 2 + 1) floats, so its half spectra fit in its
+own bytes (:func:`cube_spectrum`): a solve needs no spectrum of its own,
+and its transforms there and back hold one strip.
 """
 
 from __future__ import annotations
@@ -215,19 +221,23 @@ def to_spectrum(op: FrequencyOperator, x: np.ndarray, depth: int,
     operator's grid: the ``rfft2`` of each band or channel.
 
     Raises DimensionError unless ``x`` has shape (op.height, op.width, depth).
-    The bands are transformed one at a time into ``out``, a complex array of
-    the result's shape, or into a new one when ``out`` is None; either is
-    returned.  The transform's transient is one band, not one cube, and each
-    band's bits are those of a batched transform, whatever the memory layout
-    of ``x``.  A band is transformed in full before its spectrum is written,
-    so ``out`` may be :func:`cube_spectrum` of ``x`` itself.
+    The spectra go into ``out``, a complex128 array of the result's shape,
+    or into a new one when ``out`` is None; either is returned.  The two
+    passes of ``rfft2`` run on every band at once: the rows a strip of
+    :func:`row_strips` at a time into ``out``, then the columns in place,
+    so the transient is one strip, and the bits are those of ``rfft2``
+    whatever the memory layout of ``x``.  A strip's rows are transformed
+    before they are written, so ``out`` may be :func:`cube_spectrum` of
+    ``x`` itself.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_grid(op, x, depth)
     if out is None:
         out = np.empty((depth, op.height, op.width // 2 + 1), dtype=np.complex128)
-    for spectrum, band in zip(out, x.transpose(2, 0, 1)):
-        spectrum[...] = scipy.fft.rfft2(band)
+    bands = x.transpose(2, 0, 1)
+    for r0, r1 in row_strips(op.height, depth * out.shape[2]):
+        out[:, r0:r1] = scipy.fft.rfft(bands[:, r0:r1], axis=-1)
+    scipy.fft.fft(out, axis=1, overwrite_x=True)
     return out
 
 
@@ -236,19 +246,43 @@ def from_spectrum(op: FrequencyOperator, spectra: np.ndarray,
     """The (H, W, depth) real array whose half spectra are ``spectra``
     (depth, H, W // 2 + 1): the inverse of :func:`to_spectrum`.
 
-    The bands are transformed one at a time into ``out``, an (H, W, depth)
-    float64 array, or into a new band-major array when ``out`` is None;
-    either is returned.  A band's spectrum is inverted in full before the
-    band is written, so ``spectra`` may be :func:`cube_spectrum` of ``out``.
+    The result goes into ``out``, an (H, W, depth) float64 array, or into a
+    new band-major array when ``out`` is None; either is returned.  The two
+    passes of numpy's ``irfft2`` run on blocks of bands: the columns in
+    place, then the rows a strip of :func:`row_strips` at a time into
+    ``out``.  When ``spectra`` is :func:`cube_spectrum` of ``out`` the block
+    is every band and the columns are inverted in the output's own bytes,
+    so the transient is one strip.  Other spectra are never written: their
+    blocks go through scratch of one band, or of as many bands as fit in a
+    strip.
     """
+    depth = spectra.shape[0]
     if out is None:
-        out = np.empty((spectra.shape[0], op.height, op.width)).transpose(1, 2, 0)
-    _check_grid(op, out, spectra.shape[0])
-    for spectrum, band in zip(spectra, out.transpose(2, 0, 1)):
-        # numpy's irfft2, not scipy's: scipy's is no faster and differs in
-        # the last bit on small odd grids, which would move every output
-        band[...] = np.fft.irfft2(spectrum, s=(op.height, op.width))
+        out = np.empty((depth, op.height, op.width)).transpose(1, 2, 0)
+    _check_grid(op, out, depth)
+    bands = out.transpose(2, 0, 1)
+    own = _own_spectrum(op, out)
+    if own is not None and (spectra.shape, spectra.strides, spectra.ctypes.data) == (
+            own.shape, own.strides, own.ctypes.data):
+        _invert_in_place(op, spectra, bands)
+        return out
+    blocks = row_strips(depth, spectra[0].size)
+    scratch = np.empty((blocks[0][1],) + spectra.shape[1:], dtype=np.complex128)
+    for b0, b1 in blocks:
+        block = scratch[: b1 - b0]
+        block[...] = spectra[b0:b1]
+        _invert_in_place(op, block, bands[b0:b1])
     return out
+
+
+def _invert_in_place(op: FrequencyOperator, spectra: np.ndarray, bands: np.ndarray) -> None:
+    """``bands`` (depth, H, W) from their half ``spectra``, whose columns are
+    inverted in place.  numpy's ``irfft``, not scipy's, takes the rows:
+    scipy's is no faster and differs in the last bit on small odd grids,
+    which would move every output; scipy's column pass has numpy's bits."""
+    scipy.fft.ifft(spectra, axis=1, overwrite_x=True)
+    for r0, r1 in row_strips(op.height, spectra.shape[0] * spectra.shape[2]):
+        np.fft.irfft(spectra[:, r0:r1], n=op.width, axis=-1, out=bands[:, r0:r1])
 
 
 def _check_grid(op: FrequencyOperator, x: np.ndarray, depth: int) -> None:
@@ -278,18 +312,27 @@ def cube_spectrum(op: FrequencyOperator, cube: np.ndarray) -> np.ndarray:
     Raises DimensionError for any other array, a view of part of one
     included, since its bytes cannot hold the spectra.
     """
-    padded = getattr(cube, "base", None)
-    grid = (op.height, op.width, op.n_bands)
-    if not (isinstance(padded, np.ndarray) and padded.dtype == np.float64
-            and padded.flags.c_contiguous
-            and padded.shape == (op.n_bands, op.height, 2 * (op.width // 2 + 1))
-            and cube.shape == grid
-            and cube.strides == tuple(padded.strides[i] for i in (1, 2, 0))
-            and cube.ctypes.data == padded.ctypes.data):
+    spectra = _own_spectrum(op, cube)
+    if spectra is None:
         raise DimensionError("an array of shape %r and strides %r is not an empty_cube on "
                              "grid %r, the layout whose rows hold their half spectra"
-                             % (np.shape(cube), getattr(cube, "strides", None), grid))
-    return padded.view(np.complex128)
+                             % (np.shape(cube), getattr(cube, "strides", None),
+                                (op.height, op.width, op.n_bands)))
+    return spectra
+
+
+def _own_spectrum(op: FrequencyOperator, cube: np.ndarray) -> np.ndarray | None:
+    """:func:`cube_spectrum` of an :func:`empty_cube` ``cube``, or None for
+    any other array."""
+    padded = getattr(cube, "base", None)
+    if (isinstance(padded, np.ndarray) and padded.dtype == np.float64
+            and padded.flags.c_contiguous
+            and padded.shape == (op.n_bands, op.height, 2 * (op.width // 2 + 1))
+            and cube.shape == (op.height, op.width, op.n_bands)
+            and cube.strides == tuple(padded.strides[i] for i in (1, 2, 0))
+            and cube.ctypes.data == padded.ctypes.data):
+        return padded.view(np.complex128)
+    return None
 
 
 def apply_forward_frequency(op: FrequencyOperator, cube: np.ndarray) -> np.ndarray:
@@ -342,7 +385,8 @@ def back_project(op: FrequencyOperator, spectra: np.ndarray, rows=slice(None)) -
 
 
 # elements per strip of the cache-sized row sweeps (the exact solve's bins,
-# TV, the stage loop's anchor and multiplier sweeps): 2^15 float64 (256 KiB)
+# the transforms' row passes, TV, the stage loop's anchor and multiplier
+# sweeps): 2^15 float64 (256 KiB)
 # or complex (512 KiB) values keep a strip's rows of every array it touches
 # in a per-core L2 cache; at 512 x 512 x 8, 8 cube rows or 15 spectrum rows
 _STRIP_ELEMENTS = 1 << 15

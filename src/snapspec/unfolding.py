@@ -136,7 +136,8 @@ class Denoiser(ABC):
     cube's shape that may be ``cube`` itself, and returns it; with ``out``
     None it returns a new array, or ``cube`` when it would be a copy of it,
     and never writes into ``cube``.  :func:`reconstruct` passes its own
-    buffer as both, so no stage allocates a cube for the prior's output.
+    buffer as both, so no stage allocates a cube for the prior's output,
+    and refuses with ValidationError a result that is not that buffer.
     """
 
     name: str = "?"
@@ -460,13 +461,17 @@ def reconstruct(
     (the iterate, which the denoiser overwrites in place, the multipliers,
     and the anchor, whose padded rows the solve transforms in place and
     overwrites with its output) plus the denoiser's own scratch (two dual
-    cubes for TV); each strip sweep adds one strip of scratch, 256 KiB or
-    one row if a row is larger.  ``trace=True`` adds one cube: a second
-    iterate buffer that takes the denoiser's input and output while the
-    previous iterate stays for ``delta``, the two swapping after each
-    stage; each stage record's forward transform briefly takes about two
-    more.  The initializer writes the start into the iterate's buffer and
-    returns it; any other return value raises ValidationError.
+    cubes for TV); the solve adds its strip scratch, a strip of its
+    transforms' included (about 1.4 MB at 512 x 512 x 8), and each other
+    strip sweep one strip of scratch, 256 KiB or one row if a row is
+    larger.  ``trace=True`` adds one cube: a second iterate buffer that
+    takes the denoiser's input and output while the previous iterate stays
+    for ``delta``, the two swapping after each stage; each stage record's
+    forward transform briefly takes about two more.  The initializer writes
+    the start into the iterate's buffer and returns it, and each stage's
+    denoiser writes its result into the buffer it was handed and returns
+    that; any other return value raises ValidationError naming the class,
+    before it enters the loop.
     """
     GDM_ITERS.check_count(gdm_iters, "gdm_iters")
     # the problem checks the coded image's shape before any initializer reads it
@@ -510,7 +515,9 @@ def reconstruct(
                 # the old iterate's, traced the spare, as the old iterate
                 # stays for delta and then takes the spare's place
                 x = np.add(i_next, beta, out=z if spare is None else spare)
-                x = denoiser.denoise(x, schedule.sigma_tilde[k], out=x)
+                if denoiser.denoise(x, schedule.sigma_tilde[k], out=x) is not x:
+                    raise ValidationError("denoiser %s must write its result into out and "
+                                          "return out" % type(denoiser).__name__)
                 if trace:
                     records.append(record(k + 2, x, z, gamma, i_next))
                     spare = z

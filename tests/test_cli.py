@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snapspec import FrequencyOperator, load_tensor, save_response_csv, save_tensor
-from snapspec import cli
+from snapspec import cli, metrics, optics, unfolding
 from snapspec.cli import build_parser, main
 from snapspec.errors import ParameterError
 from snapspec.optics import NoiseModel
@@ -1202,6 +1202,39 @@ def test_failed_last_write_exit_3_keeps_earlier_run(pipeline_dir, capsys, monkey
     capsys.readouterr()
     assert main(argv + rerun) == 3
     assert "i/o error: [Errno 28] injected write failure" in capsys.readouterr().err
+    assert _tree(pipeline_dir) == before
+
+
+# numpy's own message for a failed allocation
+_NO_MEMORY = "Unable to allocate 16.0 MiB for an array with shape (512, 512, 8)"
+
+
+@pytest.mark.parametrize("argv, owner, name", [
+    (["simulate", "--cube", "cube.htns", *_SYSTEM, "--out", "x.htns", "--noise", "none"],
+     optics, "apply_forward_frequency"),
+    (["reconstruct", "--coded", "coded.htns", *_SYSTEM, "--out", "rec.htns", "--stages", "3",
+      "--trace"], unfolding, "fidelity_solve"),
+    (["evaluate", "--recon", "cube.htns", "--gt", "cube.htns", "--crop", "0",
+      "--out-json", "r.json"], metrics, "ssim"),
+    # after the first output's temporary file is written
+    (["evaluate", "--recon", "cube.htns", "--gt", "cube.htns", "--crop", "0",
+      "--rmse-csv", "rmse.csv", "--out-json", "r.json"], np, "savetxt"),
+], ids=["simulate", "reconstruct", "evaluate", "evaluate-write"])
+def test_out_of_memory_exit_3_without_traceback_or_files(pipeline_dir, capsys, monkeypatch,
+                                                         argv, owner, name):
+    before = _tree(pipeline_dir)
+    call = getattr(owner, name)
+
+    def allocate(*args, **kwargs):
+        if owner is np:  # let the write start, as a full disk would
+            call(*args, **kwargs)
+        raise MemoryError(_NO_MEMORY)
+
+    monkeypatch.setattr(owner, name, allocate)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.endswith("snapspec %s: error: out of memory: %s\n" % (argv[0], _NO_MEMORY))
+    assert "Traceback" not in err
     assert _tree(pipeline_dir) == before
 
 

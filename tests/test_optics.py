@@ -16,6 +16,7 @@ from snapspec import (
     build_frequency_operator,
     forward_encode,
 )
+from snapspec import optics
 from snapspec.errors import DimensionError, ParameterError, ValidationError
 from snapspec.optics import (cube_spectrum, embed_kernel, empty_cube, forward_project,
                              from_spectrum, row_strips, to_spectrum)
@@ -137,31 +138,70 @@ def test_operator_without_response_sums_bands():
 
 
 @pytest.mark.parametrize("shape", [(512, 512, 8), (128, 128, 31), (7, 9, 4), (8, 6, 5),
-                                   (1, 16, 1), (16, 1, 2), (33, 17, 3)])
-def test_band_by_band_transforms_match_batched(shape):
-    # one band at a time bounds the transient to a band; the bits must be
-    # those of one batched call, for pixel-major and band-major arrays alike
+                                   (1, 16, 1), (16, 1, 2), (33, 17, 3), (8, 8, 31),
+                                   (513, 7, 3), (513, 7, 1), (64, 65, 1)])
+def test_strip_transforms_match_rfft2_and_irfft2(shape):
+    # the rows go a strip of every band at a time (at 8 x 8 x 31 one strip
+    # holds every band), the columns in place; the bits must be those of
+    # scipy's rfft2 and numpy's irfft2 for a pixel-major array (the coded
+    # image's layout at depth 3) and a band-major one alike, and whether
+    # the result is new, a given array or the cube's own bytes
     height, width, depth = shape
     rng = np.random.default_rng(5)
     op = FrequencyOperator(transfer=np.ones((depth, height, width // 2 + 1), complex),
                            height=height, width=width)
     band_major = empty_cube(op)
     band_major[...] = rng.standard_normal(shape)
-    for x in (np.ascontiguousarray(band_major), band_major):
-        spectra = scipy.fft.rfft2(x.transpose(2, 0, 1))
+    pixel_major = np.ascontiguousarray(band_major)
+    spectra = scipy.fft.rfft2(pixel_major.transpose(2, 0, 1))
+    batched = np.fft.irfft2(spectra, s=(height, width)).transpose(1, 2, 0)
+    before = spectra.copy()
+    for x in (pixel_major, band_major):
         assert np.array_equal(to_spectrum(op, x, depth), spectra)
-        batched = np.fft.irfft2(spectra, s=(height, width)).transpose(1, 2, 0)
+        given = np.full_like(spectra, np.nan)
+        assert to_spectrum(op, x, depth, out=given) is given
+        assert np.array_equal(given, spectra)
         assert np.array_equal(from_spectrum(op, spectra), batched)
         out = np.full_like(x, np.nan)
         assert from_spectrum(op, spectra, out) is out
         assert np.array_equal(out, batched)
-    # an empty_cube holds its own half spectra: each band is transformed
-    # into its padded rows and back in place, with the same bits
+    # spectra that are not the output's own bytes are never written
+    assert np.array_equal(spectra, before)
+    # an empty_cube holds its own half spectra: it is transformed into its
+    # padded rows and back in place, with the same bits
     own = cube_spectrum(op, band_major)
     assert to_spectrum(op, band_major, depth, out=own) is own
     assert np.array_equal(own, spectra)
     assert from_spectrum(op, own, band_major) is band_major
     assert np.array_equal(band_major, batched)
+
+
+@pytest.mark.parametrize("shape", [(256, 256, 8), (128, 128, 31), (64, 4000, 3)])
+def test_transforms_hold_one_strip(shape):
+    # a cube's transforms into and out of its own bytes hold one strip (about
+    # 0.51 MB measured at each grid; numpy's iterator buffer is allowed on
+    # top); other spectra add one band of scratch, or one strip's worth of
+    # bands where a band is smaller
+    height, width, depth = shape
+    op = FrequencyOperator(transfer=np.ones((depth, height, width // 2 + 1), complex),
+                           height=height, width=width)
+    cube = empty_cube(op)
+    cube[...] = np.random.default_rng(6).standard_normal(shape)
+    own = cube_spectrum(op, cube)
+    spectra = to_spectrum(op, cube, depth)
+    strip = (optics._STRIP_ELEMENTS + np.getbufsize()) * 16
+    band = max(own[0].nbytes, optics._STRIP_ELEMENTS * 16)
+    for call, bound in ((lambda: to_spectrum(op, cube, depth, out=own), strip),
+                        (lambda: from_spectrum(op, own, cube), strip),
+                        (lambda: from_spectrum(op, spectra, cube), band + strip)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 def test_cube_spectrum_only_of_an_empty_cube():
@@ -296,7 +336,7 @@ def test_add_noise_matches_whole_array_form(height, width, n_bands, model):
 
 
 def test_forward_holds_one_spectrum():
-    # one cube-sized spectrum plus the channel spectra and image: 2.01
+    # one cube-sized spectrum plus the channel spectra and image: 1.89
     # cubes measured at 256^2 x 8, 2.39 with a second spectrum for the product
     system = synthetic_system(n_bands=8, kernel_size=9)
     op = build_frequency_operator(system, 256, 256)

@@ -9,6 +9,7 @@ import pytest
 
 from snapspec import (
     AdjointInitializer,
+    Denoiser,
     FidelityProblem,
     GaussianDenoiser,
     IdentityDenoiser,
@@ -650,12 +651,13 @@ def test_reconstruct_working_memory_in_cubes():
     assert _peak_cubes(op, coded, tv_sched, tv, adjoint, trace=False) <= 5.6
     # the trace adds one cube, the second iterate buffer that keeps the
     # previous iterate for delta, and each record's forward transform
-    # (6.40 measured for identity, 6.56 for TV from either start)
+    # (6.28 measured for identity, 6.56 for TV from either start)
     assert _peak_cubes(op, coded, sched, IdentityDenoiser(), mean, trace=True) <= 6.45
     assert _peak_cubes(op, coded, tv_sched, tv, mean, trace=True) <= 6.6
     assert _peak_cubes(op, coded, tv_sched, tv, adjoint, trace=True) <= 6.6
     # a GDM stage's output is dropped before the next stage's gradient steps,
-    # and each gradient step frees its temporaries as it goes (7.42 measured)
+    # and each gradient step frees its temporaries as it goes (7.17 measured;
+    # at 128^2 a strip holds 3 bands, so the inverse's scratch is 3 bands)
     op = build_frequency_operator(system, 128, 128)
     coded = forward_encode(smooth_cube(128, 128, 8), system)
     sched = StageSchedule.geometric(5, prior_weight=1e-4)
@@ -792,3 +794,42 @@ def test_reconstruct_refuses_an_initializer_that_does_not_return_out():
                                               "start into out and return out"):
         reconstruct(coded, op, StageSchedule.geometric(3), IdentityDenoiser(),
                     _NewCubeInitializer())
+
+
+class _CropDenoiser(Denoiser):
+    """A result of another shape."""
+
+    def denoise(self, cube, noise_level, out=None):
+        return cube[1:-1, 1:-1]
+
+
+class _Float32Denoiser(Denoiser):
+    """A float32 result, which would turn the loop's iterate into float32."""
+
+    def denoise(self, cube, noise_level, out=None):
+        return cube.astype(np.float32)
+
+
+class _BandMajorDenoiser(Denoiser):
+    """The right values in a band-major array, not the loop's layout."""
+
+    def denoise(self, cube, noise_level, out=None):
+        return np.ascontiguousarray(cube.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+class _NewCubeDenoiser(Denoiser):
+    """A new cube per stage, with ``out`` left as it was."""
+
+    def denoise(self, cube, noise_level, out=None):
+        return cube * 0.5
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("denoiser", [_CropDenoiser, _Float32Denoiser, _BandMajorDenoiser,
+                                      _NewCubeDenoiser])
+def test_reconstruct_refuses_a_denoiser_that_does_not_return_out(denoiser, trace):
+    _, op, _, coded = _small_setup(size=16)
+    sched = StageSchedule.geometric(4, zeta=0.7)
+    with pytest.raises(ValidationError, match="denoiser %s must write its result into out "
+                                              "and return out" % denoiser.__name__):
+        reconstruct(coded, op, sched, denoiser(), ZeroInitializer(), trace=trace)
