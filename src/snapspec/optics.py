@@ -237,7 +237,7 @@ def to_spectrum(op: FrequencyOperator, x: np.ndarray, depth: int,
     bands = x.transpose(2, 0, 1)
     for r0, r1 in row_strips(op.height, depth * out.shape[2]):
         out[:, r0:r1] = scipy.fft.rfft(bands[:, r0:r1], axis=-1)
-    scipy.fft.fft(out, axis=1, overwrite_x=True)
+    _columns_in_place(scipy.fft.fft, out)
     return out
 
 
@@ -280,9 +280,20 @@ def _invert_in_place(op: FrequencyOperator, spectra: np.ndarray, bands: np.ndarr
     inverted in place.  numpy's ``irfft``, not scipy's, takes the rows:
     scipy's is no faster and differs in the last bit on small odd grids,
     which would move every output; scipy's column pass has numpy's bits."""
-    scipy.fft.ifft(spectra, axis=1, overwrite_x=True)
+    _columns_in_place(scipy.fft.ifft, spectra)
     for r0, r1 in row_strips(op.height, spectra.shape[0] * spectra.shape[2]):
         np.fft.irfft(spectra[:, r0:r1], n=op.width, axis=-1, out=bands[:, r0:r1])
+
+
+def _columns_in_place(transform, spectra: np.ndarray) -> None:
+    """``transform`` (scipy's ``fft`` or ``ifft``) of the columns of
+    ``spectra`` (depth, H, W // 2 + 1), left in ``spectra``.  scipy promises
+    only that ``overwrite_x`` may destroy the input; a result in other
+    bytes (an unaligned or byte-swapped input, another backend) is copied
+    back."""
+    result = transform(spectra, axis=1, overwrite_x=True)
+    if (result.ctypes.data, result.strides) != (spectra.ctypes.data, spectra.strides):
+        spectra[...] = result
 
 
 def _check_grid(op: FrequencyOperator, x: np.ndarray, depth: int) -> None:

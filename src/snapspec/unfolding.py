@@ -461,13 +461,13 @@ def reconstruct(
     (the iterate, which the denoiser overwrites in place, the multipliers,
     and the anchor, whose padded rows the solve transforms in place and
     overwrites with its output) plus the denoiser's own scratch (two dual
-    cubes for TV); the solve adds its strip scratch, a strip of its
-    transforms' included (about 1.4 MB at 512 x 512 x 8), and each other
-    strip sweep one strip of scratch, 256 KiB or one row if a row is
-    larger.  ``trace=True`` adds one cube: a second iterate buffer that
-    takes the denoiser's input and output while the previous iterate stays
-    for ``delta``, the two swapping after each stage; each stage record's
-    forward transform briefly takes about two more.  The initializer writes
+    cubes for TV); the solve adds its strip scratch, one strip of its
+    transforms' included, and each other strip sweep one strip of
+    scratch, 256 KiB or one row if a row is larger.  ``trace=True`` adds
+    one cube: a second iterate buffer that takes the denoiser's input and
+    output while the previous iterate stays for ``delta``, the two
+    swapping after each stage; each stage record's forward transform
+    briefly takes about two more.  The initializer writes
     the start into the iterate's buffer and returns it, and each stage's
     denoiser writes its result into the buffer it was handed and returns
     that; any other return value raises ValidationError naming the class,
