@@ -1,0 +1,142 @@
+"""Golden outputs: the bytes that a fixed matrix of small runs gives, so that
+a change meant to keep every output can show that it did.
+
+The matrix covers three grids: 16 x 16 x 4 with 5 x 5 kernels, 15 x 17 x 5
+with 7 x 7 kernels (an odd width) and 33 x 9 x 3 with 3 x 3 kernels.  Each
+grid gives the outputs of ``forward_encode``, the noisy coded image,
+``apply_adjoint``, ``fidelity_solve`` and ``fidelity_solve_naive``.  It also
+gives 96 ``reconstruct`` runs with their trace records: four priors x three
+initializers x zeta 0 and 0.7 x trace off and on x 0 or 2 GDM steps, each
+over four stages of ``StageSchedule.geometric(4, prior_weight=1e-4,
+zeta=zeta)``.
+
+``golden/table.json`` holds the SHA-256 of each output's float64 bytes and a
+fingerprint of the numerical stack: the numpy and scipy versions and the
+digests of three fixed probes.  The probes are a ``_mix`` matmul, the Gram
+``tensordot`` and the ``np.exp`` that ``synth`` uses.  Some outputs also have
+float64 references: the transform and solve outputs, and one run per prior
+and grid.  Their cubes are stored through ``tensorio`` in
+``golden/<grid>.htns``, concatenated in table order.  Their trace records
+are stored in the table.  On a stack with the recorded fingerprint every
+output must keep its bytes.  On any other stack the references must hold
+to 1e-12 relative.
+
+A change that means to move outputs regenerates the table and says what
+moved and by how much:
+
+    PYTHONPATH=src python tests/golden_outputs.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import itertools
+import json
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from snapspec import (FidelityProblem, NoiseModel, OpticalSystem, StageSchedule, add_noise,
+                      apply_adjoint, build_frequency_operator, fidelity_solve,
+                      fidelity_solve_naive, forward_encode, load_tensor, reconstruct,
+                      save_tensor)
+from snapspec.optics import _mix
+from snapspec.synth import rgb_response, rotating_psf_stack, smooth_cube
+from snapspec.unfolding import DENOISERS, INITIALIZERS
+
+DATA = Path(__file__).with_name("golden")
+TABLE = DATA / "table.json"
+
+# name: (height, width, bands, kernel size)
+GRIDS = {"16x16x4k5": (16, 16, 4, 5), "15x17x5k7": (15, 17, 5, 7), "33x9x3k3": (33, 9, 3, 3)}
+
+STAGES = 4
+PRIOR_WEIGHT = 1e-4
+GAMMA = 0.05  # the transform-and-solve problem's anchor weight
+REFERENCE_RUN = "adjoint/zeta0.7/trace/gdm0"  # the run per prior with stored references
+REFERENCES = ("encoded", "coded", "adjoint", "solve", "naive") + tuple(
+    "%s/%s/cube" % (prior, REFERENCE_RUN) for prior in DENOISERS)
+TRACE_REFERENCES = tuple("%s/%s/trace" % (prior, REFERENCE_RUN) for prior in DENOISERS)
+
+
+def digest(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=np.float64).tobytes()).hexdigest()
+
+
+def fingerprint() -> dict[str, str]:
+    """The numpy and scipy versions and the digests of three probes whose
+    bits the BLAS kernel or the SIMD paths of this machine decide."""
+    rng = np.random.default_rng(0)
+    spectra = rng.standard_normal((5, 16, 9)) + 1j * rng.standard_normal((5, 16, 9))
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "mix": digest(_mix(rng.uniform(size=(3, 5)), spectra).view(np.float64)),
+            "gram": digest(np.tensordot(rng.uniform(size=(6, 5)),
+                                        rng.uniform(size=(5, 16, 9)), axes=1)),
+            "exp": digest(np.exp(-np.linspace(0.0, 40.0, 4001)))}
+
+
+def grid_outputs(grid: str) -> dict[str, np.ndarray]:
+    """Every output of the matrix on ``grid``, by name: the transforms and
+    solves, then ``<prior>/<init>/zeta<z>/<plain|trace>/gdm<n>/cube`` per
+    run and ``.../trace`` (one row of StageTrace fields per stage) per
+    traced run."""
+    height, width, bands, k = GRIDS[grid]
+    system = OpticalSystem(psfs=rotating_psf_stack(bands, k), response=rgb_response(bands))
+    op = build_frequency_operator(system, height, width)
+    encoded = forward_encode(smooth_cube(height, width, bands, seed=bands), system)
+    coded = add_noise(encoded, NoiseModel(seed=1))
+    anchor = smooth_cube(height, width, bands, seed=bands + 1)
+    prob = FidelityProblem.from_coded_image(op, coded, GAMMA)
+    outputs = {"encoded": encoded, "coded": coded, "adjoint": apply_adjoint(op, coded),
+               "solve": fidelity_solve(prob, anchor), "naive": fidelity_solve_naive(prob, anchor)}
+    for prior, init, zeta, trace, gdm in itertools.product(
+            DENOISERS, ("zero", "mean", "adjoint"), (0.0, 0.7), (False, True), (0, 2)):
+        schedule = StageSchedule.geometric(STAGES, prior_weight=PRIOR_WEIGHT, zeta=zeta)
+        result = reconstruct(coded, op, schedule, DENOISERS[prior](), INITIALIZERS[init](),
+                             trace=trace, gdm_iters=gdm)
+        run = "%s/%s/zeta%g/%s/gdm%d" % (prior, init, zeta, "trace" if trace else "plain", gdm)
+        outputs[run + "/cube"] = result.cube
+        if trace:
+            outputs[run + "/trace"] = np.array([dataclasses.astuple(r) for r in result.trace],
+                                               dtype=np.float64)
+    return outputs
+
+
+def load_table() -> dict:
+    return json.loads(TABLE.read_text())
+
+
+def load_references(grid: str) -> dict[str, np.ndarray]:
+    """The stored float64 references of ``grid``: the cubes from the grid's
+    HTNS file, the traces from the table."""
+    height, width, bands, _ = GRIDS[grid]
+    shapes = [(height, width, 3 if name in ("encoded", "coded") else bands)
+              for name in REFERENCES]
+    flat = load_tensor(DATA / ("%s.htns" % grid))
+    ends = np.cumsum([np.prod(shape) for shape in shapes])
+    if ends[-1] != flat.size:
+        raise ValueError("%s holds %d values, the references take %d"
+                         % (grid, flat.size, ends[-1]))
+    refs = {name: part.reshape(shape)
+            for name, shape, part in zip(REFERENCES, shapes, np.split(flat, ends[:-1]))}
+    traces = load_table()["traces"][grid]
+    refs.update((name, np.array(traces[name], dtype=np.float64)) for name in TRACE_REFERENCES)
+    return refs
+
+
+def main() -> None:
+    DATA.mkdir(exist_ok=True)
+    table = {"fingerprint": fingerprint(), "digests": {}, "traces": {}}
+    for grid in GRIDS:
+        outputs = grid_outputs(grid)
+        table["digests"][grid] = {name: digest(a) for name, a in outputs.items()}
+        table["traces"][grid] = {name: outputs[name].tolist() for name in TRACE_REFERENCES}
+        save_tensor(np.concatenate([outputs[name].ravel() for name in REFERENCES]),
+                    DATA / ("%s.htns" % grid))
+    TABLE.write_text(json.dumps(table, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

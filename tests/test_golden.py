@@ -1,0 +1,45 @@
+"""Golden outputs: a fixed matrix of small runs keeps its recorded bytes.
+
+See ``golden_outputs.py`` for the matrix, the table and how to regenerate
+it.  Nothing here skips: on a numerical stack whose fingerprint differs
+from the recorded one, the stored references are compared at 1e-12
+relative instead of the digests.
+"""
+
+import numpy as np
+import pytest
+
+from golden_outputs import (GRIDS, REFERENCES, TRACE_REFERENCES, digest, fingerprint,
+                            grid_outputs, load_references, load_table)
+
+REL = 1e-12
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+def test_outputs_match_golden_table(grid):
+    table = load_table()
+    outputs = grid_outputs(grid)
+    recorded = table["digests"][grid]
+    assert sorted(outputs) == sorted(recorded)
+    exact = fingerprint() == table["fingerprint"]
+    if exact:
+        moved = [name for name, value in recorded.items() if digest(outputs[name]) != value]
+        assert not moved, "%d of %d outputs moved on %s: %s" % (
+            len(moved), len(recorded), grid, ", ".join(moved[:8]))
+    # the references: their bytes under the recorded fingerprint, else 1e-12
+    # relative to each cube's largest entry and to each trace value
+    rel = 0.0 if exact else REL
+    refs = load_references(grid)
+    for name in REFERENCES:
+        err = np.max(np.abs(outputs[name] - refs[name]))
+        assert err <= rel * np.max(np.abs(refs[name])), (name, err)
+    for name in TRACE_REFERENCES:
+        np.testing.assert_allclose(outputs[name], refs[name], rtol=rel, atol=0, err_msg=name)
+
+
+def test_golden_references_match_their_digests():
+    # the stored references are the bytes that the digests record
+    table = load_table()
+    for grid in GRIDS:
+        for name, ref in load_references(grid).items():
+            assert digest(ref) == table["digests"][grid][name], (grid, name)
