@@ -11,7 +11,10 @@ timestamps, so identical runs yield byte-identical artifacts.
 
 Exit codes: 0 success, 1 usage, 2 input validation, 3 I/O or out of memory
 (a resource the run could not get, not an input at fault), 4 reference
-check breach.
+check breach.  One out-of-memory case escapes them: when OpenBLAS's own
+buffer, made at the first BLAS call, is the first allocation to fail under
+an address-space limit, OpenBLAS prints its own message and ends the
+process with exit 1 before Python sees it.
 """
 
 from __future__ import annotations

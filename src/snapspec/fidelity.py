@@ -65,7 +65,9 @@ class FidelityProblem:
 
     ``coded`` is the float64 coded image J, shape (H, W, 3), read-only.
     ``coded_spectrum`` is its :func:`optics.to_spectrum`,
-    shape (3, H, W // 2 + 1) complex.
+    shape (3, H, W // 2 + 1) complex, read-only: handed to
+    :func:`optics.from_spectrum`, which consumes its spectra, it raises
+    ValueError and keeps its bytes.
     ``gamma`` is the positive anchor weight.
     """
 
@@ -88,7 +90,9 @@ class FidelityProblem:
     def from_coded_image(cls, op: FrequencyOperator, coded: np.ndarray, gamma: float):
         coded = np.asarray(coded, dtype=np.float64).view()  # not a copy
         coded.flags.writeable = False
-        return cls(op=op, coded=coded, coded_spectrum=to_spectrum(op, coded, 3), gamma=gamma)
+        coded_spectrum = to_spectrum(op, coded, 3)
+        coded_spectrum.flags.writeable = False
+        return cls(op=op, coded=coded, coded_spectrum=coded_spectrum, gamma=gamma)
 
     def with_gamma(self, gamma: float) -> "FidelityProblem":
         return replace(self, gamma=gamma)

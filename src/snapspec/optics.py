@@ -24,10 +24,12 @@ kernels' OTFs in :func:`build_frequency_operator` and the Gaussian-window
 convolutions of ``metrics.ssim``, call ``scipy.fft`` themselves.  The
 helpers run the row and column passes of the 2-D transform on every band
 at once, the rows a strip of :func:`row_strips` at a time, with the bits
-of ``rfft2`` and numpy's ``irfft2``.  A cube from :func:`empty_cube` has
-its rows padded to 2 (W // 2 + 1) floats, so its half spectra fit in its
-own bytes (:func:`cube_spectrum`): a solve needs no spectrum of its own,
-and its transforms there and back hold one strip.
+of ``rfft2`` and numpy's ``irfft2``.  The inverse consumes the spectra it
+is handed, as its column pass is made in their bytes: a caller that reads
+them again passes a copy.  A cube from :func:`empty_cube` has its rows
+padded to 2 (W // 2 + 1) floats, so its half spectra fit in its own bytes
+(:func:`cube_spectrum`): a solve needs no spectrum of its own, and its
+transforms there and back hold one strip.
 """
 
 from __future__ import annotations
@@ -244,45 +246,29 @@ def to_spectrum(op: FrequencyOperator, x: np.ndarray, depth: int,
 def from_spectrum(op: FrequencyOperator, spectra: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
     """The (H, W, depth) real array whose half spectra are ``spectra``
-    (depth, H, W // 2 + 1): the inverse of :func:`to_spectrum`.
+    (depth, H, W // 2 + 1): the inverse of :func:`to_spectrum`.  It
+    consumes ``spectra``: pass a copy to keep them.
 
     The result goes into ``out``, an (H, W, depth) float64 array, or into a
     new band-major array when ``out`` is None; either is returned.  The two
-    passes of numpy's ``irfft2`` run on blocks of bands: the columns in
-    place, then the rows a strip of :func:`row_strips` at a time into
-    ``out``.  When ``spectra`` is :func:`cube_spectrum` of ``out`` the block
-    is every band and the columns are inverted in the output's own bytes,
-    so the transient is one strip.  Other spectra are never written: their
-    blocks go through scratch of one band, or of as many bands as fit in a
-    strip.
+    passes of numpy's ``irfft2`` run on every band at once: the columns in
+    place in ``spectra``, then the rows a strip of :func:`row_strips` at a
+    time into ``out``, so the transient is one strip.  numpy's ``irfft``,
+    not scipy's, takes the rows: scipy's is no faster and differs in the
+    last bit on small odd grids, which would move every output; scipy's
+    column pass has numpy's bits.  ``spectra`` may be :func:`cube_spectrum`
+    of ``out``; a read-only ``spectra`` raises ValueError and keeps its
+    bytes.
     """
     depth = spectra.shape[0]
     if out is None:
         out = np.empty((depth, op.height, op.width)).transpose(1, 2, 0)
     _check_grid(op, out, depth)
     bands = out.transpose(2, 0, 1)
-    own = _own_spectrum(op, out)
-    if own is not None and (spectra.shape, spectra.strides, spectra.ctypes.data) == (
-            own.shape, own.strides, own.ctypes.data):
-        _invert_in_place(op, spectra, bands)
-        return out
-    blocks = row_strips(depth, spectra[0].size)
-    scratch = np.empty((blocks[0][1],) + spectra.shape[1:], dtype=np.complex128)
-    for b0, b1 in blocks:
-        block = scratch[: b1 - b0]
-        block[...] = spectra[b0:b1]
-        _invert_in_place(op, block, bands[b0:b1])
-    return out
-
-
-def _invert_in_place(op: FrequencyOperator, spectra: np.ndarray, bands: np.ndarray) -> None:
-    """``bands`` (depth, H, W) from their half ``spectra``, whose columns are
-    inverted in place.  numpy's ``irfft``, not scipy's, takes the rows:
-    scipy's is no faster and differs in the last bit on small odd grids,
-    which would move every output; scipy's column pass has numpy's bits."""
     _columns_in_place(scipy.fft.ifft, spectra)
-    for r0, r1 in row_strips(op.height, spectra.shape[0] * spectra.shape[2]):
+    for r0, r1 in row_strips(op.height, depth * spectra.shape[2]):
         np.fft.irfft(spectra[:, r0:r1], n=op.width, axis=-1, out=bands[:, r0:r1])
+    return out
 
 
 def _columns_in_place(transform, spectra: np.ndarray) -> None:
@@ -323,18 +309,6 @@ def cube_spectrum(op: FrequencyOperator, cube: np.ndarray) -> np.ndarray:
     Raises DimensionError for any other array, a view of part of one
     included, since its bytes cannot hold the spectra.
     """
-    spectra = _own_spectrum(op, cube)
-    if spectra is None:
-        raise DimensionError("an array of shape %r and strides %r is not an empty_cube on "
-                             "grid %r, the layout whose rows hold their half spectra"
-                             % (np.shape(cube), getattr(cube, "strides", None),
-                                (op.height, op.width, op.n_bands)))
-    return spectra
-
-
-def _own_spectrum(op: FrequencyOperator, cube: np.ndarray) -> np.ndarray | None:
-    """:func:`cube_spectrum` of an :func:`empty_cube` ``cube``, or None for
-    any other array."""
     padded = getattr(cube, "base", None)
     if (isinstance(padded, np.ndarray) and padded.dtype == np.float64
             and padded.flags.c_contiguous
@@ -343,20 +317,26 @@ def _own_spectrum(op: FrequencyOperator, cube: np.ndarray) -> np.ndarray | None:
             and cube.strides == tuple(padded.strides[i] for i in (1, 2, 0))
             and cube.ctypes.data == padded.ctypes.data):
         return padded.view(np.complex128)
-    return None
+    raise DimensionError("an array of shape %r and strides %r is not an empty_cube on "
+                         "grid %r, the layout whose rows hold their half spectra"
+                         % (np.shape(cube), getattr(cube, "strides", None),
+                            (op.height, op.width, op.n_bands)))
 
 
 def apply_forward_frequency(op: FrequencyOperator, cube: np.ndarray) -> np.ndarray:
     """Apply the forward operator: per bin, J_f = response (P_f * X_f).
 
-    The cube's spectra are multiplied by the OTFs in place, so one
+    The cube's spectra are multiplied by the OTFs in place and dropped once
+    mixed into the channel spectra, which the inverse consumes, so one
     cube-sized spectrum is alive at a time.  The transfer stays the first
     operand, as in :func:`forward_project`: ``spectra *= op.transfer``
     rounds some complex products differently.
     """
     spectra = to_spectrum(op, cube, op.n_bands)
     np.multiply(op.transfer, spectra, out=spectra)
-    return from_spectrum(op, _mix(op.response, spectra))
+    channels = _mix(op.response, spectra)
+    del spectra
+    return from_spectrum(op, channels)
 
 
 def apply_adjoint(op: FrequencyOperator, image: np.ndarray) -> np.ndarray:

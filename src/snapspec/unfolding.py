@@ -467,7 +467,7 @@ def reconstruct(
     one cube: a second iterate buffer that takes the denoiser's input and
     output while the previous iterate stays for ``delta``, the two
     swapping after each stage; each stage record's forward transform
-    briefly takes about two more.  The initializer writes
+    briefly takes under one and a half more.  The initializer writes
     the start into the iterate's buffer and returns it, and each stage's
     denoiser writes its result into the buffer it was handed and returns
     that; any other return value raises ValidationError naming the class,

@@ -206,7 +206,7 @@ def test_odd_extents_match_dense_oracle(height, width):
         anchor = rng.standard_normal((height, width, 4))
         prob = FidelityProblem.from_coded_image(op, image, gamma)
         assert np.array_equal(prob.coded, image)
-        assert np.max(np.abs(from_spectrum(op, prob.coded_spectrum) - image)) < 1e-12
+        assert np.max(np.abs(from_spectrum(op, prob.coded_spectrum.copy()) - image)) < 1e-12
         ref = dense.ridge_solve(image, anchor, gamma)
         for solve in (fidelity_solve, fidelity_solve_naive):
             rel = np.linalg.norm(solve(prob, anchor) - ref) / np.linalg.norm(ref)
@@ -503,4 +503,20 @@ def test_coded_image_round_trip():
     assert np.array_equal(prob.coded, coded)
     assert np.shares_memory(prob.coded, coded) and not prob.coded.flags.writeable
     assert coded.flags.writeable
-    assert np.max(np.abs(from_spectrum(op, prob.coded_spectrum) - coded)) < 1e-12
+    assert not prob.coded_spectrum.flags.writeable
+    assert np.max(np.abs(from_spectrum(op, prob.coded_spectrum.copy()) - coded)) < 1e-12
+
+
+def test_read_only_coded_spectrum_is_not_consumed():
+    # the inverse consumes the spectra it is handed; the coded spectrum, the
+    # one meant to outlive a call, raises there and keeps its bytes, and the
+    # problem still solves to the bytes it gave before
+    rng = np.random.default_rng(62)
+    _, op, prob = _problem(rng, size=8, n_bands=5)
+    anchor = rng.standard_normal((8, 8, 5))
+    solved = fidelity_solve(prob, anchor)
+    before = prob.coded_spectrum.copy()
+    with pytest.raises(ValueError, match="not writeable"):
+        from_spectrum(op, prob.coded_spectrum)
+    assert np.array_equal(prob.coded_spectrum, before)
+    assert np.array_equal(fidelity_solve(prob, anchor), solved)
