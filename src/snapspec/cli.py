@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    GAMMA,
     SEED,
     DivergenceError,
     Domain,
@@ -594,8 +595,7 @@ _BENCH_KEYS = [
     Key("sizes", _conv_int, "8,64,512", "comma list of square image extents",
         domain=Domain(4, 1024), listed=True),
     Key("bands", _conv_int, "8", "comma list of band counts", domain=Domain(1, 64), listed=True),
-    Key("gamma", _conv_float, 0.5, "anchor weight used in timed solves",
-        domain=Domain(0.0, lo_open=True)),
+    Key("gamma", _conv_float, 0.5, "anchor weight used in timed solves", domain=GAMMA),
     Key("repeats", _conv_int, 3, "median-of-N repeats per timing", domain=Domain(1, 1000)),
     Key("seed", _conv_int, 0, "instance RNG seed", domain=SEED),
     Key("out", _conv_str, "", "optional CSV path (default: stdout)"),

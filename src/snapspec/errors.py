@@ -77,6 +77,9 @@ class Domain:
 
 
 SEED = Domain(0)  # an RNG seed: numpy's generators take any integer >= 0
+# an anchor weight gamma: the solve divides by it, and every normal positive
+# float64 has a finite reciprocal
+GAMMA = Domain(float(np.finfo(np.float64).tiny))
 
 
 def check_params(owner, where: str, **args) -> None:

@@ -39,12 +39,11 @@ replaces, each step 1 / (||A||^2 + gamma).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, Domain, ParameterError, SingularPivotError
+from .errors import GAMMA, DimensionError, Domain, SingularPivotError
 from .optics import GRAM_PLANES, FrequencyOperator, apply_adjoint, apply_forward_frequency
 from .optics import back_project, cube_spectrum, empty_cube, forward_project, from_spectrum
 from .optics import row_strips, to_spectrum
@@ -68,7 +67,7 @@ class FidelityProblem:
     shape (3, H, W // 2 + 1) complex, read-only: handed to
     :func:`optics.from_spectrum`, which consumes its spectra, it raises
     ValueError and keeps its bytes.
-    ``gamma`` is the positive anchor weight.
+    ``gamma`` is the anchor weight, in ``errors.GAMMA``.
     """
 
     op: FrequencyOperator
@@ -77,9 +76,7 @@ class FidelityProblem:
     gamma: float
 
     def __post_init__(self):
-        if not (self.gamma > 0 and math.isfinite(1.0 / float(self.gamma))):
-            raise ParameterError("gamma must be positive with a finite reciprocal, got %r"
-                                 % self.gamma)
+        GAMMA.check(self.gamma, "gamma")
         expected = (3, self.op.height, self.op.width // 2 + 1)
         if self.coded_spectrum.shape != expected:
             raise DimensionError(

@@ -12,11 +12,11 @@ the two is evidence rather than tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, Domain, ParameterError
+from .errors import GAMMA, DimensionError, Domain, ParameterError
 from .optics import OpticalSystem
 
 # dense Phi is (3n) x (nN); past this the quadratic memory blows up
@@ -68,11 +68,7 @@ class DenseSystem:
     def from_system(cls, system: OpticalSystem, height: int, width: int) -> "DenseSystem":
         n = height * width
         n_bands = system.n_bands
-        if n * n_bands > MAX_DENSE_UNKNOWNS:
-            raise ParameterError(
-                "dense oracle limited to %d unknowns, got %d"
-                % (MAX_DENSE_UNKNOWNS, n * n_bands)
-            )
+        Domain(1, MAX_DENSE_UNKNOWNS).check_count(n * n_bands, "dense oracle unknowns")
         phi = np.zeros((3 * n, n_bands * n))
         for ch in range(3):
             for band in range(n_bands):
@@ -95,7 +91,7 @@ class DenseSystem:
         # every process that imports the package, and only this solve uses it
         from scipy.linalg import cho_factor, cho_solve
 
-        Domain(0.0, lo_open=True).check(gamma, "gamma")
+        GAMMA.check(gamma, "gamma")
         self._check_image(coded)
         self._check_cube(anchor)
         normal = self.phi.T @ self.phi + gamma * np.eye(self.phi.shape[1])
@@ -110,9 +106,9 @@ class DenseSystem:
     def tikhonov_solve(self, coded: np.ndarray, weight: float) -> np.ndarray:
         """Minimize 1/2 ||Phi x - j||^2 + weight/2 ||x||^2.
 
-        ``weight == 0`` degrades to minimum-norm least squares.
+        ``weight == 0`` degrades to minimum-norm least squares; any other is a ``GAMMA``.
         """
-        Domain(0.0).check(weight, "weight")
+        replace(GAMMA, off=0).check(weight, "weight")
         if weight == 0:
             self._check_image(coded)
             x, *_ = np.linalg.lstsq(self.phi, vec_cube(coded), rcond=None)

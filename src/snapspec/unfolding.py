@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import (SEED, DimensionError, DivergenceError, Domain, ParameterError,
+from .errors import (GAMMA, SEED, DimensionError, DivergenceError, Domain, ParameterError,
                      SingularPivotError, ValidationError, check_params)
 from .fidelity import GDM_ITERS, FidelityProblem, fidelity_solve, gdm_fidelity_step
 from .optics import FrequencyOperator, apply_adjoint, apply_forward_frequency, empty_cube
@@ -37,11 +37,12 @@ class StageSchedule:
     """Per-stage anchor weights, plus a prior weight and a multiplier rate
     shared by every stage.
 
-    ``gamma`` has one entry per stage, and there is at least one stage; a
-    K-stage run consumes the first K - 1 entries (the final stage is the
-    returned Z, which gets no solve of its own).  ``sigma_tilde`` is derived:
-    the noise level sqrt(prior_weight / gamma) handed to denoisers that
-    accept one.  ``params`` declares the scalars as ``Denoiser.params`` does.
+    ``gamma`` has one entry per stage, each in ``GAMMA``, and there is at
+    least one stage; a K-stage run consumes the first K - 1 entries (the
+    final stage is the returned Z, which gets no solve of its own).
+    ``sigma_tilde`` is derived: the noise level sqrt(prior_weight / gamma)
+    handed to denoisers that accept one.  ``params`` declares the scalars as
+    ``Denoiser.params`` does.
     """
 
     gamma: np.ndarray
@@ -52,9 +53,8 @@ class StageSchedule:
               "zeta": ("zeta", float, Domain(0.0))}
     # each ramp's values in its constructor's order; ratio starts above 1, as
     # flat or decaying penalty ramps destabilize late stages
-    ramps = {"geometric": {"gamma0": Domain(0.0, lo_open=True),
-                           "ratio": Domain(1.0, lo_open=True)},
-             "constant": {"gamma": Domain(0.0, lo_open=True)}}
+    ramps = {"geometric": {"gamma0": GAMMA, "ratio": Domain(1.0, lo_open=True)},
+             "constant": {"gamma": GAMMA}}
 
     def __post_init__(self):
         check_params(self, "schedule", prior_weight=self.prior_weight, zeta=self.zeta)
@@ -62,12 +62,9 @@ class StageSchedule:
         if gamma.ndim != 1 or gamma.shape[0] == 0:
             raise ParameterError("a schedule needs at least one stage: one gamma per stage, "
                                  "got shape %r" % (gamma.shape,))
-        # the fidelity solve divides by gamma, so a subnormal gamma overflows it
-        with np.errstate(over="ignore", divide="ignore"):
-            bad = np.flatnonzero(~((gamma > 0) & np.isfinite(gamma) & np.isfinite(1.0 / gamma)))
-            if bad.size:
-                raise ParameterError("gamma entries must be positive and finite with a finite "
-                                     "reciprocal, got gamma[%d] = %s" % (bad[0], gamma[bad[0]]))
+        for k, value in enumerate(gamma.tolist()):
+            GAMMA.check(value, "gamma[%d]" % k)
+        with np.errstate(over="ignore"):
             sigma_tilde = np.sqrt(self.prior_weight / gamma)
         if not np.all(np.isfinite(sigma_tilde)):
             raise ParameterError(

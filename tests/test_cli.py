@@ -463,10 +463,7 @@ def test_schedule_value_domain_edges(tmp_path, capsys, kind, name):
     # its check, outside they exit 2 naming the kind and the value
     inside, outside = _domain_edges(float, StageSchedule.ramps[kind][name])
     for value in inside:
-        try:
-            cli.parse_schedule_spec(_ramp_specs(kind, name, repr(value)), 1)
-        except ParameterError as exc:  # a subnormal gamma has no finite reciprocal
-            assert "must be in" not in str(exc)
+        cli.parse_schedule_spec(_ramp_specs(kind, name, repr(value)), 1)
     missing = str(tmp_path / "missing.htns")
     for value in outside:
         assert _exit_code([
@@ -787,7 +784,7 @@ def test_gamma_too_small_for_pivots_exit_2_naming_flag_and_stage(tmp_path, capsy
 @pytest.mark.parametrize("size, gamma, message", [
     ("8", "1e-17", "--gamma 1e-17: gamma too small against ||Phi||^2"),
     ("4", "1e-300", "--gamma 1e-300: gamma too small against ||Phi||^2"),
-    ("8", "1e-320", "--gamma 1e-320: gamma must be positive with a finite reciprocal"),
+    ("8", "1e-320", "--gamma: must be in [2.2250738585072014e-308, inf), got 1e-320"),
 ], ids=["cholesky-1e-17", "cholesky-1e-300", "reciprocal-1e-320"])
 def test_bench_gamma_too_small_exit_2_naming_flag(capsys, monkeypatch, size, gamma, message):
     # the dense solve fails before any GDM row runs, not after matched GDM's cap
@@ -800,6 +797,25 @@ def test_bench_gamma_too_small_exit_2_naming_flag(capsys, monkeypatch, size, gam
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_bench_gamma_range_refused_before_dump_config(tmp_path, capsys):
+    # the flag and the config key are checked against GAMMA at config
+    # resolution, before --dump-config prints: the range the solves accept
+    config = tmp_path / "bench.cfg"
+    for text in ("2.2250738585072014e-308", "2.225073858507201e-308", "1e-320"):
+        config.write_text("gamma=%s\n" % text)
+        for argv in (["--gamma", text], ["--config", str(config)]):
+            code = _exit_code(["bench", *argv, "--dump-config"])
+            captured = capsys.readouterr()
+            if text.startswith("2.2250738585072014"):
+                assert code == 0 and "gamma=%s\n" % text in captured.out
+                continue
+            assert code == 2 and captured.out == ""
+            assert "--gamma: must be in [2.2250738585072014e-308, inf), got " in captured.err
+            assert (str(config) in captured.err) == (argv[0] == "--config")
+    code = _exit_code(["bench", "--gamma", "inf", "--dump-config"])
+    assert code == 2 and "--gamma: expected a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("stages", [600, 1000])

@@ -450,6 +450,45 @@ def test_problem_rejects_nonpositive_gamma():
     # positive but subnormal: 1/gamma overflows to inf in the solve
     with pytest.raises(ParameterError, match="gamma"):
         FidelityProblem.from_coded_image(op, coded, 1e-320)
+    # inf: the subproblem's objective would read inf at its own minimiser
+    with pytest.raises(ParameterError, match="^gamma: must be in "):
+        FidelityProblem.from_coded_image(op, coded, np.inf)
+
+
+# every place an anchor weight enters, with the name its refusal carries;
+# each checks against errors.GAMMA, so all take and refuse the same values
+_TINY = float(np.finfo(np.float64).tiny)
+_GAMMA_SITES = {
+    "FidelityProblem": ("gamma", lambda op, dense, g: FidelityProblem.from_coded_image(
+        op, np.zeros((4, 4, 3)), g)),
+    "StageSchedule": ("gamma[1]", lambda op, dense, g: StageSchedule([1.0, g])),
+    "geometric": ("geometric schedule: gamma0",
+                  lambda op, dense, g: StageSchedule.geometric(2, g)),
+    "constant": ("constant schedule: gamma", lambda op, dense, g: StageSchedule.constant(2, g)),
+    "ridge_solve": ("gamma", lambda op, dense, g: dense.ridge_solve(
+        np.zeros((4, 4, 3)), np.zeros((4, 4, 3)), g)),
+    "tikhonov_solve": ("weight", lambda op, dense, g: dense.tikhonov_solve(
+        np.zeros((4, 4, 3)), g)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_GAMMA_SITES))
+def test_gamma_sites_share_one_range(site):
+    name, call = _GAMMA_SITES[site]
+    # three bands of identity optics: Phi^T Phi = I keeps the dense
+    # Cholesky well posed at the smallest gamma
+    system = OpticalSystem(psfs=np.ones((3, 1, 1)), response=np.eye(3))
+    op = build_frequency_operator(system, 4, 4)
+    dense = DenseSystem.from_system(system, 4, 4)
+    call(op, dense, _TINY)  # the smallest normal float64 is taken
+    for value in (np.nextafter(_TINY, 0.0), 5e-324, 0.0, -1.0, np.inf, np.nan):
+        if site == "tikhonov_solve" and value == 0.0:
+            continue  # the weight's one value outside the range: least squares
+        with pytest.raises(ParameterError) as info:
+            call(op, dense, value)
+        assert str(info.value).startswith(
+            "%s: must be in " % name), str(info.value)
+        assert "[2.2250738585072014e-308, inf), got " in str(info.value)
 
 
 # entry point -> call on a bad input; the ones in _IMAGE_INPUT take a coded
