@@ -105,10 +105,6 @@ def _conv_float(text: str) -> float:
     return value
 
 
-def _conv_str(text: str) -> str:
-    return text
-
-
 def _conv_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -429,35 +425,50 @@ def parse_schedule_spec(spec: str, n_stages: int) -> np.ndarray:
         n_stages, *(_convert(_conv_float, part, name) for part, name in zip(parts, names))).gamma
 
 
-def _load_system(psf_path: str, response_path: str) -> OpticalSystem:
-    psfs = load_tensor(psf_path)
-    if psfs.ndim != 3:
-        raise ValidationError("PSF stack must be a 3-D tensor (bands, k, k)")
-    response = load_response_csv(response_path)
-    return OpticalSystem(psfs=psfs, response=response)
+@contextlib.contextmanager
+def _naming(config: dict, *names: str):
+    """Prefix a SnapspecError raised inside with the flag and path of each
+    input in ``names``; its type, and so its exit code, stays."""
+    try:
+        yield
+    except SnapspecError as exc:
+        where = ", ".join(map(" ".join, _paths(config, *names).items()))
+        raise type(exc)("%s: %s" % (where, exc)) from None
 
 
-def _load_cube(path: str) -> np.ndarray:
-    cube = load_tensor(path)
-    if cube.ndim != 3:
-        raise ValidationError("%s: expected a 3-D tensor, got %d-D" % (path, cube.ndim))
+def _load_cube(config: dict, name: str, depth: int | None = None) -> np.ndarray:
+    """Input ``name`` as a float64 3-D tensor, with ``depth`` channels if given."""
+    with _naming(config, name):
+        cube = load_tensor(config[name])
+        if cube.ndim != 3 or depth not in (None, cube.shape[2]):
+            raise ValidationError("expected a 3-D tensor%s, got shape %r"
+                                  % (" of depth %d" % depth if depth else "", cube.shape))
     return np.asarray(cube, dtype=np.float64)
+
+
+def _load_system(config: dict) -> OpticalSystem:
+    """Inputs ``psf`` and ``response``; a check across both names both."""
+    psfs = _load_cube(config, "psf")
+    with _naming(config, "response"):
+        response = load_response_csv(config["response"])
+    with _naming(config, "psf", "response"):
+        return OpticalSystem(psfs=psfs, response=response)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 _SIMULATE_KEYS = [
-    Key("cube", _conv_str, "", "input spectral cube (.htns)", required=True),
-    Key("psf", _conv_str, "", "PSF stack tensor (bands, k, k) (.htns)", required=True),
-    Key("response", _conv_str, "", "spectral response CSV", required=True),
-    Key("out", _conv_str, "", "output coded image (.htns)", required=True),
-    Key("noise", _conv_str, "default", "'none', 'default' (%s), or KEY=VALUE,... with %s; a "
+    Key("cube", str, "", "input spectral cube (.htns)", required=True),
+    Key("psf", str, "", "PSF stack tensor (bands, k, k) (.htns)", required=True),
+    Key("response", str, "", "spectral response CSV", required=True),
+    Key("out", str, "", "output coded image (.htns)", required=True),
+    Key("noise", str, "default", "'none', 'default' (%s), or KEY=VALUE,... with %s; a "
         "key left out is off" % (",".join("%s=%s" % (key, getattr(NoiseModel, arg))
                                           for key, (arg, _, _) in NoiseModel.params.items()),
                                  ", ".join(_key_domains(NoiseModel.params)))),
     Key("seed", _conv_int, 0, "noise RNG seed", domain=SEED),
-    Key("export_pgm", _conv_str, "", "optional 8-bit grayscale preview path"),
+    Key("export_pgm", str, "", "optional 8-bit grayscale preview path"),
 ]
 
 
@@ -467,8 +478,8 @@ def _cmd_simulate(config: dict, config_file: dict[str, str]) -> int:
     outputs = _outputs(config, out=lambda path: save_tensor(coded, path),
                        export_pgm=lambda path: _write_pgm(path, coded.mean(axis=2)))
     _check_paths({**config_file, **inputs}, outputs)
-    cube = _load_cube(config["cube"])
-    system = _load_system(config["psf"], config["response"])
+    cube = _load_cube(config, "cube")
+    system = _load_system(config)
     # a cube near the top of the float range overflows the encode; say so
     # before any file is written, and without numpy's warnings
     try:
@@ -486,18 +497,18 @@ def _cmd_simulate(config: dict, config_file: dict[str, str]) -> int:
 
 
 _RECONSTRUCT_KEYS = [
-    Key("coded", _conv_str, "", "coded RGB image (.htns)", required=True),
-    Key("psf", _conv_str, "", "PSF stack tensor (.htns)", required=True),
-    Key("response", _conv_str, "", "spectral response CSV", required=True),
-    Key("out", _conv_str, "", "output reconstructed cube (.htns)", required=True),
+    Key("coded", str, "", "coded RGB image (.htns)", required=True),
+    Key("psf", str, "", "PSF stack tensor (.htns)", required=True),
+    Key("response", str, "", "spectral response CSV", required=True),
+    Key("out", str, "", "output reconstructed cube (.htns)", required=True),
     Key("stages", _conv_int, 7, "stage count K (K=1 returns the initialization)",
         domain=Domain(1, 1000)),
-    Key("gamma_schedule", _conv_str, "geometric:0.01,4", "KIND:VALUE,...: " + "; ".join(
+    Key("gamma_schedule", str, "geometric:0.01,4", "KIND:VALUE,...: " + "; ".join(
         "%s:%s, %s" % (kind, ",".join(ramp).upper(), ", ".join(
             "%s in %s" % (name.upper(), domain) for name, domain in ramp.items()))
         for kind, ramp in StageSchedule.ramps.items())),
-    Key("denoiser", _conv_str, "tv:lambda=0.01,iters=30", _strategy_help(DENOISERS)),
-    Key("init", _conv_str, "mean", _strategy_help(INITIALIZERS)),
+    Key("denoiser", str, "tv:lambda=0.01,iters=30", _strategy_help(DENOISERS)),
+    Key("init", str, "mean", _strategy_help(INITIALIZERS)),
     Key("prior_weight", _conv_float, 0.0,
         "prior weight sigma; denoiser noise level is sqrt(sigma/gamma), read only by quadratic",
         domain=StageSchedule.params["prior_weight"][2]),
@@ -507,7 +518,7 @@ _RECONSTRUCT_KEYS = [
         "gradient steps in place of each exact fidelity solve (the GDM baseline); "
         "0 keeps the exact solve", domain=GDM_ITERS),
     Key("trace", _conv_bool, False, "also write per-stage trace CSV next to the output"),
-    Key("export_pgm", _conv_str, "", "optional band-mean preview path"),
+    Key("export_pgm", str, "", "optional band-mean preview path"),
 ]
 
 
@@ -534,10 +545,8 @@ def _cmd_reconstruct(config: dict, config_file: dict[str, str]) -> int:
             path, [dataclasses.astuple(rec) for rec in result.trace], fmt="%d" + ",%.17g" * 4,
             header="stage,fidelity,delta,gamma,primal_residual", comments=""))
     _check_paths({**config_file, **inputs}, outputs)
-    coded = _load_cube(config["coded"])
-    if coded.shape[2] != 3:
-        raise ValidationError("coded image must have 3 channels, got %d" % coded.shape[2])
-    system = _load_system(config["psf"], config["response"])
+    coded = _load_cube(config, "coded", depth=3)
+    system = _load_system(config)
     op = build_frequency_operator(system, coded.shape[0], coded.shape[1])
     try:
         result = run_reconstruct(coded, op, schedule, denoiser, initializer,
@@ -553,12 +562,12 @@ def _cmd_reconstruct(config: dict, config_file: dict[str, str]) -> int:
 
 
 _EVALUATE_KEYS = [
-    Key("recon", _conv_str, "", "reconstructed cube (.htns)", required=True),
-    Key("gt", _conv_str, "", "ground-truth cube (.htns)", required=True),
+    Key("recon", str, "", "reconstructed cube (.htns)", required=True),
+    Key("gt", str, "", "ground-truth cube (.htns)", required=True),
     Key("crop", _conv_int, DEFAULT_CROP, "pixels cropped per edge before measuring",
         domain=CROP),
-    Key("out_json", _conv_str, "", "optional path for the JSON report line"),
-    Key("rmse_csv", _conv_str, "", "optional per-pixel RMSE map CSV (cropped region)"),
+    Key("out_json", str, "", "optional path for the JSON report line"),
+    Key("rmse_csv", str, "", "optional per-pixel RMSE map CSV (cropped region)"),
 ]
 
 
@@ -570,8 +579,8 @@ def _cmd_evaluate(config: dict, config_file: dict[str, str]) -> int:
                            path, np.sqrt(np.mean((recon - gt)[crop, crop] ** 2, axis=2)),
                            config["rmse_csv"].endswith(".gz")))
     _check_paths({**config_file, **inputs}, outputs)
-    recon = _load_cube(config["recon"])
-    gt = _load_cube(config["gt"])
+    recon = _load_cube(config, "recon")
+    gt = _load_cube(config, "gt")
     # an overflowing metric means nothing, and its inf or nan is not JSON
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -598,7 +607,7 @@ _BENCH_KEYS = [
     Key("gamma", _conv_float, 0.5, "anchor weight used in timed solves", domain=GAMMA),
     Key("repeats", _conv_int, 3, "median-of-N repeats per timing", domain=Domain(1, 1000)),
     Key("seed", _conv_int, 0, "instance RNG seed", domain=SEED),
-    Key("out", _conv_str, "", "optional CSV path (default: stdout)"),
+    Key("out", str, "", "optional CSV path (default: stdout)"),
 ]
 
 # the matched-GDM row's relative objective gap and iteration cap: the bound

@@ -9,9 +9,10 @@ band with its wavelength-dependent PSF and weighting by the sensor response:
 Under circular boundary conditions this operator diagonalizes per spatial
 frequency into a 3 x bands complex matrix H_f[c, i] = response[c, i] P_i(f),
 where P_i, the DFT of band i's PSF, is its OTF (optical transfer function).
-:class:`FrequencyOperator` stores just these two factors, and
-:func:`forward_encode` (which simulates a frame) applies the operator that
-the reconstruction solver uses, so the model has one implementation.
+:class:`FrequencyOperator` stores these two factors and the Gram planes
+derived from them, and caches ``lipschitz`` on first use.  The solver
+and :func:`forward_encode`, which simulates a frame, apply that one
+operator, so the model has one implementation.
 
 Kernels, cubes and images are real, so every spectrum is Hermitian and only
 the non-negative half of the last axis is kept (``rfft2``).  This module

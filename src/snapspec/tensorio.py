@@ -102,16 +102,16 @@ def load_response_csv(path: str | Path) -> np.ndarray:
     The file must have a ``wavelength,r,g,b`` header followed by one row per
     band with strictly increasing wavelengths and non-negative responses.
     Text that is not UTF-8, or that the CSV reader refuses (such as a field
-    over its size limit), raises :class:`FormatError` naming the file.
+    over its size limit), raises :class:`FormatError`.
     Returns the response with rows (r, g, b) and one column per band.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             rows = list(csv.reader(fh))
         except UnicodeDecodeError as exc:
-            raise FormatError("%s: not UTF-8 text (%s)" % (path, exc)) from None
+            raise FormatError("not UTF-8 text (%s)" % exc) from None
         except csv.Error as exc:
-            raise FormatError("%s: %s" % (path, exc)) from None
+            raise FormatError(str(exc)) from None
     if not rows:
         raise FormatError("empty response file")
     header = [cell.strip() for cell in rows[0]]

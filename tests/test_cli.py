@@ -662,6 +662,56 @@ def test_unreadable_response_csv_exit_2(tmp_path, capsys, row, message):
     assert str(resp) in err and message in err
 
 
+# a refused input is named by its flag and path, so the user can tell which
+# file is at fault; a check across the PSF stack and the response names both
+
+def _write_bad_input(tmp_path, kind):
+    path = tmp_path / ("bad.csv" if kind == "header" else "bad.htns")
+    if kind == "magic":
+        path.write_bytes(b"XXXX" + bytes(28))
+    elif kind == "header":
+        path.write_text("wavelength,r,g\n450,0,0\n")
+    elif kind == "psf-sum":
+        save_tensor(np.ones((4, 5, 5)), path)
+    else:  # a coded image of two channels
+        save_tensor(np.zeros((16, 16, 2)), path)
+    return str(path)
+
+
+_BAD_INPUTS = [
+    ("simulate", "--cube", "magic", "bad magic: b'XXXX'"),
+    ("simulate", "--psf", "magic", "bad magic: b'XXXX'"),
+    ("simulate", "--response", "header", "bad header"),
+    ("reconstruct", "--coded", "channels", "expected a 3-D tensor of depth 3, got shape"),
+    ("reconstruct", "--psf", "psf-sum", "psf 0 sums to 25"),
+    ("reconstruct", "--response", "header", "bad header"),
+    ("evaluate", "--recon", "magic", "bad magic: b'XXXX'"),
+    ("evaluate", "--gt", "magic", "bad magic: b'XXXX'"),
+]
+
+
+@pytest.mark.parametrize("command, flag, kind, message", _BAD_INPUTS,
+                         ids=["%s%s" % (command, flag) for command, flag, *_ in _BAD_INPUTS])
+def test_refused_input_names_its_flag_and_path(tmp_path, capsys, command, flag, kind, message):
+    psf, resp = _write_random_system(tmp_path)
+    cube_path, _ = _write_cube(tmp_path)
+    inputs = {"simulate": {"--cube": cube_path, "--psf": psf, "--response": resp},
+              "reconstruct": {"--coded": _simulate_noiseless(tmp_path, psf, resp, cube_path),
+                              "--psf": psf, "--response": resp},
+              "evaluate": {"--recon": cube_path, "--gt": cube_path}}[command]
+    inputs[flag] = bad = _write_bad_input(tmp_path, kind)
+    out = tmp_path / "out.htns"
+    outputs = ["--out-json", str(out)] if command == "evaluate" else ["--out", str(out)]
+    capsys.readouterr()
+    assert main([command, *(item for pair in inputs.items() for item in pair), *outputs]) == 2
+    err = capsys.readouterr().err
+    where = "%s %s" % (flag, bad)
+    if kind == "psf-sum":  # a check of the system, which both files make
+        where = "--psf %s, --response %s" % (bad, resp)
+    assert "snapspec %s: error: %s: %s" % (command, where, message) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, flags, message",
     [
