@@ -5,7 +5,7 @@ The matrix covers three grids: 16 x 16 x 4 with 5 x 5 kernels, 15 x 17 x 5
 with 7 x 7 kernels (an odd width) and 33 x 9 x 3 with 3 x 3 kernels.  Each
 grid gives the outputs of ``forward_encode``, the noisy coded image,
 ``apply_adjoint``, ``fidelity_solve`` and ``fidelity_solve_naive``.  It also
-gives 96 ``reconstruct`` runs with their trace records: four priors x three
+gives 128 ``reconstruct`` runs with their trace records: four priors x four
 initializers x zeta 0 and 0.7 x trace off and on x 0 or 2 GDM steps, each
 over four stages of ``StageSchedule.geometric(4, prior_weight=1e-4,
 zeta=zeta)``.
@@ -92,7 +92,7 @@ def grid_outputs(grid: str) -> dict[str, np.ndarray]:
     outputs = {"encoded": encoded, "coded": coded, "adjoint": apply_adjoint(op, coded),
                "solve": fidelity_solve(prob, anchor), "naive": fidelity_solve_naive(prob, anchor)}
     for prior, init, zeta, trace, gdm in itertools.product(
-            DENOISERS, ("zero", "mean", "adjoint"), (0.0, 0.7), (False, True), (0, 2)):
+            DENOISERS, ("zero", "mean", "adjoint", "rand"), (0.0, 0.7), (False, True), (0, 2)):
         schedule = StageSchedule.geometric(STAGES, prior_weight=PRIOR_WEIGHT, zeta=zeta)
         result = reconstruct(coded, op, schedule, DENOISERS[prior](), INITIALIZERS[init](),
                              trace=trace, gdm_iters=gdm)
