@@ -21,6 +21,16 @@ are stored in the table.  On a stack with the recorded fingerprint every
 output must keep its bytes.  On any other stack the references must hold
 to 1e-12 relative.
 
+The table also pins one command-line chain on the first grid: ``simulate``,
+``reconstruct --trace``, then ``evaluate`` twice, with a plain and a
+``.gz`` RMSE map, all under relative names in one directory.  It records
+the SHA-256 of every file of the chain, inputs and manifests included, and
+the zlib version, which decides the ``.gz`` bytes.  Under the recorded
+fingerprint and zlib every file must keep its bytes.  On any stack, each
+manifest's hashes must be those of the files beside it, and the chain's
+coded image, cube and trace must match the library's in-process outputs to
+1e-12 relative.
+
 A change that means to move outputs regenerates the table and says what
 moved and by how much:
 
@@ -31,9 +41,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
+import os
+import zlib
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import numpy as np
 import scipy
@@ -41,7 +56,8 @@ import scipy
 from snapspec import (FidelityProblem, NoiseModel, OpticalSystem, StageSchedule, add_noise,
                       apply_adjoint, build_frequency_operator, fidelity_solve,
                       fidelity_solve_naive, forward_encode, load_tensor, reconstruct,
-                      save_tensor)
+                      save_response_csv, save_tensor)
+from snapspec import cli
 from snapspec.optics import _mix
 from snapspec.synth import rgb_response, rotating_psf_stack, smooth_cube
 from snapspec.unfolding import DENOISERS, INITIALIZERS
@@ -59,6 +75,11 @@ REFERENCE_RUN = "adjoint/zeta0.7/trace/gdm0"  # the run per prior with stored re
 REFERENCES = ("encoded", "coded", "adjoint", "solve", "naive") + tuple(
     "%s/%s/cube" % (prior, REFERENCE_RUN) for prior in DENOISERS)
 TRACE_REFERENCES = tuple("%s/%s/trace" % (prior, REFERENCE_RUN) for prior in DENOISERS)
+
+# the command-line chain's grid and its reconstruct flags, each spelled out
+CHAIN_GRID = "16x16x4k5"
+CHAIN_FLAGS = {"--stages": "4", "--gamma-schedule": "geometric:0.01,4",
+               "--denoiser": "tv:lambda=0.01,iters=30", "--init": "mean"}
 
 
 def digest(array: np.ndarray) -> str:
@@ -82,10 +103,10 @@ def grid_outputs(grid: str) -> dict[str, np.ndarray]:
     solves, then ``<prior>/<init>/zeta<z>/<plain|trace>/gdm<n>/cube`` per
     run and ``.../trace`` (one row of StageTrace fields per stage) per
     traced run."""
-    height, width, bands, k = GRIDS[grid]
-    system = OpticalSystem(psfs=rotating_psf_stack(bands, k), response=rgb_response(bands))
+    height, width, bands, _ = GRIDS[grid]
+    cube, system = _grid_system(grid)
     op = build_frequency_operator(system, height, width)
-    encoded = forward_encode(smooth_cube(height, width, bands, seed=bands), system)
+    encoded = forward_encode(cube, system)
     coded = add_noise(encoded, NoiseModel(seed=1))
     anchor = smooth_cube(height, width, bands, seed=bands + 1)
     prob = FidelityProblem.from_coded_image(op, coded, GAMMA)
@@ -102,6 +123,55 @@ def grid_outputs(grid: str) -> dict[str, np.ndarray]:
             outputs[run + "/trace"] = np.array([dataclasses.astuple(r) for r in result.trace],
                                                dtype=np.float64)
     return outputs
+
+
+def file_digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _grid_system(grid: str):
+    """The grid's scene cube and optical system."""
+    height, width, bands, k = GRIDS[grid]
+    system = OpticalSystem(psfs=rotating_psf_stack(bands, k), response=rgb_response(bands))
+    return smooth_cube(height, width, bands, seed=bands), system
+
+
+def cli_chain() -> list[str]:
+    """Run the command-line chain in the working directory under relative
+    names; return the names of every file there, inputs and manifests
+    included."""
+    cube, system = _grid_system(CHAIN_GRID)
+    save_tensor(cube, "cube.htns")
+    save_tensor(system.psfs, "psf.htns")
+    save_response_csv("response.csv", np.linspace(450.0, 650.0, system.n_bands),
+                      system.response)
+    optics = ["--psf", "psf.htns", "--response", "response.csv"]
+    steps = [["simulate", "--cube", "cube.htns", *optics, "--out", "coded.htns",
+              "--noise", "default", "--seed", "0"],
+             ["reconstruct", "--coded", "coded.htns", *optics, "--out", "recon.htns",
+              "--trace", *itertools.chain(*CHAIN_FLAGS.items())]]
+    steps += [["evaluate", "--recon", "recon.htns", "--gt", "cube.htns", "--crop", "2",
+               "--out-json", "report%s.json" % name, "--rmse-csv", "rmse.csv" + gz]
+              for name, gz in (("", ""), ("_gz", ".gz"))]
+    for argv in steps:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            raise RuntimeError("snapspec %s exited %d" % (argv[0], code))
+    return sorted(os.listdir("."))
+
+
+def chain_outputs() -> dict[str, np.ndarray]:
+    """The chain's coded image, cube and trace as the library gives them in
+    process, by the name of the file the chain writes each to."""
+    cube, system = _grid_system(CHAIN_GRID)
+    coded = add_noise(forward_encode(cube, system), NoiseModel(seed=0))
+    op = build_frequency_operator(system, *cube.shape[:2])
+    result = reconstruct(coded, op, StageSchedule.geometric(int(CHAIN_FLAGS["--stages"])),
+                         cli.parse_denoiser_spec(CHAIN_FLAGS["--denoiser"]),
+                         cli.parse_init_spec(CHAIN_FLAGS["--init"]), trace=True)
+    trace = np.array([dataclasses.astuple(r) for r in result.trace], dtype=np.float64)
+    return {"coded.htns": coded, "recon.htns": result.cube, "recon.htns.trace.csv": trace}
 
 
 def load_table() -> dict:
@@ -135,6 +205,14 @@ def main() -> None:
         table["traces"][grid] = {name: outputs[name].tolist() for name in TRACE_REFERENCES}
         save_tensor(np.concatenate([outputs[name].ravel() for name in REFERENCES]),
                     DATA / ("%s.htns" % grid))
+    cwd = os.getcwd()
+    with TemporaryDirectory() as directory:
+        os.chdir(directory)
+        try:
+            table["cli_chain"] = {"zlib": zlib.ZLIB_RUNTIME_VERSION,
+                                  "files": {name: file_digest(name) for name in cli_chain()}}
+        finally:
+            os.chdir(cwd)
     TABLE.write_text(json.dumps(table, indent=1) + "\n")
 
 

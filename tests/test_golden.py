@@ -6,11 +6,18 @@ from the recorded one, the stored references are compared at 1e-12
 relative instead of the digests.
 """
 
+import json
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from golden_outputs import (GRIDS, REFERENCES, TRACE_REFERENCES, digest, fingerprint,
-                            grid_outputs, load_references, load_table)
+from snapspec import load_tensor
+
+from golden_outputs import (GRIDS, REFERENCES, TRACE_REFERENCES, chain_outputs, cli_chain,
+                            digest, file_digest, fingerprint, grid_outputs, load_references,
+                            load_table)
 
 REL = 1e-12
 
@@ -43,3 +50,32 @@ def test_golden_references_match_their_digests():
     for grid in GRIDS:
         for name, ref in load_references(grid).items():
             assert digest(ref) == table["digests"][grid][name], (grid, name)
+
+
+def test_cli_chain_matches_golden_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    files = cli_chain()
+    table = load_table()
+    recorded = table["cli_chain"]["files"]
+    assert files == sorted(recorded)
+    if fingerprint() == table["fingerprint"] and \
+            zlib.ZLIB_RUNTIME_VERSION == table["cli_chain"]["zlib"]:
+        moved = [name for name, value in recorded.items() if file_digest(name) != value]
+        assert not moved, "%d of %d chain files moved: %s" % (
+            len(moved), len(recorded), ", ".join(moved))
+    # on any stack: each manifest's hashes are those of the files beside it
+    manifests = [name for name in files if name.endswith(".manifest.json")]
+    assert len(manifests) == 4
+    for name in manifests:
+        manifest = json.loads(Path(name).read_text())
+        for path, value in {**manifest["inputs"], **manifest["outputs"]}.items():
+            assert path in files and file_digest(path) == value, (name, path)
+    # and the chain's arrays are the library's in-process outputs
+    # (cubes relative to their largest entry, each trace value to itself)
+    for name, want in chain_outputs().items():
+        if name.endswith(".htns"):
+            err = np.max(np.abs(load_tensor(name) - want))
+            assert err <= REL * np.max(np.abs(want)), (name, err)
+        else:
+            np.testing.assert_allclose(np.loadtxt(name, delimiter=",", skiprows=1, ndmin=2),
+                                       want, rtol=REL, atol=0, err_msg=name)
