@@ -78,11 +78,11 @@ class DenseSystem:
         return cls(phi=phi, height=height, width=width, n_bands=n_bands)
 
     def forward(self, cube: np.ndarray) -> np.ndarray:
-        self._check(cube, "cube")
+        self._check(cube, self.n_bands)
         return unvec_cube(self.phi @ vec_cube(cube), self.height, self.width, 3)
 
     def adjoint(self, image: np.ndarray) -> np.ndarray:
-        self._check(image, "image")
+        self._check(image, 3)
         return unvec_cube(self.phi.T @ vec_cube(image), self.height, self.width, self.n_bands)
 
     def ridge_solve(self, coded: np.ndarray, anchor: np.ndarray, gamma: float) -> np.ndarray:
@@ -92,8 +92,8 @@ class DenseSystem:
         from scipy.linalg import cho_factor, cho_solve
 
         GAMMA.check(gamma, "gamma")
-        self._check(coded, "image")
-        self._check(anchor, "cube")
+        self._check(coded, 3)
+        self._check(anchor, self.n_bands)
         normal = self.phi.T @ self.phi + gamma * np.eye(self.phi.shape[1])
         rhs = self.phi.T @ vec_cube(coded) + gamma * vec_cube(anchor)
         try:
@@ -110,16 +110,15 @@ class DenseSystem:
         """
         replace(GAMMA, off=0).check(weight, "weight")
         if weight == 0:
-            self._check(coded, "image")
+            self._check(coded, 3)
             x, *_ = np.linalg.lstsq(self.phi, vec_cube(coded), rcond=None)
             return unvec_cube(x, self.height, self.width, self.n_bands)
         return self.ridge_solve(
             coded, np.zeros((self.height, self.width, self.n_bands)), weight
         )
 
-    def _check(self, array: np.ndarray, what: str) -> None:
-        """DimensionError unless ``array`` is a cube, or a coded image for ``what`` 'image'."""
-        expected = (self.height, self.width, 3 if what == "image" else self.n_bands)
+    def _check(self, array: np.ndarray, depth: int) -> None:
+        expected = (self.height, self.width, depth)
         if np.shape(array) != expected:
-            raise DimensionError("%s shape %r, expected %r" % (what, np.shape(array), expected))
+            raise DimensionError("shape %r, expected %r" % (np.shape(array), expected))
 

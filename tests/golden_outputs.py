@@ -167,7 +167,8 @@ def chain_outputs() -> dict[str, np.ndarray]:
     cube, system = _grid_system(CHAIN_GRID)
     coded = add_noise(forward_encode(cube, system), NoiseModel(seed=0))
     op = build_frequency_operator(system, *cube.shape[:2])
-    result = reconstruct(coded, op, StageSchedule.geometric(int(CHAIN_FLAGS["--stages"])),
+    gamma = cli.parse_schedule_spec(CHAIN_FLAGS["--gamma-schedule"], int(CHAIN_FLAGS["--stages"]))
+    result = reconstruct(coded, op, StageSchedule(gamma),
                          cli.parse_denoiser_spec(CHAIN_FLAGS["--denoiser"]),
                          cli.parse_init_spec(CHAIN_FLAGS["--init"]), trace=True)
     trace = np.array([dataclasses.astuple(r) for r in result.trace], dtype=np.float64)
