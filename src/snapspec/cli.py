@@ -9,6 +9,14 @@ earlier run's files untouched.  Manifests carry the resolved config,
 input/output checksums, and the tool version, and deliberately no
 timestamps, so identical runs yield byte-identical artifacts.
 
+A refusal names the inputs that caused it.  A value outside its key's
+range names the flag when the config resolves, and a spec string's value
+its spec and key.  Every check of a loaded input or of the run itself goes
+through :func:`_naming`, which prefixes ``--flag value`` for each key the
+check compared, a path or a number (``--cube a.htns, --psf b.htns: kernel
+size 21 exceeds image extent (16, 16)``), and turns a float64 overflow into
+a validation error.
+
 Exit codes: 0 success, 1 usage, 2 input validation, 3 I/O or out of memory
 (a resource the run could not get, not an input at fault), 4 reference
 check breach.  One out-of-memory case escapes them: when OpenBLAS's own
@@ -37,10 +45,7 @@ from . import __version__
 from .errors import (
     GAMMA,
     SEED,
-    DivergenceError,
     Domain,
-    ParameterError,
-    SingularPivotError,
     SnapspecError,
     UnknownNameError,
     ValidationError,
@@ -425,14 +430,26 @@ def parse_schedule_spec(spec: str, n_stages: int) -> np.ndarray:
         n_stages, *(_convert(_conv_float, part, name) for part, name in zip(parts, names))).gamma
 
 
+def _shown(value) -> str:
+    """A key's value as a refusal names it; a float in the shortest form
+    that reads back the same, ``1`` rather than ``1.0``."""
+    if isinstance(value, float) and float("%g" % value) == value:
+        return "%g" % value
+    return str(value)
+
+
 @contextlib.contextmanager
 def _naming(config: dict, *names: str):
-    """Prefix a SnapspecError raised inside with the flag and path of each
-    input in ``names``; its type, and so its exit code, stays."""
+    """Prefix a SnapspecError raised inside with ``--flag value`` for each key
+    in ``names``, a path or a number, 0 included; its type, and so its exit
+    code, stays.  A FloatingPointError becomes a ValidationError."""
     try:
         yield
-    except SnapspecError as exc:
-        where = ", ".join(map(" ".join, _paths(config, *names).items()))
+    except (SnapspecError, FloatingPointError) as exc:
+        where = ", ".join("--%s %s" % (name.replace("_", "-"), _shown(config[name]))
+                          for name in names)
+        if isinstance(exc, FloatingPointError):
+            raise ValidationError("%s: outside the float64 range (%s)" % (where, exc)) from None
         raise type(exc)("%s: %s" % (where, exc)) from None
 
 
@@ -482,15 +499,12 @@ def _cmd_simulate(config: dict, config_file: dict[str, str]) -> int:
     system = _load_system(config)
     # a cube near the top of the float range overflows the encode; say so
     # before any file is written, and without numpy's warnings
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            coded = forward_encode(cube, system)
-            if not np.all(np.isfinite(coded)):  # the transforms overflow silently
-                raise FloatingPointError("non-finite coded image")
-            coded = add_noise(coded, noise)
-    except FloatingPointError as exc:
-        raise ValidationError("--cube %s: too large to encode (%s)"
-                              % (config["cube"], exc)) from None
+    with _naming(config, "cube", "psf"), np.errstate(over="raise", invalid="raise"):
+        coded = forward_encode(cube, system)
+        if not np.all(np.isfinite(coded)):  # the transforms overflow silently
+            raise FloatingPointError("non-finite coded image")
+    with _naming(config, "cube", "noise"), np.errstate(over="raise", invalid="raise"):
+        coded = add_noise(coded, noise)
     _publish("simulate", config, inputs, outputs)
     print("wrote %s (%dx%dx3)" % (config["out"], coded.shape[0], coded.shape[1]))
     return EXIT_OK
@@ -524,17 +538,9 @@ _RECONSTRUCT_KEYS = [
 
 def _cmd_reconstruct(config: dict, config_file: dict[str, str]) -> int:
     # spec strings first, so that a usage error comes before an I/O error
-    try:
-        gamma = parse_schedule_spec(config["gamma_schedule"], config["stages"])
-    except UnknownNameError:
-        raise
-    except ValidationError as exc:
-        raise ParameterError("--gamma-schedule %s with --stages %d: %s"
-                             % (config["gamma_schedule"], config["stages"], exc)) from None
-    try:
-        schedule = StageSchedule(gamma, config["prior_weight"], config["zeta"])
-    except ParameterError as exc:
-        raise ParameterError("--prior-weight %g: %s" % (config["prior_weight"], exc)) from None
+    with _naming(config, "gamma_schedule", "stages", "prior_weight"):
+        schedule = StageSchedule(parse_schedule_spec(config["gamma_schedule"], config["stages"]),
+                                 config["prior_weight"], config["zeta"])
     denoiser = parse_denoiser_spec(config["denoiser"])
     initializer = parse_init_spec(config["init"])
     inputs = _paths(config, "coded", "psf", "response")
@@ -547,14 +553,11 @@ def _cmd_reconstruct(config: dict, config_file: dict[str, str]) -> int:
     _check_paths({**config_file, **inputs}, outputs)
     coded = _load_cube(config, "coded", depth=3)
     system = _load_system(config)
-    op = build_frequency_operator(system, coded.shape[0], coded.shape[1])
-    try:
+    with _naming(config, "coded", "psf"):
+        op = build_frequency_operator(system, coded.shape[0], coded.shape[1])
+    with _naming(config, "gamma_schedule", "zeta"):
         result = run_reconstruct(coded, op, schedule, denoiser, initializer,
                                  trace=config["trace"], gdm_iters=config["gdm_iters"])
-    except DivergenceError as exc:
-        raise DivergenceError("--zeta %g: %s" % (config["zeta"], exc)) from None
-    except SingularPivotError as exc:
-        raise ParameterError("--gamma-schedule %s: %s" % (config["gamma_schedule"], exc)) from None
     _publish("reconstruct", config, inputs, outputs)
     print("wrote %s (%dx%dx%d, %d stages)"
           % (config["out"], *result.cube.shape, config["stages"]))
@@ -582,12 +585,9 @@ def _cmd_evaluate(config: dict, config_file: dict[str, str]) -> int:
     recon = _load_cube(config, "recon")
     gt = _load_cube(config, "gt")
     # an overflowing metric means nothing, and its inf or nan is not JSON
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            report = evaluate_metrics(recon, gt, crop=config["crop"])
-    except FloatingPointError as exc:
-        raise ValidationError("--recon %s against --gt %s: too large to measure (%s)"
-                              % (config["recon"], config["gt"], exc)) from None
+    with _naming(config, "recon", "gt", "crop"), \
+            np.errstate(over="raise", invalid="raise", divide="raise"):
+        report = evaluate_metrics(recon, gt, crop=config["crop"])
     line = report.to_json()
     print(line)
     print(
@@ -647,7 +647,7 @@ def _cmd_bench(config: dict, config_file: dict[str, str]) -> int:
             anchor = np.asarray(rng.standard_normal(truth.shape))
             t_dense = None
             # gamma-bound steps first: a gamma too small fails before any GDM runs
-            try:
+            with _naming(config, "gamma"):
                 prob = FidelityProblem.from_coded_image(op, coded, gamma)
                 t_exact = _median_time(lambda: fidelity_solve(prob, anchor), config["repeats"])
                 if size * size * bands <= MAX_DENSE_UNKNOWNS:
@@ -655,8 +655,6 @@ def _cmd_bench(config: dict, config_file: dict[str, str]) -> int:
                     t_dense = _median_time(
                         lambda: dense.ridge_solve(coded, anchor, gamma), config["repeats"]
                     )
-            except (ParameterError, SingularPivotError) as exc:
-                raise ParameterError("--gamma %s: %s" % (gamma, exc)) from None
             rows.append((size, bands, "analytical", t_exact, ""))
 
             op.lipschitz  # the eigenvalue sweep, outside the GDM timings

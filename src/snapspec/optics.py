@@ -154,6 +154,12 @@ class FrequencyOperator:
         gram = np.moveaxis(self.gram[np.array(GRAM_PLANES)], (0, 1), (-2, -1))
         return float(np.linalg.eigvalsh(gram)[..., -1].max())
 
+    @functools.cached_property
+    def gram_max(self) -> float:
+        """The largest Gram entry of any bin: a diagonal one, as every entry
+        is bounded by its row's and column's (Cauchy-Schwarz); taken plane by plane."""
+        return max(float(self.gram[p].max()) for p in (0, 3, 5))
+
 
 @dataclass(frozen=True)
 class NoiseModel:

@@ -441,7 +441,9 @@ def reconstruct(
     result carries one StageTrace per stage.  A stage whose arithmetic
     overflows or turns invalid (for example under a huge zeta) raises
     DivergenceError naming that stage (SingularPivotError if an exact solve
-    loses a pivot to a tiny gamma); a trace record never does.
+    loses a pivot to a tiny gamma); a trace record never does.  A gamma that a
+    stage consumes below the floor of :class:`fidelity.FidelityProblem`
+    raises SingularPivotError before the initializer runs.
 
     A stage is a sweep over row strips that writes its anchor z - beta, the
     solve, one whole-cube pass i + beta into the iterate's buffer, the
@@ -471,8 +473,10 @@ def reconstruct(
     before it enters the loop.
     """
     GDM_ITERS.check_count(gdm_iters, "gdm_iters")
-    # the problem checks the coded image's shape before any initializer reads it
-    problem = FidelityProblem.from_coded_image(op, coded, gamma=schedule.gamma[0])
+    # the problem checks the coded image's shape, and the smallest gamma a
+    # stage consumes against the operator's floor, before any initializer runs
+    problem = FidelityProblem.from_coded_image(
+        op, coded, gamma=schedule.gamma[:-1].min(initial=schedule.gamma[0]))
 
     # the loop's own pixel-major iterate: TV then never copies it, and the
     # trace norms, which sum in memory order, see one layout

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from snapspec import FrequencyOperator, load_tensor, save_response_csv, save_tensor
 from snapspec import cli, metrics, optics, unfolding
 from snapspec.cli import build_parser, main
-from snapspec.errors import ParameterError
+from snapspec.errors import DivergenceError, ParameterError, ValidationError
 from snapspec.optics import NoiseModel
 from snapspec.synth import rgb_response, rotating_psf_stack, smooth_cube
 from snapspec.unfolding import DENOISERS, INITIALIZERS, StageSchedule
@@ -232,7 +232,8 @@ def test_evaluate_refuses_overflowing_metrics_exit_2(tmp_path, capsys, recwarn):
                  "--out-json", str(report)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--recon %s" % huge in captured.err
+    assert "--recon %s, --gt %s, --crop 0: outside the float64 range" % (huge, cube_path) \
+        in captured.err
     assert not report.exists()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
@@ -540,12 +541,13 @@ def test_spec_key_domain_edges(tmp_path, capsys, command, flag, prefix, cls, key
      "initializer 'rand': seed: expected an integer, got '1.5'"),
     ("simulate", "--noise", "gaussian=abc", "noise spec: gaussian: expected a number"),
     ("reconstruct", "--gamma-schedule", "geometric:abc,4",
-     "--gamma-schedule geometric:abc,4 with --stages 7: GAMMA0: expected a number"),
+     "--gamma-schedule geometric:abc,4, --stages 7, --prior-weight 0: GAMMA0: expected a number"),
     ("reconstruct", "--denoiser", "gaussian:std=2,std=3",
      "denoiser spec: key 'std' given more than once"),
     ("simulate", "--noise", "gaussian=1,gaussian=2",
      "noise spec: key 'gaussian' given more than once"),
-    ("reconstruct", "--prior-weight", "1e308", "--prior-weight 1e+308: sigma_tilde"),
+    ("reconstruct", "--prior-weight", "1e308",
+     "--gamma-schedule geometric:0.01,4, --stages 7, --prior-weight 1e+308: sigma_tilde"),
     ("simulate", "--noise", "gaussian=1e200", "noise spec: gaussian: must be in [0.0, 1.0]"),
 ], ids=["denoiser-value", "init-value", "noise-value", "schedule-value", "denoiser-repeat",
         "noise-repeat", "prior-weight-overflow", "noise-sigma-huge"])
@@ -712,6 +714,120 @@ def test_refused_input_names_its_flag_and_path(tmp_path, capsys, command, flag, 
     assert not out.exists()
 
 
+
+def test_naming_prefixes_each_key_keeps_the_type_and_reads_overflow_as_validation():
+    config = {"zeta": 0.0, "stages": 7, "gamma": 2.2250738585072014e-308, "cube": "a.htns"}
+    with pytest.raises(DivergenceError) as exc:
+        with cli._naming(config, "zeta", "stages", "gamma", "cube"):
+            raise DivergenceError("stage 2 of 7 diverged")
+    assert str(exc.value) == ("--zeta 0, --stages 7, --gamma 2.2250738585072014e-308, "
+                              "--cube a.htns: stage 2 of 7 diverged")
+    with pytest.raises(ValidationError) as exc:
+        with cli._naming(config, "cube"), np.errstate(over="raise"):
+            np.float64(1e308) * 10.0
+    assert type(exc.value) is ValidationError
+    assert str(exc.value) == "--cube a.htns: outside the float64 range (overflow encountered in " \
+        "scalar multiply)"
+
+
+# a check that compares several inputs or keys names every flag whose value
+# it compared, with that value; {flag: file or value} with the output added,
+# and the flags named in order.  The files are those of _cross_check_inputs
+
+
+def _cross_check_inputs(tmp_path):
+    psf, resp = _write_random_system(tmp_path)
+    files = {"psf": psf, "resp": resp, "cube": _write_cube(tmp_path)[0],
+             "cube3": _write_cube(tmp_path, shape=(16, 16, 3), name="cube3.htns")[0]}
+    scene = smooth_cube(16, 16, 4)
+    arrays = {"coded": np.random.default_rng(2).uniform(size=(16, 16, 3)),
+              "psf21": rotating_psf_stack(4, 21), "huge": scene * 1e307,
+              "bright": scene * 1e15, "huge3": load_tensor(files["cube3"]) * 1e200,
+              "psf1": rotating_psf_stack(1, 5), "psf31": rotating_psf_stack(31, 5)}
+    for name, array in arrays.items():
+        files[name] = str(tmp_path / (name + ".htns"))
+        save_tensor(array, files[name])
+    for bands in (1, 31):
+        files["resp%d" % bands] = str(tmp_path / ("resp%d.csv" % bands))
+        save_response_csv(files["resp%d" % bands], np.linspace(450.0, 650.0, bands),
+                          rgb_response(bands))
+    return files
+
+
+_SIMULATE = {"--cube": "cube", "--psf": "psf", "--response": "resp", "--noise": "none"}
+_RECONSTRUCT = {"--coded": "coded", "--psf": "psf", "--response": "resp",
+                "--gamma-schedule": "geometric:0.01,4", "--stages": "7",
+                "--prior-weight": "0", "--zeta": "1"}
+_SCHEDULE = ["--gamma-schedule", "--stages", "--prior-weight"]
+_RUN = ["--gamma-schedule", "--zeta"]
+_METRICS = ["--recon", "--gt", "--crop"]
+_FLOOR = "2.2250738585072014e-308"
+_CROSS_CHECKS = {
+    "simulate-bands": (
+        "simulate", {**_SIMULATE, "--cube": "cube3"}, ["--cube", "--psf"],
+        "cube shape (16, 16, 3) does not match 4 bands"),
+    "simulate-kernel": (
+        "simulate", {**_SIMULATE, "--psf": "psf21"}, ["--cube", "--psf"],
+        "kernel size 21 exceeds image extent (16, 16)"),
+    "simulate-overflow": (
+        "simulate", {**_SIMULATE, "--cube": "huge"}, ["--cube", "--psf"],
+        "outside the float64 range ("),
+    "simulate-poisson-peak": (
+        "simulate", {**_SIMULATE, "--cube": "bright", "--noise": "default"}, ["--cube", "--noise"],
+        "noise spec: poisson_bits: a peak intensity"),
+    "reconstruct-kernel": (
+        "reconstruct", {**_RECONSTRUCT, "--psf": "psf21"}, ["--coded", "--psf"],
+        "kernel size 21 exceeds image extent (16, 16)"),
+    "reconstruct-schedule-overflow": (
+        "reconstruct", {**_RECONSTRUCT, "--stages": "600"}, _SCHEDULE,
+        "overflows before its last stage 600"),
+    "reconstruct-sigma-tilde": (
+        "reconstruct", {**_RECONSTRUCT, "--prior-weight": "1e+308"}, _SCHEDULE,
+        "sigma_tilde = sqrt(prior_weight / gamma) overflows"),
+    "reconstruct-divergence": (
+        "reconstruct", {**_RECONSTRUCT, "--zeta": "1e+300", "--stages": "20"}, _RUN,
+        "diverged (overflow"),
+    "reconstruct-pivot": (
+        "reconstruct", {**_RECONSTRUCT, "--psf": "psf1", "--response": "resp1",
+                        "--gamma-schedule": "constant:1e-20"}, _RUN,
+        "pivot"),
+    "reconstruct-gamma-floor": (
+        "reconstruct", {**_RECONSTRUCT, "--psf": "psf31", "--response": "resp31",
+                        "--gamma-schedule": "constant:" + _FLOOR, "--stages": "2"}, _RUN,
+        "gamma %s below " % _FLOOR),
+    "evaluate-bands": (
+        "evaluate", {"--recon": "cube", "--gt": "cube3", "--crop": "0"}, _METRICS,
+        "shape mismatch: (16, 16, 4) vs (16, 16, 3)"),
+    "evaluate-crop": (
+        "evaluate", {"--recon": "cube3", "--gt": "cube3", "--crop": "3"}, _METRICS,
+        "crop 3 on extent (16, 16) leaves less"),
+    "evaluate-overflow": (
+        "evaluate", {"--recon": "huge3", "--gt": "cube3", "--crop": "0"}, _METRICS,
+        "outside the float64 range ("),
+    "bench-gamma-floor": (
+        "bench", {"--sizes": "8", "--bands": "8", "--repeats": "1", "--gamma": _FLOOR},
+        ["--gamma"], "gamma %s below " % _FLOOR),
+}
+
+
+@pytest.mark.parametrize("command, args, named, message", _CROSS_CHECKS.values(),
+                         ids=list(_CROSS_CHECKS))
+def test_cross_input_refusal_names_every_flag_it_compared(tmp_path, capsys, recwarn, command,
+                                                         args, named, message):
+    files = _cross_check_inputs(tmp_path)
+    argv = {flag: files.get(value, value) for flag, value in args.items()}
+    out = tmp_path / "out.txt"
+    argv["--out-json" if command == "evaluate" else "--out"] = str(out)
+    capsys.readouterr()
+    assert main([command, *(item for pair in argv.items() for item in pair)]) == 2
+    err = capsys.readouterr().err
+    where = ", ".join("%s %s" % (flag, argv[flag]) for flag in named)
+    assert err.startswith("snapspec %s: error: %s: " % (command, where))
+    assert message in err
+    assert not out.exists() and not pathlib.Path(str(out) + ".manifest.json").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize(
     "command, flags, message",
     [
@@ -770,7 +886,8 @@ def test_encode_overflow_exit_2_naming_cube(tmp_path, capsys, recwarn, cube):
     out = tmp_path / "out.htns"
     assert main(["simulate", "--cube", cube_path, "--psf", psf, "--response", resp,
                  "--out", str(out), "--noise", "none"]) == 2
-    assert "--cube %s: too large to encode" % cube_path in capsys.readouterr().err
+    assert "--cube %s, --psf %s: outside the float64 range" % (cube_path, psf) \
+        in capsys.readouterr().err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
@@ -804,7 +921,7 @@ def test_diverging_zeta_exit_2_naming_flag_and_stage(tmp_path, capsys, recwarn):
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert "--zeta 1e+300: stage " in err and "diverged" in err
+    assert "--gamma-schedule geometric:0.01,4, --zeta 1e+300: stage " in err and "diverged" in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
@@ -826,7 +943,7 @@ def test_gamma_too_small_for_pivots_exit_2_naming_flag_and_stage(tmp_path, capsy
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert "--gamma-schedule constant:1e-20: stage 2 of 7: " in err
+    assert "--gamma-schedule constant:1e-20, --zeta 1: stage 2 of 7: " in err
     assert re.search(r"Schur pivot -?[0-9.e+]+ below 0\.5 at gamma 1e-20, too small", err)
     assert not out.exists()
 
@@ -878,7 +995,7 @@ def test_overflowing_default_schedule_exit_2_naming_flags(tmp_path, capsys, recw
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert "--gamma-schedule geometric:0.01,4 with --stages %d:" % stages in err
+    assert "--gamma-schedule geometric:0.01,4, --stages %d, --prior-weight 0:" % stages in err
     assert "overflows" in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 

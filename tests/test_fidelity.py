@@ -1,5 +1,7 @@
 """Closed-form subproblem solver tests, cross-checked against dense algebra."""
 
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -28,7 +30,7 @@ from snapspec.errors import DimensionError, ParameterError, SingularPivotError
 from snapspec.fidelity import MAX_GDM_ITERS
 from snapspec.optics import empty_cube, from_spectrum
 from snapspec.oracle import DenseSystem
-from snapspec.synth import rgb_response, rotating_psf_stack, smooth_cube
+from snapspec.synth import rgb_response, rotating_psf_stack, smooth_cube, synthetic_system
 
 from reference_impls import adjugate_inverse_3x3
 
@@ -489,6 +491,40 @@ def test_gamma_sites_share_one_range(site):
         assert str(info.value).startswith(
             "%s: must be in " % name), str(info.value)
         assert "[2.2250738585072014e-308, inf), got " in str(info.value)
+
+
+def test_gram_max_is_the_largest_gram_entry():
+    op = build_frequency_operator(_random_system(np.random.default_rng(61), 5, 3), 6, 7)
+    assert op.gram_max == np.abs(op.gram).max()
+
+
+class _UnreachedInitializer(MeanInitializer):
+    def initialize(self, coded, op, out):
+        raise AssertionError("the initializer ran before the gamma floor was checked")
+
+
+def test_gamma_below_the_gram_floor_refused_without_warnings(recwarn):
+    # 31 bands, largest Gram entry 10.1: Gram / gamma leaves float64 at the
+    # smallest normal gamma, where the solve warned of overflow and lost a pivot
+    op = build_frequency_operator(synthetic_system(31, 5), 16, 16)
+    coded = apply_forward_frequency(op, smooth_cube(16, 16, 31))
+    floor = op.gram_max / float(np.finfo(np.float64).max / 2)
+    for gamma in (_TINY, math.nextafter(floor, 0.0)):
+        message = "gamma %r below %r, " % (gamma, floor)
+        with pytest.raises(SingularPivotError, match="^" + re.escape(message)):
+            FidelityProblem.from_coded_image(op, coded, gamma)
+    solved = fidelity_solve(FidelityProblem.from_coded_image(op, coded, floor),
+                            np.zeros((16, 16, 31)))
+    assert np.all(np.isfinite(solved))
+    # reconstruct checks the smallest gamma a stage consumes, before it starts;
+    # the last entry is consumed by no stage
+    for gammas in ([1.0, _TINY, 1.0], [_TINY]):
+        with pytest.raises(SingularPivotError, match="below"):
+            reconstruct(coded, op, StageSchedule(gammas), IdentityDenoiser(),
+                        _UnreachedInitializer())
+    reconstruct(coded, op, StageSchedule([1.0, 1.0, _TINY]), IdentityDenoiser(),
+                MeanInitializer())
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 # entry point -> call on a bad input; the ones in _IMAGE_INPUT take a coded

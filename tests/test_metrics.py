@@ -11,6 +11,7 @@ import pytest
 
 from snapspec import MetricReport, evaluate, psnr, sam, ssim
 from snapspec.errors import DegenerateMetricError, DimensionError, ParameterError
+from snapspec.metrics import PSNR_CAP_DB
 
 from reference_impls import psnr_direct, sam_direct, ssim_fftconvolve
 
@@ -52,6 +53,19 @@ def test_psnr_validation():
     image = np.zeros((16, 16))
     with pytest.raises(DimensionError, match="cubes"):
         psnr(image, image)
+
+
+@pytest.mark.parametrize("mse", [0.99e-10, 1.01e-10], ids=["below", "above"])
+def test_psnr_cap_threshold_edges(mse):
+    # the cap takes over below an MSE of 1e-10, where the formula reads 100 dB;
+    # just above it the formula's value stands
+    x = _cube()
+    got = psnr(x + np.sqrt(mse), x)
+    if mse < 1e-10:
+        assert got == PSNR_CAP_DB
+    else:
+        assert 99.9 < got < PSNR_CAP_DB
+        assert abs(got - 10.0 * np.log10(1.0 / mse)) < 1e-6
 
 
 # spectral angle
@@ -101,6 +115,19 @@ def test_sam_skips_degenerate_pixels():
     got = sam(x2, ref2)
     assert abs(got - expected) < 1e-12
     assert got != base
+
+
+@pytest.mark.parametrize("scale, counted", [(1.01, True), (0.99, False)], ids=["above", "below"])
+def test_sam_norm_floor_edges(scale, counted):
+    # one pixel's spectrum with a norm just above the documented floor of
+    # 1e-12 (SAM_NORM_FLOOR) counts in the mean angle, and just below it is skipped
+    x = _cube(13, (2, 2, 3))
+    ref = _cube(14, (2, 2, 3))
+    x[0, 0] *= scale * 1e-12 / np.linalg.norm(x[0, 0])
+    cos = np.sum(x * ref, axis=2) / (np.linalg.norm(x, axis=2) * np.linalg.norm(ref, axis=2))
+    angles = np.arccos(np.clip(cos, -1.0, 1.0)).ravel()
+    assert abs(angles[0] - np.mean(angles[1:])) > 0.01
+    assert abs(sam(x, ref) - np.mean(angles if counted else angles[1:])) < 1e-12
 
 
 def test_sam_all_degenerate_raises():
