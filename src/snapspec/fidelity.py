@@ -88,16 +88,17 @@ class FidelityProblem:
 
     def __post_init__(self):
         GAMMA.check(self.gamma, "gamma")
-        floor = self.op.gram_max / _GRAM_LIMIT
-        if self.gamma < floor:
-            raise SingularPivotError(
-                "gamma %r below %r, the smallest at which Gram / gamma (largest Gram "
-                "entry %.6g) stays in float64" % (float(self.gamma), floor, self.op.gram_max))
         expected = (3, self.op.height, self.op.width // 2 + 1)
         if self.coded_spectrum.shape != expected:
             raise DimensionError(
                 "coded_spectrum shape %r, expected %r" % (self.coded_spectrum.shape, expected)
             )
+        # last, as it reads the operator's Gram, which its first use makes
+        floor = self.op.gram_max / _GRAM_LIMIT
+        if self.gamma < floor:
+            raise SingularPivotError(
+                "gamma %r below %r, the smallest at which Gram / gamma (largest Gram "
+                "entry %.6g) stays in float64" % (float(self.gamma), floor, self.op.gram_max))
 
     @classmethod
     def from_coded_image(cls, op: FrequencyOperator, coded: np.ndarray, gamma: float):
@@ -132,10 +133,14 @@ def block_inverse_3x3(a: np.ndarray) -> np.ndarray:
     c = _pivot_reciprocal(a11 - a01 * inv00 * a01, "inner Schur")
     b01 = -inv00 * a01 * c
     b00 = inv00 - b01 * a01 * inv00
-    # outer Schur complement of the 2x2 block [b00 b01; b01 c] against (2, 2)
-    t0 = b00 * a02 + b01 * a12
-    t1 = b01 * a02 + c * a12
-    d = _pivot_reciprocal(a22 - (a02 * t0 + a12 * t1), "outer Schur")
+    # outer Schur complement of the 2x2 block [b00 b01; b01 c] against (2, 2);
+    # for a rank-deficient Gram near the gamma floor its product can overflow,
+    # and the pivot guard then names the pivot that lost its digits
+    with np.errstate(over="ignore", invalid="ignore"):
+        t0 = b00 * a02 + b01 * a12
+        t1 = b01 * a02 + c * a12
+        outer = a22 - (a02 * t0 + a12 * t1)
+    d = _pivot_reciprocal(outer, "outer Schur")
     return np.stack([b00 + t0 * d * t0, b01 + t0 * d * t1, -t0 * d,
                      c + t1 * d * t1, -t1 * d, d])
 

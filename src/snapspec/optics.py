@@ -9,10 +9,10 @@ band with its wavelength-dependent PSF and weighting by the sensor response:
 Under circular boundary conditions this operator diagonalizes per spatial
 frequency into a 3 x bands complex matrix H_f[c, i] = response[c, i] P_i(f),
 where P_i, the DFT of band i's PSF, is its OTF (optical transfer function).
-:class:`FrequencyOperator` stores these two factors and the Gram planes
-derived from them, and caches ``lipschitz`` on first use.  The solver
-and :func:`forward_encode`, which simulates a frame, apply that one
-operator, so the model has one implementation.
+:class:`FrequencyOperator` stores these two factors and nothing else: the
+solver's Gram planes, their largest entry and ``lipschitz`` are derived on
+first use.  The solver and :func:`forward_encode`, which simulates a frame,
+apply that one operator, so the model has one implementation.
 
 Kernels, cubes and images are real, so every spectrum is Hermitian and only
 the non-negative half of the last axis is kept (``rfft2``).  This module
@@ -36,7 +36,7 @@ transforms there and back hold one strip.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -113,7 +113,7 @@ class FrequencyOperator:
     ``H_f[c, i] = response[c, i] * transfer[i, f]``; it is never stored.
     Its gain-independent Gram H_f H_f^* is real and symmetric, with entries
     ``sum_i response[a, i] response[b, i] |transfer[i, u, v]|^2``.  ``gram``
-    stores its 6 distinct entries as planes, derived once at construction:
+    holds its 6 distinct entries as planes, derived on first use and kept:
     shape (6, height, width // 2 + 1), plane p holding entry (a, b) for the
     upper-triangle pairs (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)
     (the order of ``np.triu_indices(3)``; ``GRAM_PLANES`` maps them back).
@@ -123,7 +123,6 @@ class FrequencyOperator:
     height: int
     width: int
     response: np.ndarray | None = None
-    gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.response is None:
@@ -134,18 +133,24 @@ class FrequencyOperator:
                 "response shape %r and transfer shape %r, expected (3, bands) and (bands,) + %r"
                 % (self.response.shape, self.transfer.shape, expected)
             )
-        # |transfer|^2 plane by plane: one real plane of temporary, not a cube
-        power = np.empty(self.transfer.shape, dtype=self.transfer.real.dtype)
-        for t, plane in zip(self.transfer, power):
-            np.square(t.real, out=plane)
-            plane += np.square(t.imag)
-        rows, cols = np.triu_indices(3)
-        gram = np.tensordot(self.response[rows] * self.response[cols], power, axes=1)
-        object.__setattr__(self, "gram", gram)
 
     @property
     def n_bands(self) -> int:
         return self.transfer.shape[0]
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        # the planes first: the power planes, freed last, leave no hole under them
+        gram = np.empty((6,) + self.transfer.shape[1:])
+        # |transfer|^2 plane by plane, a Gram plane the scratch until the product
+        power = np.empty(self.transfer.shape, dtype=self.transfer.real.dtype)
+        for t, plane in zip(self.transfer, power):
+            np.square(t.real, out=plane)
+            plane += np.square(t.imag, out=gram[0])
+        rows, cols = np.triu_indices(3)
+        np.dot(self.response[rows] * self.response[cols], power.reshape(self.n_bands, -1),
+               out=gram.reshape(6, -1))
+        return gram
 
     @functools.cached_property
     def lipschitz(self) -> float:
@@ -211,10 +216,9 @@ def forward_encode(cube: np.ndarray, system: OpticalSystem) -> np.ndarray:
 def build_frequency_operator(system: OpticalSystem, height: int, width: int) -> FrequencyOperator:
     """The system's response and per-band OTFs on an (height, width) grid.
 
-    Each band's kernel is embedded and transformed on its own, into the
-    operator's ``transfer``, so the working memory is the operator itself:
-    ``transfer`` (about one cube of the grid), the power planes the Gram is
-    formed from (half a cube) and ``gram`` (6 planes), 1.89 cubes at 8 bands.
+    Each band's kernel is embedded and transformed on its own into the
+    operator's ``transfer``, about one cube of the grid and the whole working
+    memory (1.26 cubes at 8 bands): the Gram waits for its first use.
     """
     transfer = np.empty((system.n_bands, height, width // 2 + 1), dtype=np.complex128)
     for spectrum, psf in zip(transfer, system.psfs):

@@ -456,7 +456,9 @@ def reconstruct(
     meets, so the operation it names differs from theirs only when two rows
     overflow in different operations.
 
-    Working memory: an exact-solve stage holds three cubes above its inputs
+    Working memory: a fresh operator's Gram, made on first use, is made
+    with the problem, before the loop's buffers (0.88 cube at 8 bands).  An
+    exact-solve stage holds three cubes above its inputs
     (the iterate, which the denoiser overwrites in place, the multipliers,
     and the anchor, whose padded rows the solve transforms in place and
     overwrites with its output) plus the denoiser's own scratch (two dual

@@ -626,6 +626,23 @@ def test_out_of_domain_config_file_value_exit_2(tmp_path, capsys):
     assert "--stages: must be in [1, 1000]" in captured.err
 
 
+@pytest.mark.parametrize("value, trace", [("yes", True), ("Off", False)])
+def test_config_file_boolean(tmp_path, capsys, value, trace):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trace=%s\n" % value)
+    assert _exit_code(["reconstruct", "--config", str(cfg), "--dump-config"]) == 0
+    assert "\ntrace=%s\n" % trace in capsys.readouterr().out
+
+
+def test_bad_config_file_boolean_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trace=maybe\n")
+    assert _exit_code(["reconstruct", "--config", str(cfg), "--dump-config"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "%s: --trace: expected a boolean, got 'maybe'\n" % cfg in captured.err
+
+
 def test_repeated_config_file_key_exit_2(tmp_path, capsys):
     cfg = tmp_path / "dup.cfg"
     cfg.write_text("stages=3\nstages=5\n")
@@ -662,6 +679,36 @@ def test_unreadable_response_csv_exit_2(tmp_path, capsys, row, message):
     assert code == 2
     err = capsys.readouterr().err
     assert str(resp) in err and message in err
+
+
+# a response file's rows and a PSF tensor's rank, checked as they load: the
+# library's error types are asserted in test_tensorio and test_optics
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--response", "", "empty response file"),
+    ("--response", "wavelength,r,g,b\n450,1,0\n", "row 1: expected 4 fields, got 3"),
+    ("--response", "wavelength,r,g,b\n450,nan,0,0\n", "row 1: non-finite value"),
+    ("--response", "wavelength,r,g,b\n", "no data rows"),
+    ("--psf", None, "expected a 3-D tensor, got shape (3, 3)"),
+], ids=["empty", "three-fields", "nan", "header-only", "psf-2d"])
+def test_refused_system_file_exit_2_naming_it(tmp_path, capsys, flag, text, message):
+    psf, resp = _write_random_system(tmp_path)
+    cube_path, _ = _write_cube(tmp_path)
+    inputs = {"--cube": cube_path, "--psf": psf, "--response": resp}
+    if text is None:
+        inputs[flag] = bad = str(tmp_path / "bad.htns")
+        save_tensor(np.ones((3, 3)) / 9.0, bad)
+    else:
+        inputs[flag] = bad = str(tmp_path / "bad.csv")
+        pathlib.Path(bad).write_text(text)
+    out = tmp_path / "out.htns"
+    capsys.readouterr()
+    assert main(["simulate", *(item for pair in inputs.items() for item in pair),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "snapspec simulate: error: %s %s: %s\n" % (flag, bad, message) in err
+    assert not out.exists()
 
 
 # a refused input is named by its flag and path, so the user can tell which
@@ -751,6 +798,16 @@ def _cross_check_inputs(tmp_path):
         files["resp%d" % bands] = str(tmp_path / ("resp%d.csv" % bands))
         save_response_csv(files["resp%d" % bands], np.linspace(450.0, 650.0, bands),
                           rgb_response(bands))
+    # two bands, rank-two Grams: the outer Schur product overflows at twice the floor
+    rng = np.random.default_rng(8)
+    psfs = rng.uniform(0.05, 1, (2, 5, 5))
+    psfs /= psfs.sum(axis=(1, 2), keepdims=True)
+    response = rng.uniform(0.05, 1, (3, 2)) * 10 ** rng.uniform(2, 4)
+    files.update(psf2=str(tmp_path / "psf2.htns"), resp2=str(tmp_path / "resp2.csv"),
+                 coded2=str(tmp_path / "coded2.htns"))
+    save_tensor(psfs, files["psf2"])
+    save_response_csv(files["resp2"], np.array([500.0, 600.0]), response)
+    save_tensor(rng.uniform(size=(16, 16, 3)), files["coded2"])
     return files
 
 
@@ -795,6 +852,11 @@ _CROSS_CHECKS = {
         "reconstruct", {**_RECONSTRUCT, "--psf": "psf31", "--response": "resp31",
                         "--gamma-schedule": "constant:" + _FLOOR, "--stages": "2"}, _RUN,
         "gamma %s below " % _FLOOR),
+    "reconstruct-outer-schur": (
+        "reconstruct", {**_RECONSTRUCT, "--coded": "coded2", "--psf": "psf2",
+                        "--response": "resp2", "--stages": "3",
+                        "--gamma-schedule": "constant:4.3959593196555315e-304"},
+        _RUN, "stage 2 of 3: outer Schur pivot -inf below 0.5 at gamma 4.39596e-304"),
     "evaluate-bands": (
         "evaluate", {"--recon": "cube", "--gt": "cube3", "--crop": "0"}, _METRICS,
         "shape mismatch: (16, 16, 4) vs (16, 16, 3)"),

@@ -527,6 +527,26 @@ def test_gamma_below_the_gram_floor_refused_without_warnings(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_outer_schur_overflow_above_the_floor_is_a_lost_pivot(recwarn):
+    # two bands make every Gram rank two; at twice the floor the outer Schur
+    # product overflows, and the pivot guard names the pivot it lost
+    rng = np.random.default_rng(8)
+    psfs = rng.uniform(0.05, 1, (2, 5, 5))
+    psfs /= psfs.sum(axis=(1, 2), keepdims=True)
+    response = rng.uniform(0.05, 1, (3, 2)) * 10 ** rng.uniform(2, 4)
+    op = build_frequency_operator(OpticalSystem(psfs=psfs, response=response), 16, 16)
+    gamma = 2 * op.gram_max / float(np.finfo(np.float64).max / 2)
+    coded = rng.uniform(size=(16, 16, 3))
+    prob = FidelityProblem.from_coded_image(op, coded, gamma)
+    with pytest.raises(SingularPivotError, match=r"^outer Schur pivot -inf below 0\.5$"):
+        fidelity_solve(prob, np.zeros((16, 16, 2)))
+    with pytest.raises(SingularPivotError, match=r"^stage 2 of 3: outer Schur pivot -inf "
+                       r"below 0\.5 at gamma 4\.39596e-304, too small for float64$"):
+        reconstruct(coded, op, StageSchedule.constant(3, gamma), IdentityDenoiser(),
+                    MeanInitializer())
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 # entry point -> call on a bad input; the ones in _IMAGE_INPUT take a coded
 # image (depth 3), the rest a cube (depth = bands)
 _IMAGE_INPUT = ("apply_adjoint", "from_coded_image", "reconstruct")
@@ -580,6 +600,19 @@ def test_coded_image_round_trip():
     assert coded.flags.writeable
     assert not prob.coded_spectrum.flags.writeable
     assert np.max(np.abs(from_spectrum(op, prob.coded_spectrum.copy()) - coded)) < 1e-12
+
+
+def test_problem_rejects_a_coded_spectrum_off_the_grid():
+    rng = np.random.default_rng(3)
+    system, op, prob = _problem(rng)
+    spectrum = np.zeros((3, 8, 4), dtype=np.complex128)
+    fresh = build_frequency_operator(system, 8, 8)
+    for operator in (op, fresh):
+        with pytest.raises(DimensionError) as info:
+            FidelityProblem(op=operator, coded=prob.coded, coded_spectrum=spectrum, gamma=0.5)
+        assert type(info.value) is DimensionError
+        assert str(info.value) == "coded_spectrum shape (3, 8, 4), expected (3, 8, 5)"
+    assert "gram" not in vars(fresh)  # refused before the Gram is made
 
 
 def test_read_only_coded_spectrum_is_not_consumed():

@@ -1,5 +1,7 @@
 """Forward-model tests: encoder, frequency operator, noise."""
 
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 import scipy.fft
 
 from snapspec import (
+    FidelityProblem,
     FrequencyOperator,
     NoiseModel,
     OpticalSystem,
@@ -347,6 +350,33 @@ def test_setup_matches_whole_array_forms(height, width, n_bands):
     assert np.array_equal(op.gram, gram_whole_array(transfer, system.response))
 
 
+def test_only_the_solver_derives_the_gram(monkeypatch):
+    # the operator stores its two factors; the Gram planes are the solver's,
+    # derived on first use with the bits of the whole-array form
+    assert [f.name for f in dataclasses.fields(FrequencyOperator)] == [
+        "transfer", "height", "width", "response"]
+    rng = np.random.default_rng(5)
+    system = _random_system(rng, 5, 7)
+    cube, image = rng.uniform(size=(17, 15, 5)), rng.uniform(size=(17, 15, 3))
+    built = []
+    build = optics.build_frequency_operator
+
+    def spy(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(optics, "build_frequency_operator", spy)
+    forward_encode(cube, system)
+    assert len(built) == 1 and "gram" not in vars(built[0])
+    op = build(system, 17, 15)
+    apply_forward_frequency(op, cube)
+    apply_adjoint(op, image)
+    assert "gram" not in vars(op)
+    FidelityProblem.from_coded_image(op, image, 1.0)
+    assert "gram" in vars(op)
+    assert np.array_equal(op.gram, gram_whole_array(op.transfer, system.response))
+
+
 @_GRIDS
 @pytest.mark.parametrize("model", [NoiseModel(seed=6), NoiseModel(poisson_bits=0, seed=6),
                                    NoiseModel(gaussian_sigma=0.0, seed=6)],
@@ -441,6 +471,14 @@ def test_response_band_mismatch_rejected():
     psfs = np.ones((2, 3, 3)) / 9.0
     with pytest.raises(DimensionError):
         OpticalSystem(psfs=psfs, response=np.ones((3, 4)))
+
+
+def test_two_dimensional_psfs_rejected():
+    # one kernel without its band axis; the CLI refuses a 2-D --psf tensor
+    # before it gets here (test_refused_system_file_exit_2_naming_it)
+    with pytest.raises(DimensionError, match=re.escape("psfs must have shape (bands, k, k), "
+                                                       "got (3, 3)")):
+        OpticalSystem(psfs=np.ones((3, 3)) / 9.0, response=np.ones((3, 3)))
 
 
 # noise model

@@ -233,6 +233,28 @@ def test_malformed_number_rejected(tmp_path):
         load_response_csv(path)
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("", FormatError, "empty response file"),
+    ("wavelength,r,g,b\n500,1,0\n", FormatError, "row 1: expected 4 fields, got 3"),
+    ("wavelength,r,g,b\n500,nan,0,0\n", ValidationError, "row 1: non-finite value"),
+    ("wavelength,r,g,b\n", FormatError, "no data rows"),
+], ids=["empty", "three-fields", "nan", "header-only"])
+def test_refused_response_file_raises_its_type(tmp_path, text, error, message):
+    # the CLI's exit code for each: test_refused_system_file_exit_2_naming_it
+    with pytest.raises(error) as info:
+        load_response_csv(_write(tmp_path, text))
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_response_shape_mismatch_writes_nothing(tmp_path):
+    path = tmp_path / "r.csv"
+    with pytest.raises(ValidationError) as info:
+        save_response_csv(path, [450.0, 550.0, 650.0], np.ones((3, 2)))
+    assert type(info.value) is ValidationError
+    assert str(info.value) == "response shape (3, 2) does not match 3 wavelengths"
+    assert not path.exists()
+
+
 def test_response_csv_round_trip(tmp_path):
     path = tmp_path / "rt.csv"
     wavelengths = np.linspace(420.0, 680.0, 7)

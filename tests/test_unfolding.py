@@ -626,7 +626,10 @@ def _peak_bytes(call, *args, **kwargs):
 
 
 def _peak_cubes(op, coded, sched, den, init, trace, gdm_iters=0):
-    """tracemalloc peak of one run above what was allocated before it, in cubes."""
+    """tracemalloc peak of one run above what was allocated before it, in
+    cubes; the operator's Gram, made on first use, is made first, so that
+    the loop alone is measured."""
+    op.gram_max
     peak = _peak_bytes(reconstruct, coded, op, sched, den, init, trace=trace,
                        gdm_iters=gdm_iters)
     return peak / (op.height * op.width * op.n_bands * 8)
@@ -688,13 +691,21 @@ def test_setup_working_memory():
     # the scene is filtered and scaled in its noise array: 1.00 cube
     # measured (3.00 with a new array per step), 5% margin
     assert _peak_bytes(smooth_cube, 256, 256, 8) / cube <= 1.05
-    # transfer (1 cube of half spectra), the power planes (0.5) and the six
-    # Gram planes (0.375), each band embedded and transformed on its own:
-    # 1.89 measured (2.02 from the batched transform), 3% margin
-    assert _peak_bytes(build_frequency_operator, system, 256, 256) / cube <= 1.95
+    # transfer (1 cube of half spectra), each band embedded and transformed
+    # on its own: 1.26 measured (1.89 with the Gram made at construction,
+    # 2.02 from the batched transform), 3% margin
+    assert _peak_bytes(build_frequency_operator, system, 256, 256) / cube <= 1.30
+    # the Gram's first use: the power planes (0.5) and the six Gram planes
+    # (0.375), 0.88 measured, 4% margin
+    op = build_frequency_operator(system, 256, 256)
+    assert _peak_bytes(lambda: op.gram) / cube <= 0.92
+    # forward_encode: its operator's transfer, the cube's spectra and the
+    # channel spectra, with no Gram: 2.39 measured (2.77 with the Gram), 3% margin
+    scene = smooth_cube(256, 256, 8)
+    assert _peak_bytes(forward_encode, scene, system) / cube <= 2.45
     # the noisy copy plus one image of Poisson counts or of read noise: 2.04
     # images measured with both stages (3.01 from whole-array steps), 3% margin
-    coded = forward_encode(smooth_cube(256, 256, 8), system)
+    coded = forward_encode(scene, system)
     for model in (NoiseModel(), NoiseModel(poisson_bits=0), NoiseModel(gaussian_sigma=0.0)):
         assert _peak_bytes(add_noise, coded, model) / coded.nbytes <= 2.1
 
