@@ -10,10 +10,10 @@ curves).
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
+import scipy.fft
 
 from .errors import SEED, Domain, ParameterError
-from .optics import OpticalSystem
+from .optics import OpticalSystem, row_strips
 
 BANDS = Domain(1)  # the band counts every generator takes
 
@@ -25,8 +25,13 @@ def smooth_cube(height: int, width: int, n_bands: int, seed: int = 0) -> np.ndar
     scene has no seam under circular boundary handling) and a mild spectral
     blur, then min-max normalized.  Deterministic per seed.
 
-    The noise is filtered and normalized in its own array, which is
-    returned: the working memory is the one cube.
+    The filter is ``ndimage.gaussian_filter(mode="wrap")``'s: its kernel
+    per axis (radius ``int(4 sigma + 0.5)``, unit sum), wrapped onto the
+    axis, applied to axes 0, 1 and then the bands in that order.  Each axis
+    is filtered through the FFT, a strip of :func:`optics.row_strips` of
+    whole lines at a time, so the result matches the direct sums to
+    roundoff.  The noise is filtered and normalized in its own array, which
+    is returned: the working memory is about the one cube.
     """
     for name, value, domain in (("height", height, Domain(4)), ("width", width, Domain(4)),
                                 ("n_bands", n_bands, BANDS), ("seed", seed, SEED)):
@@ -34,7 +39,19 @@ def smooth_cube(height: int, width: int, n_bands: int, seed: int = 0) -> np.ndar
     rng = np.random.default_rng(seed)
     cube = rng.standard_normal((height, width, n_bands))
     spatial = max(2.0, min(height, width) / 12.0)
-    ndimage.gaussian_filter(cube, sigma=(spatial, spatial, 1.0), mode="wrap", output=cube)
+    for axis, sigma in enumerate((spatial, spatial, 1.0)):
+        n = cube.shape[axis]
+        shape = [1, 1, 1]
+        shape[axis] = n // 2 + 1
+        transfer = _periodic_gaussian(n, sigma).reshape(shape)
+        # strips across the columns for axis 0, across the rows otherwise;
+        # a strip's lines, their half spectra and the inverse fit the budget
+        across = 1 if axis == 0 else 0
+        for s0, s1 in row_strips(cube.shape[across], 4 * cube.size // cube.shape[across]):
+            strip = cube[:, s0:s1] if across else cube[s0:s1]
+            spectra = scipy.fft.rfft(strip, axis=axis)
+            spectra *= transfer
+            strip[...] = scipy.fft.irfft(spectra, n, axis=axis, overwrite_x=True)
     lo = cube.min()
     hi = cube.max()
     if hi - lo < 1e-12:
@@ -43,6 +60,19 @@ def smooth_cube(height: int, width: int, n_bands: int, seed: int = 0) -> np.ndar
     cube -= lo
     cube /= hi - lo
     return cube
+
+
+def _periodic_gaussian(n: int, sigma: float) -> np.ndarray:
+    """The real half spectrum (n // 2 + 1) of ndimage's Gaussian kernel of
+    ``sigma`` folded modulo ``n`` onto one period, so that a kernel longer
+    than the axis wraps as ``mode="wrap"`` does."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * x**2)
+    kernel = kernel / kernel.sum()
+    period = np.zeros(n)
+    np.add.at(period, x % n, kernel)
+    return scipy.fft.rfft(period).real
 
 
 def rotating_psf_stack(n_bands: int, kernel_size: int, radius: float | None = None,

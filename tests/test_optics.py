@@ -332,22 +332,42 @@ def test_row_strips_cover_each_row_once(height, row_elements, rows):
 
 
 # the set-up functions work in their output buffers; every bit stays that of
-# the whole-array forms
+# the whole-array forms, but the scene, whose filter sums through the FFT
+# where the reference sums ndimage's taps directly
 
 _GRIDS = pytest.mark.parametrize("height, width, n_bands", [(64, 64, 8), (17, 15, 5)],
                                  ids=["even", "odd"])
+
+SCENE_TOL = 1e-13  # largest seen: 1.2e-14, a 4 x 4 x 1 scene's narrow range scaled to [0, 1]
 
 
 @_GRIDS
 def test_setup_matches_whole_array_forms(height, width, n_bands):
     cube = smooth_cube(height, width, n_bands, seed=3)
-    assert np.array_equal(cube, smooth_cube_whole_array(height, width, n_bands, seed=3))
+    assert np.max(np.abs(cube - smooth_cube_whole_array(height, width, n_bands, seed=3))) \
+        <= SCENE_TOL
     # random kernels: the synthetic ones are point-symmetric, with real OTFs
     system = _random_system(np.random.default_rng(width), n_bands, 7)
     op = build_frequency_operator(system, height, width)
     transfer = transfer_batched(system.psfs, height, width)
     assert np.array_equal(op.transfer, transfer)
     assert np.array_equal(op.gram, gram_whole_array(transfer, system.response))
+
+
+@pytest.mark.parametrize("height, width, n_bands", [
+    (16, 16, 4),  # 17 spatial taps on 16 samples
+    (4, 4, 1),  # every kernel longer than its axis, one band
+    (5, 40, 2),  # 17 taps on 5 rows, 9 band taps on 2 bands
+    (17, 15, 5),
+    (12, 20, 31),  # 31 bands; both spatial axes shorter than the kernel
+])
+def test_scene_filter_wraps_long_kernels(height, width, n_bands):
+    # a kernel longer than its axis folds onto it more than once, as
+    # ndimage's mode="wrap" sums it
+    for seed in (0, 7):
+        cube = smooth_cube(height, width, n_bands, seed=seed)
+        ref = smooth_cube_whole_array(height, width, n_bands, seed=seed)
+        assert np.max(np.abs(cube - ref)) <= SCENE_TOL
 
 
 def test_only_the_solver_derives_the_gram(monkeypatch):
