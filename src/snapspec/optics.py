@@ -21,8 +21,9 @@ band-major (depth, H, W // 2 + 1) half spectra, checking the grid shape on
 the way, and :func:`from_spectrum` maps back to the full extent (H, W), so
 odd widths round-trip.  Every transform of a cube or a coded image, either
 way, goes through these two helpers; the package's other transforms, the
-kernels' OTFs in :func:`build_frequency_operator` and the Gaussian-window
-convolutions of ``metrics.ssim``, call ``scipy.fft`` themselves.  The
+kernels' OTFs in :func:`build_frequency_operator`, the Gaussian-window
+convolutions of ``metrics.ssim`` and the scene filter of
+``synth.smooth_cube``, call ``scipy.fft`` themselves.  The
 helpers run the row and column passes of the 2-D transform on every band
 at once, the rows a strip of :func:`row_strips` at a time, with the bits
 of ``rfft2`` and numpy's ``irfft2``.  The inverse consumes the spectra it

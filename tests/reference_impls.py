@@ -266,12 +266,14 @@ def ssim_fftconvolve(x: np.ndarray, ref: np.ndarray) -> float:
 
 # The set-up functions written as whole-array expressions, one new array per
 # step.  The library computes the same values in its output buffers, band by
-# band or in place, and must match these to the bit.
+# band or in place, and must match these to the bit, but for smooth_cube:
+# it filters through the FFT where this sums ndimage's taps directly, and
+# matches to roundoff.
 
 
 def smooth_cube_whole_array(height: int, width: int, n_bands: int, seed: int = 0) -> np.ndarray:
-    """``synth.smooth_cube`` with the filter and the min-max scaling each
-    returning a new cube."""
+    """``synth.smooth_cube`` as ndimage's direct wrapped Gaussian sums, with
+    the filter and the min-max scaling each returning a new cube."""
     noise = np.random.default_rng(seed).standard_normal((height, width, n_bands))
     spatial = max(2.0, min(height, width) / 12.0)
     g = ndimage.gaussian_filter(noise, sigma=(spatial, spatial, 1.0), mode="wrap")

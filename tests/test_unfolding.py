@@ -688,8 +688,9 @@ def test_setup_working_memory():
     # measured at 256^2 x 8 plus a margin of at most 5%
     system = synthetic_system(n_bands=8, kernel_size=9)
     cube = 256 * 256 * 8 * 8
-    # the scene is filtered and scaled in its noise array: 1.00 cube
-    # measured (3.00 with a new array per step), 5% margin
+    # the scene is filtered and scaled in its noise array, a strip of lines
+    # at a time through the FFT: 1.04 cubes measured (1.00 with ndimage's
+    # direct sums, 3.00 with a new array per step)
     assert _peak_bytes(smooth_cube, 256, 256, 8) / cube <= 1.05
     # transfer (1 cube of half spectra), each band embedded and transformed
     # on its own: 1.26 measured (1.89 with the Gram made at construction,
