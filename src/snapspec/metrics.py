@@ -41,9 +41,7 @@ def psnr(x: np.ndarray, ref: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB over all voxels of two (H, W, bands)
     cubes for peak 1, capped at 100 dB."""
     x, ref = _check_pair(x, ref)
-    diff = np.subtract(x, ref)
-    diff *= diff
-    mse = float(np.mean(diff))
+    mse = float(np.mean((x - ref) ** 2))
     if mse < 1e-10:
         return PSNR_CAP_DB
     return 10.0 * float(np.log10(1.0 / mse))
@@ -54,17 +52,15 @@ def sam(x: np.ndarray, ref: np.ndarray) -> float:
 
     Pixels where either spectrum has norm below ``SAM_NORM_FLOOR`` carry no
     direction and are skipped; if every pixel is degenerate the metric is
-    undefined and an error is raised.  The norms are ``np.linalg.norm``'s,
-    and they and the dot products are summed from one product buffer.
+    undefined and an error is raised.
     """
     x, ref = _check_pair(x, ref)
-    products = np.multiply(x, x)
-    nx = np.sqrt(np.add.reduce(products, axis=2))
-    nr = np.sqrt(np.add.reduce(np.multiply(ref, ref, out=products), axis=2))
+    nx = np.linalg.norm(x, axis=2)
+    nr = np.linalg.norm(ref, axis=2)
     valid = (nx >= SAM_NORM_FLOOR) & (nr >= SAM_NORM_FLOOR)
     if not np.any(valid):
         raise DegenerateMetricError("all pixel spectra are degenerate; angle undefined")
-    dots = np.add.reduce(np.multiply(x, ref, out=products), axis=2)
+    dots = np.sum(x * ref, axis=2)
     cos = np.clip(dots[valid] / (nx[valid] * nr[valid]), -1.0, 1.0)
     return float(np.mean(np.arccos(cos)))
 
@@ -86,9 +82,7 @@ def ssim(x: np.ndarray, ref: np.ndarray) -> float:
     the window size.  Each local mean is an FFT linear convolution (zero
     padded, through ``scipy.fft``) cut to those windows: equal, bit for bit,
     to ``fftconvolve(img, window, mode="valid")``, with the window's spectrum
-    taken once per call.  The squares and cross products go through one
-    band buffer, and the map is evaluated in the local means' own arrays,
-    in the order the SSIM expression rounds.
+    taken once per call.
     """
     x, ref = _check_pair(x, ref)
     if x.shape[0] < SSIM_WINDOW or x.shape[1] < SSIM_WINDOW:
@@ -104,40 +98,20 @@ def ssim(x: np.ndarray, ref: np.ndarray) -> float:
     valid = (slice(SSIM_WINDOW - 1, x.shape[0]), slice(SSIM_WINDOW - 1, x.shape[1]))
 
     def local_mean(img: np.ndarray) -> np.ndarray:
-        spec = scipy.fft.rfftn(img, fshape)
-        spec *= win_f
-        return scipy.fft.irfftn(spec, fshape, overwrite_x=True)[valid]
+        return scipy.fft.irfftn(scipy.fft.rfftn(img, fshape) * win_f, fshape)[valid]
 
-    products = np.empty(x.shape[:2])
     scores = []
     for band in range(x.shape[2]):
         a = x[:, :, band]
         b = ref[:, :, band]
         mu_a = local_mean(a)
         mu_b = local_mean(b)
-        # den = (mu_a^2 + mu_b^2 + c1) * (var_a + var_b + c2), into sq_a
-        sq_a = mu_a * mu_a
-        sq_b = mu_b * mu_b
-        var_a = local_mean(np.multiply(a, a, out=products))
-        var_a -= sq_a
-        var_b = local_mean(np.multiply(b, b, out=products))
-        var_b -= sq_b
-        sq_a += sq_b
-        sq_a += c1
-        var_a += var_b
-        var_a += c2
-        sq_a *= var_a
-        # num = (2 mu_a mu_b + c1) * (2 cov + c2), into mu_a
-        cov = local_mean(np.multiply(a, b, out=products))
-        cov -= np.multiply(mu_a, mu_b, out=sq_b)
-        cov *= 2.0
-        cov += c2
-        mu_a *= 2.0
-        mu_a *= mu_b
-        mu_a += c1
-        mu_a *= cov
-        # a contiguous quotient, so the mean sums in the order it always has
-        scores.append(np.mean(np.divide(mu_a, sq_a)))
+        var_a = local_mean(a * a) - mu_a * mu_a
+        var_b = local_mean(b * b) - mu_b * mu_b
+        cov = local_mean(a * b) - mu_a * mu_b
+        num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+        den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+        scores.append(np.mean(num / den))
     return float(np.mean(scores))
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,24 @@ def test_evaluate_rejects_non_cube_pairs(shape):
     x = np.zeros(shape)
     with pytest.raises(DimensionError, match="cubes"):
         evaluate(x, x, crop=0)
+
+
+def test_evaluate_working_memory():
+    # evaluate's temporaries peak at about one cube (1.05), in SSIM's
+    # per-band local statistics; a cube-sized buffer held beside SAM's
+    # products takes it to 1.26
+    rng = np.random.default_rng(30)
+    gt = rng.uniform(size=(256, 256, 8))
+    rec = np.clip(gt + rng.normal(0.0, 0.05, size=gt.shape), 0.0, 1.0)
+    evaluate(rec, gt, crop=20)  # scipy.fft's plans and caches, outside the peak
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evaluate(rec, gt, crop=20)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / gt.nbytes <= 1.15
 
 
 def test_report_json_keys_and_degrees():
