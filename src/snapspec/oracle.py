@@ -12,7 +12,7 @@ the two is evidence rather than tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,15 +104,8 @@ class DenseSystem:
         return unvec_cube(x, self.height, self.width, self.n_bands)
 
     def tikhonov_solve(self, coded: np.ndarray, weight: float) -> np.ndarray:
-        """Minimize 1/2 ||Phi x - j||^2 + weight/2 ||x||^2.
-
-        ``weight == 0`` degrades to minimum-norm least squares; any other is a ``GAMMA``.
-        """
-        replace(GAMMA, off=0).check(weight, "weight")
-        if weight == 0:
-            self._check(coded, 3)
-            x, *_ = np.linalg.lstsq(self.phi, vec_cube(coded), rcond=None)
-            return unvec_cube(x, self.height, self.width, self.n_bands)
+        """Minimize 1/2 ||Phi x - j||^2 + weight/2 ||x||^2, for a ``GAMMA`` weight."""
+        GAMMA.check(weight, "weight")
         return self.ridge_solve(
             coded, np.zeros((self.height, self.width, self.n_bands)), weight
         )

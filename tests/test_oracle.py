@@ -149,29 +149,6 @@ def test_ridge_gamma_too_small_for_cholesky_is_parameter_error():
         dense.ridge_solve(np.zeros((4, 4, 3)), np.zeros((4, 4, 4)), 1e-300)
 
 
-def test_tikhonov_identity_optics_zero_weight():
-    # identity optics, 3 bands: zero-weight solve reproduces the coded image
-    dense = DenseSystem.from_system(_identity_system(3), 3, 3)
-    rng = np.random.default_rng(29)
-    coded = rng.standard_normal((3, 3, 3))
-    out = dense.tikhonov_solve(coded, 0.0)
-    assert np.max(np.abs(out - coded)) < 1e-10
-
-
-def test_tikhonov_zero_weight_min_norm():
-    # underdetermined system: among consistent solutions lstsq picks min norm
-    rng = np.random.default_rng(31)
-    system = _random_system(rng, 5, 3)
-    dense = DenseSystem.from_system(system, 4, 4)
-    cube = rng.standard_normal((4, 4, 5))
-    coded = dense.forward(cube)
-    out = dense.tikhonov_solve(coded, 0.0)
-    # consistent: reproduces the data
-    assert np.max(np.abs(dense.forward(out) - coded)) < 1e-8
-    # minimal norm among solutions
-    assert np.linalg.norm(out) <= np.linalg.norm(cube) * (1 + 1e-10)
-
-
 def test_tikhonov_large_weight_shrinks_to_zero():
     rng = np.random.default_rng(37)
     system = _random_system(rng, 3, 3)
