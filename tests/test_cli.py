@@ -1663,6 +1663,32 @@ def test_bench_capped_matched_row_fails_gate_at_512(capsys, monkeypatch):
     assert "size 512 bands 1: matched GDM stopped at its 0-step cap" in captured.err
 
 
+@pytest.mark.parametrize("medians, step_s, failure", [
+    ((0.005, 0.001), 0.01, "analytical 0.0050s not faster than 10-step GDM 0.0010s"),
+    ((60.0, 120.0), 0.0, "analytical 60.0000s not faster than matched GDM "),
+], ids=["gdm10", "matched"])
+def test_bench_slow_analytical_row_fails_its_gate_at_512(capsys, monkeypatch, medians,
+                                                         step_s, failure):
+    # the analytical and 10-step medians are set; the matched run takes one
+    # chunk that lands on the exact solve and sleeps step_s, so each case
+    # breaches one gate and passes the others
+    times = iter(medians)
+    monkeypatch.setattr(cli, "_median_time", lambda fn, repeats: next(times))
+
+    def step(prob, anchor, x, iters):
+        time.sleep(step_s)
+        return cli.fidelity_solve(prob, anchor)
+
+    monkeypatch.setattr(cli, "gdm_fidelity_step", step)
+    code = main(["bench", "--sizes", "512", "--bands", "1", "--repeats", "1"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[3].split(",")[4] == "iters=50"
+    failures = [line for line in captured.err.splitlines() if line.startswith("bench: FAIL")]
+    assert len(failures) == 1
+    assert failures[0].startswith("bench: FAIL size 512 bands 1: " + failure)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

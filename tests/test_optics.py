@@ -608,10 +608,11 @@ def test_rotating_psfs_differ_across_bands():
     (lambda: rotating_psf_stack(2.0, 5), "n_bands"),
     (lambda: rotating_psf_stack(2, 5.0), "kernel_size"),
     (lambda: rotating_psf_stack(2, 1), "kernel_size"),
+    (lambda: rotating_psf_stack(2, 4), "kernel_size"),
     (lambda: band_wavelengths(True), "n_bands"),
     (lambda: rgb_response(0), "n_bands"),
 ], ids=["height", "width", "bands", "seed", "extent", "psf-bands", "kernel", "kernel-1",
-        "wavelengths", "response"])
+        "kernel-even", "wavelengths", "response"])
 def test_synth_sizes_are_checked_naming_the_argument(call, name):
     with pytest.raises(ParameterError, match="^%s: must be " % name):
         call()

@@ -236,9 +236,11 @@ def test_malformed_number_rejected(tmp_path):
 @pytest.mark.parametrize("text, error, message", [
     ("", FormatError, "empty response file"),
     ("wavelength,r,g,b\n500,1,0\n", FormatError, "row 1: expected 4 fields, got 3"),
+    # a blank row is skipped, and counted in the row numbers
+    ("wavelength,r,g,b\n\n500,1,0\n", FormatError, "row 2: expected 4 fields, got 3"),
     ("wavelength,r,g,b\n500,nan,0,0\n", ValidationError, "row 1: non-finite value"),
     ("wavelength,r,g,b\n", FormatError, "no data rows"),
-], ids=["empty", "three-fields", "nan", "header-only"])
+], ids=["empty", "three-fields", "blank-row", "nan", "header-only"])
 def test_refused_response_file_raises_its_type(tmp_path, text, error, message):
     # the CLI's exit code for each: test_refused_system_file_exit_2_naming_it
     with pytest.raises(error) as info:

@@ -24,6 +24,7 @@ from snapspec import (
     ZeroInitializer,
     add_noise,
     apply_adjoint,
+    apply_forward_frequency,
     build_frequency_operator,
     forward_encode,
     psnr,
@@ -459,6 +460,22 @@ def test_trace_of_a_bright_scene_reads_inf_without_breaking_the_run():
         traced = reconstruct(coded, op, sched, den, MeanInitializer(), trace=True)
     assert np.array_equal(plain.cube, traced.cube)
     assert [r.data_fidelity for r in traced.trace] == [np.inf] * 3
+
+
+def test_trace_of_an_overflowing_forward_image_reads_inf():
+    # a start of +-1.7e308 overflows the forward transform both ways, so
+    # the image holds NaN (inf - inf); the record reads that as inf, and
+    # warns of nothing
+    _, op, _, coded = _small_setup(seed=19)
+    start = np.full((op.height, op.width, op.n_bands), 1.7e308)
+    start[::2] *= -1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(apply_forward_frequency(op, start)).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = reconstruct(coded, op, StageSchedule.geometric(1), IdentityDenoiser(),
+                             _TruthInitializer(start), trace=True)
+    assert [r.data_fidelity for r in result.trace] == [np.inf]
 
 
 _LOOP_GRIDS = [(16, 16, 4), (15, 17, 5), (33, 9, 3)]
