@@ -773,7 +773,8 @@ def _cmd_oracle_check(config: dict, config_file: dict[str, str]) -> int:
             admm_gamma = 0.3
             schedule = StageSchedule.constant(200, admm_gamma, prior_weight=weight)
             result = run_reconstruct(ref, op, schedule, QuadraticDenoiser(), ZeroInitializer())
-            tik = dense.tikhonov_solve(ref, weight)
+            # the minimiser of 1/2 ||Phi x - j||^2 + weight/2 ||x||^2
+            tik = dense.ridge_solve(ref, np.zeros_like(cube), weight)
             rel = float(
                 np.linalg.norm(result.cube - tik) / max(np.linalg.norm(tik), 1e-300)
             )

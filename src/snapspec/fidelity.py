@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GAMMA, DimensionError, Domain, SingularPivotError
+from .errors import GAMMA, DimensionError, Domain, SingularPivotError, ValidationError
 from .optics import GRAM_PLANES, FrequencyOperator, apply_adjoint, apply_forward_frequency
 from .optics import back_project, cube_spectrum, empty_cube, forward_project, from_spectrum
 from .optics import row_strips, to_spectrum
@@ -71,7 +71,8 @@ GDM_ITERS = Domain(0, MAX_GDM_ITERS)
 class FidelityProblem:
     """One measurement-consistency subproblem instance.
 
-    ``coded`` is the float64 coded image J, shape (H, W, 3), read-only.
+    ``coded`` is the float64 coded image J, shape (H, W, 3), read-only;
+    :meth:`from_coded_image` refuses a non-finite one with ValidationError.
     ``coded_spectrum`` is its :func:`optics.to_spectrum`,
     shape (3, H, W // 2 + 1) complex, read-only: handed to
     :func:`optics.from_spectrum`, which consumes its spectra, it raises
@@ -105,6 +106,9 @@ class FidelityProblem:
         coded = np.asarray(coded, dtype=np.float64).view()  # not a copy
         coded.flags.writeable = False
         coded_spectrum = to_spectrum(op, coded, 3)
+        # NaN flows through the transforms and the loop's errstate unseen
+        if not np.all(np.isfinite(coded)):
+            raise ValidationError("coded image must be finite")
         coded_spectrum.flags.writeable = False
         return cls(op=op, coded=coded, coded_spectrum=coded_spectrum, gamma=gamma)
 

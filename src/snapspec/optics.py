@@ -56,7 +56,7 @@ class OpticalSystem:
     """Normalized per-band PSFs plus the sensor's spectral response.
 
     ``psfs`` has shape (bands, k, k) with k odd and each kernel summing to 1.
-    ``response`` has shape (3, bands) with non-negative entries.
+    ``response`` has shape (3, bands) with finite, non-negative entries.
     """
 
     psfs: np.ndarray
@@ -73,10 +73,11 @@ class OpticalSystem:
             raise DimensionError(
                 "response shape %r does not match %d bands" % (response.shape, psfs.shape[0])
             )
-        if np.any(response < 0):
-            raise ValidationError("spectral response must be non-negative")
+        # each check states what must hold, so that a NaN fails it
+        if not np.all(np.isfinite(response) & (response >= 0)):
+            raise ValidationError("spectral response must be finite and non-negative")
         sums = psfs.sum(axis=(1, 2))
-        if np.any(np.abs(sums - 1.0) > PSF_SUM_TOL):
+        if not np.all(np.abs(sums - 1.0) <= PSF_SUM_TOL):
             worst = int(np.argmax(np.abs(sums - 1.0)))
             raise ValidationError(
                 "psf %d sums to %.12g, expected 1 within %g" % (worst, sums[worst], PSF_SUM_TOL)

@@ -103,13 +103,6 @@ class DenseSystem:
                                  "Cholesky (%s)" % exc) from None
         return unvec_cube(x, self.height, self.width, self.n_bands)
 
-    def tikhonov_solve(self, coded: np.ndarray, weight: float) -> np.ndarray:
-        """Minimize 1/2 ||Phi x - j||^2 + weight/2 ||x||^2, for a ``GAMMA`` weight."""
-        GAMMA.check(weight, "weight")
-        return self.ridge_solve(
-            coded, np.zeros((self.height, self.width, self.n_bands)), weight
-        )
-
     def _check(self, array: np.ndarray, depth: int) -> None:
         expected = (self.height, self.width, depth)
         if np.shape(array) != expected:

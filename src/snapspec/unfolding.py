@@ -475,8 +475,9 @@ def reconstruct(
     before it enters the loop.
     """
     GDM_ITERS.check_count(gdm_iters, "gdm_iters")
-    # the problem checks the coded image's shape, and the smallest gamma a
-    # stage consumes against the operator's floor, before any initializer runs
+    # the problem checks the coded image's shape and finiteness, and the
+    # smallest gamma a stage consumes against the operator's floor, before
+    # any initializer runs
     problem = FidelityProblem.from_coded_image(
         op, coded, gamma=schedule.gamma[:-1].min(initial=schedule.gamma[0]))
 

@@ -2,7 +2,8 @@
 
 Each test prints its verdict to the live terminal (outside pytest capture)
 so a full run reads as a checklist.  Tolerances are frozen; the suite never
-adapts them to observed behavior.
+adapts them to observed behavior.  Criteria 06 and 09 run the CLI's own
+checks, ``oracle-check`` and ``bench``, and quote their rows.
 """
 
 import time
@@ -35,7 +36,7 @@ from snapspec import (
     subproblem_objective,
 )
 from snapspec.oracle import DenseSystem
-from snapspec.synth import rgb_response, rotating_psf_stack, smooth_cube, synthetic_system
+from snapspec.synth import smooth_cube, synthetic_system
 from snapspec.tensorio import load_tensor, save_response_csv, save_tensor
 from snapspec.cli import main as cli_main
 
@@ -196,26 +197,16 @@ def test_criterion_05_gradient_descent_baseline_inferior(capsys):
 
 
 def test_criterion_06_unfolded_quadratic_reaches_dense_solution(capsys):
-    rng = np.random.default_rng(6)
     start = time.perf_counter()
-    worst = 0.0
-    for trial in range(3):
-        system = _random_system(rng, 4)
-        op = build_frequency_operator(system, 8, 8)
-        cube = rng.uniform(size=(8, 8, 4))
-        coded = forward_encode(cube, system)
-        weight = 0.05
-        schedule = StageSchedule.constant(200, 0.3, prior_weight=weight)
-        result = reconstruct(coded, op, schedule, QuadraticDenoiser(), ZeroInitializer())
-        dense = DenseSystem.from_system(system, 8, 8)
-        ref = dense.tikhonov_solve(coded, weight)
-        worst = max(worst, float(np.linalg.norm(result.cube - ref) / np.linalg.norm(ref)))
+    code = cli_main(["oracle-check", "--trials", "3", "--seed", "6"])
     elapsed = time.perf_counter() - start
-    passed = worst < 1e-6 and elapsed < 30.0
+    rows = [" ".join(line.split()[1:]) for line in capsys.readouterr().out.splitlines()
+            if line.startswith("check ")]
+    passed = code == 0 and elapsed < 30.0
     _report(
         capsys, 6, passed,
-        "K=200 fixed-penalty runs, worst rel err %.2e (tol 1e-6), %.1fs (budget 30s)"
-        % (worst, elapsed),
+        "oracle-check --trials 3 (K=200 quadratic-prior runs among them) exit %d: %s; "
+        "%.1fs (budget 30s)" % (code, "; ".join(rows), elapsed),
     )
 
 
@@ -275,43 +266,20 @@ def test_criterion_08_end_to_end_beats_naive_baseline(capsys):
     )
 
 
-def test_criterion_09_analytical_solver_faster_than_matched_gdm(capsys):
-    start_total = time.perf_counter()
-    size, bands, kernel, gamma = 512, 8, 41, 0.5
-    system = OpticalSystem(
-        psfs=rotating_psf_stack(bands, kernel), response=rgb_response(bands)
-    )
-    op = build_frequency_operator(system, size, size)
-    truth = smooth_cube(size, size, bands, seed=0)
-    coded = apply_forward_frequency(op, truth)
-    anchor = np.random.default_rng(9).standard_normal(truth.shape)
-    prob = FidelityProblem.from_coded_image(op, coded, gamma)
-
-    times = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        exact = fidelity_solve(prob, anchor)
-        times.append(time.perf_counter() - t0)
-    t_exact = float(np.median(times))
-    target = subproblem_objective(prob, exact, anchor)
-
-    op.lipschitz  # the eigenvalue sweep, outside the timed GDM run
-    t0 = time.perf_counter()
-    x = anchor.copy()
-    iters = 0
-    while iters < 20000:
-        x = gdm_fidelity_step(prob, anchor, x, 50)
-        iters += 50
-        if subproblem_objective(prob, x, anchor) - target <= 1e-6 * max(1.0, abs(target)):
-            break
-    t_matched = time.perf_counter() - t0
-    total = time.perf_counter() - start_total
-    passed = t_exact < t_matched and total < 300.0
+def test_criterion_09_analytical_solver_faster_than_matched_gdm(capsys, tmp_path):
+    # bench exits 4 unless, at extent 512, the analytical solve beats both
+    # 10-step GDM and GDM run to the closed form's objective, uncapped
+    csv = tmp_path / "bench.csv"
+    start = time.perf_counter()
+    code = cli_main(["bench", "--sizes", "512", "--bands", "8", "--repeats", "1",
+                     "--gamma", "0.5", "--out", str(csv)])
+    total = time.perf_counter() - start
+    rows = csv.read_text().splitlines()[1:] if csv.exists() else []
+    passed = code == 0 and total < 300.0
     _report(
         capsys, 9, passed,
-        "512x512x%d per-stage solve: analytical %.2fs vs accuracy-matched GDM %.2fs "
-        "(%d iters); table in %.0fs (budget 300s)"
-        % (bands, t_exact, t_matched, iters, total),
+        "bench exit %d, 512x512x8 per-stage solve: %s; table in %.0fs (budget 300s)"
+        % (code, "; ".join(rows), total),
     )
 
 

@@ -1615,6 +1615,19 @@ def test_oracle_check_detects_injected_bug(capsys, monkeypatch):
     assert "FAIL" in captured.out or "FAIL" in captured.err
 
 
+def test_oracle_check_admm_row_fails_alone(capsys, monkeypatch):
+    # criterion 06 rests on this row: a prior whose fixed point is not the
+    # dense Tikhonov minimiser fails it, and no other row
+    monkeypatch.setattr(cli, "QuadraticDenoiser", unfolding.IdentityDenoiser)
+    code = main(["oracle-check", "--trials", "3", "--seed", "6"])
+    assert code == 4
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("check ")]
+    assert len(rows) == 3
+    for row in rows:
+        want = "FAIL" if "quadratic-prior unfolding" in row else "PASS"
+        assert row.split()[-1] == want, row
+
+
 # bench
 
 

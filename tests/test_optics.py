@@ -487,6 +487,20 @@ def test_negative_response_rejected():
         OpticalSystem(psfs=psfs, response=response)
 
 
+@pytest.mark.parametrize("tap, entry, match", [
+    (np.nan, 1.0, "psf 1 sums to nan"),
+    (0.0, np.nan, "finite and non-negative"),
+    (0.0, np.inf, "finite and non-negative"),
+], ids=["psf-nan", "response-nan", "response-inf"])
+def test_non_finite_system_rejected(tap, entry, match):
+    psfs = np.ones((2, 3, 3)) / 9.0
+    psfs[1, 1, 2] += tap
+    response = np.ones((3, 2))
+    response[2, 1] = entry
+    with pytest.raises(ValidationError, match=match):
+        OpticalSystem(psfs=psfs, response=response)
+
+
 def test_response_band_mismatch_rejected():
     psfs = np.ones((2, 3, 3)) / 9.0
     with pytest.raises(DimensionError):

@@ -149,24 +149,6 @@ def test_ridge_gamma_too_small_for_cholesky_is_parameter_error():
         dense.ridge_solve(np.zeros((4, 4, 3)), np.zeros((4, 4, 4)), 1e-300)
 
 
-def test_tikhonov_large_weight_shrinks_to_zero():
-    rng = np.random.default_rng(37)
-    system = _random_system(rng, 3, 3)
-    dense = DenseSystem.from_system(system, 4, 4)
-    coded = rng.standard_normal((4, 4, 3))
-    out = dense.tikhonov_solve(coded, 1e12)
-    assert np.max(np.abs(out)) < 1e-6
-
-
-def test_tikhonov_rejects_negative_weight():
-    dense = DenseSystem.from_system(_identity_system(2), 2, 2)
-    with pytest.raises(ParameterError):
-        dense.tikhonov_solve(np.zeros((2, 2, 3)), -0.1)
-    for weight in (np.nan, np.inf):  # named as the weight, not as the ridge's gamma
-        with pytest.raises(ParameterError, match="^weight: must be in "):
-            dense.tikhonov_solve(np.zeros((2, 2, 3)), weight)
-
-
 def test_size_guard():
     system = _random_system(np.random.default_rng(41), 8, 3)
     # 24 * 24 * 8 = 4608 > 4096

@@ -33,7 +33,6 @@ from snapspec import (
 )
 from snapspec.errors import DimensionError, DivergenceError, ParameterError, ValidationError
 from snapspec.optics import NoiseModel, empty_cube
-from snapspec.oracle import DenseSystem
 from snapspec.synth import smooth_cube, synthetic_system
 from snapspec import optics, unfolding
 from snapspec.fidelity import MAX_GDM_ITERS
@@ -728,21 +727,6 @@ def test_setup_working_memory():
         assert _peak_bytes(add_noise, coded, model) / coded.nbytes <= 2.1
 
 
-def test_admm_quadratic_converges_to_dense_tikhonov():
-    rng = np.random.default_rng(17)
-    system = _random_system(rng, 4, 3)
-    op = build_frequency_operator(system, 8, 8)
-    cube = rng.uniform(size=(8, 8, 4))
-    coded = forward_encode(cube, system)
-    weight = 0.05
-    sched = StageSchedule.constant(200, 0.3, prior_weight=weight)
-    result = reconstruct(coded, op, sched, QuadraticDenoiser(), ZeroInitializer())
-    dense = DenseSystem.from_system(system, 8, 8)
-    ref = dense.tikhonov_solve(coded, weight)
-    rel = np.linalg.norm(result.cube - ref) / np.linalg.norm(ref)
-    assert rel < 1e-6
-
-
 def test_primal_residual_decreases_until_floor():
     # fully convex program, fixed penalty: the consensus gap ||I - Z|| shrinks
     # monotonically until it hits the roundoff floor, and ends below 1e-6
@@ -808,6 +792,22 @@ def test_reconstruct_validation():
     sched = StageSchedule.geometric(3)
     with pytest.raises(DimensionError):
         reconstruct(coded[:, :, :2], op, sched, IdentityDenoiser(), ZeroInitializer())
+
+
+class _UnreachedInitializer(Initializer):
+    """A start that fails the test if the loop ever asks for it."""
+
+    def initialize(self, coded, op, out):
+        raise AssertionError("the initializer ran")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_reconstruct_refuses_a_non_finite_coded_image_before_the_start(value):
+    _, op, _, coded = _small_setup(size=16)
+    coded[5, 3, 1] = value
+    with pytest.raises(ValidationError, match="coded image must be finite"):
+        reconstruct(coded, op, StageSchedule.geometric(3), TotalVariationDenoiser(0.01, 5),
+                    _UnreachedInitializer())
 
 
 class _NewCubeInitializer(Initializer):
