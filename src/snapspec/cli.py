@@ -194,8 +194,12 @@ def _split_pairs(items) -> dict[str, str]:
     return out
 
 
-def _resolve_config(args: argparse.Namespace, keys: list[Key],
-                    parser: argparse.ArgumentParser) -> dict:
+def _resolve_config(args: argparse.Namespace,
+                    parser: argparse.ArgumentParser) -> tuple[dict, dict]:
+    """The resolved config, and the keyword arguments that the command's
+    ``specs`` parses from its spec strings; both are checked before
+    ``--dump-config`` prints."""
+    keys = args.keys
     file_values: dict[str, str] = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -225,6 +229,9 @@ def _resolve_config(args: argparse.Namespace, keys: list[Key],
                 raise ValidationError("%s: %s" % (args.config, exc)) from None
         else:
             resolved[key.name] = key.default
+    # the spec strings too, as the command parses them, so that --dump-config
+    # prints only a config that the run accepts
+    specs = args.specs(resolved) if args.specs else {}
     if args.dump_config:
         for name in sorted(resolved):
             print("%s=%s" % (name, resolved[name]))
@@ -232,7 +239,7 @@ def _resolve_config(args: argparse.Namespace, keys: list[Key],
     for key in keys:
         if key.required and resolved[key.name] in (None, ""):
             parser.error("missing required %s" % key.flag)
-    return resolved
+    return resolved, specs
 
 
 def _sha256(path: str) -> str:
@@ -489,8 +496,11 @@ _SIMULATE_KEYS = [
 ]
 
 
-def _cmd_simulate(config: dict, config_file: dict[str, str]) -> int:
-    noise = parse_noise_spec(config["noise"], config["seed"])
+def _simulate_specs(config: dict) -> dict:
+    return {"noise": parse_noise_spec(config["noise"], config["seed"])}
+
+
+def _cmd_simulate(config: dict, config_file: dict[str, str], noise: NoiseModel) -> int:
     inputs = _paths(config, "cube", "psf", "response")
     outputs = _outputs(config, out=lambda path: save_tensor(coded, path),
                        export_pgm=lambda path: _write_pgm(path, coded.mean(axis=2)))
@@ -536,13 +546,16 @@ _RECONSTRUCT_KEYS = [
 ]
 
 
-def _cmd_reconstruct(config: dict, config_file: dict[str, str]) -> int:
-    # spec strings first, so that a usage error comes before an I/O error
+def _reconstruct_specs(config: dict) -> dict:
     with _naming(config, "gamma_schedule", "stages", "prior_weight"):
         schedule = StageSchedule(parse_schedule_spec(config["gamma_schedule"], config["stages"]),
                                  config["prior_weight"], config["zeta"])
-    denoiser = parse_denoiser_spec(config["denoiser"])
-    initializer = parse_init_spec(config["init"])
+    return {"schedule": schedule, "denoiser": parse_denoiser_spec(config["denoiser"]),
+            "initializer": parse_init_spec(config["init"])}
+
+
+def _cmd_reconstruct(config: dict, config_file: dict[str, str], schedule: StageSchedule,
+                     denoiser, initializer) -> int:
     inputs = _paths(config, "coded", "psf", "response")
     outputs = _outputs(config, out=lambda path: save_tensor(result.cube, path),
                        export_pgm=lambda path: _write_pgm(path, result.cube.mean(axis=2)))
@@ -811,18 +824,22 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version="snapspec " + __version__)
     subs = parser.add_subparsers(dest="command", parser_class=_Parser, metavar="COMMAND")
 
-    for name, keys, run, help_text in [
-        ("simulate", _SIMULATE_KEYS, _cmd_simulate, "encode a spectral cube into a coded image"),
-        ("reconstruct", _RECONSTRUCT_KEYS, _cmd_reconstruct, "recover a cube from a coded image"),
-        ("evaluate", _EVALUATE_KEYS, _cmd_evaluate,
+    # each command's keys, the parser of its spec strings (run before any file
+    # is read, so that a usage error comes before an I/O error) and its body
+    for name, keys, specs, run, help_text in [
+        ("simulate", _SIMULATE_KEYS, _simulate_specs, _cmd_simulate,
+         "encode a spectral cube into a coded image"),
+        ("reconstruct", _RECONSTRUCT_KEYS, _reconstruct_specs, _cmd_reconstruct,
+         "recover a cube from a coded image"),
+        ("evaluate", _EVALUATE_KEYS, None, _cmd_evaluate,
          "compare a reconstruction against ground truth"),
-        ("bench", _BENCH_KEYS, _cmd_bench, "time the solver paths at several scales"),
-        ("oracle-check", _ORACLE_KEYS, _cmd_oracle_check,
+        ("bench", _BENCH_KEYS, None, _cmd_bench, "time the solver paths at several scales"),
+        ("oracle-check", _ORACLE_KEYS, None, _cmd_oracle_check,
          "verify production solvers against dense references"),
     ]:
         sub = subs.add_parser(name, help=help_text)
         _add_config_flags(sub, keys)
-        sub.set_defaults(keys=keys, run=run)
+        sub.set_defaults(keys=keys, specs=specs, run=run)
 
     return parser
 
@@ -833,8 +850,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.error("a command is required")
     try:
-        config = _resolve_config(args, args.keys, parser)
-        return args.run(config, _paths(vars(args), "config"))
+        config, specs = _resolve_config(args, parser)
+        return args.run(config, _paths(vars(args), "config"), **specs)
     except UnknownNameError as exc:
         parser.error(str(exc))
     except SnapspecError as exc:

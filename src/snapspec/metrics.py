@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import DegenerateMetricError, DimensionError, Domain, ParameterError
+from .errors import DegenerateMetricError, DimensionError, Domain, ParameterError, ValidationError
 
 PSNR_CAP_DB = 100.0
 
@@ -27,13 +27,25 @@ DEFAULT_CROP = 20
 CROP = Domain(0)
 
 
-def _check_pair(x: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_shapes(x: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
     if x.shape != ref.shape:
         raise DimensionError("shape mismatch: %r vs %r" % (x.shape, ref.shape))
     if x.ndim != 3:
         raise DimensionError("expected (H, W, bands) cubes, got shape %r" % (x.shape,))
+    return x, ref
+
+
+def _check_pair(x: np.ndarray, ref: np.ndarray,
+                names: tuple[str, str] = ("x", "ref")) -> tuple[np.ndarray, np.ndarray]:
+    """Both cubes as float64 (H, W, bands) arrays of one shape, every value
+    finite; a non-finite value names its argument by ``names``."""
+    x, ref = _check_shapes(x, ref)
+    # a NaN reads as a NaN metric, or drops out of SAM's mean unseen
+    for name, cube in zip(names, (x, ref)):
+        if not np.all(np.isfinite(cube)):
+            raise ValidationError("%s must be finite" % name)
     return x, ref
 
 
@@ -136,9 +148,11 @@ def evaluate(recon: np.ndarray, gt: np.ndarray, crop: int = DEFAULT_CROP) -> Met
     """Crop ``crop`` pixels from every edge of both cubes, then measure.
 
     The default border of 20 pixels discards boundary-condition artifacts.
-    What is left must span the SSIM window in both spatial extents.
+    What is left must span the SSIM window in both spatial extents, and hold
+    only finite values: a NaN or inf there raises ``ValidationError`` naming
+    ``recon`` or ``gt``, while one in the border is never measured.
     """
-    recon, gt = _check_pair(recon, gt)
+    recon, gt = _check_shapes(recon, gt)
     CROP.check_count(crop, "crop")
     if min(recon.shape[0], recon.shape[1]) - 2 * crop < SSIM_WINDOW:
         raise ParameterError(
@@ -148,6 +162,7 @@ def evaluate(recon: np.ndarray, gt: np.ndarray, crop: int = DEFAULT_CROP) -> Met
     if crop:
         recon = recon[crop:-crop, crop:-crop]
         gt = gt[crop:-crop, crop:-crop]
+    recon, gt = _check_pair(recon, gt, ("recon", "gt"))
     return MetricReport(
         psnr_db=psnr(recon, gt),
         sam_rad=sam(recon, gt),

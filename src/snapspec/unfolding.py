@@ -23,7 +23,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (GAMMA, SEED, DimensionError, DivergenceError, Domain, ParameterError,
                      SingularPivotError, ValidationError, check_params)
@@ -173,6 +172,10 @@ class GaussianDenoiser(Denoiser):
 
     def denoise(self, cube: np.ndarray, noise_level: float,
                 out: np.ndarray | None = None) -> np.ndarray:
+        # imported here: only this prior uses scipy.ndimage, which adds about
+        # 50 ms and 1.5 MB to every process that imports the package
+        from scipy import ndimage
+
         # scipy filters axis by axis through line buffers, so out may be cube
         return ndimage.gaussian_filter(cube, sigma=(self.spatial_std, self.spatial_std, 0.0),
                                        output=out)

@@ -14,6 +14,8 @@ import re
 import shutil
 import stat
 import struct
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -333,9 +335,18 @@ def test_reconstruct_ignores_sidecar_manifest(tmp_path):
         assert out.read_bytes() == want
 
 
-def test_boundary_flag_removed_exit_1(capsys):
-    assert _exit_code(["simulate", "--boundary", "circular", "--dump-config"]) == 1
-    assert capsys.readouterr().out == ""
+# flags that are gone: the boundary is circular, HQS is --zeta 0, and
+# bench's matched-GDM tolerance is a constant
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--boundary", "circular"],
+    ["reconstruct", "--method", "hqs"],
+    ["bench", "--matched-tol", "1e-3"],
+], ids=" ".join)
+def test_removed_flag_exit_1(capsys, argv):
+    assert _exit_code([*argv, "--dump-config"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: %s\n" % " ".join(argv[1:]) in captured.err
 
 
 def test_boundary_config_key_removed_exit_2(tmp_path, capsys):
@@ -590,15 +601,20 @@ def test_validation_error_exit_2(tmp_path):
 
 
 # every key value is checked against its declared domain when the config
-# resolves: before --dump-config prints, so nothing is allocated or run
+# resolves: before --dump-config prints, so nothing is allocated or run.  A
+# -1 after a space goes through argparse's negative-number rule, so the
+# space form is a case of its own
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--seed=-1"],
+    ["simulate", "--seed", "-1"],
     ["bench", "--seed=-1"],
     ["oracle-check", "--seed=-1"],
     ["bench", "--gamma=inf"],
     ["bench", "--repeats=-5"],
     ["reconstruct", "--gdm-iters=-1"],
+    ["reconstruct", "--gdm-iters", "-1"],
+    ["reconstruct", "--zeta", "-1"],
     ["reconstruct", "--stages=1000000000"],
     ["oracle-check", "--trials=1000000000"],
     ["evaluate", "--crop=-1"],
@@ -614,6 +630,29 @@ def test_out_of_domain_key_exit_2_naming_flag(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert argv[1].partition("=")[0] + ":" in captured.err
+
+
+# a spec string that the run refuses is refused before --dump-config prints,
+# with the run's exit code and message
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--denoiser", "wavelet"],
+    ["reconstruct", "--init", "warm"],
+    ["reconstruct", "--denoiser", "tv:iters="],
+    ["reconstruct", "--stages", "2", "--gamma-schedule", "constant:0.1,0.2"],
+    ["simulate", "--noise", "none,gaussian=0.1"],
+], ids=" ".join)
+def test_dump_config_refuses_what_the_run_refuses(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing.htns")
+    source = "--cube" if argv[0] == "simulate" else "--coded"
+    code = _exit_code([*argv, source, missing, "--psf", missing, "--response", missing,
+                       "--out", str(tmp_path / "o.htns")])
+    run = capsys.readouterr().err
+    assert code in (1, 2) and "missing" not in run
+    assert _exit_code([*argv, "--dump-config"]) == code
+    dump = capsys.readouterr()
+    assert (dump.out, dump.err) == ("", run)
 
 
 def test_out_of_domain_config_file_value_exit_2(tmp_path, capsys):
@@ -1481,6 +1520,42 @@ def test_out_of_memory_exit_3_without_traceback_or_files(pipeline_dir, capsys, m
     assert err.endswith("snapspec %s: error: out of memory: %s\n" % (argv[0], _NO_MEMORY))
     assert "Traceback" not in err
     assert _tree(pipeline_dir) == before
+
+
+def test_address_space_limit_exit_3_without_traceback_or_files(tmp_path):
+    # a real allocation failure, in a child process under an address-space
+    # limit: the address space that importing snapspec.cli takes with one
+    # OpenBLAS thread (each more thread reserves about 80 MB), plus 16 MiB.
+    # That leaves room for the inputs, but not for the 32 MiB transfer of a
+    # 256 x 256 x 64 operator, the run's first large allocation, made before
+    # any BLAS call (OpenBLAS exits 1 itself when its own buffer cannot be had)
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS") or not os.path.exists("/proc/self/status"):
+        pytest.skip("needs RLIMIT_AS and /proc/self/status")
+    save_tensor(np.random.default_rng(0).uniform(size=(256, 256, 3)), tmp_path / "coded.htns")
+    save_tensor(rotating_psf_stack(64, 3), tmp_path / "psf.htns")
+    save_response_csv(tmp_path / "resp.csv", np.linspace(450.0, 650.0, 64), rgb_response(64))
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    base_kib = int(subprocess.run(
+        [sys.executable, "-c", "import snapspec.cli; print(next(int(line.split()[1]) for line "
+         "in open('/proc/self/status') if line.startswith('VmPeak:')))"],
+        env=env, capture_output=True, text=True, check=True).stdout)
+    limit = (base_kib + 16384) * 1024
+
+    def limit_address_space():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    before = _tree(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "snapspec.cli", "reconstruct", "--coded", "coded.htns",
+         "--psf", "psf.htns", "--response", "resp.csv", "--out", "oom.htns"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, preexec_fn=limit_address_space)
+    assert proc.returncode == 3, proc.stderr
+    assert re.search(r"^snapspec reconstruct: error: out of memory: ", proc.stderr, re.MULTILINE)
+    assert "Traceback" not in proc.stderr
+    assert _tree(tmp_path) == before  # no output, manifest or temporary file
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Quality-metric tests: PSNR cap, spectral angle edge cases, SSIM symmetry."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from snapspec import MetricReport, evaluate, psnr, sam, ssim
-from snapspec.errors import DegenerateMetricError, DimensionError, ParameterError
+from snapspec.errors import DegenerateMetricError, DimensionError, ParameterError, ValidationError
 from snapspec.metrics import PSNR_CAP_DB
 
 from reference_impls import psnr_direct, sam_direct, ssim_fftconvolve
@@ -193,13 +194,14 @@ def test_ssim_equals_fftconvolve_reference(shape):
 def test_import_leaves_out_scipy_signal_and_linalg():
     # scipy.signal pulls in scipy.stats, sparse, optimize, ...: about 40 MB
     # and most of a second per process, for nothing the package needs;
-    # scipy.linalg adds about 6 MB, and only the dense oracle's solve uses it
+    # scipy.linalg adds about 6 MB, and only the dense oracle's solve uses it;
+    # scipy.ndimage adds about 50 ms, and only the Gaussian prior uses it
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, snapspec, snapspec.cli; "
-            "print(' '.join(m for m in ('scipy.signal', 'scipy.stats', 'scipy.linalg') "
-            "if m in sys.modules))")
+            "print(' '.join(m for m in ('scipy.signal', 'scipy.stats', 'scipy.linalg', "
+            "'scipy.ndimage') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == ""
@@ -224,6 +226,7 @@ def test_evaluate_crops_before_measuring():
     x = _cube(21, (64, 64, 4))
     y = x.copy()
     y[:10, :, :] += 5.0  # corrupt a border strip inside the default crop
+    y[0, 0, 0] = np.nan  # not measured, so not refused either
     report = evaluate(y, x, crop=20)
     assert report.psnr_db == 100.0
     assert report.sam_rad < 1e-7
@@ -259,6 +262,24 @@ def test_evaluate_rejects_non_cube_pairs(shape):
     x = np.zeros(shape)
     with pytest.raises(DimensionError, match="cubes"):
         evaluate(x, x, crop=0)
+
+
+# one NaN or inf voxel in either cube is refused, naming the argument: a NaN
+# read as a NaN metric, or dropped out of SAM's mean unseen.  evaluate checks
+# what its crop leaves, so the voxel sits inside that
+
+_NON_FINITE = [(metric, position, name) for metric in (psnr, sam, ssim, evaluate)
+               for position, name in enumerate(list(inspect.signature(metric).parameters)[:2])]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("metric, position, name", _NON_FINITE,
+                         ids=["%s-%s" % (fn.__name__, name) for fn, _, name in _NON_FINITE])
+def test_non_finite_voxel_refused_naming_its_argument(metric, position, name, value):
+    cubes = [_cube(31, (32, 32, 4)), _cube(32, (32, 32, 4))]
+    cubes[position][16, 16, 1] = value
+    with pytest.raises(ValidationError, match="^%s must be finite$" % name):
+        metric(*cubes, **({"crop": 2} if metric is evaluate else {}))
 
 
 def test_evaluate_working_memory():
