@@ -194,8 +194,7 @@ def _split_pairs(items) -> dict[str, str]:
     return out
 
 
-def _resolve_config(args: argparse.Namespace,
-                    parser: argparse.ArgumentParser) -> tuple[dict, dict]:
+def _resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
     """The resolved config, and the keyword arguments that the command's
     ``specs`` parses from its spec strings; both are checked before
     ``--dump-config`` prints."""
@@ -238,7 +237,7 @@ def _resolve_config(args: argparse.Namespace,
         raise SystemExit(EXIT_OK)
     for key in keys:
         if key.required and resolved[key.name] in (None, ""):
-            parser.error("missing required %s" % key.flag)
+            args.parser.error("missing required %s" % key.flag)
     return resolved, specs
 
 
@@ -623,10 +622,14 @@ _BENCH_KEYS = [
     Key("out", str, "", "optional CSV path (default: stdout)"),
 ]
 
-# the matched-GDM row's relative objective gap and iteration cap: the bound
-# of the gate that the analytical solve beats matched GDM at extent 512
+# the matched-GDM race runs until its objective is within MATCHED_TOL
+# (relative) of the closed form's, or until its time passes MATCHED_RATIO
+# times the analytical median; at gamma 0.5 a match took 15-294x that median
+# over nine runs of sizes 6, 8, 40, 64 and 4, 8, 31 bands (--repeats 3; at
+# most 207x but for one 294x at 40x40x31), 50x at 512x1 and 62x at 512x8;
+# 1500 keeps 5x headroom over the worst
 MATCHED_TOL = 1e-6
-MATCHED_CAP = 20000
+MATCHED_RATIO = 1500
 
 
 def _median_time(fn, repeats: int) -> float:
@@ -684,18 +687,16 @@ def _cmd_bench(config: dict, config_file: dict[str, str]) -> int:
             x = np.array(anchor, copy=True)
             iters_done = 0
             chunk = 50
-            capped = False
-            while iters_done < MATCHED_CAP:
+            matched = False
+            while not matched and time.perf_counter() - start <= MATCHED_RATIO * t_exact:
                 x = gdm_fidelity_step(prob, anchor, x, chunk)
                 iters_done += chunk
                 gap = subproblem_objective(prob, x, anchor) - target
-                if gap <= MATCHED_TOL * max(1.0, abs(target)):
-                    break
-            else:
-                capped = True
+                matched = gap <= MATCHED_TOL * max(1.0, abs(target))
             t_matched = time.perf_counter() - start
-            # a run stopped at its cap never matched: say so in the row
-            detail = "iters=%d%s" % (iters_done, ";capped" if capped else "")
+            # an unmatched run's seconds are a lower bound, above t_exact
+            # since MATCHED_RATIO >= 1, so the gate below still decides it
+            detail = "iters=%d%s" % (iters_done, "" if matched else ";unmatched")
             rows.append((size, bands, "gdm_matched", t_matched, detail))
 
             if t_dense is not None:
@@ -707,12 +708,7 @@ def _cmd_bench(config: dict, config_file: dict[str, str]) -> int:
                         "size %d bands %d: analytical %.4fs not faster than 10-step GDM %.4fs"
                         % (size, bands, t_exact, t_gdm10)
                     )
-                if capped:
-                    failures.append(
-                        "size %d bands %d: matched GDM stopped at its %d-step cap before"
-                        " reaching relative gap %g" % (size, bands, MATCHED_CAP, MATCHED_TOL)
-                    )
-                elif not t_exact < t_matched:
+                if not t_exact < t_matched:
                     failures.append(
                         "size %d bands %d: analytical %.4fs not faster than matched GDM %.4fs"
                         % (size, bands, t_exact, t_matched)
@@ -839,7 +835,7 @@ def build_parser() -> _Parser:
     ]:
         sub = subs.add_parser(name, help=help_text)
         _add_config_flags(sub, keys)
-        sub.set_defaults(keys=keys, specs=specs, run=run)
+        sub.set_defaults(keys=keys, specs=specs, run=run, parser=sub)
 
     return parser
 
@@ -850,10 +846,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.error("a command is required")
     try:
-        config, specs = _resolve_config(args, parser)
+        config, specs = _resolve_config(args)
         return args.run(config, _paths(vars(args), "config"), **specs)
     except UnknownNameError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     except SnapspecError as exc:
         print("snapspec %s: error: %s" % (args.command, exc), file=sys.stderr)
         return EXIT_VALIDATION

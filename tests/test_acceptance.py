@@ -268,14 +268,17 @@ def test_criterion_08_end_to_end_beats_naive_baseline(capsys):
 
 def test_criterion_09_analytical_solver_faster_than_matched_gdm(capsys, tmp_path):
     # bench exits 4 unless, at extent 512, the analytical solve beats both
-    # 10-step GDM and GDM run to the closed form's objective, uncapped
+    # 10-step GDM and GDM run to the closed form's objective; bench passes an
+    # unmatched GDM row on its lower bound, so the row must also have matched
     csv = tmp_path / "bench.csv"
     start = time.perf_counter()
     code = cli_main(["bench", "--sizes", "512", "--bands", "8", "--repeats", "1",
                      "--gamma", "0.5", "--out", str(csv)])
     total = time.perf_counter() - start
     rows = csv.read_text().splitlines()[1:] if csv.exists() else []
-    passed = code == 0 and total < 300.0
+    matched = [row for row in rows if row.startswith("512,8,gdm_matched,")
+               and "unmatched" not in row]
+    passed = code == 0 and total < 300.0 and len(matched) == 1
     _report(
         capsys, 9, passed,
         "bench exit %d, 512x512x8 per-stage solve: %s; table in %.0fs (budget 300s)"

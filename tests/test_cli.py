@@ -310,6 +310,21 @@ def test_usage_error_unknown_denoiser(tmp_path, capsys):
         assert name in err
 
 
+# a refusal by the command itself reads as argparse's own usage errors
+# inside that command do: the command's usage line and name, exit 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reconstruct", "--denoiser", "wavelet"], "unknown denoiser 'wavelet'"),
+    (["reconstruct"], "missing required --coded"),
+], ids=["unknown name", "missing required"])
+def test_usage_error_names_the_command(capsys, argv, message):
+    assert _exit_code(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: snapspec reconstruct ")
+    assert "\nsnapspec reconstruct: error: %s" % message in err
+
+
 def test_reconstruct_ignores_sidecar_manifest(tmp_path):
     # reconstruct reads only --coded, --psf and --response: a manifest
     # beside the coded image, unreadable or recording a boundary no longer
@@ -1725,30 +1740,32 @@ def test_bench_smoke(tmp_path):
     for row in rows:
         assert float(row[3]) >= 0.0
         assert len(row) == 5
-    assert not [row for row in rows if "capped" in row[4]]
+    assert not [row for row in rows if "unmatched" in row[4]]
 
 
-def test_bench_capped_matched_row_is_marked(capsys, monkeypatch):
-    # 50 steps at gamma 1e-4 stop well short of the matched tolerance
-    monkeypatch.setattr(cli, "MATCHED_CAP", 50)
-    code = main(["bench", "--sizes", "8", "--bands", "4", "--repeats", "1", "--gamma", "1e-4"])
+def test_bench_unmatched_row_is_marked(capsys):
+    # GDM's steps to a match grow about as 1/gamma: 24000 steps, about 6000
+    # analytical medians, at gamma 1e-4, so at 1e-6 it is far from the closed
+    # form when its time bound, MATCHED_RATIO analytical medians, runs out
+    code = main(["bench", "--sizes", "8", "--bands", "4", "--repeats", "1", "--gamma", "1e-6"])
     assert code == 0
     row = capsys.readouterr().out.splitlines()[3].split(",")
     assert row[:3] == ["8", "4", "gdm_matched"]
-    assert row[4] == "iters=50;capped"
+    assert re.fullmatch(r"iters=\d+;unmatched", row[4]), row[4]
 
 
-def test_bench_capped_matched_row_fails_gate_at_512(capsys, monkeypatch):
-    # the analytical-beats-matched-GDM gate cannot pass against a run that
-    # never matched; a zero cap keeps the 512 extent cheap
-    monkeypatch.setattr(cli, "MATCHED_CAP", 0)
-    code = main(["bench", "--sizes", "512", "--bands", "1", "--repeats", "1"])
-    assert code == 4
+def test_bench_unmatched_row_passes_gate_at_512(capsys, monkeypatch):
+    # an unmatched run's seconds are a lower bound above the analytical
+    # median, so the gate passes; a ratio of 1 stops after one chunk
+    monkeypatch.setattr(cli, "MATCHED_RATIO", 1)
+    code = main(["bench", "--sizes", "512", "--bands", "1", "--repeats", "1", "--gamma", "1e-4"])
+    assert code == 0
     captured = capsys.readouterr()
-    row = captured.out.splitlines()[3].split(",")
-    assert row[:3] == ["512", "1", "gdm_matched"]
-    assert row[4] == "iters=0;capped"
-    assert "size 512 bands 1: matched GDM stopped at its 0-step cap" in captured.err
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert rows[2][:3] == ["512", "1", "gdm_matched"]
+    assert rows[2][4] == "iters=50;unmatched"
+    assert float(rows[0][3]) < float(rows[2][3])
+    assert "FAIL" not in captured.err
 
 
 @pytest.mark.parametrize("medians, step_s, failure", [
