@@ -510,7 +510,7 @@ def _cmd_simulate(config: dict, config_file: dict[str, str], noise: NoiseModel) 
     # before any file is written, and without numpy's warnings
     with _naming(config, "cube", "psf"), np.errstate(over="raise", invalid="raise"):
         coded = forward_encode(cube, system)
-        if not np.all(np.isfinite(coded)):  # the transforms overflow silently
+        if not np.all(np.isfinite(coded)):  # any step that overflows without raising
             raise FloatingPointError("non-finite coded image")
     with _naming(config, "cube", "noise"), np.errstate(over="raise", invalid="raise"):
         coded = add_noise(coded, noise)

@@ -105,10 +105,11 @@ class FidelityProblem:
     def from_coded_image(cls, op: FrequencyOperator, coded: np.ndarray, gamma: float):
         coded = np.asarray(coded, dtype=np.float64).view()  # not a copy
         coded.flags.writeable = False
-        coded_spectrum = to_spectrum(op, coded, 3)
-        # NaN flows through the transforms and the loop's errstate unseen
+        # before the transform, which warns on an inf; a NaN would flow
+        # through it and the loop's errstate unseen
         if not np.all(np.isfinite(coded)):
             raise ValidationError("coded image must be finite")
+        coded_spectrum = to_spectrum(op, coded, 3)
         coded_spectrum.flags.writeable = False
         return cls(op=op, coded=coded, coded_spectrum=coded_spectrum, gamma=gamma)
 

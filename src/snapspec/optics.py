@@ -23,10 +23,11 @@ odd widths round-trip.  Every transform of a cube or a coded image, either
 way, goes through these two helpers; the package's other transforms, the
 kernels' OTFs in :func:`build_frequency_operator`, the Gaussian-window
 convolutions of ``metrics.ssim`` and the scene filter of
-``synth.smooth_cube``, call ``scipy.fft`` themselves.  The
+``synth.smooth_cube``, call ``numpy.fft`` themselves, as the helpers do:
+the package uses no other FFT library.  The
 helpers run the row and column passes of the 2-D transform on every band
 at once, the rows a strip of :func:`row_strips` at a time, with the bits
-of ``rfft2`` and numpy's ``irfft2``.  The inverse consumes the spectra it
+of ``rfft2`` and ``irfft2``.  The inverse consumes the spectra it
 is handed, as its column pass is made in their bytes: a caller that reads
 them again passes a copy.  A cube from :func:`empty_cube` has its rows
 padded to 2 (W // 2 + 1) floats, so its half spectra fit in its own bytes
@@ -40,7 +41,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import SEED, DimensionError, Domain, ParameterError, ValidationError, check_params
 
@@ -220,11 +220,15 @@ def build_frequency_operator(system: OpticalSystem, height: int, width: int) -> 
 
     Each band's kernel is embedded and transformed on its own into the
     operator's ``transfer``, about one cube of the grid and the whole working
-    memory (1.26 cubes at 8 bands): the Gram waits for its first use.
+    memory (1.26 cubes at 8 bands): the Gram waits for its first use.  A
+    band's rows go through ``rfft`` into its plane and its columns through
+    ``fft`` in place, the two passes of ``rfft2``, which has their bits but
+    is slower.
     """
     transfer = np.empty((system.n_bands, height, width // 2 + 1), dtype=np.complex128)
     for spectrum, psf in zip(transfer, system.psfs):
-        spectrum[...] = scipy.fft.rfft2(embed_kernel(psf, height, width))
+        np.fft.rfft(embed_kernel(psf, height, width), out=spectrum)
+        np.fft.fft(spectrum, axis=0, out=spectrum)
     return FrequencyOperator(
         response=system.response, transfer=transfer, height=height, width=width
     )
@@ -251,9 +255,8 @@ def to_spectrum(op: FrequencyOperator, x: np.ndarray, depth: int,
         out = np.empty((depth, op.height, op.width // 2 + 1), dtype=np.complex128)
     bands = x.transpose(2, 0, 1)
     for r0, r1 in row_strips(op.height, depth * out.shape[2]):
-        out[:, r0:r1] = scipy.fft.rfft(bands[:, r0:r1], axis=-1)
-    _columns_in_place(scipy.fft.fft, out)
-    return out
+        out[:, r0:r1] = np.fft.rfft(bands[:, r0:r1], axis=-1)
+    return np.fft.fft(out, axis=1, out=out)
 
 
 def from_spectrum(op: FrequencyOperator, spectra: np.ndarray,
@@ -264,35 +267,24 @@ def from_spectrum(op: FrequencyOperator, spectra: np.ndarray,
 
     The result goes into ``out``, an (H, W, depth) float64 array, or into a
     new band-major array when ``out`` is None; either is returned.  The two
-    passes of numpy's ``irfft2`` run on every band at once: the columns in
-    place in ``spectra``, then the rows a strip of :func:`row_strips` at a
-    time into ``out``, so the transient is one strip.  numpy's ``irfft``,
-    not scipy's, takes the rows: scipy's is no faster and differs in the
-    last bit on small odd grids, which would move every output; scipy's
-    column pass has numpy's bits.  ``spectra`` may be :func:`cube_spectrum`
-    of ``out``; a read-only ``spectra`` raises ValueError and keeps its
-    bytes.
+    passes of ``irfft2`` run on every band at once: the columns in place in
+    ``spectra``, then the rows a strip of :func:`row_strips` at a time into
+    ``out``, so the transient is one strip.  ``spectra`` may be
+    :func:`cube_spectrum` of ``out``; a read-only ``spectra`` raises
+    ValueError and keeps its bytes.
     """
     depth = spectra.shape[0]
     if out is None:
         out = np.empty((depth, op.height, op.width)).transpose(1, 2, 0)
     _check_grid(op, out, depth)
+    if not spectra.flags.writeable:
+        raise ValueError("spectra are not writeable: the inverse transform consumes "
+                         "them, so pass a writeable copy")
     bands = out.transpose(2, 0, 1)
-    _columns_in_place(scipy.fft.ifft, spectra)
+    np.fft.ifft(spectra, axis=1, out=spectra)
     for r0, r1 in row_strips(op.height, depth * spectra.shape[2]):
         np.fft.irfft(spectra[:, r0:r1], n=op.width, axis=-1, out=bands[:, r0:r1])
     return out
-
-
-def _columns_in_place(transform, spectra: np.ndarray) -> None:
-    """``transform`` (scipy's ``fft`` or ``ifft``) of the columns of
-    ``spectra`` (depth, H, W // 2 + 1), left in ``spectra``.  scipy promises
-    only that ``overwrite_x`` may destroy the input; a result in other
-    bytes (an unaligned or byte-swapped input, another backend) is copied
-    back."""
-    result = transform(spectra, axis=1, overwrite_x=True)
-    if (result.ctypes.data, result.strides) != (spectra.ctypes.data, spectra.strides):
-        spectra[...] = result
 
 
 def _check_grid(op: FrequencyOperator, x: np.ndarray, depth: int) -> None:

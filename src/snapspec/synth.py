@@ -10,7 +10,6 @@ curves).
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 from .errors import SEED, Domain, ParameterError
 from .optics import OpticalSystem, row_strips
@@ -49,9 +48,9 @@ def smooth_cube(height: int, width: int, n_bands: int, seed: int = 0) -> np.ndar
         across = 1 if axis == 0 else 0
         for s0, s1 in row_strips(cube.shape[across], 4 * cube.size // cube.shape[across]):
             strip = cube[:, s0:s1] if across else cube[s0:s1]
-            spectra = scipy.fft.rfft(strip, axis=axis)
+            spectra = np.fft.rfft(strip, axis=axis)
             spectra *= transfer
-            strip[...] = scipy.fft.irfft(spectra, n, axis=axis, overwrite_x=True)
+            np.fft.irfft(spectra, n, axis=axis, out=strip)
     lo = cube.min()
     hi = cube.max()
     if hi - lo < 1e-12:
@@ -72,7 +71,7 @@ def _periodic_gaussian(n: int, sigma: float) -> np.ndarray:
     kernel = kernel / kernel.sum()
     period = np.zeros(n)
     np.add.at(period, x % n, kernel)
-    return scipy.fft.rfft(period).real
+    return np.fft.rfft(period).real
 
 
 def rotating_psf_stack(n_bands: int, kernel_size: int, radius: float | None = None,

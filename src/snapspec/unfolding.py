@@ -172,8 +172,9 @@ class GaussianDenoiser(Denoiser):
 
     def denoise(self, cube: np.ndarray, noise_level: float,
                 out: np.ndarray | None = None) -> np.ndarray:
-        # imported here: only this prior uses scipy.ndimage, which adds about
-        # 50 ms and 1.5 MB to every process that imports the package
+        # imported here: only this prior uses scipy.ndimage, which with
+        # scipy's base adds about 0.3 s and 21 MB to a process, and the
+        # package imports no other scipy module
         from scipy import ndimage
 
         # scipy filters axis by axis through line buffers, so out may be cube
@@ -457,7 +458,8 @@ def reconstruct(
     operations of the whole-cube passes in their order, so the bytes and a
     diverging stage are theirs.  Every sweep raises the first overflow it
     meets, so the operation it names differs from theirs only when two rows
-    overflow in different operations.
+    overflow in different operations.  The solve's transforms are numpy
+    ufuncs and raise too: an overflow in one ends its stage there.
 
     Working memory: a fresh operator's Gram, made on first use, is made
     with the problem, before the loop's buffers (0.88 cube at 8 bands).  An

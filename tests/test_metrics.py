@@ -10,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from snapspec import MetricReport, evaluate, psnr, sam, ssim
 from snapspec.errors import DegenerateMetricError, DimensionError, ParameterError, ValidationError
-from snapspec.metrics import PSNR_CAP_DB
+from snapspec.metrics import PSNR_CAP_DB, _next_fast_len
 
 from reference_impls import psnr_direct, sam_direct, ssim_fftconvolve
 
@@ -192,6 +193,8 @@ def test_ssim_equals_fftconvolve_reference(shape):
 
 
 def test_import_leaves_out_scipy_signal_and_linalg():
+    # the import loads no scipy module at all.  scipy.fft costs 250-350 ms
+    # and 27 MB per process, and numpy.fft runs the same transforms;
     # scipy.signal pulls in scipy.stats, sparse, optimize, ...: about 40 MB
     # and most of a second per process, for nothing the package needs;
     # scipy.linalg adds about 6 MB, and only the dense oracle's solve uses it;
@@ -200,11 +203,17 @@ def test_import_leaves_out_scipy_signal_and_linalg():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, snapspec, snapspec.cli; "
-            "print(' '.join(m for m in ('scipy.signal', 'scipy.stats', 'scipy.linalg', "
-            "'scipy.ndimage') if m in sys.modules))")
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == ""
+
+
+def test_fast_length_equals_scipy_next_fast_len():
+    # the padded extents of SSIM's convolutions, so its bits are fftconvolve's
+    for n in range(1, 5001):
+        assert _next_fast_len(n) == scipy.fft.next_fast_len(n, True), n
 
 
 def test_ssim_window_size_guard():
@@ -283,13 +292,14 @@ def test_non_finite_voxel_refused_naming_its_argument(metric, position, name, va
 
 
 def test_evaluate_working_memory():
-    # evaluate's temporaries peak at about one cube (1.05), in SSIM's
-    # per-band local statistics; a cube-sized buffer held beside SAM's
-    # products takes it to 1.26
+    # evaluate's temporaries peak at about one cube (0.99), in SAM's
+    # products; SSIM's buffers and per-band local statistics read 0.98.  A
+    # cube-sized buffer held beside SAM's products takes it to 1.26, and
+    # one band's statistics kept through the next band's to 1.18
     rng = np.random.default_rng(30)
     gt = rng.uniform(size=(256, 256, 8))
     rec = np.clip(gt + rng.normal(0.0, 0.05, size=gt.shape), 0.0, 1.0)
-    evaluate(rec, gt, crop=20)  # scipy.fft's plans and caches, outside the peak
+    evaluate(rec, gt, crop=20)  # the FFT's plans and caches, outside the peak
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
