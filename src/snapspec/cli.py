@@ -14,8 +14,9 @@ range names the flag when the config resolves, and a spec string's value
 its spec and key.  Every check of a loaded input or of the run itself goes
 through :func:`_naming`, which prefixes ``--flag value`` for each key the
 check compared, a path or a number (``--cube a.htns, --psf b.htns: kernel
-size 21 exceeds image extent (16, 16)``), and turns a float64 overflow into
-a validation error.
+size 21 exceeds image extent (16, 16)``).  :func:`main` sets one rule for every
+command: a float64 overflow, invalid value or division by zero raises where it
+happens, and the :func:`_naming` around it makes that a validation error.
 
 Exit codes: 0 success, 1 usage, 2 input validation, 3 I/O or out of memory
 (a resource the run could not get, not an input at fault), 4 reference
@@ -448,7 +449,7 @@ def _shown(value) -> str:
 def _naming(config: dict, *names: str):
     """Prefix a SnapspecError raised inside with ``--flag value`` for each key
     in ``names``, a path or a number, 0 included; its type, and so its exit
-    code, stays.  A FloatingPointError becomes a ValidationError."""
+    code, stays.  A FloatingPointError (see :func:`main`) becomes a ValidationError."""
     try:
         yield
     except (SnapspecError, FloatingPointError) as exc:
@@ -506,15 +507,11 @@ def _cmd_simulate(config: dict, config_file: dict[str, str], noise: NoiseModel) 
     _check_paths({**config_file, **inputs}, outputs)
     cube = _load_cube(config, "cube")
     system = _load_system(config)
-    # a cube near the top of the float range overflows the encode; say so
-    # before any file is written, and without numpy's warnings
-    with _naming(config, "cube", "psf"), np.errstate(over="raise", invalid="raise"):
+    with _naming(config, "cube", "psf"):
         coded = forward_encode(cube, system)
-        if not np.all(np.isfinite(coded)):  # any step that overflows without raising
-            raise FloatingPointError("non-finite coded image")
-    with _naming(config, "cube", "noise"), np.errstate(over="raise", invalid="raise"):
+    with _naming(config, "cube", "noise"):
         coded = add_noise(coded, noise)
-    _publish("simulate", config, inputs, outputs)
+        _publish("simulate", config, inputs, outputs)  # the preview's mean may overflow
     print("wrote %s (%dx%dx3)" % (config["out"], coded.shape[0], coded.shape[1]))
     return EXIT_OK
 
@@ -567,10 +564,12 @@ def _cmd_reconstruct(config: dict, config_file: dict[str, str], schedule: StageS
     system = _load_system(config)
     with _naming(config, "coded", "psf"):
         op = build_frequency_operator(system, coded.shape[0], coded.shape[1])
+    with _naming(config, "psf", "response"):
+        op.gram_max  # the Gram, which the run would make first, reads only the system
     with _naming(config, "gamma_schedule", "zeta"):
         result = run_reconstruct(coded, op, schedule, denoiser, initializer,
                                  trace=config["trace"], gdm_iters=config["gdm_iters"])
-    _publish("reconstruct", config, inputs, outputs)
+        _publish("reconstruct", config, inputs, outputs)  # the preview's mean may overflow
     print("wrote %s (%dx%dx%d, %d stages)"
           % (config["out"], *result.cube.shape, config["stages"]))
     return EXIT_OK
@@ -588,17 +587,15 @@ _EVALUATE_KEYS = [
 
 def _cmd_evaluate(config: dict, config_file: dict[str, str]) -> int:
     inputs = _paths(config, "recon", "gt")
-    crop = slice(config["crop"], -config["crop"] or None)  # the RMSE map's rows, columns
+    crop = slice(config["crop"], -config["crop"] or None)  # PSNR's region, not the border
     outputs = _outputs(config, out_json=lambda path: _write_text(path, line + "\n"),
-                       rmse_csv=lambda path: _write_csv_map(
-                           path, np.sqrt(np.mean((recon - gt)[crop, crop] ** 2, axis=2)),
+                       rmse_csv=lambda path: _write_csv_map(path, np.sqrt(np.mean(
+                           (recon[crop, crop] - gt[crop, crop]) ** 2, axis=2)),
                            config["rmse_csv"].endswith(".gz")))
     _check_paths({**config_file, **inputs}, outputs)
     recon = _load_cube(config, "recon")
     gt = _load_cube(config, "gt")
-    # an overflowing metric means nothing, and its inf or nan is not JSON
-    with _naming(config, "recon", "gt", "crop"), \
-            np.errstate(over="raise", invalid="raise", divide="raise"):
+    with _naming(config, "recon", "gt", "crop"):
         report = evaluate_metrics(recon, gt, crop=config["crop"])
     line = report.to_json()
     print(line)
@@ -846,8 +843,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.error("a command is required")
     try:
-        config, specs = _resolve_config(args)
-        return args.run(config, _paths(vars(args), "config"), **specs)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            config, specs = _resolve_config(args)
+            return args.run(config, _paths(vars(args), "config"), **specs)
     except UnknownNameError as exc:
         args.parser.error(str(exc))
     except SnapspecError as exc:

@@ -72,7 +72,9 @@ class FidelityProblem:
     """One measurement-consistency subproblem instance.
 
     ``coded`` is the float64 coded image J, shape (H, W, 3), read-only;
-    :meth:`from_coded_image` refuses a non-finite one with ValidationError.
+    :meth:`from_coded_image` refuses one whose spectrum is not finite with
+    ValidationError: a NaN or inf image, or a finite one so bright that its
+    transform's sums leave float64.
     ``coded_spectrum`` is its :func:`optics.to_spectrum`,
     shape (3, H, W // 2 + 1) complex, read-only: handed to
     :func:`optics.from_spectrum`, which consumes its spectra, it raises
@@ -105,11 +107,14 @@ class FidelityProblem:
     def from_coded_image(cls, op: FrequencyOperator, coded: np.ndarray, gamma: float):
         coded = np.asarray(coded, dtype=np.float64).view()  # not a copy
         coded.flags.writeable = False
-        # before the transform, which warns on an inf; a NaN would flow
-        # through it and the loop's errstate unseen
-        if not np.all(np.isfinite(coded)):
-            raise ValidationError("coded image must be finite")
-        coded_spectrum = to_spectrum(op, coded, 3)
+        # every stage reads the spectrum, so it is the spectrum that must be
+        # finite: a NaN or inf image spoils it, and so does a finite one too
+        # bright for its sums.  The transform runs quiet, so the check reads
+        # the same under any errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            coded_spectrum = to_spectrum(op, coded, 3)
+        if not np.all(np.isfinite(coded_spectrum)):
+            raise ValidationError("coded image must be finite, and so must its spectrum")
         coded_spectrum.flags.writeable = False
         return cls(op=op, coded=coded, coded_spectrum=coded_spectrum, gamma=gamma)
 

@@ -447,7 +447,9 @@ def reconstruct(
     DivergenceError naming that stage (SingularPivotError if an exact solve
     loses a pivot to a tiny gamma); a trace record never does.  A gamma that a
     stage consumes below the floor of :class:`fidelity.FidelityProblem`
-    raises SingularPivotError before the initializer runs.
+    raises SingularPivotError, and a coded image whose spectrum is not
+    finite (a NaN or inf in it, or values so large that the transform's
+    sums leave float64) ValidationError, both before the initializer runs.
 
     A stage is a sweep over row strips that writes its anchor z - beta, the
     solve, one whole-cube pass i + beta into the iterate's buffer, the
@@ -480,9 +482,9 @@ def reconstruct(
     before it enters the loop.
     """
     GDM_ITERS.check_count(gdm_iters, "gdm_iters")
-    # the problem checks the coded image's shape and finiteness, and the
-    # smallest gamma a stage consumes against the operator's floor, before
-    # any initializer runs
+    # the problem checks the coded image's shape, its spectrum's finiteness
+    # and the smallest gamma a stage consumes against the operator's floor,
+    # before any initializer runs
     problem = FidelityProblem.from_coded_image(
         op, coded, gamma=schedule.gamma[:-1].min(initial=schedule.gamma[0]))
 

@@ -841,17 +841,18 @@ def _cross_check_inputs(tmp_path):
     files = {"psf": psf, "resp": resp, "cube": _write_cube(tmp_path)[0],
              "cube3": _write_cube(tmp_path, shape=(16, 16, 3), name="cube3.htns")[0]}
     scene = smooth_cube(16, 16, 4)
-    arrays = {"coded": np.random.default_rng(2).uniform(size=(16, 16, 3)),
-              "psf21": rotating_psf_stack(4, 21), "huge": scene * 1e307,
+    coded = np.random.default_rng(2).uniform(size=(16, 16, 3))
+    arrays = {"coded": coded, "psf21": rotating_psf_stack(4, 21), "huge": scene * 1e307,
               "bright": scene * 1e15, "huge3": load_tensor(files["cube3"]) * 1e200,
-              "psf1": rotating_psf_stack(1, 5), "psf31": rotating_psf_stack(31, 5)}
+              "psf1": rotating_psf_stack(1, 5), "psf31": rotating_psf_stack(31, 5),
+              "psf-huge": np.full((4, 3, 3), 1e308), "coded-huge": coded * 1e307}
     for name, array in arrays.items():
         files[name] = str(tmp_path / (name + ".htns"))
         save_tensor(array, files[name])
-    for bands in (1, 31):
-        files["resp%d" % bands] = str(tmp_path / ("resp%d.csv" % bands))
-        save_response_csv(files["resp%d" % bands], np.linspace(450.0, 650.0, bands),
-                          rgb_response(bands))
+    for name, response in [("resp1", rgb_response(1)), ("resp31", rgb_response(31)),
+                           ("resp-huge", np.full((3, 4), 1e308))]:
+        files[name] = str(tmp_path / (name + ".csv"))
+        save_response_csv(files[name], np.linspace(450.0, 650.0, response.shape[1]), response)
     # two bands, rank-two Grams: the outer Schur product overflows at twice the floor
     rng = np.random.default_rng(8)
     psfs = rng.uniform(0.05, 1, (2, 5, 5))
@@ -883,12 +884,21 @@ _CROSS_CHECKS = {
     "simulate-overflow": (
         "simulate", {**_SIMULATE, "--cube": "huge"}, ["--cube", "--psf"],
         "outside the float64 range ("),
+    "simulate-psf-overflow": (  # the kernel sums overflow
+        "simulate", {**_SIMULATE, "--psf": "psf-huge"}, ["--psf", "--response"],
+        "outside the float64 range ("),
     "simulate-poisson-peak": (
         "simulate", {**_SIMULATE, "--cube": "bright", "--noise": "default"}, ["--cube", "--noise"],
         "noise spec: poisson_bits: a peak intensity"),
     "reconstruct-kernel": (
         "reconstruct", {**_RECONSTRUCT, "--psf": "psf21"}, ["--coded", "--psf"],
         "kernel size 21 exceeds image extent (16, 16)"),
+    "reconstruct-gram-overflow": (
+        "reconstruct", {**_RECONSTRUCT, "--response": "resp-huge"}, ["--psf", "--response"],
+        "outside the float64 range ("),
+    "reconstruct-coded-spectrum": (  # finite, but its transform's sums are not
+        "reconstruct", {**_RECONSTRUCT, "--coded": "coded-huge", "--init": "adjoint"}, _RUN,
+        "coded image must be finite"),
     "reconstruct-schedule-overflow": (
         "reconstruct", {**_RECONSTRUCT, "--stages": "600"}, _SCHEDULE,
         "overflows before its last stage 600"),
@@ -988,8 +998,8 @@ def test_poisson_peak_beyond_sampler_exit_2_naming_bits(tmp_path, capsys, recwar
     assert not out.exists()
 
 
-# a scene near the top of the float range, and one whose transform turns
-# to NaN everywhere without a floating-point flag
+# a scene near the top of the float range, and one of +-1.7e308 pixels: a
+# transform of the encode overflows on each, and raises there
 _OVERFLOWING_CUBES = [smooth_cube(16, 16, 4) * 1e307,
                       np.random.default_rng(0).choice([-1.7e308, 1.7e308], (16, 16, 4))]
 
@@ -1006,6 +1016,48 @@ def test_encode_overflow_exit_2_naming_cube(tmp_path, capsys, recwarn, cube):
         in capsys.readouterr().err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+
+
+# the writers run inside the naming of the step that made their image: on a
+# 1 x 1 grid no transform divides the values down, and channels or bands near
+# the float64 maximum overflow a preview's band mean
+@pytest.mark.parametrize("command, image, flags, where", [
+    ("simulate", np.full((1, 1, 4), 1.7e308), ["--cube", "{image}", "--noise", "none"],
+     "--cube {image}, --noise none"),
+    ("reconstruct", np.full((1, 1, 3), 5e307), ["--coded", "{image}", "--stages", "1"],
+     "--gamma-schedule geometric:0.01,4, --zeta 1"),
+], ids=["simulate", "reconstruct"])
+def test_overflowing_preview_exit_2_leaving_no_file(tmp_path, capsys, recwarn, command, image,
+                                                    flags, where):
+    image_path, psf, resp = (str(tmp_path / name) for name in ("image.htns", "psf.htns",
+                                                               "resp.csv"))
+    save_tensor(image, image_path)
+    save_tensor(np.ones((4, 1, 1)), psf)
+    save_response_csv(resp, np.linspace(450.0, 650.0, 4), np.full((3, 4), 0.25))
+    base = [command, "--psf", psf, "--response", resp, "--out", str(tmp_path / "out.htns"),
+            *(flag.format(image=image_path) for flag in flags)]
+    capsys.readouterr()
+    assert main([*base, "--export-pgm", str(tmp_path / "out.pgm")]) == 2
+    assert "%s: outside the float64 range (overflow encountered in reduce)" \
+        % where.format(image=image_path) in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["image.htns", "psf.htns", "resp.csv"]
+    assert main(base) == 0  # without the preview the run stands
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_rmse_map_never_reads_the_unmeasured_border(tmp_path, recwarn):
+    # the border's difference overflows; the map, like the metrics, skips it
+    recon = smooth_cube(16, 16, 3)
+    gt = recon.copy()
+    recon[0, 0, 0], gt[0, 0, 0] = 1.7e308, -1.7e308
+    recon_path, gt_path = str(tmp_path / "recon.htns"), str(tmp_path / "gt.htns")
+    save_tensor(recon, recon_path)
+    save_tensor(gt, gt_path)
+    rmse_path = str(tmp_path / "rmse.csv")
+    assert main(["evaluate", "--recon", recon_path, "--gt", gt_path, "--crop", "2",
+                 "--rmse-csv", rmse_path]) == 0
+    assert np.array_equal(np.loadtxt(rmse_path, delimiter=","), np.zeros((12, 12)))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("stages", ["1", "3"])

@@ -801,13 +801,18 @@ class _UnreachedInitializer(Initializer):
         raise AssertionError("the initializer ran")
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-def test_reconstruct_refuses_a_non_finite_coded_image_before_the_start(value):
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e307], ids=["nan", "inf", "huge"])
+def test_reconstruct_refuses_a_non_finite_coded_image_before_the_start(recwarn, value):
+    # a NaN or inf pixel, or a finite image whose transform's sums leave float64
     _, op, _, coded = _small_setup(size=16)
-    coded[5, 3, 1] = value
+    if np.isfinite(value):
+        coded *= value
+    else:
+        coded[5, 3, 1] = value
     with pytest.raises(ValidationError, match="coded image must be finite"):
         reconstruct(coded, op, StageSchedule.geometric(3), TotalVariationDenoiser(0.01, 5),
                     _UnreachedInitializer())
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class _NewCubeInitializer(Initializer):
