@@ -645,9 +645,6 @@ def _cmd_bench(config: dict, config_file: dict[str, str]) -> int:
     bands_list = [int(bands) for bands in config["bands"].split(",")]
     gamma = config["gamma"]
     rng = np.random.default_rng(config["seed"])
-    # the dense oracle loads scipy.linalg on its first solve (about 0.08 s):
-    # load it here, outside the dense row's timing
-    import scipy.linalg  # noqa: F401
     rows = []
     failures = []
     for size in sizes:

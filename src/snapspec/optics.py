@@ -381,8 +381,8 @@ def back_project(op: FrequencyOperator, spectra: np.ndarray, rows=slice(None)) -
 
 
 # elements per strip of the cache-sized row sweeps (the exact solve's bins,
-# the transforms' row passes, TV, the stage loop's anchor and multiplier
-# sweeps): 2^15 float64 (256 KiB)
+# the transforms' row passes, TV, the Gaussian prior, the stage loop's
+# anchor and multiplier sweeps): 2^15 float64 (256 KiB)
 # or complex (512 KiB) values keep a strip's rows of every array it touches
 # in a per-core L2 cache; at 512 x 512 x 8, 8 cube rows or 15 spectrum rows
 _STRIP_ELEMENTS = 1 << 15
@@ -394,6 +394,18 @@ def row_strips(height: int, row_elements: int) -> list[tuple[int, int]]:
     one if a row is larger; the last strip may be shorter."""
     rows = max(1, min(height, _STRIP_ELEMENTS // row_elements))
     return [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]
+
+
+def gaussian_kernel(std: float) -> np.ndarray:
+    """``scipy.ndimage``'s Gaussian weights for ``std``: exp(-x^2 / 2 std^2)
+    for x in -r..r, r = int(4 std + 0.5), divided by their sum; the single
+    weight 1.0 when r is 0, where std^2 may underflow."""
+    radius = int(4.0 * std + 0.5)
+    if radius == 0:
+        return np.ones(1)
+    x = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (std * std) * x**2)
+    return kernel / kernel.sum()
 
 
 # the largest Poisson rate numpy samples: about 9.22e18 counts, an intensity

@@ -86,18 +86,16 @@ class DenseSystem:
         return unvec_cube(self.phi.T @ vec_cube(image), self.height, self.width, self.n_bands)
 
     def ridge_solve(self, coded: np.ndarray, anchor: np.ndarray, gamma: float) -> np.ndarray:
-        """Minimize 1/2 ||Phi x - j||^2 + gamma/2 ||x - t||^2 by dense Cholesky."""
-        # imported here: scipy.linalg adds about 6 MB of resident memory to
-        # every process that imports the package, and only this solve uses it
-        from scipy.linalg import cho_factor, cho_solve
-
+        """Minimize 1/2 ||Phi x - j||^2 + gamma/2 ||x - t||^2 by dense Cholesky:
+        normal = L L^T, then L y = rhs and L^T x = y."""
         GAMMA.check(gamma, "gamma")
         self._check(coded, 3)
         self._check(anchor, self.n_bands)
         normal = self.phi.T @ self.phi + gamma * np.eye(self.phi.shape[1])
         rhs = self.phi.T @ vec_cube(coded) + gamma * vec_cube(anchor)
         try:
-            x = cho_solve(cho_factor(normal), rhs)
+            lower = np.linalg.cholesky(normal)
+            x = np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
         except np.linalg.LinAlgError as exc:
             raise ParameterError("gamma too small against ||Phi||^2 for a float64 "
                                  "Cholesky (%s)" % exc) from None

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SEED, Domain, ParameterError
-from .optics import OpticalSystem, row_strips
+from .optics import OpticalSystem, gaussian_kernel, row_strips
 
 BANDS = Domain(1)  # the band counts every generator takes
 
@@ -65,12 +65,10 @@ def _periodic_gaussian(n: int, sigma: float) -> np.ndarray:
     """The real half spectrum (n // 2 + 1) of ndimage's Gaussian kernel of
     ``sigma`` folded modulo ``n`` onto one period, so that a kernel longer
     than the axis wraps as ``mode="wrap"`` does."""
-    radius = int(4.0 * sigma + 0.5)
-    x = np.arange(-radius, radius + 1)
-    kernel = np.exp(-0.5 / (sigma * sigma) * x**2)
-    kernel = kernel / kernel.sum()
+    kernel = gaussian_kernel(sigma)
+    radius = kernel.shape[0] // 2
     period = np.zeros(n)
-    np.add.at(period, x % n, kernel)
+    np.add.at(period, np.arange(-radius, radius + 1) % n, kernel)
     return np.fft.rfft(period).real
 
 

@@ -192,22 +192,40 @@ def test_ssim_equals_fftconvolve_reference(shape):
     assert ssim(x, y) == ssim_fftconvolve(x, y)
 
 
+def _scipy_modules_after(code):
+    """The scipy modules loaded in a fresh interpreter after running ``code``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    code += ("; print(' '.join(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return proc.stdout.strip()
+
+
 def test_import_leaves_out_scipy_signal_and_linalg():
     # the import loads no scipy module at all.  scipy.fft costs 250-350 ms
     # and 27 MB per process, and numpy.fft runs the same transforms;
     # scipy.signal pulls in scipy.stats, sparse, optimize, ...: about 40 MB
-    # and most of a second per process, for nothing the package needs;
-    # scipy.linalg adds about 6 MB, and only the dense oracle's solve uses it;
-    # scipy.ndimage adds about 50 ms, and only the Gaussian prior uses it
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, snapspec, snapspec.cli; "
-            "print(' '.join(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.'))))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.strip() == ""
+    # and most of a second per process, for nothing the package needs
+    assert _scipy_modules_after("import sys, snapspec, snapspec.cli") == ""
+
+
+def test_gaussian_prior_and_dense_oracle_load_no_scipy():
+    # the Gaussian prior sums its taps in numpy, where scipy.ndimage with
+    # scipy's base cost about 0.3 s and 21 MB on its first call, and the
+    # dense oracle factors with numpy.linalg, where scipy.linalg cost 6 MB
+    code = ("import sys, numpy as np; from snapspec import *; "
+            "from snapspec.synth import smooth_cube, synthetic_system; "
+            "system = synthetic_system(3, 5); "
+            "op = build_frequency_operator(system, 16, 16); "
+            "coded = forward_encode(smooth_cube(16, 16, 3), system); "
+            "reconstruct(coded, op, StageSchedule.geometric(3, prior_weight=1e-3), "
+            "GaussianDenoiser(1.0), MeanInitializer()); "
+            "dense = DenseSystem.from_system(system, 4, 4); "
+            "dense.ridge_solve(np.ones((4, 4, 3)), np.zeros((4, 4, 3)), 0.5)")
+    assert _scipy_modules_after(code) == ""
 
 
 def test_fast_length_equals_scipy_next_fast_len():

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from snapspec import (
     AdjointInitializer,
@@ -150,6 +151,36 @@ def test_gaussian_denoiser_preserves_constants():
     cube = np.full((16, 16, 3), 0.37)
     out = GaussianDenoiser(spatial_std=2.0).denoise(cube, 0.0)
     assert np.max(np.abs(out - 0.37)) < 1e-12
+
+
+# the prior sums each tap as a separate add, multiply and add, in the order
+# of ndimage's correlate1d for a symmetric kernel.  Bit equality with ndimage
+# assumes its build does the same: it was measured on x86-64, where scipy's
+# wheels do not contract the taps to fused multiply-adds
+_GAUSSIAN_CASES = [((128, 128, 31), 1.0), ((512, 512, 8), 1.0), ((512, 512, 8), 2.5),
+                   ((13, 7, 3), 3.0), ((5, 4, 2), 3.0), ((1, 1, 1), 1.0),
+                   ((9, 6, 1), 1e3), ((64, 63, 8), 0.3)]
+
+
+@pytest.mark.parametrize("layout", ["pixel-major", "band-major"])
+@pytest.mark.parametrize("shape, std", _GAUSSIAN_CASES, ids=[
+    "x".join(map(str, shape)) + "-std%g" % std for shape, std in _GAUSSIAN_CASES])
+def test_gaussian_denoiser_equals_ndimage_bits(shape, std, layout):
+    # reflect boundaries at any radius (1e3 reaches far past a 9 x 6 band),
+    # a radius of 1 (std 0.3), and 512^2 x 8 at std 2.5, where the radius 10
+    # outruns the 8-row strips and the bottom reflection reads rows that
+    # earlier strips of an in-place call have overwritten
+    x = np.random.default_rng(sum(shape)).standard_normal(shape)
+    if layout == "band-major":
+        x = np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)
+    want = ndimage.gaussian_filter(x, sigma=(std, std, 0.0))
+    den = GaussianDenoiser(std)
+    kept = x.copy()
+    assert np.array_equal(den.denoise(x, 0.0), want)
+    fresh = np.empty(shape)
+    assert den.denoise(x, 0.0, out=fresh) is fresh and np.array_equal(fresh, want)
+    assert np.array_equal(x, kept)
+    assert den.denoise(x, 0.0, out=x) is x and np.array_equal(x, want)
 
 
 def test_gaussian_denoiser_validation():
@@ -662,6 +693,10 @@ def test_reconstruct_working_memory_in_cubes():
     mean, adjoint = MeanInitializer(), AdjointInitializer()
     sched = StageSchedule.geometric(13, prior_weight=1e-4)
     assert _peak_cubes(op, coded, sched, QuadraticDenoiser(), mean, trace=False) <= 3.75
+    # the Gaussian prior writes into the iterate too, and its window, padded
+    # strip, tap strip and kept tail (0.27 cube alone) stay under the solve's
+    # scratch: no cube more (3.74 measured)
+    assert _peak_cubes(op, coded, sched, GaussianDenoiser(1.0), mean, trace=False) <= 3.75
     # TV adds its two dual cubes and writes into the iterate too (5.56
     # measured); the adjoint start goes into the loop's pixel-major
     # iterate, so TV never copies its input either (5.56 measured)
