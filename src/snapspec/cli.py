@@ -507,7 +507,7 @@ def _cmd_simulate(config: dict, config_file: dict[str, str], noise: NoiseModel) 
     _check_paths({**config_file, **inputs}, outputs)
     cube = _load_cube(config, "cube")
     system = _load_system(config)
-    with _naming(config, "cube", "psf"):
+    with _naming(config, "cube", "psf", "response"):
         coded = forward_encode(cube, system)
     with _naming(config, "cube", "noise"):
         coded = add_noise(coded, noise)

@@ -197,9 +197,8 @@ def evaluate(recon: np.ndarray, gt: np.ndarray, crop: int = DEFAULT_CROP) -> Met
             "crop %d on extent %r leaves less than the %d-pixel SSIM window"
             % (crop, recon.shape[:2], SSIM_WINDOW)
         )
-    if crop:
-        recon = recon[crop:-crop, crop:-crop]
-        gt = gt[crop:-crop, crop:-crop]
+    cut = slice(crop, -crop or None)
+    recon, gt = recon[cut, cut], gt[cut, cut]
     # one finiteness check of the pair, not one more in each metric
     recon, gt = _check_pair(recon, gt, ("recon", "gt"))
     return MetricReport(

@@ -92,8 +92,7 @@ def rotating_psf_stack(n_bands: int, kernel_size: int, radius: float | None = No
         spot_std = max(0.7, 0.12 * kernel_size)
     yy, xx = np.mgrid[-half : half + 1, -half : half + 1].astype(np.float64)
     stack = np.empty((n_bands, kernel_size, kernel_size))
-    angles = np.linspace(0.0, 5.0 * np.pi / 6.0, n_bands) if n_bands > 1 else [0.0]
-    for i, theta in enumerate(angles):
+    for i, theta in enumerate(np.linspace(0.0, 5.0 * np.pi / 6.0, n_bands)):
         cy = radius * np.sin(theta)
         cx = radius * np.cos(theta)
         lobe_a = np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * spot_std**2)))

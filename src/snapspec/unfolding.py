@@ -176,14 +176,6 @@ class GaussianDenoiser(Denoiser):
         return gaussian_smooth(cube, self.spatial_std, out=out)
 
 
-def _reflect(k, n):
-    """The index that position(s) ``k`` of a length-n axis read under reflect
-    boundaries (d c b a | a b c d | d c b a), for any k: the extension has
-    period 2n, so a radius past the extent reflects again."""
-    m = np.mod(k, 2 * n)
-    return np.where(m < n, m, 2 * n - 1 - m)
-
-
 def _symmetric_taps(run, weights, out, tmp):
     """out = run(0) * w[r] + sum over j = r..1 of (run(-j) + run(j)) * w[r - j]
     for the 2r + 1 symmetric ``weights``, where run(d) is the input shifted
@@ -209,17 +201,15 @@ def gaussian_smooth(cube: np.ndarray, std: float, out: np.ndarray | None = None)
     multiply-adds.
 
     The cube is swept in strips of whole rows from :func:`optics.row_strips`.
-    A window holds a strip's input rows and h = min(r, H) reflected input
-    rows on each side.  It slides from strip to strip, carrying the rows
-    above the next strip, as TV carries its seam row.  The column pass sums
-    the window into a strip padded by min(r, W) columns on each side, the
-    padding is reflected in, and the row pass writes the strip's rows of
-    the result.  The result goes into ``out`` when given, which may be
-    ``cube`` itself: the window reads each row of ``cube`` before its strip
-    is written, except the last h rows, which the bottom reflection reads
-    later and which are copied first.  Otherwise it is a new pixel-major
-    array.  The scratch is the window, the padded strip, one strip for the
-    taps and those h rows: about three strips plus 3 h rows.
+    A window holds a strip's input rows and h = min(r, H) rows on each side,
+    and slides from strip to strip.  It reads each row of ``cube`` once,
+    before that row's strip is written, so ``out`` may be ``cube`` itself;
+    the rows past an edge are mirrored from the rows it holds.  The column
+    pass sums the window into a strip padded by hw = min(r, W) mirrored
+    columns on each side, and the row pass writes the strip's rows of the
+    result, into ``out`` when given, otherwise a new pixel-major array.
+    The scratch is the window, the padded strip and one strip for the taps:
+    about three strips plus 2 h rows and 2 hw columns.
     """
     cube = np.asarray(cube, dtype=np.float64)
     if cube.ndim != 3:
@@ -228,45 +218,35 @@ def gaussian_smooth(cube: np.ndarray, std: float, out: np.ndarray | None = None)
         out = np.empty(cube.shape)
     weights = gaussian_kernel(std)
     r = weights.shape[0] // 2
-    if r == 0:  # the single weight 1.0
-        np.copyto(out, cube)
-        return out
-
     height, width, bands = cube.shape
     h, hw = min(r, height), min(r, width)
-    # the bottom rows that the last strips' reflection reads: a copy when the
-    # strips before them may have written over them
-    tail = cube[height - h :]
-    if np.may_share_memory(cube, out):
-        tail = tail.copy()
     strips = row_strips(height, width * bands)
     rows = strips[0][1]
     # window row t holds input row r0 - h + t of the current strip (r0, r1),
     # reflected, so row r0 + i + d is window row (h + d) mod 2H + i for any
     # tap offset d; the padded strip's columns are indexed likewise
     window = np.empty((rows + 2 * h, width, bands))
-    np.take(cube, _reflect(np.arange(-h, rows + h), height), axis=0, out=window)
     padded = np.empty((rows, width + 2 * hw, bands))
     tmp = np.empty((rows, width, bands))
-    left = hw + _reflect(np.arange(-hw, 0), width)
-    right = hw + _reflect(np.arange(width, width + hw), width)
     for r0, r1 in strips:
-        n = r1 - r0
-        if r0:
-            # slide down by the previous strip's rows and read the rows k
-            # below the new strip: before H they are not yet written, past H
-            # they reflect to 2H - 1 - k, which is tail row H - 1 - k + h
+        n, k0, k1, at = r1 - r0, r0 + h, r1 + h, h - r0  # input row k is window row k + at
+        if r0:  # slide down by the previous strip's rows
             window[: 2 * h] = window[rows : rows + 2 * h]
-            k0, k1 = r0 + h, r1 + h
-            split = min(max(k0, height), k1)
-            window[2 * h : 2 * h + split - k0] = cube[k0:split]
-            below = tail[height - k1 + h : height - split + h]
-            window[2 * h + split - k0 : 2 * h + n] = below[::-1]
+        else:
+            k0 = 0
+        # the input rows k0..k1-1 that the window lacks: those before H are
+        # not yet written, and row H + j past H is row H - 1 - j, which the
+        # window holds since r0 + r1 <= 2H
+        window[k0 + at : min(k1, height) + at] = cube[k0:k1]
+        if not r0:
+            window[:h] = window[h : 2 * h][::-1]
+        if k1 > height:
+            window[height + at : k1 + at] = window[2 * height - k1 + at : height + at][::-1]
         _symmetric_taps(lambda d: window[(h + d) % (2 * height) :][:n], weights,
                         padded[:n, hw : hw + width], tmp[:n])
         strip = padded[:n]
-        strip[:, :hw] = strip[:, left]
-        strip[:, hw + width :] = strip[:, right]
+        strip[:, :hw] = strip[:, hw : 2 * hw][:, ::-1]
+        strip[:, hw + width :] = strip[:, width : width + hw][:, ::-1]
         _symmetric_taps(lambda d: strip[:, (hw + d) % (2 * width) :][:, :width], weights,
                         out[r0:r1], tmp[:n])
     return out

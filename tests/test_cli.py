@@ -876,13 +876,16 @@ _METRICS = ["--recon", "--gt", "--crop"]
 _FLOOR = "2.2250738585072014e-308"
 _CROSS_CHECKS = {
     "simulate-bands": (
-        "simulate", {**_SIMULATE, "--cube": "cube3"}, ["--cube", "--psf"],
+        "simulate", {**_SIMULATE, "--cube": "cube3"}, ["--cube", "--psf", "--response"],
         "cube shape (16, 16, 3) does not match 4 bands"),
     "simulate-kernel": (
-        "simulate", {**_SIMULATE, "--psf": "psf21"}, ["--cube", "--psf"],
+        "simulate", {**_SIMULATE, "--psf": "psf21"}, ["--cube", "--psf", "--response"],
         "kernel size 21 exceeds image extent (16, 16)"),
     "simulate-overflow": (
-        "simulate", {**_SIMULATE, "--cube": "huge"}, ["--cube", "--psf"],
+        "simulate", {**_SIMULATE, "--cube": "huge"}, ["--cube", "--psf", "--response"],
+        "outside the float64 range ("),
+    "simulate-response-overflow": (  # finite kernel sums, an overflowing encode
+        "simulate", {**_SIMULATE, "--response": "resp-huge"}, ["--cube", "--psf", "--response"],
         "outside the float64 range ("),
     "simulate-psf-overflow": (  # the kernel sums overflow
         "simulate", {**_SIMULATE, "--psf": "psf-huge"}, ["--psf", "--response"],
@@ -1012,8 +1015,8 @@ def test_encode_overflow_exit_2_naming_cube(tmp_path, capsys, recwarn, cube):
     out = tmp_path / "out.htns"
     assert main(["simulate", "--cube", cube_path, "--psf", psf, "--response", resp,
                  "--out", str(out), "--noise", "none"]) == 2
-    assert "--cube %s, --psf %s: outside the float64 range" % (cube_path, psf) \
-        in capsys.readouterr().err
+    assert "--cube %s, --psf %s, --response %s: outside the float64 range" % (
+        cube_path, psf, resp) in capsys.readouterr().err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 

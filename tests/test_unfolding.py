@@ -159,17 +159,21 @@ def test_gaussian_denoiser_preserves_constants():
 # wheels do not contract the taps to fused multiply-adds
 _GAUSSIAN_CASES = [((128, 128, 31), 1.0), ((512, 512, 8), 1.0), ((512, 512, 8), 2.5),
                    ((13, 7, 3), 3.0), ((5, 4, 2), 3.0), ((1, 1, 1), 1.0),
-                   ((9, 6, 1), 1e3), ((64, 63, 8), 0.3)]
+                   ((9, 6, 1), 1e3), ((64, 63, 8), 0.3), ((64, 63, 8), 0.1),
+                   ((300, 9, 5), 40.0), ((100, 64, 8), 12.0), ((40, 256, 8), 12.0)]
 
 
 @pytest.mark.parametrize("layout", ["pixel-major", "band-major"])
 @pytest.mark.parametrize("shape, std", _GAUSSIAN_CASES, ids=[
     "x".join(map(str, shape)) + "-std%g" % std for shape, std in _GAUSSIAN_CASES])
 def test_gaussian_denoiser_equals_ndimage_bits(shape, std, layout):
-    # reflect boundaries at any radius (1e3 reaches far past a 9 x 6 band),
-    # a radius of 1 (std 0.3), and 512^2 x 8 at std 2.5, where the radius 10
-    # outruns the 8-row strips and the bottom reflection reads rows that
-    # earlier strips of an in-place call have overwritten
+    # reflect boundaries at any radius (1e3 reaches far past a 9 x 6 band,
+    # 40 past the 9 columns only), a radius of 1 (std 0.3) and of 0 (std
+    # 0.1), and strips that the radius outruns, so the bottom reflection
+    # reads rows that earlier strips of an in-place call have overwritten in
+    # the cube: at 512^2 x 8 std 2.5 the radius 10 against 8-row strips, at
+    # 100 x 64 x 8 std 12 the radius 48 against a last strip of 36 rows, and
+    # at 40 x 256 x 8 std 12 the same radius past the height of three strips
     x = np.random.default_rng(sum(shape)).standard_normal(shape)
     if layout == "band-major":
         x = np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)
@@ -181,6 +185,16 @@ def test_gaussian_denoiser_equals_ndimage_bits(shape, std, layout):
     assert den.denoise(x, 0.0, out=fresh) is fresh and np.array_equal(fresh, want)
     assert np.array_equal(x, kept)
     assert den.denoise(x, 0.0, out=x) is x and np.array_equal(x, want)
+
+
+def test_gaussian_denoiser_in_place_on_short_strips(monkeypatch):
+    # two-row strips and a last strip of one row, each far shorter than the
+    # radius 12, which nearly spans the 13-row height
+    monkeypatch.setattr(optics, "_STRIP_ELEMENTS", 2 * 7 * 3)
+    x = np.random.default_rng(1).standard_normal((13, 7, 3))
+    want = ndimage.gaussian_filter(x, sigma=(3.0, 3.0, 0.0))
+    assert GaussianDenoiser(3.0).denoise(x, 0.0, out=x) is x
+    assert np.array_equal(x, want)
 
 
 def test_gaussian_denoiser_validation():
@@ -694,8 +708,8 @@ def test_reconstruct_working_memory_in_cubes():
     sched = StageSchedule.geometric(13, prior_weight=1e-4)
     assert _peak_cubes(op, coded, sched, QuadraticDenoiser(), mean, trace=False) <= 3.75
     # the Gaussian prior writes into the iterate too, and its window, padded
-    # strip, tap strip and kept tail (0.27 cube alone) stay under the solve's
-    # scratch: no cube more (3.74 measured)
+    # strip and tap strip (0.25 cube alone) stay under the solve's scratch:
+    # no cube more (3.74 measured)
     assert _peak_cubes(op, coded, sched, GaussianDenoiser(1.0), mean, trace=False) <= 3.75
     # TV adds its two dual cubes and writes into the iterate too (5.56
     # measured); the adjoint start goes into the loop's pixel-major
