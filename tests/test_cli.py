@@ -1628,6 +1628,43 @@ def test_address_space_limit_exit_3_without_traceback_or_files(tmp_path):
     assert _tree(tmp_path) == before  # no output, manifest or temporary file
 
 
+_REPEAT_PIPELINE = """
+import contextlib, io, json, resource, sys
+from snapspec import cli
+peaks = []
+for _ in range(3):
+    for args in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(args) == 0
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(*peaks)
+"""
+
+
+def test_repeated_commands_in_one_process_keep_their_peak_rss(tmp_path):
+    # the pipeline three times in a fresh process: without a fixed mmap
+    # threshold glibc serves the second run's cubes from the heap, and its
+    # peak RSS rose by one cube (4 MiB at 256 x 256 x 8); now by about 0.5
+    resource = pytest.importorskip("resource")
+    if sys.platform != "linux":
+        pytest.skip("ru_maxrss in KiB and glibc's allocator")
+    cube, _ = _write_cube(tmp_path, shape=(256, 256, 8))
+    psf, resp = _write_random_system(tmp_path, n_bands=8, kernel=15)
+    system = ["--psf", psf, "--response", resp]
+    coded, recon = str(tmp_path / "coded.htns"), str(tmp_path / "recon.htns")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    commands = [["simulate", "--cube", cube, *system, "--out", coded],
+                 ["reconstruct", "--coded", coded, *system, "--out", recon, "--trace"],
+                 ["evaluate", "--recon", recon, "--gt", cube]]
+    proc = subprocess.run([sys.executable, "-c", _REPEAT_PIPELINE, json.dumps(commands)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    first, _, third = map(int, proc.stdout.split())
+    assert third - first < 2048, (first, third)  # KiB: under half a cube
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--cube", "cube.htns", *_SYSTEM, "--out", "x.htns", "--export-pgm",
      "nodir/x.pgm"],
