@@ -51,6 +51,7 @@ from .errors import (
     SnapspecError,
     UnknownNameError,
     ValidationError,
+    as_3d,
 )
 from .fidelity import FidelityProblem, fidelity_solve, gdm_fidelity_step, subproblem_objective
 from .metrics import CROP, DEFAULT_CROP, evaluate as evaluate_metrics
@@ -462,13 +463,9 @@ def _naming(config: dict, *names: str):
 
 
 def _load_cube(config: dict, name: str, depth: int | None = None) -> np.ndarray:
-    """Input ``name`` as a float64 3-D tensor, with ``depth`` channels if given."""
+    """Input ``name`` through :func:`errors.as_3d`, with ``depth`` channels if given."""
     with _naming(config, name):
-        cube = load_tensor(config[name])
-        if cube.ndim != 3 or depth not in (None, cube.shape[2]):
-            raise ValidationError("expected a 3-D tensor%s, got shape %r"
-                                  % (" of depth %d" % depth if depth else "", cube.shape))
-    return np.asarray(cube, dtype=np.float64)
+        return as_3d(load_tensor(config[name]), depth)
 
 
 def _load_system(config: dict) -> OpticalSystem:

@@ -82,6 +82,17 @@ SEED = Domain(0)  # an RNG seed: numpy's generators take any integer >= 0
 GAMMA = Domain(float(np.finfo(np.float64).tiny))
 
 
+def as_3d(array, depth: int | None = None) -> np.ndarray:
+    """``array`` as float64: the gate of every cube, PSF stack and coded image.  DimensionError
+    unless it has rank 3, no extent of 0 and, if ``depth`` is given, that many channels."""
+    array = np.asarray(array, dtype=np.float64)
+    if array.ndim != 3 or 0 in array.shape or depth not in (None, array.shape[2]):
+        raise DimensionError("expected a 3-D tensor%s%s, got shape %r" % (
+            "" if depth is None else " of depth %d" % depth,
+            " with no empty extent" if 0 in array.shape else "", array.shape))
+    return array
+
+
 def check_params(owner, where: str, **args) -> None:
     """Check arguments against the domains that ``owner.params`` declares, key -> (argument,
     type, Domain), an int key as a count; a breach names ``where`` and the key."""

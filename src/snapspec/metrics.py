@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetricError, DimensionError, Domain, ParameterError, ValidationError
+from .errors import (DegenerateMetricError, DimensionError, Domain, ParameterError, ValidationError,
+                     as_3d)
 
 PSNR_CAP_DB = 100.0
 
@@ -27,13 +28,11 @@ CROP = Domain(0)
 
 
 def _check_shapes(x: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
+    """Both as float64 arrays of one shape that passes :func:`errors.as_3d`."""
     ref = np.asarray(ref, dtype=np.float64)
-    if x.shape != ref.shape:
-        raise DimensionError("shape mismatch: %r vs %r" % (x.shape, ref.shape))
-    if x.ndim != 3:
-        raise DimensionError("expected (H, W, bands) cubes, got shape %r" % (x.shape,))
-    return x, ref
+    if np.shape(x) != ref.shape:
+        raise DimensionError("shape mismatch: %r vs %r" % (np.shape(x), ref.shape))
+    return as_3d(x), ref
 
 
 def _check_pair(x: np.ndarray, ref: np.ndarray,

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SEED, DimensionError, Domain, ParameterError, ValidationError, check_params
+from .errors import (SEED, DimensionError, Domain, ParameterError, ValidationError, as_3d,
+                     check_params)
 
 PSF_SUM_TOL = 1e-9
 
@@ -55,7 +56,7 @@ DEFAULT_POISSON_BITS = 14
 class OpticalSystem:
     """Normalized per-band PSFs plus the sensor's spectral response.
 
-    ``psfs`` has shape (bands, k, k) with k odd and each kernel summing to 1.
+    ``psfs`` passes :func:`errors.as_3d` as (bands, k, k), k odd, each kernel summing to 1.
     ``response`` has shape (3, bands) with finite, non-negative entries.
     """
 
@@ -63,9 +64,9 @@ class OpticalSystem:
     response: np.ndarray
 
     def __post_init__(self):
-        psfs = np.ascontiguousarray(self.psfs, dtype=np.float64)
+        psfs = np.ascontiguousarray(as_3d(self.psfs))
         response = np.ascontiguousarray(self.response, dtype=np.float64)
-        if psfs.ndim != 3 or psfs.shape[1] != psfs.shape[2]:
+        if psfs.shape[1] != psfs.shape[2]:
             raise DimensionError("psfs must have shape (bands, k, k), got %r" % (psfs.shape,))
         if psfs.shape[1] % 2 != 1:
             raise ValidationError("kernel size must be odd, got %d" % psfs.shape[1])
@@ -199,20 +200,15 @@ def embed_kernel(kernel: np.ndarray, height: int, width: int) -> np.ndarray:
 
 
 def forward_encode(cube: np.ndarray, system: OpticalSystem) -> np.ndarray:
-    """Encode a spectral cube (H, W, bands) into a coded RGB image (H, W, 3).
+    """Encode a cube (H, W, bands), through :func:`errors.as_3d`, into a coded RGB image (H, W, 3).
 
     Indices wrap (circular boundary): this is :func:`apply_forward_frequency`
     with the operator of ``system`` on the cube's grid, the model that
     reconstruction inverts.  The boundary-free interior is this output with
     (k - 1) / 2 pixels cropped per edge.  No noise is added here.
     """
-    cube = np.asarray(cube, dtype=np.float64)
-    if cube.ndim != 3 or cube.shape[2] != system.n_bands:
-        raise DimensionError(
-            "cube shape %r does not match %d bands" % (cube.shape, system.n_bands)
-        )
-    height, width = cube.shape[:2]
-    return apply_forward_frequency(build_frequency_operator(system, height, width), cube)
+    cube = as_3d(cube, system.n_bands)
+    return apply_forward_frequency(build_frequency_operator(system, *cube.shape[:2]), cube)
 
 
 def build_frequency_operator(system: OpticalSystem, height: int, width: int) -> FrequencyOperator:
@@ -277,9 +273,6 @@ def from_spectrum(op: FrequencyOperator, spectra: np.ndarray,
     if out is None:
         out = np.empty((depth, op.height, op.width)).transpose(1, 2, 0)
     _check_grid(op, out, depth)
-    if not spectra.flags.writeable:
-        raise ValueError("spectra are not writeable: the inverse transform consumes "
-                         "them, so pass a writeable copy")
     bands = out.transpose(2, 0, 1)
     np.fft.ifft(spectra, axis=1, out=spectra)
     for r0, r1 in row_strips(op.height, depth * spectra.shape[2]):

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (GAMMA, SEED, DimensionError, DivergenceError, Domain, ParameterError,
-                     SingularPivotError, ValidationError, check_params)
+from .errors import (GAMMA, SEED, DivergenceError, Domain, ParameterError, SingularPivotError,
+                     ValidationError, as_3d, check_params)
 from .fidelity import GDM_ITERS, FidelityProblem, fidelity_solve, gdm_fidelity_step
 from .optics import FrequencyOperator, apply_adjoint, apply_forward_frequency, empty_cube
 from .optics import gaussian_kernel, row_strips
@@ -209,11 +209,11 @@ def gaussian_smooth(cube: np.ndarray, std: float, out: np.ndarray | None = None)
     columns on each side, and the row pass writes the strip's rows of the
     result, into ``out`` when given, otherwise a new pixel-major array.
     The scratch is the window, the padded strip and one strip for the taps:
-    about three strips plus 2 h rows and 2 hw columns.
+    about three strips plus 2 h rows and 2 hw columns.  ``cube`` passes
+    :func:`errors.as_3d`, and ``std`` must lie in ``GaussianDenoiser.params``.
     """
-    cube = np.asarray(cube, dtype=np.float64)
-    if cube.ndim != 3:
-        raise DimensionError("expected (H, W, bands) cube, got shape %r" % (cube.shape,))
+    check_params(GaussianDenoiser, "denoiser 'gaussian'", spatial_std=std)
+    cube = as_3d(cube)
     if out is None:
         out = np.empty(cube.shape)
     weights = gaussian_kernel(std)
@@ -335,11 +335,10 @@ def tv_denoise(cube: np.ndarray, weight: float, iters: int,
 
     The result goes into ``out`` when given, which may be ``cube`` itself:
     the closing primal pass reads each strip's cube rows before it writes
-    them.  Otherwise it is a new pixel-major array.
+    them.  Otherwise it is a new pixel-major array.  ``cube`` passes
+    :func:`errors.as_3d`; ``TotalVariationDenoiser.params`` bounds ``weight`` and ``iters``.
     """
-    cube = np.ascontiguousarray(cube, dtype=np.float64)
-    if cube.ndim != 3:
-        raise DimensionError("expected (H, W, bands) cube, got shape %r" % (cube.shape,))
+    cube = np.ascontiguousarray(as_3d(cube))
     check_params(TotalVariationDenoiser, "denoiser 'tv'", weight=weight, iters=iters)
     if out is None:
         out = np.empty_like(cube)

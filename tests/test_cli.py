@@ -877,7 +877,7 @@ _FLOOR = "2.2250738585072014e-308"
 _CROSS_CHECKS = {
     "simulate-bands": (
         "simulate", {**_SIMULATE, "--cube": "cube3"}, ["--cube", "--psf", "--response"],
-        "cube shape (16, 16, 3) does not match 4 bands"),
+        "expected a 3-D tensor of depth 4, got shape (16, 16, 3)"),
     "simulate-kernel": (
         "simulate", {**_SIMULATE, "--psf": "psf21"}, ["--cube", "--psf", "--response"],
         "kernel size 21 exceeds image extent (16, 16)"),

@@ -603,14 +603,15 @@ def test_problem_rejects_a_coded_spectrum_off_the_grid():
 
 def test_read_only_coded_spectrum_is_not_consumed():
     # the inverse consumes the spectra it is handed; the coded spectrum, the
-    # one meant to outlive a call, raises there and keeps its bytes, and the
-    # problem still solves to the bytes it gave before
+    # one meant to outlive a call, is read-only, so numpy's in-place transform
+    # raises before it writes and the bytes stay, and the problem still
+    # solves to the bytes it gave before
     rng = np.random.default_rng(62)
     _, op, prob = _problem(rng, size=8, n_bands=5)
     anchor = rng.standard_normal((8, 8, 5))
     solved = fidelity_solve(prob, anchor)
     before = prob.coded_spectrum.copy()
-    with pytest.raises(ValueError, match="not writeable"):
+    with pytest.raises(ValueError, match="read-only"):
         from_spectrum(op, prob.coded_spectrum)
     assert np.array_equal(prob.coded_spectrum, before)
     assert np.array_equal(fidelity_solve(prob, anchor), solved)

@@ -54,7 +54,7 @@ def test_psnr_validation():
     with pytest.raises(DimensionError):
         psnr(x, x[:-1])
     image = np.zeros((16, 16))
-    with pytest.raises(DimensionError, match="cubes"):
+    with pytest.raises(DimensionError, match="expected a 3-D tensor, got shape"):
         psnr(image, image)
 
 
@@ -242,7 +242,7 @@ def test_ssim_window_size_guard():
 
 def test_ssim_rejects_non_cube():
     image = np.zeros((24, 24))
-    with pytest.raises(DimensionError, match="cubes"):
+    with pytest.raises(DimensionError, match="expected a 3-D tensor, got shape"):
         ssim(image, image)
 
 
@@ -287,7 +287,7 @@ def test_evaluate_crop_is_an_integer(crop):
 @pytest.mark.parametrize("shape", [(5,), (16, 16), (16, 16, 2, 2)], ids=["1d", "2d", "4d"])
 def test_evaluate_rejects_non_cube_pairs(shape):
     x = np.zeros(shape)
-    with pytest.raises(DimensionError, match="cubes"):
+    with pytest.raises(DimensionError, match="expected a 3-D tensor, got shape"):
         evaluate(x, x, crop=0)
 
 

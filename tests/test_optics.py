@@ -503,8 +503,7 @@ def test_response_band_mismatch_rejected():
 def test_two_dimensional_psfs_rejected():
     # one kernel without its band axis; the CLI refuses a 2-D --psf tensor
     # before it gets here (test_refused_system_file_exit_2_naming_it)
-    with pytest.raises(DimensionError, match=re.escape("psfs must have shape (bands, k, k), "
-                                                       "got (3, 3)")):
+    with pytest.raises(DimensionError, match=re.escape("expected a 3-D tensor, got shape (3, 3)")):
         OpticalSystem(psfs=np.ones((3, 3)) / 9.0, response=np.ones((3, 3)))
 
 
@@ -623,6 +622,12 @@ def test_rotating_psfs_differ_across_bands():
 def test_synth_sizes_are_checked_naming_the_argument(call, name):
     with pytest.raises(ParameterError, match="^%s: must be " % name):
         call()
+
+
+def test_band_wavelengths_span_450_to_650_nm_evenly():
+    got = band_wavelengths(5)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, [450.0, 500.0, 550.0, 600.0, 650.0])
 
 
 def test_smooth_cube_range_and_determinism():

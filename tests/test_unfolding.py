@@ -27,9 +27,12 @@ from snapspec import (
     apply_adjoint,
     apply_forward_frequency,
     build_frequency_operator,
+    evaluate,
     forward_encode,
     psnr,
     reconstruct,
+    sam,
+    ssim,
     tv_denoise,
 )
 from snapspec.errors import DimensionError, DivergenceError, ParameterError, ValidationError
@@ -37,7 +40,8 @@ from snapspec.optics import NoiseModel, empty_cube
 from snapspec.synth import smooth_cube, synthetic_system
 from snapspec import optics, unfolding
 from snapspec.fidelity import MAX_GDM_ITERS
-from snapspec.unfolding import DENOISERS, INITIALIZERS, MAX_TV_ITERS
+from snapspec.unfolding import DENOISERS, INITIALIZERS, MAX_GAUSSIAN_STD, MAX_TV_ITERS
+from snapspec.unfolding import gaussian_smooth
 
 from reference_impls import stage_loop_reference, tv_dual_reference, tv_prox_1d
 
@@ -202,6 +206,16 @@ def test_gaussian_denoiser_validation():
         GaussianDenoiser(spatial_std=0.0)
 
 
+# the public kernel checks its std against GaussianDenoiser.params, as
+# tv_denoise checks its weight and iters: no bare IndexError, ValueError or
+# OverflowError, and no run outside (0, MAX_GAUSSIAN_STD]
+
+@pytest.mark.parametrize("std", [-1.0, np.nan, np.inf, 0.0, 2 * MAX_GAUSSIAN_STD], ids=repr)
+def test_gaussian_smooth_refuses_std_outside_its_domain(std):
+    with pytest.raises(ParameterError, match="^denoiser 'gaussian': std: must be in "):
+        gaussian_smooth(np.zeros((8, 8, 2)), std)
+
+
 def test_tv_zero_weight_returns_copy():
     cube = np.random.default_rng(2).standard_normal((5, 5, 2))
     out = tv_denoise(cube, 0.0, 10)
@@ -308,6 +322,31 @@ def test_denoise_into_its_input_matches_fresh_output(monkeypatch, name, shape, b
     assert np.array_equal(other, fresh)
     assert den.denoise(x, 0.3, out=x) is x
     assert np.array_equal(x, fresh)
+
+
+# every 3-D array argument passes errors.as_3d: an empty extent or a wrong
+# rank is a DimensionError, never an IndexError, a ZeroDivisionError, a NaN
+# metric or an accepted system
+
+_GATED = {
+    "gaussian_smooth": lambda x: gaussian_smooth(x, 1.0),
+    "tv_denoise-0.1": lambda x: tv_denoise(x, 0.1, 5),
+    "tv_denoise-0": lambda x: tv_denoise(x, 0.0, 5),
+    "psnr": lambda x: psnr(x, x),
+    "sam": lambda x: sam(x, x),
+    "ssim": lambda x: ssim(x, x),
+    "evaluate": lambda x: evaluate(x, x, crop=0),
+    "forward_encode": lambda x: forward_encode(x, synthetic_system(2, 3)),
+    "OpticalSystem": lambda x: OpticalSystem(psfs=x, response=np.ones((3, len(x)))),
+}
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 3), (3, 0, 2), (12, 12, 0), (12, 12), (12, 12, 2, 1)],
+                         ids=["no-rows", "no-columns", "no-bands", "2d", "4d"])
+@pytest.mark.parametrize("name", list(_GATED))
+def test_empty_or_wrong_rank_array_is_a_dimension_error(name, shape):
+    with pytest.raises(DimensionError, match="^expected a 3-D tensor"):
+        _GATED[name](np.zeros(shape))
 
 
 def test_registries_cover_all_names():
