@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the numeric Domain."""
+"""Exception types shared across the package, the numeric Domain, and the two
+input gates: ``as_3d`` for every 3-D array and ``check_params`` for declared
+spec keys."""
 
 import math
 import numbers

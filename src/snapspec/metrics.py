@@ -27,51 +27,49 @@ DEFAULT_CROP = 20
 CROP = Domain(0)
 
 
-def _check_shapes(x: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_shapes(recon: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both as float64 arrays of one shape that passes :func:`errors.as_3d`."""
-    ref = np.asarray(ref, dtype=np.float64)
-    if np.shape(x) != ref.shape:
-        raise DimensionError("shape mismatch: %r vs %r" % (np.shape(x), ref.shape))
-    return as_3d(x), ref
+    gt = np.asarray(gt, dtype=np.float64)
+    if np.shape(recon) != gt.shape:
+        raise DimensionError("shape mismatch: %r vs %r" % (np.shape(recon), gt.shape))
+    return as_3d(recon), gt
 
 
-def _check_pair(x: np.ndarray, ref: np.ndarray,
-                names: tuple[str, str] = ("x", "ref")) -> tuple[np.ndarray, np.ndarray]:
+def _check_pair(recon: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both cubes as float64 (H, W, bands) arrays of one shape, every value
-    finite; a non-finite value names its argument by ``names``."""
-    x, ref = _check_shapes(x, ref)
+    finite; a non-finite value names ``recon`` or ``gt``."""
+    recon, gt = _check_shapes(recon, gt)
     # a NaN reads as a NaN metric, or drops out of SAM's mean unseen
-    for name, cube in zip(names, (x, ref)):
+    for name, cube in (("recon", recon), ("gt", gt)):
         if not np.all(np.isfinite(cube)):
             raise ValidationError("%s must be finite" % name)
-    return x, ref
+    return recon, gt
 
 
-def psnr(x: np.ndarray, ref: np.ndarray, *, check_finite: bool = True) -> float:
+def psnr(recon: np.ndarray, gt: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB over all voxels of two (H, W, bands)
-    cubes for peak 1, capped at 100 dB.  ``check_finite=False`` skips the
-    finiteness check, for a pair already checked."""
-    x, ref = (_check_pair if check_finite else _check_shapes)(x, ref)
-    mse = float(np.mean((x - ref) ** 2))
+    cubes for peak 1, capped at 100 dB."""
+    recon, gt = _check_pair(recon, gt)
+    mse = float(np.mean((recon - gt) ** 2))
     if mse < 1e-10:
         return PSNR_CAP_DB
     return 10.0 * float(np.log10(1.0 / mse))
 
 
-def sam(x: np.ndarray, ref: np.ndarray, *, check_finite: bool = True) -> float:
+def sam(recon: np.ndarray, gt: np.ndarray) -> float:
     """Mean per-pixel angle between spectra, in radians.
 
     Pixels where either spectrum has norm below ``SAM_NORM_FLOOR`` carry no
     direction and are skipped; if every pixel is degenerate the metric is
-    undefined and an error is raised.  ``check_finite`` is as in :func:`psnr`.
+    undefined and an error is raised.
     """
-    x, ref = (_check_pair if check_finite else _check_shapes)(x, ref)
-    nx = np.linalg.norm(x, axis=2)
-    nr = np.linalg.norm(ref, axis=2)
+    recon, gt = _check_pair(recon, gt)
+    nx = np.linalg.norm(recon, axis=2)
+    nr = np.linalg.norm(gt, axis=2)
     valid = (nx >= SAM_NORM_FLOOR) & (nr >= SAM_NORM_FLOOR)
     if not np.any(valid):
         raise DegenerateMetricError("all pixel spectra are degenerate; angle undefined")
-    dots = np.sum(x * ref, axis=2)
+    dots = np.sum(recon * gt, axis=2)
     cos = np.clip(dots[valid] / (nx[valid] * nr[valid]), -1.0, 1.0)
     return float(np.mean(np.arccos(cos)))
 
@@ -100,7 +98,7 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def ssim(x: np.ndarray, ref: np.ndarray, *, check_finite: bool = True) -> float:
+def ssim(recon: np.ndarray, gt: np.ndarray) -> float:
     """Mean structural similarity of two (H, W, bands) cubes, computed per
     band and averaged.
 
@@ -117,17 +115,16 @@ def ssim(x: np.ndarray, ref: np.ndarray, *, check_finite: bool = True) -> float:
     valid window is then multiplied by ``1.0 / (f0 * f1)``, a double equal
     to the factor scipy rounds from long double for every such extent up
     to 1e12.  The inverse row pass runs only on the valid rows.
-    ``check_finite`` is as in :func:`psnr`.
     """
-    x, ref = (_check_pair if check_finite else _check_shapes)(x, ref)
-    if x.shape[0] < SSIM_WINDOW or x.shape[1] < SSIM_WINDOW:
+    recon, gt = _check_pair(recon, gt)
+    if recon.shape[0] < SSIM_WINDOW or recon.shape[1] < SSIM_WINDOW:
         raise DimensionError(
             "image extent %r smaller than the %d-pixel window"
-            % (x.shape[:2], SSIM_WINDOW)
+            % (recon.shape[:2], SSIM_WINDOW)
         )
     c1 = 0.01**2
     c2 = 0.03**2
-    height, width = x.shape[:2]
+    height, width = recon.shape[:2]
     # linear, not circular: pad each axis to hold the full convolution; the
     # padding stays zero, as every image fills the same top-left corner
     f0, f1 = (_next_fast_len(n + SSIM_WINDOW - 1) for n in (height, width))
@@ -160,8 +157,8 @@ def ssim(x: np.ndarray, ref: np.ndarray, *, check_finite: bool = True) -> float:
         den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
         return np.mean(num / den)
 
-    return float(np.mean([score(x[:, :, band], ref[:, :, band])
-                          for band in range(x.shape[2])]))
+    return float(np.mean([score(recon[:, :, band], gt[:, :, band])
+                          for band in range(recon.shape[2])]))
 
 
 @dataclass(frozen=True)
@@ -198,11 +195,9 @@ def evaluate(recon: np.ndarray, gt: np.ndarray, crop: int = DEFAULT_CROP) -> Met
         )
     cut = slice(crop, -crop or None)
     recon, gt = recon[cut, cut], gt[cut, cut]
-    # one finiteness check of the pair, not one more in each metric
-    recon, gt = _check_pair(recon, gt, ("recon", "gt"))
     return MetricReport(
-        psnr_db=psnr(recon, gt, check_finite=False),
-        sam_rad=sam(recon, gt, check_finite=False),
-        ssim=ssim(recon, gt, check_finite=False),
+        psnr_db=psnr(recon, gt),
+        sam_rad=sam(recon, gt),
+        ssim=ssim(recon, gt),
         crop=int(crop),
     )

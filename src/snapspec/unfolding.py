@@ -130,10 +130,10 @@ class Denoiser(ABC):
     each spec key to a constructor argument, its type and its Domain.
     ``denoise`` writes its result into ``out``, a float64 array of the
     cube's shape that may be ``cube`` itself, and returns it; with ``out``
-    None it returns a new array, or ``cube`` when it would be a copy of it,
-    and never writes into ``cube``.  :func:`reconstruct` passes its own
-    buffer as both, so no stage allocates a cube for the prior's output,
-    and refuses with ValidationError a result that is not that buffer.
+    None it returns a new array and never writes into ``cube``.
+    :func:`reconstruct` passes its own buffer as both, so no stage
+    allocates a cube for the prior's output, and refuses with
+    ValidationError a result that is not that buffer.
     """
 
     name: str = "?"
@@ -149,10 +149,7 @@ class IdentityDenoiser(Denoiser):
 
     def denoise(self, cube: np.ndarray, noise_level: float,
                 out: np.ndarray | None = None) -> np.ndarray:
-        if out is None or out is cube:
-            return cube
-        out[...] = cube
-        return out
+        return np.positive(cube, out=out)
 
 
 # largest Gaussian denoiser std in pixels: the prior's kernel has radius

@@ -2,7 +2,6 @@
 
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,26 +32,11 @@ from snapspec.oracle import DenseSystem
 from snapspec.synth import rgb_response, rotating_psf_stack, smooth_cube, synthetic_system
 
 from reference_impls import adjugate_inverse_3x3
-
-
-def _random_system(rng, n_bands, kernel_size):
-    psfs = rng.uniform(size=(n_bands, kernel_size, kernel_size))
-    psfs /= psfs.sum(axis=(1, 2), keepdims=True)
-    response = rng.uniform(size=(3, n_bands))
-    return OpticalSystem(psfs=psfs, response=response)
-
-
-def _identity_system(n_bands):
-    psfs = np.zeros((n_bands, 1, 1))
-    psfs[:, 0, 0] = 1.0
-    response = np.zeros((3, n_bands))
-    for c in range(3):
-        response[c, c] = 1.0
-    return OpticalSystem(psfs=psfs, response=response)
+from support import identity_system, peak_bytes, random_system
 
 
 def _problem(rng, size=8, n_bands=5, kernel=3, gamma=0.5):
-    system = _random_system(rng, n_bands, kernel)
+    system = random_system(rng, n_bands, kernel)
     op = build_frequency_operator(system, size, size)
     coded = rng.standard_normal((size, size, 3))
     return system, op, FidelityProblem.from_coded_image(op, coded, gamma)
@@ -166,7 +150,7 @@ def test_huge_gamma_returns_anchor():
 
 def test_identity_optics_scalar_ridge():
     # with A^T A = I per band-channel pair the solution is (J + gamma T)/(1 + gamma)
-    system = _identity_system(3)
+    system = identity_system(3)
     op = build_frequency_operator(system, 6, 6)
     rng = np.random.default_rng(3)
     coded = rng.standard_normal((6, 6, 3))
@@ -180,7 +164,7 @@ def test_identity_optics_scalar_ridge():
 
 def test_matches_dense_ridge_oracle():
     rng = np.random.default_rng(12)
-    system = _random_system(rng, 4, 3)
+    system = random_system(rng, 4, 3)
     dense = DenseSystem.from_system(system, 6, 6)
     op = build_frequency_operator(system, 6, 6)
     coded = rng.standard_normal((6, 6, 3))
@@ -197,7 +181,7 @@ def test_odd_extents_match_dense_oracle(height, width):
     # half spectra of odd widths only round-trip when every inverse
     # transform is given the full extent
     rng = np.random.default_rng(height * 10 + width)
-    system = _random_system(rng, 4, 5)
+    system = random_system(rng, 4, 5)
     dense = DenseSystem.from_system(system, height, width)
     op = build_frequency_operator(system, height, width)
     cube = rng.standard_normal((height, width, 4))
@@ -220,7 +204,7 @@ def test_odd_extents_match_dense_oracle(height, width):
 def test_strip_walk_matches_dense_oracle(monkeypatch, rows, height, width):
     # strips of 1, 2 or 3 bin rows; 7 and 9 rows leave a ragged last strip
     rng = np.random.default_rng(rows * 100 + height * 10 + width)
-    system = _random_system(rng, 4, 5)
+    system = random_system(rng, 4, 5)
     dense = DenseSystem.from_system(system, height, width)
     op = build_frequency_operator(system, height, width)
     monkeypatch.setattr(optics, "_STRIP_ELEMENTS", rows * 4 * (width // 2 + 1))
@@ -251,7 +235,7 @@ def test_solve_into_its_anchor_matches_fresh_output(width, band_major):
     # take each band's spectrum once that band is transformed; a pixel-major
     # or compact band-major out has no room for the spectra and is refused
     rng = np.random.default_rng(73)
-    op = build_frequency_operator(_random_system(rng, 5, 3), 7, width)
+    op = build_frequency_operator(random_system(rng, 5, 3), 7, width)
     prob = FidelityProblem.from_coded_image(op, rng.standard_normal((7, width, 3)), 0.3)
     values = rng.standard_normal((7, width, 5))
     fresh = fidelity_solve(prob, values)
@@ -272,20 +256,14 @@ def test_solve_into_its_anchor_allocates_no_cube():
     # band is four strips, so a band-sized transient would show; a new
     # output adds one cube
     rng = np.random.default_rng(79)
-    op = build_frequency_operator(_random_system(rng, 8, 9), 512, 512)
+    op = build_frequency_operator(random_system(rng, 8, 9), 512, 512)
     prob = FidelityProblem.from_coded_image(op, rng.standard_normal((512, 512, 3)), 0.05)
     anchor = empty_cube(op)
     anchor[...] = 0.5
     cube = anchor.size * 8
     peaks = []
     for out in (anchor, None):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            fidelity_solve(prob, anchor, out=out)
-            peaks.append((tracemalloc.get_traced_memory()[1] - base) / cube)
-        finally:
-            tracemalloc.stop()
+        peaks.append(peak_bytes(fidelity_solve, prob, anchor, out=out) / cube)
     assert peaks[0] <= 0.089
     assert peaks[1] <= 1.14
 
@@ -382,7 +360,7 @@ def test_gdm_validation():
 
 def test_lipschitz_bounds_operator_norm():
     rng = np.random.default_rng(47)
-    system = _random_system(rng, 5, 3)
+    system = random_system(rng, 5, 3)
     op = build_frequency_operator(system, 8, 8)
     bound = op.lipschitz
     for trial in range(10):
@@ -396,7 +374,7 @@ def test_lipschitz_bounds_operator_norm():
 def test_lipschitz_equals_dense_operator_norm(width):
     # the half spectrum holds every distinct Gram of an odd or even width
     rng = np.random.default_rng(48)
-    system = _random_system(rng, 5, 3)
+    system = random_system(rng, 5, 3)
     op = build_frequency_operator(system, 6, width)
     norm = np.linalg.norm(DenseSystem.from_system(system, 6, width).phi, 2) ** 2
     assert abs(op.lipschitz - norm) <= 1e-12 * norm
@@ -412,7 +390,7 @@ def test_lipschitz_sweeps_once_per_operator(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     rng = np.random.default_rng(49)
-    system = _random_system(rng, 4, 3)
+    system = random_system(rng, 4, 3)
     op = build_frequency_operator(system, 16, 16)
     coded = forward_encode(rng.uniform(size=(16, 16, 4)), system)
     anchor = rng.standard_normal((16, 16, 4))
@@ -432,7 +410,7 @@ def test_lipschitz_sweeps_once_per_operator(monkeypatch):
 
 def test_problem_rejects_nonpositive_gamma():
     rng = np.random.default_rng(53)
-    system = _random_system(rng, 3, 3)
+    system = random_system(rng, 3, 3)
     op = build_frequency_operator(system, 4, 4)
     coded = np.zeros((4, 4, 3))
     with pytest.raises(ParameterError):
@@ -480,7 +458,7 @@ def test_gamma_sites_share_one_range(site):
 
 
 def test_gram_max_is_the_largest_gram_entry():
-    op = build_frequency_operator(_random_system(np.random.default_rng(61), 5, 3), 6, 7)
+    op = build_frequency_operator(random_system(np.random.default_rng(61), 5, 3), 6, 7)
     assert op.gram_max == np.abs(op.gram).max()
 
 
@@ -551,7 +529,7 @@ _SHAPE_CHECKED = {
 @pytest.mark.parametrize("entry", list(_SHAPE_CHECKED))
 def test_problem_rejects_bad_shapes(entry, wrong):
     rng = np.random.default_rng(59)
-    op = build_frequency_operator(_random_system(rng, 4, 3), 4, 5)
+    op = build_frequency_operator(random_system(rng, 4, 3), 4, 5)
     prob = FidelityProblem.from_coded_image(op, np.zeros((4, 5, 3)), 1.0)
     depth = 3 if entry in _IMAGE_INPUT else op.n_bands
     shape = [op.height, op.width, depth]
@@ -564,7 +542,7 @@ def test_band_major_input_matches_contiguous():
     # the stage loop hands the solve an empty_cube buffer; that layout must
     # not move a bit of the output
     rng = np.random.default_rng(71)
-    op = build_frequency_operator(_random_system(rng, 4, 5), 7, 9)
+    op = build_frequency_operator(random_system(rng, 4, 5), 7, 9)
     prob = FidelityProblem.from_coded_image(op, rng.standard_normal((7, 9, 3)), 0.5)
     band_major = empty_cube(op)
     band_major[...] = rng.standard_normal((7, 9, 4))
@@ -576,7 +554,7 @@ def test_band_major_input_matches_contiguous():
 
 def test_coded_image_round_trip():
     rng = np.random.default_rng(61)
-    system = _random_system(rng, 3, 3)
+    system = random_system(rng, 3, 3)
     op = build_frequency_operator(system, 4, 4)
     coded = rng.standard_normal((4, 4, 3))
     prob = FidelityProblem.from_coded_image(op, coded, 1.0)

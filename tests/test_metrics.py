@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +16,7 @@ from snapspec.errors import DegenerateMetricError, DimensionError, ParameterErro
 from snapspec.metrics import PSNR_CAP_DB, _next_fast_len
 
 from reference_impls import psnr_direct, sam_direct, ssim_fftconvolve
+from support import peak_bytes
 
 
 def _cube(seed=0, shape=(48, 48, 4)):
@@ -291,6 +291,12 @@ def test_evaluate_rejects_non_cube_pairs(shape):
         evaluate(x, x, crop=0)
 
 
+def test_metrics_take_recon_and_gt_alone():
+    # one call path each: no keyword option, and evaluate's names
+    for metric in (psnr, sam, ssim):
+        assert list(inspect.signature(metric).parameters) == ["recon", "gt"]
+
+
 # one NaN or inf voxel in either cube is refused, naming the argument: a NaN
 # read as a NaN metric, or dropped out of SAM's mean unseen.  evaluate checks
 # what its crop leaves, so the voxel sits inside that
@@ -309,6 +315,29 @@ def test_non_finite_voxel_refused_naming_its_argument(metric, position, name, va
         metric(*cubes, **({"crop": 2} if metric is evaluate else {}))
 
 
+# the crop's edge: evaluate measures rows and columns crop to -crop - 1, so a
+# NaN on either end of that range is refused and one a pixel further out is
+# never read
+
+@pytest.mark.parametrize("name", ["recon", "gt"])
+@pytest.mark.parametrize("row, col", [(5, 5), (-6, -6)], ids=["first", "last"])
+def test_evaluate_refuses_a_nan_on_the_crop_edge(name, row, col):
+    cubes = {"recon": _cube(33, (32, 32, 3)), "gt": _cube(34, (32, 32, 3))}
+    cubes[name][row, col, 2] = np.nan
+    with pytest.raises(ValidationError, match="^%s must be finite$" % name):
+        evaluate(**cubes, crop=5)
+
+
+@pytest.mark.parametrize("name", ["recon", "gt"])
+@pytest.mark.parametrize("row, col", [(4, 5), (5, 4), (-5, -6), (-6, -5)],
+                         ids=["row-before", "col-before", "row-after", "col-after"])
+def test_evaluate_ignores_a_nan_just_outside_the_crop(name, row, col):
+    cubes = {"recon": _cube(33, (32, 32, 3)), "gt": _cube(34, (32, 32, 3))}
+    want = evaluate(**cubes, crop=5)
+    cubes[name][row, col, 2] = np.nan
+    assert evaluate(**cubes, crop=5) == want
+
+
 def test_evaluate_working_memory():
     # evaluate's temporaries peak at about one cube (0.99), in SAM's
     # products; SSIM's buffers and per-band local statistics read 0.98.  A
@@ -318,14 +347,7 @@ def test_evaluate_working_memory():
     gt = rng.uniform(size=(256, 256, 8))
     rec = np.clip(gt + rng.normal(0.0, 0.05, size=gt.shape), 0.0, 1.0)
     evaluate(rec, gt, crop=20)  # the FFT's plans and caches, outside the peak
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        evaluate(rec, gt, crop=20)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak / gt.nbytes <= 1.15
+    assert peak_bytes(evaluate, rec, gt, crop=20) / gt.nbytes <= 1.15
 
 
 def test_report_json_keys_and_degrees():

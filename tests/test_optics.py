@@ -2,7 +2,6 @@
 
 import dataclasses
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,22 +27,7 @@ from snapspec.synth import (band_wavelengths, rgb_response, rotating_psf_stack, 
 
 from reference_impls import (add_noise_whole_array, direct_circular_encode, direct_dft2,
                              gram_whole_array, smooth_cube_whole_array, transfer_batched)
-
-
-def _random_system(rng, n_bands, kernel_size):
-    psfs = rng.uniform(size=(n_bands, kernel_size, kernel_size))
-    psfs /= psfs.sum(axis=(1, 2), keepdims=True)
-    response = rng.uniform(size=(3, n_bands))
-    return OpticalSystem(psfs=psfs, response=response)
-
-
-def _identity_system(n_bands):
-    psfs = np.zeros((n_bands, 1, 1))
-    psfs[:, 0, 0] = 1.0
-    response = np.zeros((3, n_bands))
-    for c in range(3):
-        response[c, c] = 1.0
-    return OpticalSystem(psfs=psfs, response=response)
+from support import identity_system, peak_bytes, random_system
 
 
 def _channel_transfer(op):
@@ -53,7 +37,7 @@ def _channel_transfer(op):
 
 def test_forward_matches_nested_loop_reference():
     rng = np.random.default_rng(11)
-    system = _random_system(rng, 5, 3)
+    system = random_system(rng, 5, 3)
     cube = rng.standard_normal((4, 4, 5))
     fast = forward_encode(cube, system)
     slow = direct_circular_encode(cube, system.psfs, system.response)
@@ -62,7 +46,7 @@ def test_forward_matches_nested_loop_reference():
 
 
 def test_identity_optics_copies_first_bands():
-    system = _identity_system(5)
+    system = identity_system(5)
     cube = np.random.default_rng(0).uniform(size=(6, 6, 5))
     coded = forward_encode(cube, system)
     assert np.allclose(coded, cube[:, :, :3], atol=1e-14)
@@ -70,7 +54,7 @@ def test_identity_optics_copies_first_bands():
 
 def test_flat_field_scaled_by_response_sums():
     rng = np.random.default_rng(7)
-    system = _random_system(rng, 6, 5)
+    system = random_system(rng, 6, 5)
     cube = np.ones((8, 8, 6))
     coded = forward_encode(cube, system)
     # unit-sum kernels pass constants through, so each channel is sum_i omega[c,i]
@@ -81,7 +65,7 @@ def test_flat_field_scaled_by_response_sums():
 
 def test_forward_linearity():
     rng = np.random.default_rng(13)
-    system = _random_system(rng, 4, 3)
+    system = random_system(rng, 4, 3)
     a = rng.standard_normal((5, 5, 4))
     b = rng.standard_normal((5, 5, 4))
     lhs = forward_encode(2.5 * a - 1.5 * b, system)
@@ -93,7 +77,7 @@ def test_forward_non_square_odd_width():
     # odd width: the half spectrum alone does not determine W, so the
     # inverse transform must be told the extent
     rng = np.random.default_rng(79)
-    system = _random_system(rng, 4, 3)
+    system = random_system(rng, 4, 3)
     cube = rng.standard_normal((7, 9, 4))
     coded = forward_encode(cube, system)
     slow = direct_circular_encode(cube, system.psfs, system.response)
@@ -119,7 +103,7 @@ def test_embed_kernel_too_large_rejected():
 
 def test_transfer_dc_equals_response():
     rng = np.random.default_rng(3)
-    system = _random_system(rng, 6, 3)
+    system = random_system(rng, 6, 3)
     op = build_frequency_operator(system, 8, 8)
     # per-band OTFs of a Hermitian spectrum: only W // 2 + 1 columns are stored
     assert op.transfer.shape == (6, 8, 5)
@@ -131,7 +115,7 @@ def test_transfer_dc_equals_response():
 
 def test_operator_without_response_sums_bands():
     rng = np.random.default_rng(4)
-    system = _random_system(rng, 4, 3)
+    system = random_system(rng, 4, 3)
     otfs = build_frequency_operator(system, 6, 7).transfer
     op = FrequencyOperator(transfer=otfs, height=6, width=7)
     assert op.response.shape == (3, 4) and np.all(op.response == 1.0)
@@ -215,14 +199,7 @@ def test_transforms_hold_one_strip(shape):
     for call in (lambda: to_spectrum(op, cube, depth, out=own),
                  lambda: from_spectrum(op, own, cube),
                  lambda: from_spectrum(op, spectra, cube)):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            call()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= strip
+        assert peak_bytes(call) <= strip
 
 
 def test_cube_spectrum_only_of_an_empty_cube():
@@ -245,7 +222,7 @@ def test_from_spectrum_rejects_misshapen_out():
 
 
 def test_delta_psf_gives_flat_transfer():
-    system = _identity_system(4)
+    system = identity_system(4)
     op = build_frequency_operator(system, 7, 5)
     for c in range(3):
         assert np.allclose(_channel_transfer(op)[c, c], 1.0, atol=1e-14)
@@ -266,7 +243,7 @@ def test_shifted_delta_gives_phase_ramp():
 
 def test_transfer_matches_direct_dft():
     rng = np.random.default_rng(17)
-    system = _random_system(rng, 3, 3)
+    system = random_system(rng, 3, 3)
     op = build_frequency_operator(system, 5, 4)
     half = 4 // 2 + 1
     transfer = _channel_transfer(op)
@@ -289,7 +266,7 @@ def test_frequency_forward_matches_spatial(size):
     # both production paths share the PSF spectra, so each is checked
     # against the nested-loop spatial reference rather than the other
     rng = np.random.default_rng(size)
-    system = _random_system(rng, 5, 3)
+    system = random_system(rng, 5, 3)
     cube = rng.standard_normal((size, size, 5))
     spatial = direct_circular_encode(cube, system.psfs, system.response)
     op = build_frequency_operator(system, size, size)
@@ -304,7 +281,7 @@ def test_forward_in_place_product_matches_forward_project(width):
     # transfer as the first operand its bits are those of forward_project,
     # which ``spectra *= transfer`` (the operands swapped) does not keep
     rng = np.random.default_rng(width)
-    op = build_frequency_operator(_random_system(rng, 8, 5), 48, width)
+    op = build_frequency_operator(random_system(rng, 8, 5), 48, width)
     cube = rng.standard_normal((48, width, 8))
     ref = from_spectrum(op, forward_project(op, to_spectrum(op, cube, op.n_bands)))
     assert np.array_equal(apply_forward_frequency(op, cube), ref)
@@ -340,7 +317,7 @@ def test_setup_matches_whole_array_forms(height, width, n_bands):
     assert np.max(np.abs(cube - smooth_cube_whole_array(height, width, n_bands, seed=3))) \
         <= SCENE_TOL
     # random kernels: the synthetic ones are point-symmetric, with real OTFs
-    system = _random_system(np.random.default_rng(width), n_bands, 7)
+    system = random_system(np.random.default_rng(width), n_bands, 7)
     op = build_frequency_operator(system, height, width)
     transfer = transfer_batched(system.psfs, height, width)
     assert np.array_equal(op.transfer, transfer)
@@ -369,7 +346,7 @@ def test_only_the_solver_derives_the_gram(monkeypatch):
     assert [f.name for f in dataclasses.fields(FrequencyOperator)] == [
         "transfer", "height", "width", "response"]
     rng = np.random.default_rng(5)
-    system = _random_system(rng, 5, 7)
+    system = random_system(rng, 5, 7)
     cube, image = rng.uniform(size=(17, 15, 5)), rng.uniform(size=(17, 15, 3))
     built = []
     build = optics.build_frequency_operator
@@ -406,14 +383,7 @@ def test_add_noise_matches_whole_array_form(height, width, n_bands, model):
 def _peak_cubes(apply, x):
     """tracemalloc peak of ``apply(op, x)`` at 256^2 x 8, in cubes."""
     op = build_frequency_operator(synthetic_system(n_bands=8, kernel_size=9), 256, 256)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        apply(op, x)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    return peak / (256 * 256 * 8 * 8)
+    return peak_bytes(apply, op, x) / (256 * 256 * 8 * 8)
 
 
 def test_forward_holds_one_spectrum():
@@ -435,7 +405,7 @@ def test_adjoint_inverts_its_band_spectra_in_place():
 @pytest.mark.parametrize("n_bands", [3, 5, 8])
 def test_adjoint_identity(size, n_bands):
     rng = np.random.default_rng(size * 31 + n_bands)
-    system = _random_system(rng, n_bands, 3)
+    system = random_system(rng, n_bands, 3)
     op = build_frequency_operator(system, size, size)
     cube = rng.standard_normal((size, size, n_bands))
     image = rng.standard_normal((size, size, 3))
@@ -445,7 +415,7 @@ def test_adjoint_identity(size, n_bands):
 
 
 def test_kernel_larger_than_image_rejected():
-    system = _random_system(np.random.default_rng(0), 3, 5)
+    system = random_system(np.random.default_rng(0), 3, 5)
     with pytest.raises(DimensionError):
         build_frequency_operator(system, 4, 8)
 

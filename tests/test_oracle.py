@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from snapspec import OpticalSystem, forward_encode
+from snapspec import forward_encode
 from snapspec.errors import DimensionError, ParameterError
 from snapspec.oracle import (
     MAX_DENSE_UNKNOWNS,
@@ -13,22 +13,7 @@ from snapspec.oracle import (
 )
 
 from reference_impls import direct_circular_encode
-
-
-def _random_system(rng, n_bands, kernel_size):
-    psfs = rng.uniform(size=(n_bands, kernel_size, kernel_size))
-    psfs /= psfs.sum(axis=(1, 2), keepdims=True)
-    response = rng.uniform(size=(3, n_bands))
-    return OpticalSystem(psfs=psfs, response=response)
-
-
-def _identity_system(n_bands):
-    psfs = np.zeros((n_bands, 1, 1))
-    psfs[:, 0, 0] = 1.0
-    response = np.zeros((3, n_bands))
-    for c in range(min(3, n_bands)):
-        response[c, c] = 1.0
-    return OpticalSystem(psfs=psfs, response=response)
+from support import identity_system, random_system
 
 
 def test_vec_round_trips():
@@ -49,14 +34,14 @@ def test_vec_cube_band_major():
 
 
 def test_identity_system_gives_block_identity():
-    dense = DenseSystem.from_system(_identity_system(3), 2, 2)
+    dense = DenseSystem.from_system(identity_system(3), 2, 2)
     assert dense.phi.shape == (12, 12)
     assert np.array_equal(dense.phi, np.eye(12))
 
 
 def test_phi_matches_forward_encode():
     rng = np.random.default_rng(7)
-    system = _random_system(rng, 4, 3)
+    system = random_system(rng, 4, 3)
     dense = DenseSystem.from_system(system, 5, 6)
     cube = rng.standard_normal((5, 6, 4))
     via_matrix = dense.forward(cube)
@@ -68,7 +53,7 @@ def test_phi_kernel_wider_than_grid_still_matches():
     # wrap-around overlap must accumulate, not overwrite; the streaming
     # encoder refuses k > H so the nested-loop reference arbitrates here
     rng = np.random.default_rng(9)
-    system = _random_system(rng, 2, 5)
+    system = random_system(rng, 2, 5)
     dense = DenseSystem.from_system(system, 3, 3)
     cube = rng.standard_normal((3, 3, 2))
     ref = direct_circular_encode(cube, system.psfs, system.response)
@@ -78,7 +63,7 @@ def test_phi_kernel_wider_than_grid_still_matches():
 def test_column_sums_equal_response():
     # each column of a circulant block sums to the kernel sum = response entry
     rng = np.random.default_rng(11)
-    system = _random_system(rng, 3, 3)
+    system = random_system(rng, 3, 3)
     dense = DenseSystem.from_system(system, 4, 4)
     n = 16
     for ch in range(3):
@@ -89,7 +74,7 @@ def test_column_sums_equal_response():
 
 def test_adjoint_is_transpose():
     rng = np.random.default_rng(13)
-    system = _random_system(rng, 3, 3)
+    system = random_system(rng, 3, 3)
     dense = DenseSystem.from_system(system, 4, 4)
     cube = rng.standard_normal((4, 4, 3))
     image = rng.standard_normal((4, 4, 3))
@@ -100,7 +85,7 @@ def test_adjoint_is_transpose():
 
 def test_ridge_huge_gamma_returns_anchor():
     rng = np.random.default_rng(17)
-    system = _random_system(rng, 3, 3)
+    system = random_system(rng, 3, 3)
     dense = DenseSystem.from_system(system, 4, 4)
     coded = rng.standard_normal((4, 4, 3))
     anchor = rng.standard_normal((4, 4, 3))
@@ -109,7 +94,7 @@ def test_ridge_huge_gamma_returns_anchor():
 
 
 def test_ridge_identity_optics_formula():
-    dense = DenseSystem.from_system(_identity_system(3), 4, 4)
+    dense = DenseSystem.from_system(identity_system(3), 4, 4)
     rng = np.random.default_rng(19)
     coded = rng.standard_normal((4, 4, 3))
     anchor = rng.standard_normal((4, 4, 3))
@@ -121,7 +106,7 @@ def test_ridge_identity_optics_formula():
 
 def test_ridge_satisfies_normal_equations():
     rng = np.random.default_rng(23)
-    system = _random_system(rng, 4, 3)
+    system = random_system(rng, 4, 3)
     dense = DenseSystem.from_system(system, 5, 5)
     coded = rng.standard_normal((5, 5, 3))
     anchor = rng.standard_normal((5, 5, 4))
@@ -133,7 +118,7 @@ def test_ridge_satisfies_normal_equations():
 
 
 def test_ridge_rejects_nonpositive_gamma():
-    dense = DenseSystem.from_system(_identity_system(2), 2, 2)
+    dense = DenseSystem.from_system(identity_system(2), 2, 2)
     zeros2 = np.zeros((2, 2, 2))
     zeros3 = np.zeros((2, 2, 3))
     with pytest.raises(ParameterError):
@@ -144,20 +129,20 @@ def test_ridge_gamma_too_small_for_cholesky_is_parameter_error():
     # Phi^T Phi is singular for more bands than channels, and gamma 1e-300
     # is lost in its rounding, so the Cholesky factorization fails
     rng = np.random.default_rng(12)
-    dense = DenseSystem.from_system(_random_system(rng, 4, 3), 4, 4)
+    dense = DenseSystem.from_system(random_system(rng, 4, 3), 4, 4)
     with pytest.raises(ParameterError, match="too small against"):
         dense.ridge_solve(np.zeros((4, 4, 3)), np.zeros((4, 4, 4)), 1e-300)
 
 
 def test_size_guard():
-    system = _random_system(np.random.default_rng(41), 8, 3)
+    system = random_system(np.random.default_rng(41), 8, 3)
     # 24 * 24 * 8 = 4608 > 4096
     with pytest.raises(ParameterError, match=str(MAX_DENSE_UNKNOWNS)):
         DenseSystem.from_system(system, 24, 24)
 
 
 def test_shape_guards():
-    dense = DenseSystem.from_system(_identity_system(2), 2, 2)
+    dense = DenseSystem.from_system(identity_system(2), 2, 2)
     with pytest.raises(DimensionError):
         dense.forward(np.zeros((2, 2, 3)))
     with pytest.raises(DimensionError):

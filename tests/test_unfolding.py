@@ -1,7 +1,6 @@
 """Stage-loop, schedule, denoiser, and initializer tests."""
 
 import dataclasses
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -44,13 +43,7 @@ from snapspec.unfolding import DENOISERS, INITIALIZERS, MAX_GAUSSIAN_STD, MAX_TV
 from snapspec.unfolding import gaussian_smooth
 
 from reference_impls import stage_loop_reference, tv_dual_reference, tv_prox_1d
-
-
-def _random_system(rng, n_bands, kernel_size):
-    psfs = rng.uniform(size=(n_bands, kernel_size, kernel_size))
-    psfs /= psfs.sum(axis=(1, 2), keepdims=True)
-    response = rng.uniform(size=(3, n_bands))
-    return OpticalSystem(psfs=psfs, response=response)
+from support import peak_bytes, random_system
 
 
 # schedules
@@ -139,9 +132,21 @@ def test_constant_schedule():
 
 
 def test_identity_denoiser_is_bit_exact():
+    # signed zero, the smallest subnormal and the float64 extremes pass
+    # through with their bytes, into a new array, a given one or in place
     cube = np.random.default_rng(0).standard_normal((4, 4, 2))
-    out = IdentityDenoiser().denoise(cube, 0.5)
-    assert out is cube
+    cube[0, 0, :] = -0.0
+    cube[1, 1, :] = 5e-324
+    cube[2, 2] = 1.7e308, -1.7e308
+    want = cube.tobytes()
+    for given in (None, np.empty_like(cube), cube):
+        got = IdentityDenoiser().denoise(cube, 0.5, out=given)
+        assert got.tobytes() == want
+        if given is None:
+            assert not np.shares_memory(got, cube)
+            assert cube.tobytes() == want
+        else:
+            assert got is given
 
 
 def test_quadratic_denoiser_formula():
@@ -392,7 +397,7 @@ def test_float_declared_keys_refuse_bools(call, key, flag):
 
 def _small_setup(seed=0, size=8, n_bands=4):
     rng = np.random.default_rng(seed)
-    system = _random_system(rng, n_bands, 3)
+    system = random_system(rng, n_bands, 3)
     op = build_frequency_operator(system, size, size)
     cube = rng.uniform(size=(size, size, n_bands))
     coded = forward_encode(cube, system)
@@ -567,7 +572,7 @@ _LOOP_GRIDS = [(16, 16, 4), (15, 17, 5), (33, 9, 3)]
 def _grid_setup(shape, seed=0):
     height, width, bands = shape
     rng = np.random.default_rng(seed)
-    system = _random_system(rng, bands, 3)
+    system = random_system(rng, bands, 3)
     op = build_frequency_operator(system, height, width)
     return op, forward_encode(rng.uniform(size=shape), system)
 
@@ -713,24 +718,12 @@ def test_strip_sweeps_raise_the_first_overflow_they_meet(monkeypatch, case):
                                 "anchor": "overflow encountered in subtract"}[case]
 
 
-def _peak_bytes(call, *args, **kwargs):
-    """tracemalloc peak of one call above what was allocated before it."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        call(*args, **kwargs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak - base
-
-
 def _peak_cubes(op, coded, sched, den, init, trace, gdm_iters=0):
     """tracemalloc peak of one run above what was allocated before it, in
     cubes; the operator's Gram, made on first use, is made first, so that
     the loop alone is measured."""
     op.gram_max
-    peak = _peak_bytes(reconstruct, coded, op, sched, den, init, trace=trace,
+    peak = peak_bytes(reconstruct, coded, op, sched, den, init, trace=trace,
                        gdm_iters=gdm_iters)
     return peak / (op.height * op.width * op.n_bands * 8)
 
@@ -783,8 +776,8 @@ def test_strip_sweeps_allocate_one_strip():
     anchor = empty_cube(op)
     anchor[...] = rng.uniform(size=anchor.shape)  # the exact solve's output, band-major
     z, beta = rng.uniform(size=(2, 256, 256, 8))
-    assert _peak_bytes(unfolding._write_anchor, z, beta, anchor) <= 346_000
-    assert _peak_bytes(unfolding._update_multipliers, anchor, z, beta, 0.7) <= 346_000
+    assert peak_bytes(unfolding._write_anchor, z, beta, anchor) <= 346_000
+    assert peak_bytes(unfolding._update_multipliers, anchor, z, beta, 0.7) <= 346_000
 
 
 def test_setup_working_memory():
@@ -795,24 +788,24 @@ def test_setup_working_memory():
     # the scene is filtered and scaled in its noise array, a strip of lines
     # at a time through the FFT: 1.04 cubes measured (1.00 with ndimage's
     # direct sums, 3.00 with a new array per step)
-    assert _peak_bytes(smooth_cube, 256, 256, 8) / cube <= 1.05
+    assert peak_bytes(smooth_cube, 256, 256, 8) / cube <= 1.05
     # transfer (1 cube of half spectra), each band embedded and transformed
     # on its own: 1.26 measured (1.89 with the Gram made at construction,
     # 2.02 from the batched transform), 3% margin
-    assert _peak_bytes(build_frequency_operator, system, 256, 256) / cube <= 1.30
+    assert peak_bytes(build_frequency_operator, system, 256, 256) / cube <= 1.30
     # the Gram's first use: the power planes (0.5) and the six Gram planes
     # (0.375), 0.88 measured, 4% margin
     op = build_frequency_operator(system, 256, 256)
-    assert _peak_bytes(lambda: op.gram) / cube <= 0.92
+    assert peak_bytes(lambda: op.gram) / cube <= 0.92
     # forward_encode: its operator's transfer, the cube's spectra and the
     # channel spectra, with no Gram: 2.39 measured (2.77 with the Gram), 3% margin
     scene = smooth_cube(256, 256, 8)
-    assert _peak_bytes(forward_encode, scene, system) / cube <= 2.45
+    assert peak_bytes(forward_encode, scene, system) / cube <= 2.45
     # the noisy copy plus one image of Poisson counts or of read noise: 2.04
     # images measured with both stages (3.01 from whole-array steps), 3% margin
     coded = forward_encode(scene, system)
     for model in (NoiseModel(), NoiseModel(poisson_bits=0), NoiseModel(gaussian_sigma=0.0)):
-        assert _peak_bytes(add_noise, coded, model) / coded.nbytes <= 2.1
+        assert peak_bytes(add_noise, coded, model) / coded.nbytes <= 2.1
 
 
 def test_primal_residual_decreases_until_floor():
